@@ -42,16 +42,21 @@ def _next_down(x: float) -> float:
 #
 # The round-to-nearest result is computed first; the sign of the exact
 # error then decides whether one ulp-step toward the target infinity is
-# needed.  Error signs are computed exactly (integer or rational
-# arithmetic on the operands), never estimated.
+# needed.  Error signs are computed exactly, by cross-multiplying the
+# integer ratios of the operands, never estimated.
 
 
 def _sum_err_sign(a: float, b: float, s: float) -> int:
     """Sign of (a + b) - s for finite a, b, s."""
     t = s - a
     if math.isinf(t):
-        exact = Fraction(a) + Fraction(b) - Fraction(s)
-        return (exact > 0) - (exact < 0)
+        am, ad = a.as_integer_ratio()
+        bm, bd = b.as_integer_ratio()
+        sm, sd = s.as_integer_ratio()
+        # (a + b - s) * ad*bd*sd, all denominators positive
+        lhs = (am * bd + bm * ad) * sd
+        rhs = sm * ad * bd
+        return (lhs > rhs) - (lhs < rhs)
     err = (a - (s - t)) + (b - t)
     return (err > 0) - (err < 0)
 
@@ -108,10 +113,14 @@ def _mul_up(a: float, b: float) -> float:
 
 def _quot_err_sign(a: float, b: float, q: float) -> int:
     """Sign of a/b - q for finite a, b, q with b != 0."""
-    num = Fraction(a) - Fraction(q) * Fraction(b)
-    if b < 0:
-        num = -num
-    return (num > 0) - (num < 0)
+    am, ad = a.as_integer_ratio()
+    bm, bd = b.as_integer_ratio()
+    qm, qd = q.as_integer_ratio()
+    # (a/b - q) * ad*bm*qd; the factor has the sign of b
+    lhs = am * qd * bd
+    rhs = qm * bm * ad
+    sign = (lhs > rhs) - (lhs < rhs)
+    return -sign if b < 0 else sign
 
 
 def _div_down(a: float, b: float) -> float:
@@ -656,15 +665,24 @@ class Box:
         return v
 
     def exact_volume(self) -> Fraction:
-        """Volume as an exact rational; requires finite bounds."""
+        """Volume as an exact rational; requires finite bounds.
+
+        Bounds are doubles, so every width is a dyadic rational; the
+        product is formed on integer numerators and denominators and
+        normalised once.
+        """
+        num = den = 1
         if self.is_empty:
-            return Fraction(0)
-        v = Fraction(1)
-        for iv in self.dims:
-            if math.isinf(iv.lo) or math.isinf(iv.hi):
-                raise ValueError("exact volume of an unbounded box")
-            v *= Fraction(iv.hi) - Fraction(iv.lo)
-        return v
+            num = 0
+        else:
+            for iv in self.dims:
+                if math.isinf(iv.lo) or math.isinf(iv.hi):
+                    raise ValueError("exact volume of an unbounded box")
+                hm, hd = iv.hi.as_integer_ratio()
+                lm, ld = iv.lo.as_integer_ratio()
+                num *= hm * ld - lm * hd
+                den *= hd * ld
+        return Fraction(num, den)
 
     def contains(self, point: Sequence[float]) -> bool:
         if len(point) != len(self.dims):

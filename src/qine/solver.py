@@ -9,9 +9,14 @@ A node is (box, store).  Processing a node optionally pins parameters
 proven monotone (2B+ mode), prunes the box with each constraint
 instantiated at its parameter midpoint, identifies an inner region by
 contracting the negated constraints, then bisects parameter domains and
-branches on the widest variable coordinate.  Volumes are tracked as
-exact rationals, which makes the classified-volume ratio monotone and
-exactly 1.0 on complete runs.
+branches on the widest variable coordinate.
+
+The volume ledger is exact.  Box bounds are doubles, so every volume is
+a dyadic rational; each box is measured once, when it is queued (or
+emitted as inner), and its volume travels with it through the queue to
+the boundary list.  The float ``volume_*`` figures are derived from the
+rational ``exact_*`` fields on read.  This makes the classified-volume
+ratio monotone and exactly 1.0 on complete runs.
 """
 
 from __future__ import annotations
@@ -111,13 +116,12 @@ class SolverConfig:
 
 @dataclass
 class SolveStats:
-    """Run statistics; the exact_* fields are the rational volume ledger."""
+    """Run statistics; the exact_* fields are the rational volume ledger.
+
+    The volume_* properties are the ledger rounded to the nearest float.
+    """
 
     nodes_processed: int = 0
-    volume_initial: float = 0.0
-    volume_inner: float = 0.0
-    volume_boundary: float = 0.0
-    volume_queued: float = 0.0
     elapsed: float = 0.0
     stop_reason: str = "complete"
     exact_initial: Fraction = Fraction(0)
@@ -125,11 +129,21 @@ class SolveStats:
     exact_boundary: Fraction = Fraction(0)
     exact_queued: Fraction = Fraction(0)
 
-    def sync(self) -> None:
-        self.volume_initial = float(self.exact_initial)
-        self.volume_inner = float(self.exact_inner)
-        self.volume_boundary = float(self.exact_boundary)
-        self.volume_queued = float(self.exact_queued)
+    @property
+    def volume_initial(self) -> float:
+        return float(self.exact_initial)
+
+    @property
+    def volume_inner(self) -> float:
+        return float(self.exact_inner)
+
+    @property
+    def volume_boundary(self) -> float:
+        return float(self.exact_boundary)
+
+    @property
+    def volume_queued(self) -> float:
+        return float(self.exact_queued)
 
 
 @dataclass
@@ -157,12 +171,32 @@ def classified_ratio(paving: Paving) -> float:
     return float((s.exact_inner + rejected) / s.exact_initial)
 
 
+def _ratio_reached(initial: Fraction, stop_ratio: float) -> Callable[[Fraction], bool]:
+    """Exact form of ``classified_ratio(paving) >= stop_ratio``.
+
+    Takes the unclassified (boundary plus queued) volume u, for which the
+    ratio is 1 - u / initial with initial > 0.  Rounding to the nearest
+    float is monotone, so the float test holds exactly when the ratio
+    reaches the midpoint m between stop_ratio and the float below it,
+    m included iff m itself rounds to stop_ratio.  Built once per solve,
+    it spares each node a rational division and a float conversion.
+    """
+    m = (Fraction(math.nextafter(stop_ratio, 0.0)) + Fraction(stop_ratio)) / 2
+    budget = (1 - m) * initial
+    return budget.__ge__ if float(m) >= stop_ratio else budget.__gt__
+
+
 def _widest_axis(box: Box) -> int:
     best = 0
     for i in range(1, len(box)):
         if box.dims[i].width > box.dims[best].width:
             best = i
     return best
+
+
+def _bisectable(iv: Interval) -> bool:
+    """Whether iv's midpoint lies strictly inside, so halving shrinks it."""
+    return iv.lo < iv.midpoint < iv.hi
 
 
 def parameter_instantiation(
@@ -270,7 +304,7 @@ def _split(
     if budget <= 0 or len(dom) == 0:
         return [qc]
     axis = _widest_axis(dom)
-    if dom.dims[axis].width <= epsilon:
+    if dom.dims[axis].width <= epsilon or not _bisectable(dom.dims[axis]):
         return [qc]
     lo_half, hi_half = dom.bisect(axis)
     return _split(QuantifiedConstraint(qc.f, lo_half, qc.source), epsilon, budget - 1) + _split(
@@ -298,30 +332,34 @@ def solve(
     """
     cfg = config if config is not None else SolverConfig()
     stats = SolveStats()
-    stats.exact_initial = problem.variable_box.exact_volume()
     paving = Paving([], [], stats, problem.variable_box)
     root_store = tuple(
         QuantifiedConstraint(f, problem.parameter_box, i)
         for i, f in enumerate(problem.constraints)
     )
 
-    heap: list[tuple[float, int, Box, tuple[QuantifiedConstraint, ...]]] = []
+    # Entries are (-width, seq, box, store, exact volume); seq is unique,
+    # so comparisons never reach the box.
+    heap: list[tuple[float, int, Box, tuple[QuantifiedConstraint, ...], Fraction]] = []
     seq = 0
 
     def push(box: Box, store: tuple[QuantifiedConstraint, ...]) -> None:
         nonlocal seq
-        heapq.heappush(heap, (-box.width, seq, box, store))
-        stats.exact_queued += box.exact_volume()
+        vol = box.exact_volume()
+        heapq.heappush(heap, (-box.width, seq, box, store, vol))
+        stats.exact_queued += vol
         seq += 1
 
     push(problem.variable_box, root_store)
+    stats.exact_initial = stats.exact_queued
+    ratio_reached = None
+    if cfg.stop_ratio is not None and stats.exact_initial > 0:
+        ratio_reached = _ratio_reached(stats.exact_initial, cfg.stop_ratio)
     t0 = time.perf_counter()
     stop = "complete"
     while heap:
-        if (
-            cfg.stop_ratio is not None
-            and stats.exact_initial > 0
-            and classified_ratio(paving) >= cfg.stop_ratio
+        if ratio_reached is not None and ratio_reached(
+            stats.exact_boundary + stats.exact_queued
         ):
             stop = "ratio"
             break
@@ -331,12 +369,12 @@ def solve(
         if cfg.time_limit is not None and time.perf_counter() - t0 > cfg.time_limit:
             stop = "time"
             break
-        _, _, box, store = heapq.heappop(heap)
-        stats.exact_queued -= box.exact_volume()
+        _, _, box, store, vol = heapq.heappop(heap)
+        stats.exact_queued -= vol
         stats.nodes_processed += 1
         if box.width <= cfg.epsilon:
             paving.boundary.append(box)
-            stats.exact_boundary += box.exact_volume()
+            stats.exact_boundary += vol
         else:
             if cfg.mode == "2b+":
                 store = tuple(parameter_instantiation(store, box))
@@ -357,22 +395,25 @@ def solve(
                             kept, cfg.epsilon, cfg.max_param_splits
                         )
                     kept_t = tuple(kept)
-                    if remainder.width > cfg.epsilon:
+                    if remainder.width <= cfg.epsilon:
+                        push(remainder, kept_t)
+                    elif _bisectable(remainder.dims[_widest_axis(remainder)]):
                         left, right = branch(remainder)
                         push(left, kept_t)
                         push(right, kept_t)
                     else:
-                        push(remainder, kept_t)
-        stats.sync()
+                        # Wider than epsilon but at float spacing: no
+                        # split can shrink it, so it stays undecided.
+                        paving.boundary.append(remainder)
+                        stats.exact_boundary += remainder.exact_volume()
         if progress is not None:
             stats.elapsed = time.perf_counter() - t0
             progress(paving)
     while heap:
-        _, _, box, _ = heapq.heappop(heap)
-        stats.exact_queued -= box.exact_volume()
+        _, _, box, _, vol = heapq.heappop(heap)
+        stats.exact_queued -= vol
         paving.boundary.append(box)
-        stats.exact_boundary += box.exact_volume()
+        stats.exact_boundary += vol
     stats.stop_reason = stop
-    stats.sync()
     stats.elapsed = time.perf_counter() - t0
     return paving

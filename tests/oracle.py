@@ -80,6 +80,11 @@ def margins(constraints, x_cols: np.ndarray, pts: int = 201, chunk: int = 8192) 
     return worst
 
 
+# Cap on the elements of one (points x parameters) temporary in
+# violated_mask; larger ones spend their time in page faults.
+_TEMP_ELEMS = 2**20
+
+
 def violated_mask(
     constraints,
     x_cols: np.ndarray,
@@ -91,7 +96,10 @@ def violated_mask(
 
     Equivalent to ``margins(...) > 0`` but sweeps the parameter grid in
     chunks (optionally shuffled) and drops a point as soon as it is
-    disproved, which keeps dense two-parameter grids affordable.
+    disproved, which keeps dense two-parameter grids affordable.  A chunk
+    holds at most ``chunk`` parameter points and is cut further so that
+    its (alive x chunk) temporaries stay near ``_TEMP_ELEMS`` elements;
+    the answer does not depend on how the grid is cut.
     """
     count = x_cols.shape[1]
     out = np.zeros(count, dtype=bool)
@@ -102,10 +110,11 @@ def violated_mask(
         y_cols = grid_columns(dom, pts)
         total = y_cols.shape[1]
         order = np.arange(total) if rng is None else rng.permutation(total)
-        for start in range(0, total, chunk):
-            if alive.size == 0:
-                break
-            sel = order[start : start + chunk]
+        start = 0
+        while start < total and alive.size:
+            step = max(1, min(chunk, _TEMP_ELEMS // alive.size))
+            sel = order[start : start + step]
+            start += step
             xs = [x_cols[i][alive][:, None] for i in range(x_cols.shape[0])]
             ys = [y_cols[j, sel][None, :] for j in range(y_cols.shape[0])]
             vals = np.asarray(eval_grid(f, xs, ys), dtype=float)

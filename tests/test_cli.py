@@ -298,6 +298,18 @@ def test_cli_stats_line(problems_dir, capsys):
     assert re.match(r"nodes=\d+ stop=complete ratio=1\.000000 ", captured.err)
 
 
+def test_cli_eps_below_float_spacing_completes(problems_dir, tmp_path, capsys):
+    out = tmp_path / "paving.txt"
+    argv = ["solve", str(problems_dir / "ex1.qcsp"), "--mode", "2b", "--eps", "1e-300"]
+    code = cli.run(argv + ["--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    meta, inner, boundary = parse_report(out.read_text())
+    assert meta["stop"] == "complete"
+    assert boundary, "the undecidable sliver at x = 9 is reported as boundary"
+    volume = sum((b.exact_volume() for b in inner + boundary), Fraction(0))
+    assert 6 <= volume <= 15
+
+
 def test_cli_node_budget_exit_code(problems_dir, tmp_path, capsys):
     out = tmp_path / "partial.txt"
     code = cli.run(

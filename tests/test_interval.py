@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -11,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import assert_interval, contains_fraction
-from qine.interval import EMPTY, Box, Interval
+from qine.interval import EMPTY, Box, Interval, _add_down, _add_up, _div_down, _div_up
 
 INF = math.inf
 
@@ -417,3 +418,127 @@ def test_bisect_partitions_volume(pair):
         return  # too thin to split at a strictly interior midpoint
     assert lo_half.exact_volume() + hi_half.exact_volume() == box.exact_volume()
     assert lo_half.dims[axis].hi == hi_half.dims[axis].lo
+
+
+# ---------------------------------------------------------------------------
+# directed-rounding kernels against an exact rational reference
+
+MAX = sys.float_info.max
+TINY = 5e-324  # smallest subnormal
+SPECIAL = [TINY, -TINY, 3 * TINY, sys.float_info.min, MAX, -MAX, 1.0, -3.0, 0.1, 2.0**-1070]
+
+
+def floor_float(x: Fraction) -> float:
+    """Largest double <= x, with -inf below -MAX and MAX above it."""
+    if x > MAX:
+        return MAX
+    if x < -MAX:
+        return -INF
+    f = float(x)
+    return f if Fraction(f) <= x else math.nextafter(f, -INF)
+
+
+def ceil_float(x: Fraction) -> float:
+    return -floor_float(-x)
+
+
+def kernel_floats():
+    return st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(SPECIAL)
+    )
+
+
+def check_div(a: float, b: float) -> None:
+    exact = Fraction(a) / Fraction(b)
+    assert _div_down(a, b) == floor_float(exact), (a, b)
+    assert _div_up(a, b) == ceil_float(exact), (a, b)
+
+
+@given(kernel_floats(), kernel_floats().filter(lambda b: b != 0.0))
+def test_div_kernels_are_the_tightest_outward_floats(a, b):
+    check_div(a, b)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (6.0, 3.0),  # exact quotient
+        (-6.0, 3.0),
+        (6.0, -3.0),  # negative divisor
+        (-1.0, -3.0),
+        (1.0, 3.0),
+        (MAX, 2.0),  # exact, top binade
+        (MAX, -1.0),
+        (MAX, 0.5),  # overflows
+        (-MAX, 0.5),
+        (MAX, -0.5),
+        (2 * TINY, 2.0),  # exact subnormal quotient
+        (TINY, 3.0),  # below the smallest subnormal
+        (-TINY, 3.0),
+        (TINY, -2.0),  # exact tie at half the smallest subnormal
+        (3 * TINY, MAX),
+        (1.0, MAX),
+        (MAX, TINY),
+        (-MAX, -TINY),
+        (sys.float_info.min, 3.0),  # normal to subnormal
+    ],
+)
+def test_div_kernels_at_the_edges(a, b):
+    check_div(a, b)
+
+
+@given(kernel_floats(), kernel_floats())
+def test_add_kernels_are_the_tightest_outward_floats(a, b):
+    exact = Fraction(a) + Fraction(b)
+    assert _add_down(a, b) == floor_float(exact)
+    assert _add_up(a, b) == ceil_float(exact)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_add_kernels_when_the_error_term_overflows(sign):
+    # a + b = MAX - 2**971 - 2**970 ties to MAX - 2**971, and s - a overflows
+    a, b = sign * -3 * 2.0**970, sign * MAX
+    assert math.isinf((a + b) - a)
+    exact = Fraction(a) + Fraction(b)
+    assert _add_down(a, b) == floor_float(exact)
+    assert _add_up(a, b) == ceil_float(exact)
+    assert math.nextafter(_add_down(a, b), INF) == _add_up(a, b)
+
+
+def fraction_volume(box: Box) -> Fraction:
+    v = Fraction(1)
+    for iv in box.dims:
+        v *= Fraction(iv.hi) - Fraction(iv.lo)
+    return v
+
+
+@st.composite
+def finite_boxes(draw, values):
+    n = draw(st.integers(min_value=0, max_value=4))
+    bounds = []
+    for _ in range(n):
+        a, b = draw(values), draw(values)
+        bounds.append((min(a, b), max(a, b)))
+    return Box.from_bounds(bounds)
+
+
+@given(
+    st.one_of(
+        finite_boxes(st.floats(allow_nan=False, allow_infinity=False)),
+        finite_boxes(st.floats(min_value=-1e-300, max_value=1e-300)),
+        finite_boxes(st.sampled_from(SPECIAL)),
+    )
+)
+def test_exact_volume_is_the_rational_product(box):
+    assert box.exact_volume() == fraction_volume(box)
+
+
+def test_exact_volume_edge_boxes():
+    assert Box.empty(3).exact_volume() == 0
+    assert Box(()).exact_volume() == 1
+    sub = Box.from_bounds([(0.0, TINY), (-TINY, 2 * TINY)])
+    assert sub.exact_volume() == Fraction(3, 2**2148)
+    big = Box.from_bounds([(-MAX, MAX)] * 2)
+    assert big.exact_volume() == (2 * Fraction(MAX)) ** 2
+    with pytest.raises(ValueError):
+        Box.from_bounds([(0.0, INF)]).exact_volume()

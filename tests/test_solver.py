@@ -24,6 +24,7 @@ from qine.solver import (
     parameter_instantiation,
     solution_identification,
     solve,
+    _ratio_reached,
 )
 from test_expr import SYMS
 
@@ -301,6 +302,85 @@ def test_progress_reports_every_node_with_monotone_ratio():
     assert len(ratios) == paving.stats.nodes_processed
     assert all(a <= b for a, b in zip(ratios, ratios[1:]))
     assert ratios[-1] == classified_ratio(paving)
+
+
+def disc_problem() -> Problem:
+    f = parse_expression("x1^2 + x2^2 - 1", SYMS)
+    return Problem(
+        ("x1", "x2"), Box.from_bounds([(-2.0, 2.0), (-1.5, 1.5)]), (), Box(()), (f,), name="disc"
+    )
+
+
+def test_progress_sees_volumes_derived_from_the_ledger():
+    def check(p):
+        s = p.stats
+        for key in ("initial", "inner", "boundary", "queued"):
+            assert getattr(s, "volume_" + key) == float(getattr(s, "exact_" + key))
+        assert s.exact_inner == sum((b.exact_volume() for b in p.inner), Fraction(0))
+        assert s.exact_boundary == sum((b.exact_volume() for b in p.boundary), Fraction(0))
+        seen.append(s.nodes_processed)
+
+    seen = []
+    paving = solve(disc_problem(), SolverConfig(epsilon=0.05), progress=check)
+    assert seen == list(range(1, paving.stats.nodes_processed + 1))
+    check(paving)
+
+
+def test_ratio_stop_is_the_first_node_reaching_the_ratio():
+    # ratios[k] is the classified ratio once k nodes have been processed
+    ratios = [0.0]
+    full = solve(
+        disc_problem(),
+        SolverConfig(epsilon=0.05),
+        progress=lambda p: ratios.append(classified_ratio(p)),
+    )
+    assert full.stats.stop_reason == "complete"
+    hits = sorted(set(ratios[1:-1]))
+    # each target is hit exactly by a node, or lies one float above a hit
+    picks = hits[:: max(1, len(hits) // 6)] + [hits[-1]]
+    targets = picks + [math.nextafter(r, 1.0) for r in picks]
+    total = full.stats.nodes_processed
+    for target in targets:
+        paving = solve(disc_problem(), SolverConfig(epsilon=0.05, stop_ratio=target))
+        first = next((k for k, r in enumerate(ratios) if r >= target), total)
+        assert paving.stats.nodes_processed == first, target
+        assert paving.stats.stop_reason == ("ratio" if first < total else "complete")
+
+
+@pytest.mark.parametrize("stop_ratio", [1.0, 0.75, 0.998, 0.1, math.nextafter(1.0, 0.0), 5e-324])
+@pytest.mark.parametrize("initial", [Fraction(1), Fraction(15), Fraction(3, 7)])
+def test_ratio_test_agrees_with_float_rounding_at_ties(stop_ratio, initial):
+    below = math.nextafter(stop_ratio, 0.0)
+    mid = (Fraction(below) + Fraction(stop_ratio)) / 2  # rounds to the even neighbour
+    tiny = Fraction(1, 2**1200)
+    reached = _ratio_reached(initial, stop_ratio)
+    for ratio in (mid - tiny, mid, mid + tiny, Fraction(below), Fraction(stop_ratio)):
+        unclassified = (1 - ratio) * initial
+        assert reached(unclassified) == (float(ratio) >= stop_ratio), ratio
+
+
+def test_solve_emits_unsplittable_remainders_as_boundary():
+    # with eps far below float spacing the remainder at x = 9 runs out of
+    # midpoints; it must land in the boundary, not raise
+    paving = solve(monotone_problem(), SolverConfig(epsilon=1e-300, mode="2b"))
+    s = paving.stats
+    assert s.stop_reason == "complete"
+    assert paving.boundary and all(b.width > 1e-300 for b in paving.boundary)
+    # the ledger closes on the boxes: inner + boundary + rejected = initial
+    # with nothing queued, and the solutions are exactly x in [9, 15]
+    assert s.exact_queued == 0
+    assert s.exact_inner == sum((b.exact_volume() for b in paving.inner), Fraction(0))
+    assert s.exact_boundary == sum((b.exact_volume() for b in paving.boundary), Fraction(0))
+    rejected = s.exact_initial - s.exact_inner - s.exact_boundary
+    assert 6 - 1e-12 < s.exact_inner <= 6
+    assert 9 - 1e-12 < rejected <= 9
+    for b in paving.boundary:
+        assert 9.0 - 1e-13 < b[0].lo and b[0].hi < 9.0 + 1e-13
+
+
+def test_bisection_leaves_unsplittable_domain_whole():
+    c = qc("10*y - x - y^2", [(0.5, math.nextafter(0.5, 1.0))])
+    assert parameter_domain_bisection([c], epsilon=1e-300) == [c]
 
 
 def test_classified_ratio_counts_rejected_volume():
