@@ -1,10 +1,12 @@
 """Hull-consistency contraction for a single inequality constraint.
 
-One forward sweep evaluates every node of the expression tree with the
-natural interval extension; the root is then intersected with the
-feasible half-line of the relation, and one backward sweep projects
-each node interval onto its children.  There is no internal fixpoint
-iteration: callers that want more contraction call again.
+HC4-revise: the forward sweep (``expr.forward_sweep``) evaluates every
+node of the expression with the natural interval extension; the root is
+then intersected with the feasible half-line of the relation, and one
+backward sweep projects each node interval onto its operands.  The
+backward sweep is a loop over an explicit stack, so, like the forward
+sweep, it has no depth limit.  There is no internal fixpoint iteration:
+callers that want more contraction call again.
 
 The same machinery contracts with respect to f <= 0 or f >= 0, which
 lets the solver run the negation of a constraint to identify regions
@@ -19,7 +21,7 @@ from enum import Enum
 from typing import Sequence
 
 from .interval import EMPTY, Box, Interval
-from .expr import Binary, Const, Expression, Pow, Unary, VarKind, VarRef
+from .expr import Expression, forward_sweep
 
 __all__ = [
     "Relation",
@@ -30,7 +32,7 @@ __all__ = [
 
 _NONNEG = Interval(0.0, math.inf)
 _NONPOS = Interval(-math.inf, 0.0)
-_FULL = Interval(-math.inf, math.inf)
+_BINARY = ("add", "sub", "mul", "div")
 
 
 class Relation(Enum):
@@ -60,7 +62,7 @@ def backward_project(
     unchanged.
     """
     c = node_interval
-    if op in ("add", "sub", "mul", "div"):
+    if op in _BINARY:
         l, r = child_intervals
         if op == "add":
             return l.intersect(c - r), r.intersect(c - l)
@@ -80,8 +82,8 @@ def backward_project(
         return (child.intersect(c.exp()),)
     if op in ("sin", "cos"):
         return (child,)
-    if op in ("pow", "sqr"):
-        n = 2 if op == "sqr" else exponent
+    if op == "pow":
+        n = exponent
         if n is None:
             raise ValueError("pow projection needs an exponent")
         if n == 0:
@@ -89,9 +91,9 @@ def backward_project(
             return (child if c.contains(1.0) else EMPTY,)
         if n == 1:
             return (child.intersect(c),)
-        if n % 2 == 1:
-            return (child.intersect(c.root_int(n)),)
         root = c.root_int(n)
+        if n % 2 == 1:
+            return (child.intersect(root),)
         pos = child.intersect(root)
         neg = child.intersect(-root)
         return (pos.hull(neg),)
@@ -107,85 +109,28 @@ def hc4_revise(constraint: InequalityConstraint, x: Box, y: Box) -> tuple[Box, B
     always shows in the variable part, which matters when y has no
     coordinates at all.
     """
-    values: dict[int, Interval] = {}
-    root = _forward(constraint.f, x, y, values)
+    tape, values = forward_sweep(constraint.f, x, y)
     feasible = _NONPOS if constraint.relation is Relation.LEQ else _NONNEG
-    root = root.intersect(feasible)
-    if root.is_empty:
-        return Box.empty(len(x)), Box.empty(len(y))
     vars_x = list(x.dims)
     vars_y = list(y.dims)
-    if not _backward(constraint.f, root, values, vars_x, vars_y):
-        return Box.empty(len(x)), Box.empty(len(y))
+    # Depth first, left operand first: a node reached along several paths
+    # is projected once per path, onto its operands' values at that time.
+    stack = [(len(tape) - 1, values[-1].intersect(feasible))]
+    while stack:
+        i, narrowed = stack.pop()
+        if narrowed.is_empty:
+            return Box.empty(len(x)), Box.empty(len(y))
+        values[i] = narrowed
+        op, a, b = tape[i]
+        if op == "var" or op == "param":
+            dims = vars_x if op == "var" else vars_y
+            dims[a] = dims[a].intersect(narrowed)
+            if dims[a].is_empty:
+                return Box.empty(len(x)), Box.empty(len(y))
+        elif op in _BINARY:
+            left, right = backward_project(op, narrowed, (values[a], values[b]))
+            stack.append((b, right))
+            stack.append((a, left))
+        elif op != "const":
+            stack.append((a, backward_project(op, narrowed, (values[a],), exponent=b)[0]))
     return Box(tuple(vars_x)), Box(tuple(vars_y))
-
-
-def _forward(e: Expression, x: Box, y: Box, values: dict[int, Interval]) -> Interval:
-    cached = values.get(id(e))
-    if cached is not None:
-        return cached
-    if isinstance(e, Const):
-        v = Interval.point(e.value)
-    elif isinstance(e, VarRef):
-        box = x if e.kind is VarKind.VARIABLE else y
-        v = box.dims[e.index]
-    elif isinstance(e, Binary):
-        l = _forward(e.left, x, y, values)
-        r = _forward(e.right, x, y, values)
-        if e.op == "add":
-            v = l + r
-        elif e.op == "sub":
-            v = l - r
-        elif e.op == "mul":
-            v = l * r
-        else:
-            v = l / r
-    elif isinstance(e, Unary):
-        c = _forward(e.child, x, y, values)
-        v = -c if e.op == "neg" else getattr(c, e.op)()
-    elif isinstance(e, Pow):
-        v = _forward(e.base, x, y, values).pow_int(e.exponent)
-    else:
-        raise TypeError(f"not an expression node: {e!r}")
-    values[id(e)] = v
-    return v
-
-
-def _backward(
-    e: Expression,
-    narrowed: Interval,
-    values: dict[int, Interval],
-    vars_x: list[Interval],
-    vars_y: list[Interval],
-) -> bool:
-    """Push a narrowed node interval down the tree; False on emptiness."""
-    values[id(e)] = narrowed
-    if isinstance(e, Const):
-        return True
-    if isinstance(e, VarRef):
-        slots = vars_x if e.kind is VarKind.VARIABLE else vars_y
-        new_dom = slots[e.index].intersect(narrowed)
-        if new_dom.is_empty:
-            return False
-        slots[e.index] = new_dom
-        return True
-    if isinstance(e, Binary):
-        children = (e.left, e.right)
-        stored = tuple(values[id(ch)] for ch in children)
-        projected = backward_project(e.op, narrowed, stored)
-    elif isinstance(e, Unary):
-        children = (e.child,)
-        stored = (values[id(e.child)],)
-        projected = backward_project(e.op, narrowed, stored)
-    elif isinstance(e, Pow):
-        children = (e.base,)
-        stored = (values[id(e.base)],)
-        projected = backward_project("pow", narrowed, stored, exponent=e.exponent)
-    else:
-        raise TypeError(f"not an expression node: {e!r}")
-    for child, new_iv in zip(children, projected):
-        if new_iv.is_empty:
-            return False
-        if not _backward(child, new_iv, values, vars_x, vars_y):
-            return False
-    return True

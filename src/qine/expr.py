@@ -1,9 +1,11 @@
 """Expression trees for constraint functions f(x, y).
 
-Provides the abstract syntax, an infix parser and renderer, evaluation
-as a natural interval extension, plain floating-point evaluation for
-test oracles, and forward-mode interval differentiation used to prove
-monotonicity in a parameter over a box.
+Provides the abstract syntax, an infix parser and renderer, the natural
+interval extension, plain floating-point evaluation for test oracles,
+and forward-mode interval differentiation used to prove monotonicity in
+a parameter over a box.  The interval evaluators share one forward
+sweep, a loop over the expression's distinct nodes, so they have no
+depth limit; the parser, the renderer and point evaluation recurse.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence, Union
 
-from .interval import EMPTY, Box, Interval
+from .interval import Box, Interval
 
 __all__ = [
     "VarKind",
@@ -27,6 +29,7 @@ __all__ = [
     "ParseError",
     "parse_expression",
     "render",
+    "forward_sweep",
     "eval_interval",
     "eval_point",
     "derivative_interval",
@@ -205,7 +208,11 @@ class _Parser:
 
 def parse_expression(text: str, symbols: Mapping[str, VarRef]) -> Expression:
     """Parse an infix expression; identifiers resolve through ``symbols``."""
-    return _Parser(text, symbols).parse()
+    parser = _Parser(text, symbols)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", parser.peek()[2]) from None
 
 
 # ---------------------------------------------------------------------------
@@ -277,39 +284,99 @@ def render(
 
 
 # ---------------------------------------------------------------------------
-# Evaluation.
+# Evaluation.  A tape lists an expression's distinct node objects (by
+# identity, never by structure), operands before their users and left
+# operands first, so the root comes last.  Step i is (op, a, b) for node
+# i: a leaf holds its payload in a (an Interval for "const", an index
+# for "var" and "param"); an operation holds operand slots in a and b,
+# and a unary node holds None or its exponent ("pow") in b.  Tapes are
+# built without recursion and memoized per expression object; the memo
+# holds the expression, so its id is not reused while the entry lives.
+
+_Step = tuple[str, object, object]
+_TAPES: dict[int, tuple[Expression, tuple[_Step, ...]]] = {}
+_TAPES_MAX = 256
+
+
+def _node(e: Expression) -> tuple[str, tuple[Expression, ...], object]:
+    if isinstance(e, Binary):
+        return e.op, (e.left, e.right), None
+    if isinstance(e, Unary):
+        return e.op, (e.child,), None
+    if isinstance(e, Pow):
+        return "pow", (e.base,), e.exponent
+    if isinstance(e, Const):
+        return "const", (), Interval.point(e.value)
+    if isinstance(e, VarRef):
+        return ("var" if e.kind is VarKind.VARIABLE else "param"), (), e.index
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _tape(e: Expression) -> tuple[_Step, ...]:
+    hit = _TAPES.get(id(e))
+    if hit is not None:
+        return hit[1]
+    steps: list[_Step] = []
+    slot: dict[int, int] = {}
+    stack = [(e, False)]
+    while stack:
+        node, ready = stack.pop()
+        if id(node) in slot:
+            continue
+        op, operands, payload = _node(node)
+        if ready:
+            slot[id(node)] = len(steps)
+            args = [slot[id(c)] for c in operands] + [payload, None]
+            steps.append((op, args[0], args[1]))
+        else:
+            stack.append((node, True))
+            stack.extend((c, False) for c in reversed(operands))
+    if len(_TAPES) >= _TAPES_MAX:
+        del _TAPES[next(iter(_TAPES))]
+    tape = tuple(steps)
+    _TAPES[id(e)] = (e, tape)
+    return tape
+
+
+def forward_sweep(e: Expression, x: Box, y: Box) -> tuple[tuple[_Step, ...], list[Interval]]:
+    """The tape of e and the natural interval extension at each step.
+
+    The one interval evaluator: ``eval_interval`` returns the root value,
+    ``derivative_interval`` and ``hc4_revise`` read every value.  Empty
+    results propagate; sqrt and log keep only the part of their operand
+    inside their natural domain.
+    """
+    tape = _tape(e)
+    xs, ys = x.dims, y.dims
+    values: list[Interval] = []
+    push = values.append
+    for op, a, b in tape:
+        if op == "var":
+            push(xs[a])
+        elif op == "param":
+            push(ys[a])
+        elif op == "const":
+            push(a)
+        elif op == "add":
+            push(values[a] + values[b])
+        elif op == "sub":
+            push(values[a] - values[b])
+        elif op == "mul":
+            push(values[a] * values[b])
+        elif op == "div":
+            push(values[a] / values[b])
+        elif op == "neg":
+            push(-values[a])
+        elif op == "pow":
+            push(values[a].pow_int(b))
+        else:
+            push(getattr(values[a], op)())
+    return tape, values
 
 
 def eval_interval(e: Expression, x: Box, y: Box) -> Interval:
-    """Natural interval extension over the joint box (x, y).
-
-    Empty results propagate; sqrt and log intersect their operand with
-    the natural domain first, so a partially defined operand only keeps
-    its defined part.
-    """
-    if isinstance(e, Const):
-        return Interval.point(e.value)
-    if isinstance(e, VarRef):
-        box = x if e.kind is VarKind.VARIABLE else y
-        return box.dims[e.index]
-    if isinstance(e, Binary):
-        l = eval_interval(e.left, x, y)
-        r = eval_interval(e.right, x, y)
-        if e.op == "add":
-            return l + r
-        if e.op == "sub":
-            return l - r
-        if e.op == "mul":
-            return l * r
-        return l / r
-    if isinstance(e, Unary):
-        v = eval_interval(e.child, x, y)
-        if e.op == "neg":
-            return -v
-        return getattr(v, e.op)()
-    if isinstance(e, Pow):
-        return eval_interval(e.base, x, y).pow_int(e.exponent)
-    raise TypeError(f"not an expression node: {e!r}")
+    """Natural interval extension over the joint box (x, y)."""
+    return forward_sweep(e, x, y)[1][-1]
 
 
 def eval_point(e: Expression, x: Sequence[float], y: Sequence[float]) -> float:
@@ -349,58 +416,46 @@ def _eval_point(e: Expression, x: Sequence[float], y: Sequence[float]) -> float:
 def derivative_interval(e: Expression, wrt: VarRef, x: Box, y: Box) -> Interval:
     """Enclosure of the partial derivative d e / d wrt over the joint box.
 
-    Forward-mode tangent propagation with interval coefficients.  Where
-    the derivative is unbounded (sqrt or log touching the domain edge,
-    division near zero) the enclosure is unbounded; callers must treat
-    anything not strictly sign-definite as monotonicity unproven.
+    Forward-mode tangent propagation with interval coefficients, over
+    the node values of ``forward_sweep``.  Where the derivative is
+    unbounded (sqrt or log touching the domain edge, division near zero)
+    the enclosure is unbounded; callers must treat anything not strictly
+    sign-definite as monotonicity unproven.
     """
-    _, der = _eval_tangent(e, wrt, x, y)
-    return der
+    tape, values = forward_sweep(e, x, y)
+    wrt_op = "var" if wrt.kind is VarKind.VARIABLE else "param"
+    ders: list[Interval] = []
+    push = ders.append
+    for i, (op, a, b) in enumerate(tape):
+        if op == "var" or op == "param":
+            push(_ONE if op == wrt_op and a == wrt.index else _ZERO)
+        elif op == "const":
+            push(_ZERO)
+        elif op == "add":
+            push(ders[a] + ders[b])
+        elif op == "sub":
+            push(ders[a] - ders[b])
+        elif op == "mul":
+            push(ders[a] * values[b] + values[a] * ders[b])
+        elif op == "div":
+            push((ders[a] * values[b] - values[a] * ders[b]) / values[b].sqr())
+        elif op == "neg":
+            push(-ders[a])
+        elif op == "sqrt":
+            push(ders[a] / (values[i] * 2))
+        elif op == "exp":
+            push(values[i] * ders[a])
+        elif op == "log":
+            push(ders[a] / values[a].intersect(_NONNEG))
+        elif op == "sin":
+            push(values[a].cos() * ders[a])
+        elif op == "cos":
+            push(-values[a].sin() * ders[a])
+        else:  # pow
+            push(_ZERO if b == 0 else values[a].pow_int(b - 1) * b * ders[a])
+    return ders[-1]
 
 
 _ZERO = Interval(0.0, 0.0)
 _ONE = Interval(1.0, 1.0)
-
-
-def _eval_tangent(
-    e: Expression, wrt: VarRef, x: Box, y: Box
-) -> tuple[Interval, Interval]:
-    if isinstance(e, Const):
-        return Interval.point(e.value), _ZERO
-    if isinstance(e, VarRef):
-        box = x if e.kind is VarKind.VARIABLE else y
-        return box.dims[e.index], (_ONE if e == wrt else _ZERO)
-    if isinstance(e, Binary):
-        u, du = _eval_tangent(e.left, wrt, x, y)
-        v, dv = _eval_tangent(e.right, wrt, x, y)
-        if e.op == "add":
-            return u + v, du + dv
-        if e.op == "sub":
-            return u - v, du - dv
-        if e.op == "mul":
-            return u * v, du * v + u * dv
-        return u / v, (du * v - u * dv) / v.sqr()
-    if isinstance(e, Unary):
-        u, du = _eval_tangent(e.child, wrt, x, y)
-        if e.op == "neg":
-            return -u, -du
-        if e.op == "sqrt":
-            s = u.sqrt()
-            return s, du / (s * 2)
-        if e.op == "exp":
-            ev = u.exp()
-            return ev, ev * du
-        if e.op == "log":
-            pos = u.intersect(Interval(0.0, math.inf))
-            return u.log(), du / pos
-        if e.op == "sin":
-            return u.sin(), u.cos() * du
-        return u.cos(), -u.sin() * du
-    if isinstance(e, Pow):
-        u, du = _eval_tangent(e.base, wrt, x, y)
-        val = u.pow_int(e.exponent)
-        if e.exponent == 0:
-            return val, _ZERO
-        der = u.pow_int(e.exponent - 1) * e.exponent * du
-        return val, der
-    raise TypeError(f"not an expression node: {e!r}")
+_NONNEG = Interval(0.0, math.inf)

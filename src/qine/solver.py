@@ -85,7 +85,6 @@ class QuantifiedConstraint:
 
     f: Expression
     param_domain: Box
-    source: int = 0
 
 
 @dataclass
@@ -229,7 +228,7 @@ def parameter_instantiation(
                 dims[j] = Interval.point(iv.lo)
                 changed = True
         if changed:
-            out.append(QuantifiedConstraint(qc.f, Box(tuple(dims)), qc.source))
+            out.append(QuantifiedConstraint(qc.f, Box(tuple(dims))))
         else:
             out.append(qc)
     return out
@@ -277,7 +276,7 @@ def solution_identification(
         )
         if xi.is_empty:
             continue
-        kept.append(QuantifiedConstraint(qc.f, yi, qc.source))
+        kept.append(QuantifiedConstraint(qc.f, yi))
         remainder = remainder.hull(xi)
     return kept, remainder, box.set_difference_closure(remainder)
 
@@ -307,8 +306,8 @@ def _split(
     if dom.dims[axis].width <= epsilon or not _bisectable(dom.dims[axis]):
         return [qc]
     lo_half, hi_half = dom.bisect(axis)
-    return _split(QuantifiedConstraint(qc.f, lo_half, qc.source), epsilon, budget - 1) + _split(
-        QuantifiedConstraint(qc.f, hi_half, qc.source), epsilon, budget - 1
+    return _split(QuantifiedConstraint(qc.f, lo_half), epsilon, budget - 1) + _split(
+        QuantifiedConstraint(qc.f, hi_half), epsilon, budget - 1
     )
 
 
@@ -334,8 +333,7 @@ def solve(
     stats = SolveStats()
     paving = Paving([], [], stats, problem.variable_box)
     root_store = tuple(
-        QuantifiedConstraint(f, problem.parameter_box, i)
-        for i, f in enumerate(problem.constraints)
+        QuantifiedConstraint(f, problem.parameter_box) for f in problem.constraints
     )
 
     # Entries are (-width, seq, box, store, exact volume); seq is unique,

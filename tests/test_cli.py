@@ -16,7 +16,7 @@ from qine.cli import (
     parse_problem,
     parse_report,
 )
-from qine.expr import Binary, Const, Pow, VarKind, VarRef
+from qine.expr import Binary, Const, ParseError, Pow, VarKind, VarRef, parse_expression
 from qine.interval import Box, Interval
 from qine.solver import Paving, SolveStats, SolverConfig, solve
 
@@ -308,6 +308,43 @@ def test_cli_eps_below_float_spacing_completes(problems_dir, tmp_path, capsys):
     assert boundary, "the undecidable sliver at x = 9 is reported as boundary"
     volume = sum((b.exact_volume() for b in inner + boundary), Fraction(0))
     assert 6 <= volume <= 15
+
+
+def test_cli_solves_a_sum_deeper_than_the_recursion_limit(tmp_path, capsys):
+    problem = tmp_path / "sum.qcsp"
+    terms = " + ".join(["0.001*x"] * 1500)
+    problem.write_text(f"var x in [0, 1];\nconstraint {terms} <= 1;\n")
+    out = tmp_path / "paving.txt"
+    code = cli.run(["solve", str(problem), "--eps", "0.1", "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    meta, inner, boundary = parse_report(out.read_text())
+    assert meta["stop"] == "complete"
+    # the ledger closes: the header totals are the records' volumes, and
+    # everything else of [0, 1] was rejected
+    inner_v = sum((b.exact_volume() for b in inner), Fraction(0))
+    boundary_v = sum((b.exact_volume() for b in boundary), Fraction(0))
+    assert meta["volume"] == (
+        f"initial=1.0 inner={float(inner_v)!r} boundary={float(boundary_v)!r}"
+    )
+    assert float(meta["ratio"]) == float(1 - boundary_v)
+    # 1.5 x <= 1: inner boxes stay left of 2/3, a boundary box holds it
+    assert inner and all(b[0].hi <= 2 / 3 for b in inner)
+    assert any(b[0].contains(2 / 3) for b in boundary)
+
+
+@pytest.mark.parametrize(
+    "expression",
+    ["(" * 3000 + "x" + ")" * 3000, "-" * 3000 + "x"],
+    ids=["parentheses", "unary-minus"],
+)
+def test_cli_deep_nesting_is_a_parse_error(expression, tmp_path, capsys):
+    problem = tmp_path / "deep.qcsp"
+    problem.write_text(f"var x in [0, 1];\nconstraint {expression} <= 0;\n")
+    assert cli.run(["solve", str(problem)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nested too deeply" in err
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_expression(expression, {"x": VarRef(VarKind.VARIABLE, 0)})
 
 
 def test_cli_node_budget_exit_code(problems_dir, tmp_path, capsys):

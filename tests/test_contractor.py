@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,7 @@ from qine.contractor import (
 )
 from qine.expr import Binary, Const, Pow, Unary, VarKind, VarRef, parse_expression
 from qine.interval import EMPTY, Box, Interval
-from test_expr import SYMS, X, Y, boxes_and_point, expr_trees
+from test_expr import SYMS, X, Y, boxes_and_point, deep_chain, expr_trees
 
 
 def leq(text: str) -> InequalityConstraint:
@@ -172,6 +173,33 @@ def test_revise_multiple_occurrences_narrow_jointly():
     assert x[0].subset_of(Interval(0.0, 5.0))
     # the true feasible set [2,5] must survive
     assert x[0].lo <= 2.0 and x[0].hi >= 5.0
+
+
+@pytest.mark.parametrize(
+    "text, rel, x0, y0, x1, y1",
+    [
+        ("(y - (x + y + x))^3 - 1", Relation.GEQ, (0.0, 1.0), (-3.0, -1.0), (0.0, 0.0), (-2.0, -2.0)),
+        ("y - x + x", Relation.LEQ, (1.0, 3.0), (1.0, 3.0), (2.0, 2.0), (1.0, 2.0)),
+    ],
+)
+def test_revise_backward_order_is_depth_first_per_path(text, rel, x0, y0, x1, y1):
+    # x and y occur more than once.  The backward sweep goes depth first,
+    # left operand first, and projects a node once per path that reaches
+    # it, onto its operands' values at that time.  Sweeps that visit each
+    # node once in reverse topological order return other boxes: x = [0, 1]
+    # in the first case if they project onto the forward values, y = [1, 1]
+    # in the second if they intersect the projections of all parents.
+    c = InequalityConstraint(parse_expression(text, SYMS), rel)
+    x, y = hc4_revise(c, Box.from_bounds([x0]), Box.from_bounds([y0]))
+    assert x == Box.from_bounds([x1])
+    assert y == Box.from_bounds([y1])
+
+
+def test_revise_walks_deeper_than_the_recursion_limit():
+    c = InequalityConstraint(deep_chain(5000))
+    x, y = hc4_revise(c, Box.from_bounds([(0.0, 1.0)]), Box(()))
+    assert x == Box.from_bounds([(0.0, 0.0)])
+    assert len(y) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,19 @@ def test_eval_interval_contains_float_point_values(e, bx, by):
     assert slack_lo <= value <= slack_hi
 
 
+def deep_chain(depth: int):
+    """x under ``depth`` alternating ``+ 0.0`` and negation nodes; equals x for even depth."""
+    e = X
+    for i in range(depth):
+        e = Binary("add", e, Const(0.0)) if i % 2 == 0 else Unary("neg", e)
+    return e
+
+
+def test_eval_interval_walks_deeper_than_the_recursion_limit():
+    x = Box.from_bounds([(0.0, 1.0)])
+    assert eval_interval(deep_chain(5000), x, Box(())) == Interval(0.0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # differentiation
 
@@ -275,3 +288,8 @@ def test_derivative_encloses_central_difference(e, bx, by):
     tol = 1e-6 * (1.0 + abs(fd))
     assert not enclosure.is_empty
     assert enclosure.lo - tol <= fd <= enclosure.hi + tol
+
+
+def test_derivative_walks_deeper_than_the_recursion_limit():
+    x = Box.from_bounds([(0.0, 1.0)])
+    assert derivative_interval(deep_chain(5000), X, x, Box(())) == Interval(1.0, 1.0)
