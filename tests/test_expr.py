@@ -226,6 +226,16 @@ def test_eval_interval_walks_deeper_than_the_recursion_limit():
     assert eval_interval(deep_chain(5000), x, Box(())) == Interval(0.0, 1.0)
 
 
+def test_tape_memo_stays_bounded():
+    from qine import expr
+
+    x = Box.from_bounds([(0.0, 1.0)])
+    for k in range(2 * expr._TAPES_MAX):
+        e = Binary("add", X, Const(float(k)))
+        assert eval_interval(e, x, Box(())) == Interval(float(k), float(k + 1))
+    assert len(expr._TAPES) <= expr._TAPES_MAX
+
+
 # ---------------------------------------------------------------------------
 # differentiation
 
