@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .interval import EMPTY, Box, Interval
+from .interval import _NONNEG, EMPTY, Box, Interval
 from .expr import Expression, forward_sweep
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "backward_project",
 ]
 
-_NONNEG = Interval(0.0, math.inf)
 _NONPOS = Interval(-math.inf, 0.0)
 _BINARY = ("add", "sub", "mul", "div")
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence, Union
 
-from .interval import Box, Interval
+from .interval import _NONNEG, _ONE, Box, Interval
 
 __all__ = [
     "VarKind",
@@ -457,5 +457,3 @@ def derivative_interval(e: Expression, wrt: VarRef, x: Box, y: Box) -> Interval:
 
 
 _ZERO = Interval(0.0, 0.0)
-_ONE = Interval(1.0, 1.0)
-_NONNEG = Interval(0.0, math.inf)

@@ -11,6 +11,12 @@ per bound.
 
 All values are immutable and operations are pure; the FPU rounding mode
 is never touched, so concurrent use is safe.
+
+Bounds are validated where they come in: the ``Interval`` constructor,
+``Interval.point``, ``Interval.parse`` and ``Box.from_bounds`` reject
+NaN, inverted and collapsed-at-infinity bounds.  The arithmetic and set
+operations build their results with the unchecked ``_iv``, because
+bounds computed from valid operands are valid by construction.
 """
 
 from __future__ import annotations
@@ -274,8 +280,13 @@ def _has_critical_point(lo: float, hi: float, offset: float) -> bool:
     global extrema and never breaks containment.
     """
     slack = 1e-9 + 1e-12 * max(abs(lo), abs(hi))
-    k_min = math.floor((lo - slack - offset) / math.tau) - 1
-    k_max = math.ceil((hi + slack - offset) / math.tau) + 1
+    start = (lo - slack - offset) / math.tau
+    stop = (hi + slack - offset) / math.tau
+    if math.isinf(start) or math.isinf(stop):
+        # the slack overflowed near the largest doubles
+        return True
+    k_min = math.floor(start) - 1
+    k_max = math.ceil(stop) + 1
     for k in range(k_min, k_max + 1):
         c = offset + k * math.tau
         if lo - slack <= c <= hi + slack:
@@ -306,7 +317,9 @@ class Interval:
 
     Bounds are doubles; lo may be -inf and hi may be +inf, neither may
     be NaN.  The empty interval is the canonical pair (inf, -inf),
-    detectable through ``is_empty``.
+    detectable through ``is_empty``.  Constructing an Interval validates
+    its bounds; results of the operations below are valid by
+    construction and skip that check.
     """
 
     lo: float
@@ -389,21 +402,25 @@ class Interval:
     # -- set operations ------------------------------------------------------
 
     def intersect(self, other: Interval) -> Interval:
-        if self.is_empty or other.is_empty:
+        slo, shi, olo, ohi = self.lo, self.hi, other.lo, other.hi
+        if slo > shi or olo > ohi:
             return EMPTY
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
+        # max/min below would pick both of self's own bounds, signed zeros too
+        if olo <= slo and shi <= ohi:
+            return self
+        lo = max(slo, olo)
+        hi = min(shi, ohi)
         if lo > hi:
             return EMPTY
-        return Interval(lo, hi)
+        return _iv(lo, hi)
 
     def hull(self, other: Interval) -> Interval:
         """Smallest interval containing both operands."""
-        if self.is_empty:
+        if self.lo > self.hi:
             return other
-        if other.is_empty:
+        if other.lo > other.hi:
             return self
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
+        return _iv(min(self.lo, other.lo), max(self.hi, other.hi))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -414,30 +431,30 @@ class Interval:
         return Interval.point(float(other))
 
     def __neg__(self) -> Interval:
-        if self.is_empty:
+        if self.lo > self.hi:
             return EMPTY
-        return Interval(-self.hi, -self.lo)
+        return _iv(-self.hi, -self.lo)
 
     def __add__(self, other: Interval | int | float) -> Interval:
         other = self._coerce(other)
-        if self.is_empty or other.is_empty:
+        if self.lo > self.hi or other.lo > other.hi:
             return EMPTY
-        return Interval(_add_down(self.lo, other.lo), _add_up(self.hi, other.hi))
+        return _iv(_add_down(self.lo, other.lo), _add_up(self.hi, other.hi))
 
     __radd__ = __add__
 
     def __sub__(self, other: Interval | int | float) -> Interval:
         other = self._coerce(other)
-        if self.is_empty or other.is_empty:
+        if self.lo > self.hi or other.lo > other.hi:
             return EMPTY
-        return Interval(_add_down(self.lo, -other.hi), _add_up(self.hi, -other.lo))
+        return _iv(_add_down(self.lo, -other.hi), _add_up(self.hi, -other.lo))
 
     def __rsub__(self, other: Interval | int | float) -> Interval:
         return self._coerce(other) - self
 
     def __mul__(self, other: Interval | int | float) -> Interval:
         other = self._coerce(other)
-        if self.is_empty or other.is_empty:
+        if self.lo > self.hi or other.lo > other.hi:
             return EMPTY
         pairs = (
             (self.lo, other.lo),
@@ -447,7 +464,7 @@ class Interval:
         )
         lo = min(_mul_down(a, b) for a, b in pairs)
         hi = max(_mul_up(a, b) for a, b in pairs)
-        return Interval(lo, hi)
+        return _iv(lo, hi)
 
     __rmul__ = __mul__
 
@@ -459,7 +476,7 @@ class Interval:
         unless the numerator contains 0, in which case any real works.
         """
         other = self._coerce(other)
-        if self.is_empty or other.is_empty:
+        if self.lo > self.hi or other.lo > other.hi:
             return EMPTY
         b = other
         if b.lo > 0.0 or b.hi < 0.0:
@@ -471,44 +488,44 @@ class Interval:
             )
             lo = min(_div_down(a, d) for a, d in pairs)
             hi = max(_div_up(a, d) for a, d in pairs)
-            return Interval(lo, hi)
+            return _iv(lo, hi)
         if self.lo <= 0.0 <= self.hi:
-            return Interval(-_INF, _INF)
+            return _ENTIRE
         if b.lo == 0.0 and b.hi == 0.0:
             return EMPTY
         if self.lo > 0.0:
             if b.hi == 0.0:
-                return Interval(-_INF, _div_up(self.lo, b.lo))
+                return _iv(-_INF, _div_up(self.lo, b.lo))
             if b.lo == 0.0:
-                return Interval(_div_down(self.lo, b.hi), _INF)
-            return Interval(-_INF, _INF)
+                return _iv(_div_down(self.lo, b.hi), _INF)
+            return _ENTIRE
         if b.hi == 0.0:
-            return Interval(_div_down(self.hi, b.lo), _INF)
+            return _iv(_div_down(self.hi, b.lo), _INF)
         if b.lo == 0.0:
-            return Interval(-_INF, _div_up(self.hi, b.hi))
-        return Interval(-_INF, _INF)
+            return _iv(-_INF, _div_up(self.hi, b.hi))
+        return _ENTIRE
 
     def __rtruediv__(self, other: Interval | int | float) -> Interval:
         return self._coerce(other) / self
 
     def sqr(self) -> Interval:
-        if self.is_empty:
+        if self.lo > self.hi:
             return EMPTY
         lo, hi = self.lo, self.hi
         if lo >= 0.0:
-            return Interval(_mul_down(lo, lo), _mul_up(hi, hi))
+            return _iv(_mul_down(lo, lo), _mul_up(hi, hi))
         if hi <= 0.0:
-            return Interval(_mul_down(hi, hi), _mul_up(lo, lo))
-        return Interval(0.0, max(_mul_up(lo, lo), _mul_up(hi, hi)))
+            return _iv(_mul_down(hi, hi), _mul_up(lo, lo))
+        return _iv(0.0, max(_mul_up(lo, lo), _mul_up(hi, hi)))
 
     def pow_int(self, n: int) -> Interval:
         """Integer power with even/odd handling; n must be >= 0."""
         if n < 0:
             raise ValueError("negative exponent not supported")
-        if self.is_empty:
+        if self.lo > self.hi:
             return EMPTY
         if n == 0:
-            return Interval(1.0, 1.0)
+            return _ONE
         if n == 1:
             return self
         if n == 2:
@@ -516,13 +533,13 @@ class Interval:
         lo, hi = self.lo, self.hi
         if n % 2 == 0:
             if lo >= 0.0:
-                return Interval(_pow_down_nonneg(lo, n), _pow_up_nonneg(hi, n))
+                return _iv(_pow_down_nonneg(lo, n), _pow_up_nonneg(hi, n))
             if hi <= 0.0:
-                return Interval(_pow_down_nonneg(-hi, n), _pow_up_nonneg(-lo, n))
-            return Interval(0.0, max(_pow_up_nonneg(-lo, n), _pow_up_nonneg(hi, n)))
+                return _iv(_pow_down_nonneg(-hi, n), _pow_up_nonneg(-lo, n))
+            return _iv(0.0, max(_pow_up_nonneg(-lo, n), _pow_up_nonneg(hi, n)))
         down = -_pow_up_nonneg(-lo, n) if lo < 0.0 else _pow_down_nonneg(lo, n)
         up = -_pow_down_nonneg(-hi, n) if hi < 0.0 else _pow_up_nonneg(hi, n)
-        return Interval(down, up)
+        return _iv(down, up)
 
     def root_int(self, n: int) -> Interval:
         """Set of real n-th roots; even roots give the non-negative branch.
@@ -530,41 +547,41 @@ class Interval:
         Used by inverse projections; the symmetric negative branch for
         even n is handled by the caller.
         """
-        if self.is_empty:
+        if self.lo > self.hi:
             return EMPTY
         if n % 2 == 0:
-            dom = self.intersect(Interval(0.0, _INF))
-            if dom.is_empty:
+            dom = self.intersect(_NONNEG)
+            if dom.lo > dom.hi:
                 return EMPTY
-            return Interval(_root_down(dom.lo, n), _root_up(dom.hi, n))
+            return _iv(_root_down(dom.lo, n), _root_up(dom.hi, n))
         down = -_root_up(-self.lo, n) if self.lo < 0.0 else _root_down(self.lo, n)
         up = -_root_down(-self.hi, n) if self.hi < 0.0 else _root_up(self.hi, n)
-        return Interval(down, up)
+        return _iv(down, up)
 
     def sqrt(self) -> Interval:
-        dom = self.intersect(Interval(0.0, _INF))
-        if dom.is_empty:
+        dom = self.intersect(_NONNEG)
+        if dom.lo > dom.hi:
             return EMPTY
-        return Interval(_sqrt_down(dom.lo), _sqrt_up(dom.hi))
+        return _iv(_sqrt_down(dom.lo), _sqrt_up(dom.hi))
 
     def exp(self) -> Interval:
-        if self.is_empty:
+        if self.lo > self.hi:
             return EMPTY
-        return Interval(_exp_down(self.lo), _exp_up(self.hi))
+        return _iv(_exp_down(self.lo), _exp_up(self.hi))
 
     def log(self) -> Interval:
         """Natural log over the positive part; empty when hi <= 0."""
-        if self.is_empty or self.hi <= 0.0:
+        if self.lo > self.hi or self.hi <= 0.0:
             return EMPTY
         lo = -_INF if self.lo <= 0.0 else _log_down(self.lo)
-        return Interval(lo, _log_up(self.hi))
+        return _iv(lo, _log_up(self.hi))
 
     def sin(self) -> Interval:
-        if self.is_empty:
+        if self.lo > self.hi:
             return EMPTY
         lo, hi = self.lo, self.hi
         if math.isinf(lo) or math.isinf(hi) or hi - lo >= math.tau:
-            return Interval(-1.0, 1.0)
+            return _UNIT
         s_lo, s_hi = math.sin(lo), math.sin(hi)
         out_lo = _next_down(_next_down(min(s_lo, s_hi)))
         out_hi = _next_up(_next_up(max(s_lo, s_hi)))
@@ -572,14 +589,14 @@ class Interval:
             out_hi = 1.0
         if _has_critical_point(lo, hi, -math.pi / 2):
             out_lo = -1.0
-        return Interval(max(out_lo, -1.0), min(out_hi, 1.0))
+        return _iv(max(out_lo, -1.0), min(out_hi, 1.0))
 
     def cos(self) -> Interval:
-        if self.is_empty:
+        if self.lo > self.hi:
             return EMPTY
         lo, hi = self.lo, self.hi
         if math.isinf(lo) or math.isinf(hi) or hi - lo >= math.tau:
-            return Interval(-1.0, 1.0)
+            return _UNIT
         c_lo, c_hi = math.cos(lo), math.cos(hi)
         out_lo = _next_down(_next_down(min(c_lo, c_hi)))
         out_hi = _next_up(_next_up(max(c_lo, c_hi)))
@@ -587,7 +604,7 @@ class Interval:
             out_hi = 1.0
         if _has_critical_point(lo, hi, math.pi):
             out_lo = -1.0
-        return Interval(max(out_lo, -1.0), min(out_hi, 1.0))
+        return _iv(max(out_lo, -1.0), min(out_hi, 1.0))
 
     # -- formatting ----------------------------------------------------------
 
@@ -597,7 +614,28 @@ class Interval:
         return f"[{self.lo!r},{self.hi!r}]"
 
 
+_new_interval = object.__new__
+_set_lo = Interval.lo.__set__
+_set_hi = Interval.hi.__set__
+
+
+def _iv(lo: float, hi: float) -> Interval:
+    """Build an Interval from float bounds that are valid by construction.
+
+    Skips ``__post_init__``; only for results computed from valid
+    operands, never for bounds that come from outside.
+    """
+    iv = _new_interval(Interval)
+    _set_lo(iv, lo)
+    _set_hi(iv, hi)
+    return iv
+
+
 EMPTY = Interval(_INF, -_INF)
+_NONNEG = Interval(0.0, _INF)
+_ENTIRE = Interval(-_INF, _INF)
+_UNIT = Interval(-1.0, 1.0)
+_ONE = Interval(1.0, 1.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -734,8 +772,8 @@ class Box:
         if not (iv.lo < m < iv.hi):
             raise ValueError(f"axis {axis} too thin to bisect at {m!r}")
         return (
-            self.replace(axis, Interval(iv.lo, m)),
-            self.replace(axis, Interval(m, iv.hi)),
+            self.replace(axis, _iv(iv.lo, m)),
+            self.replace(axis, _iv(m, iv.hi)),
         )
 
     def set_difference_closure(self, inner: Box) -> list[Box]:
@@ -757,11 +795,11 @@ class Box:
         for k, (outer_iv, inner_iv) in enumerate(zip(self.dims, inner.dims)):
             if inner_iv.lo > outer_iv.lo:
                 pieces.append(
-                    Box(tuple(cur[:k]) + (Interval(outer_iv.lo, inner_iv.lo),) + tuple(cur[k + 1:]))
+                    Box(tuple(cur[:k]) + (_iv(outer_iv.lo, inner_iv.lo),) + tuple(cur[k + 1:]))
                 )
             if inner_iv.hi < outer_iv.hi:
                 pieces.append(
-                    Box(tuple(cur[:k]) + (Interval(inner_iv.hi, outer_iv.hi),) + tuple(cur[k + 1:]))
+                    Box(tuple(cur[:k]) + (_iv(inner_iv.hi, outer_iv.hi),) + tuple(cur[k + 1:]))
                 )
             cur[k] = inner_iv
         return pieces

@@ -283,8 +283,14 @@ def _sample_box_points(box, rng, per_box):
     return np.concatenate(cols, axis=1)
 
 
-def _equivalence_failures(pairs_old, pairs_new, x_cols, y_full, band=1e-7):
-    m_old = _filtered_margins(pairs_old, x_cols, y_full)
+def _equivalence_failures(pairs_old, pairs_new, x_cols, y_full, band=1e-7, m_old=None):
+    """Count points whose sign differs between two stores' margins.
+
+    ``m_old`` may carry the old store's margins on these grids when the
+    caller has already computed them.
+    """
+    if m_old is None:
+        m_old = _filtered_margins(pairs_old, x_cols, y_full)
     m_new = _filtered_margins(pairs_new, x_cols, y_full)
     usable = (np.abs(m_old) > band) & (np.abs(m_new) > band)
     return int(np.sum(((m_old > 0) != (m_new > 0)) & usable))
@@ -346,13 +352,14 @@ def test_criterion_6_randomized_grid_oracles():
             full = oracle.grid_columns(problem.variable_box, _PTS)
             eq_cols = full[:, rng.choice(full.shape[1], size=400, replace=False)]
 
+        root_margins = _filtered_margins(pairs, eq_cols, y_full)
         inst = parameter_instantiation(root_store, problem.variable_box)
         equiv_fail += _equivalence_failures(
-            pairs, oracle.store_pairs(inst), eq_cols, y_full
+            pairs, oracle.store_pairs(inst), eq_cols, y_full, m_old=root_margins
         )
         split = parameter_domain_bisection(root_store, epsilon=1e-6)
         equiv_fail += _equivalence_failures(
-            pairs, oracle.store_pairs(split), eq_cols, y_full
+            pairs, oracle.store_pairs(split), eq_cols, y_full, m_old=root_margins
         )
         kept, remainder, _ = solution_identification(root_store, problem.variable_box)
         dropped = len(root_store) - len(kept)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -32,6 +33,12 @@ def test_constructor_rejects_nan_and_inverted_bounds():
         Interval(INF, INF)
     with pytest.raises(ValueError):
         Interval(-INF, -INF)
+    with pytest.raises(ValueError):
+        Interval.point(math.nan)
+    with pytest.raises(ValueError):
+        Interval.point(INF)
+    with pytest.raises(ValueError):
+        Box.from_bounds([(0.0, 1.0), (2.0, 1.0)])
 
 
 def test_empty_interval_is_canonical():
@@ -175,6 +182,17 @@ def test_intersect_examples():
     assert Interval(0.0, 1.0).intersect(Interval(1.0, 2.0)) == Interval(1.0, 1.0)
 
 
+def test_intersect_keeps_the_signed_zeros_of_max_and_min():
+    # equal-valued bounds of opposite sign: max/min keep the first operand's
+    def sign(x: float) -> float:
+        return math.copysign(1.0, x)
+
+    assert sign(Interval(0.0, 2.0).intersect(Interval(-0.0, 1.0)).lo) == 1.0
+    assert sign(Interval(-0.0, 1.0).intersect(Interval(0.0, 2.0)).lo) == -1.0
+    assert sign(Interval(-1.0, 0.0).intersect(Interval(-2.0, -0.0)).hi) == 1.0
+    assert sign(Interval(-2.0, -0.0).intersect(Interval(-1.0, 0.0)).hi) == -1.0
+
+
 def test_parse_and_format_round_trip():
     iv = Interval.parse("[0,15]")
     assert iv == Interval(0.0, 15.0)
@@ -191,9 +209,56 @@ def test_parse_rounds_decimal_bounds_outward():
 
 
 def test_parse_rejects_garbage():
-    for text in ("[1,0]", "[a,b]", "1,2", "[1;2]", "[1,2", "[nan,0]"):
+    for text in ("[1,0]", "[a,b]", "1,2", "[1;2]", "[1,2", "[nan,0]", "[inf,inf]"):
         with pytest.raises(ValueError):
             Interval.parse(text)
+
+
+# ---------------------------------------------------------------------------
+# validity of results: the operations build their results without the
+# constructor's checks, so every result must pass them here
+
+
+_EDGE_VALUES = (
+    0.0, -0.0, INF, -INF, sys.float_info.max, -sys.float_info.max,
+    5e-324, -5e-324, 1e300, -1e300, 1e-300, -1e-300,
+)
+
+
+def _edge_intervals() -> list[Interval]:
+    rng = random.Random(4)
+    values = _EDGE_VALUES + tuple(rng.uniform(-10.0, 10.0) for _ in range(4))
+    out = [EMPTY]
+    for lo in values:
+        for hi in values:
+            if lo <= hi and not (lo == hi and math.isinf(lo)):
+                out.append(Interval(lo, hi))
+    return out
+
+
+def _assert_valid(r: Interval) -> None:
+    assert type(r.lo) is float and type(r.hi) is float, r
+    assert Interval(r.lo, r.hi) == r
+    if r.lo > r.hi:
+        assert r == EMPTY
+
+
+def test_every_operation_result_passes_the_constructor():
+    ivs = _edge_intervals()
+    for a in ivs:
+        _assert_valid(-a)
+        for fn in ("sqr", "sqrt", "exp", "log", "sin", "cos"):
+            _assert_valid(getattr(a, fn)())
+        for n in range(7):
+            _assert_valid(a.pow_int(n))
+        for n in range(1, 7):
+            _assert_valid(a.root_int(n))
+        for c in (-0.0, 1.5):
+            for r in (a + c, c + a, a - c, c - a, a * c, c * a, a / c, c / a):
+                _assert_valid(r)
+        for b in ivs:
+            for r in (a + b, a - b, a * b, a / b, a.intersect(b), a.hull(b)):
+                _assert_valid(r)
 
 
 # ---------------------------------------------------------------------------
