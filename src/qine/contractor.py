@@ -8,6 +8,10 @@ backward sweep is a loop over an explicit stack, so, like the forward
 sweep, it has no depth limit.  There is no internal fixpoint iteration:
 callers that want more contraction call again.
 
+The backward sweep stops at a settled node that the narrowing never
+reached (see ``hc4_revise``): projecting it would return every value
+below it unchanged, so the stop changes no result.
+
 The same machinery contracts with respect to f <= 0 or f >= 0, which
 lets the solver run the negation of a constraint to identify regions
 where the original is satisfied everywhere.
@@ -21,7 +25,7 @@ from enum import Enum
 from typing import Sequence
 
 from .interval import _NONNEG, EMPTY, Box, Interval
-from .expr import Expression, forward_sweep
+from .expr import _BINARY, Expression, _tape, forward_sweep
 
 __all__ = [
     "Relation",
@@ -31,7 +35,6 @@ __all__ = [
 ]
 
 _NONPOS = Interval(-math.inf, 0.0)
-_BINARY = ("add", "sub", "mul", "div")
 
 
 class Relation(Enum):
@@ -107,8 +110,25 @@ def hc4_revise(constraint: InequalityConstraint, x: Box, y: Box) -> tuple[Box, B
     grows: each output coordinate is a subset of its input.  Emptiness
     always shows in the variable part, which matters when y has no
     coordinates at all.
+
+    A node reached with its own forward value is not projected when it
+    is settled: its op is a leaf, add, sub, mul, neg, pow, sin or cos,
+    its operands are settled, and no internal node of the expression has
+    more than one user.  For these ops the projection of the forward
+    value onto operands inside their own forward values returns the
+    operands unchanged.  sqrt and log are left out because their forward
+    value drops the part of the operand outside their domain, so
+    projecting it back cuts the operand; div because its projection
+    multiplies back, and ENTIRE * [0, 0] = [0, 0] cuts a numerator
+    divided by [0, 0]; exp because its round trip through log would rest
+    on libm accuracy; every node above one of them because the cut must
+    reach the leaves; and shared internal nodes because each visit
+    re-projects their current value, and HC4 is not idempotent.  The
+    node's slot is still assigned before the stop, as a full sweep would.
     """
-    tape, values = forward_sweep(constraint.f, x, y)
+    tape, settled = _tape(constraint.f)
+    forward = forward_sweep(constraint.f, x, y)[1]
+    values = forward.copy()
     feasible = _NONPOS if constraint.relation is Relation.LEQ else _NONNEG
     vars_x = list(x.dims)
     vars_y = list(y.dims)
@@ -120,6 +140,8 @@ def hc4_revise(constraint: InequalityConstraint, x: Box, y: Box) -> tuple[Box, B
         if narrowed.is_empty:
             return Box.empty(len(x)), Box.empty(len(y))
         values[i] = narrowed
+        if narrowed is forward[i] and settled[i]:
+            continue  # the subtree's walk would rewrite each value with itself
         op, a, b = tape[i]
         if op == "var" or op == "param":
             dims = vars_x if op == "var" else vars_y

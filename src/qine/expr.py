@@ -292,10 +292,19 @@ def render(
 # and a unary node holds None or its exponent ("pow") in b.  Tapes are
 # built without recursion and memoized per expression object; the memo
 # holds the expression, so its id is not reused while the entry lives.
+#
+# Beside the tape the memo keeps one "settled" flag per step, read by
+# hc4_revise: a step is settled when its op is in _SETTLED_OPS, its
+# operands are settled, and no internal node of the tape has more than
+# one user (leaves may be shared).
 
 _Step = tuple[str, object, object]
-_TAPES: dict[int, tuple[Expression, tuple[_Step, ...]]] = {}
+_Tape = tuple[tuple[_Step, ...], tuple[bool, ...]]
+_TAPES: dict[int, tuple[Expression, _Tape]] = {}
 _TAPES_MAX = 256
+_LEAVES = ("var", "param", "const")
+_BINARY = ("add", "sub", "mul", "div")
+_SETTLED_OPS = frozenset(_LEAVES + ("add", "sub", "mul", "neg", "pow", "sin", "cos"))
 
 
 def _node(e: Expression) -> tuple[str, tuple[Expression, ...], object]:
@@ -312,7 +321,8 @@ def _node(e: Expression) -> tuple[str, tuple[Expression, ...], object]:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _tape(e: Expression) -> tuple[_Step, ...]:
+def _tape(e: Expression) -> _Tape:
+    """The tape of e and its settled flags, memoized."""
     hit = _TAPES.get(id(e))
     if hit is not None:
         return hit[1]
@@ -333,9 +343,27 @@ def _tape(e: Expression) -> tuple[_Step, ...]:
             stack.extend((c, False) for c in reversed(operands))
     if len(_TAPES) >= _TAPES_MAX:
         del _TAPES[next(iter(_TAPES))]
-    tape = tuple(steps)
-    _TAPES[id(e)] = (e, tape)
-    return tape
+    entry = (tuple(steps), _settled(steps))
+    _TAPES[id(e)] = (e, entry)
+    return entry
+
+
+def _settled(steps: list[_Step]) -> tuple[bool, ...]:
+    users = [0] * len(steps)
+    for op, a, b in steps:
+        if op not in _LEAVES:
+            users[a] += 1
+            if op in _BINARY:
+                users[b] += 1
+    if any(n > 1 and steps[i][0] not in _LEAVES for i, n in enumerate(users)):
+        return (False,) * len(steps)
+    settled: list[bool] = []
+    for op, a, b in steps:
+        ok = op in _SETTLED_OPS
+        if ok and op not in _LEAVES:
+            ok = settled[a] and (op not in _BINARY or settled[b])
+        settled.append(ok)
+    return tuple(settled)
 
 
 def forward_sweep(e: Expression, x: Box, y: Box) -> tuple[tuple[_Step, ...], list[Interval]]:
@@ -346,7 +374,7 @@ def forward_sweep(e: Expression, x: Box, y: Box) -> tuple[tuple[_Step, ...], lis
     results propagate; sqrt and log keep only the part of their operand
     inside their natural domain.
     """
-    tape = _tape(e)
+    tape = _tape(e)[0]
     xs, ys = x.dims, y.dims
     values: list[Interval] = []
     push = values.append

@@ -282,8 +282,9 @@ def _has_critical_point(lo: float, hi: float, offset: float) -> bool:
     slack = 1e-9 + 1e-12 * max(abs(lo), abs(hi))
     start = (lo - slack - offset) / math.tau
     stop = (hi + slack - offset) / math.tau
-    if math.isinf(start) or math.isinf(stop):
-        # the slack overflowed near the largest doubles
+    if math.isinf(start) or math.isinf(stop) or stop - start > 2.0:
+        # the slack overflowed near the largest doubles, or the window spans
+        # a whole period; far from 0, k * 2pi below can be too fine to step
         return True
     k_min = math.floor(start) - 1
     k_max = math.ceil(stop) + 1
@@ -680,7 +681,10 @@ class Box:
 
     @property
     def is_empty(self) -> bool:
-        return any(iv.is_empty for iv in self.dims)
+        for iv in self.dims:
+            if iv.lo > iv.hi:
+                return True
+        return False
 
     @property
     def width(self) -> float:

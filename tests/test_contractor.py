@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -17,9 +18,9 @@ from qine.contractor import (
     backward_project,
     hc4_revise,
 )
-from qine.expr import Binary, Const, Pow, Unary, VarKind, VarRef, parse_expression
+from qine.expr import Binary, Const, Pow, Unary, VarKind, VarRef, forward_sweep, parse_expression
 from qine.interval import EMPTY, Box, Interval
-from test_expr import SYMS, X, Y, boxes_and_point, deep_chain, expr_trees
+from test_expr import SYMS, X, X2, Y, boxes_and_point, deep_chain, expr_trees
 
 
 def leq(text: str) -> InequalityConstraint:
@@ -265,3 +266,180 @@ def test_revise_keeps_all_grid_solutions(e, bx, by, rel):
             assert exact < 0, (px, py, exact)
         else:
             assert exact > 0, (px, py, exact)
+
+
+# ---------------------------------------------------------------------------
+# the backward sweep stops at settled steps reached with their forward value
+#
+# hc4_revise skips the projection of a step whose narrowed value is the very
+# object the forward sweep produced, when the step is settled (its op is a
+# leaf, add, sub, mul, neg, pow, sin or cos, its operands are settled, and
+# the tape is a tree apart from shared leaves).  The tests below compare it
+# with the sweep that projects every step, and pin the cases that show why
+# each part of the rule is needed.
+
+_EDGE_BOUNDS = (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, -1e-300)
+_UNARY_OPS = ("neg", "sqrt", "exp", "log", "sin", "cos")
+_BINARY_OPS = ("add", "sub", "mul", "div")
+_LEAF_REFS = (X, X2, Y)
+
+
+def _full_sweep(c: InequalityConstraint, x: Box, y: Box) -> tuple[Box, Box]:
+    """Reference: HC4-revise that projects every step it reaches."""
+    tape, values = forward_sweep(c.f, x, y)
+    feasible = Interval(-math.inf, 0.0) if c.relation is Relation.LEQ else Interval(0.0, math.inf)
+    empty = Box.empty(len(x)), Box.empty(len(y))
+    vars_x, vars_y = list(x.dims), list(y.dims)
+    stack = [(len(tape) - 1, values[-1].intersect(feasible))]
+    while stack:
+        i, narrowed = stack.pop()
+        if narrowed.is_empty:
+            return empty
+        values[i] = narrowed
+        op, a, b = tape[i]
+        if op == "var" or op == "param":
+            dims = vars_x if op == "var" else vars_y
+            dims[a] = dims[a].intersect(narrowed)
+            if dims[a].is_empty:
+                return empty
+        elif op in _BINARY_OPS:
+            left, right = backward_project(op, narrowed, (values[a], values[b]))
+            stack.append((b, right))
+            stack.append((a, left))
+        elif op != "const":
+            stack.append((a, backward_project(op, narrowed, (values[a],), exponent=b)[0]))
+    return Box(tuple(vars_x)), Box(tuple(vars_y))
+
+
+def _bits(intervals) -> tuple:
+    # float.hex tells -0.0 from 0.0
+    return tuple((iv.lo.hex(), iv.hi.hex()) for iv in intervals)
+
+
+def _random_bound(rng: random.Random) -> float:
+    if rng.random() < 0.5:
+        return rng.choice(_EDGE_BOUNDS)
+    return rng.choice((rng.uniform(-4.0, 4.0), float(rng.randint(-3, 3))))
+
+
+def _random_interval(rng: random.Random) -> Interval:
+    a, b = _random_bound(rng), _random_bound(rng)
+    return Interval(min(a, b), max(a, b))
+
+
+def _random_leaf(rng: random.Random):
+    if rng.random() < 0.2:
+        return Const(_random_bound(rng))
+    return rng.choice(_LEAF_REFS)
+
+
+def _random_node(rng: random.Random, operand):
+    kind = rng.random()
+    if kind < 0.4:
+        return Binary(rng.choice(_BINARY_OPS), operand(), operand())
+    if kind < 0.8:
+        return Unary(rng.choice(_UNARY_OPS), operand())
+    return Pow(operand(), rng.randint(0, 4))
+
+
+def _random_tree(rng: random.Random, depth: int):
+    if depth == 0 or rng.random() < 0.25:
+        return _random_leaf(rng)
+    return _random_node(rng, lambda: _random_tree(rng, depth - 1))
+
+
+def _random_dag(rng: random.Random, size: int):
+    # operands are drawn from every node built so far, so internal nodes
+    # are reused by several users
+    pool = [_random_leaf(rng) for _ in range(3)]
+    for _ in range(size):
+        pool.append(_random_node(rng, lambda: rng.choice(pool)))
+    return pool[-1]
+
+
+def test_revise_matches_the_full_sweep_bit_for_bit():
+    rng = random.Random(5150)
+    for case in range(3000):
+        e = _random_tree(rng, 5) if case % 2 else _random_dag(rng, rng.randint(1, 8))
+        c = InequalityConstraint(e, rng.choice((Relation.LEQ, Relation.GEQ)))
+        x = Box((_random_interval(rng), _random_interval(rng)))
+        y = Box((_random_interval(rng),))
+        got = [iv for box in hc4_revise(c, x, y) for iv in box]
+        want = [iv for box in _full_sweep(c, x, y) for iv in box]
+        assert _bits(got) == _bits(want), (case, e, x, y)
+
+
+@pytest.mark.parametrize(
+    "text, x0, x1",
+    [
+        # the root is not narrowed, yet the operands are cut to the domain of
+        # sqrt and log: a rule that checks only a step's own op, not its
+        # subtree, skips the sub at the root and keeps [-1, 1] and [-1, 2]
+        ("sqrt(x) - 5", (-1.0, 1.0), (0.0, 1.0)),
+        ("log(x)^1 - 10", (-1.0, 2.0), (0.0, 2.0)),
+        # a leaf reached with its forward value still resets its slot: skipping
+        # before the assignment empties the box instead
+        ("x / x * (2.0 / x)", (0.0, 3.0), (0.0, 0.0)),
+    ],
+)
+def test_revise_pins_of_the_settled_rule(text, x0, x1):
+    x, _ = hc4_revise(leq(text), Box.from_bounds([x0]), Box(()))
+    assert x == Box.from_bounds([x1])
+    assert _full_sweep(leq(text), Box.from_bounds([x0]), Box(())) == (x, Box(()))
+
+
+def test_revise_does_not_skip_on_a_shared_internal_node():
+    # s is reached twice; each visit re-projects its current value, and that
+    # narrows x1 even though the second visit arrives un-narrowed
+    s = Binary("sub", X, Pow(X, 4))
+    f = Binary("add", Binary("add", Pow(X2, 4), s), Unary("sin", s))
+    x, _ = hc4_revise(InequalityConstraint(f), Box.from_bounds([(1.0, 2.0), (-2.25, -1.2)]), Box(()))
+    assert x[0] == Interval(1.227943869237377, 2.0)
+
+
+def _subinterval(rng: random.Random, iv: Interval) -> Interval:
+    if rng.random() < 0.3:
+        return iv
+    inner = min(max(rng.uniform(-9.0, 9.0), iv.lo), iv.hi)
+    lo, hi = sorted(rng.choice((iv.lo, iv.hi, iv.midpoint, inner)) for _ in "ab")
+    return iv if math.isinf(lo) and lo == hi else Interval(lo, hi)
+
+
+def _interval_from(rng: random.Random, bounds: tuple[float, ...]) -> Interval:
+    while True:
+        lo, hi = sorted(rng.choice(bounds + (rng.uniform(-9.0, 9.0),)) for _ in "ab")
+        if not (math.isinf(lo) and lo == hi):
+            return Interval(lo, hi)
+
+
+def test_settled_projection_of_the_forward_value_returns_operands_unchanged():
+    # For each settled op, projecting its forward value over operand domains
+    # l0, r0 onto operands l, r inside them returns l and r bit for bit,
+    # signed zeros included: the skipped walk would only have rewritten each
+    # value with itself.  (An even pow returns an equal new object, its hull.)
+    rng = random.Random(77)
+    bounds = _EDGE_BOUNDS + (math.inf, -math.inf)
+    exprs = [Binary(op, X, X2) for op in ("add", "sub", "mul")]
+    exprs += [Unary(op, X) for op in ("neg", "sin", "cos")]
+    exprs += [Pow(X, n) for n in range(5)]
+    for _ in range(20000):
+        e = rng.choice(exprs)
+        l0, r0 = _interval_from(rng, bounds), _interval_from(rng, bounds)
+        tape, values = forward_sweep(e, Box((l0, r0)), Box(()))
+        op, _, b = tape[-1]
+        operands = (_subinterval(rng, l0), _subinterval(rng, r0))[: 2 if op in _BINARY_OPS else 1]
+        got = backward_project(op, values[-1], operands, exponent=b)
+        assert _bits(got) == _bits(operands), (e, l0, r0, operands)
+
+
+def test_unsettled_ops_cut_an_operand_with_their_own_forward_value():
+    # the forward value of sqrt and log keeps only the part of the operand
+    # inside their domain, so projecting it back cuts the operand
+    for op, child, projected in (
+        ("sqrt", Interval(-1.0, 1.0), Interval(0.0, 1.0)),
+        ("log", Interval(-1.0, 2.0), Interval(0.0, 2.0)),
+    ):
+        assert backward_project(op, getattr(child, op)(), (child,)) == (projected,)
+    # div projects back by multiplying, and ENTIRE * [0, 0] is [0, 0]
+    l, r = Interval(-math.inf, math.inf), Interval(0.0, 0.0)
+    assert backward_project("div", l / r, (l, r))[0] == Interval(0.0, 0.0)

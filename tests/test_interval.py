@@ -156,6 +156,15 @@ def test_sin_cos_basic():
     assert r3 == Interval(-1.0, 1.0)
 
 
+def test_sin_cos_of_a_point_far_from_zero_returns():
+    # the slack window around 1e300 / 3 spans many periods, but a step of
+    # 2pi there is far below the float spacing, so a search for a critical
+    # point k by k does not advance
+    v = 1e300 / 3
+    assert Interval.point(v).sin() == Interval(-1.0, 1.0)
+    assert Interval.point(v).cos() == Interval(-1.0, 1.0)
+
+
 def test_empty_propagates_through_arithmetic():
     a = Interval(1.0, 2.0)
     for result in (a + EMPTY, EMPTY - a, a * EMPTY, EMPTY / a, -EMPTY,
