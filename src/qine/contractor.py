@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .interval import _NONNEG, EMPTY, Box, Interval
+from .interval import _NONNEG, EMPTY, Box, Interval, _box
 from .expr import _BINARY, Expression, _tape, forward_sweep
 
 __all__ = [
@@ -154,4 +154,4 @@ def hc4_revise(constraint: InequalityConstraint, x: Box, y: Box) -> tuple[Box, B
             stack.append((a, left))
         elif op != "const":
             stack.append((a, backward_project(op, narrowed, (values[a],), exponent=b)[0]))
-    return Box(tuple(vars_x)), Box(tuple(vars_y))
+    return _box(tuple(vars_x)), _box(tuple(vars_y))

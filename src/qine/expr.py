@@ -4,8 +4,9 @@ Provides the abstract syntax, an infix parser and renderer, the natural
 interval extension, plain floating-point evaluation for test oracles,
 and forward-mode interval differentiation used to prove monotonicity in
 a parameter over a box.  The interval evaluators share one forward
-sweep, a loop over the expression's distinct nodes, so they have no
-depth limit; the parser, the renderer and point evaluation recurse.
+sweep, a loop over the expression's distinct nodes, and the renderer
+walks an explicit stack, so neither has a depth limit; the parser and
+point evaluation recurse.
 """
 
 from __future__ import annotations
@@ -255,32 +256,45 @@ def render(
             return names[ref.index]
         return _default_name(ref)
 
-    def emit(node: Expression, min_prec: int) -> str:
+    # Post-order walk on an explicit stack, so depth is unlimited: a node
+    # is pushed once to schedule its operands (left on top) and once more,
+    # marked ready, to join their texts from ``out``.
+    out: list[str] = []
+    stack: list[tuple[Expression, int, bool]] = [(e, 0, False)]
+    while stack:
+        node, min_prec, ready = stack.pop()
         if isinstance(node, Const):
             text = repr(node.value)
-            return f"({text})" if node.value < 0 else text
-        if isinstance(node, VarRef):
-            return name_of(node)
-        if isinstance(node, Binary):
-            prec = _prec(node)
+            out.append(f"({text})" if node.value < 0 else text)
+        elif isinstance(node, VarRef):
+            out.append(name_of(node))
+        elif not ready:
+            stack.append((node, min_prec, True))
+            if isinstance(node, Binary):
+                prec = _prec(node)
+                stack.append((node.right, prec + 1, False))
+                stack.append((node.left, prec, False))
+            elif isinstance(node, Unary):
+                stack.append((node.child, _PREC_NEG if node.op == "neg" else 0, False))
+            elif isinstance(node, Pow):
+                stack.append((node.base, _PREC_ATOM, False))
+            else:
+                raise TypeError(f"not an expression node: {node!r}")
+        elif isinstance(node, Binary):
+            right = out.pop()
             sym = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[node.op]
-            left = emit(node.left, prec)
-            right = emit(node.right, prec + 1)
-            text = f"{left} {sym} {right}"
-            return f"({text})" if prec < min_prec else text
-        if isinstance(node, Unary):
+            text = f"{out.pop()} {sym} {right}"
+            out.append(f"({text})" if _prec(node) < min_prec else text)
+        elif isinstance(node, Unary):
             if node.op == "neg":
-                inner = emit(node.child, _PREC_NEG)
-                text = f"-{inner}"
-                return f"({text})" if _PREC_NEG < min_prec else text
-            return f"{node.op}({emit(node.child, 0)})"
-        if isinstance(node, Pow):
-            base = emit(node.base, _PREC_ATOM)
-            text = f"{base}^{node.exponent}"
-            return f"({text})" if _PREC_POW < min_prec else text
-        raise TypeError(f"not an expression node: {node!r}")
-
-    return emit(e, 0)
+                text = f"-{out.pop()}"
+                out.append(f"({text})" if _PREC_NEG < min_prec else text)
+            else:
+                out.append(f"{node.op}({out.pop()})")
+        else:
+            text = f"{out.pop()}^{node.exponent}"
+            out.append(f"({text})" if _PREC_POW < min_prec else text)
+    return out[0]
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,12 @@ The containment contract: every operation returns an interval that
 contains the exact real result for all point inputs drawn from the
 operand intervals.  Addition, subtraction, multiplication, division,
 integer powers and square roots round each bound toward the appropriate
-infinity, deciding the direction by an exact rational comparison, so
-computations whose exact results are representable doubles stay
-bit-exact.  exp, log, sin and cos fall back on libm widened by two ulps
-per bound.
+infinity.  The direction follows from the exact sign of the rounding
+error, found with error-free float transformations (TwoSum, and
+Dekker's TwoProduct) where they are proven exact and by an exact
+integer comparison elsewhere, so computations whose exact results are
+representable doubles stay bit-exact.  exp, log, sin and cos fall back
+on libm widened by two ulps per bound.
 
 All values are immutable and operations are pure; the FPU rounding mode
 is never touched, so concurrent use is safe.
@@ -48,45 +50,78 @@ def _next_down(x: float) -> float:
 #
 # The round-to-nearest result is computed first; the sign of the exact
 # error then decides whether one ulp-step toward the target infinity is
-# needed.  Error signs are computed exactly, by cross-multiplying the
-# integer ratios of the operands, never estimated.
+# needed.  Error signs are computed exactly, never estimated, by
+# error-free float transformations: TwoSum for sums unless it overflows,
+# and Dekker's TwoProduct for products, quotients and squares while every
+# operand lies in (2**-450, 2**450), where no Veltkamp split overflows
+# and no partial product underflows.  Elsewhere they cross-multiply the
+# integer ratios of the operands.
+
+_EFT_LO = 2.0**-450
+_EFT_HI = 2.0**450
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter
 
 
-def _sum_err_sign(a: float, b: float, s: float) -> int:
-    """Sign of (a + b) - s for finite a, b, s."""
-    t = s - a
-    if math.isinf(t):
-        am, ad = a.as_integer_ratio()
-        bm, bd = b.as_integer_ratio()
-        sm, sd = s.as_integer_ratio()
-        # (a + b - s) * ad*bd*sd, all denominators positive
-        lhs = (am * bd + bm * ad) * sd
-        rhs = sm * ad * bd
-        return (lhs > rhs) - (lhs < rhs)
-    err = (a - (s - t)) + (b - t)
-    return (err > 0) - (err < 0)
+def _two_prod_err(a: float, b: float, p: float) -> float:
+    """a*b - p exactly, for p = fl(a*b) and a, b inside the float range above.
+
+    Dekker's TwoProduct: the splits give 26-bit halves whose partial
+    products are exact.
+    """
+    t = _SPLIT * a
+    ah = t - (t - a)
+    al = a - ah
+    t = _SPLIT * b
+    bh = t - (t - b)
+    bl = b - bh
+    return al * bl - (((p - ah * bh) - al * bh) - ah * bl)
 
 
-def _add_down(a: float, b: float) -> float:
-    s = a + b
+def _add_bounds(al: float, bl: float, ah: float, bh: float) -> Interval:
+    """[al + bl rounded down, ah + bh rounded up].
+
+    TwoSum gives each rounding error exactly; ``t - t == 0.0`` holds only
+    for finite t, so a sum or ``s - a`` that overflows goes to _add_edge.
+    """
+    lo = al + bl
+    t = lo - al
+    if t - t != 0.0:
+        lo = _add_edge(al, bl, lo, False)
+    elif (al - (lo - t)) + (bl - t) < 0.0:
+        lo = _next_down(lo)
+    hi = ah + bh
+    t = hi - ah
+    if t - t != 0.0:
+        hi = _add_edge(ah, bh, hi, True)
+    elif (ah - (hi - t)) + (bh - t) > 0.0:
+        hi = _next_up(hi)
+    return _iv(lo, hi)
+
+
+def _add_edge(a: float, b: float, s: float, up: bool) -> float:
+    """a + b rounded down, or up, given s = fl(a + b) when s or s - a is not finite."""
     if math.isinf(s):
         if math.isinf(a) or math.isinf(b):
             return s
+        if up:
+            return s if s > 0 else -_MAX
         return _MAX if s > 0 else s
-    return _next_down(s) if _sum_err_sign(a, b, s) < 0 else s
-
-
-def _add_up(a: float, b: float) -> float:
-    s = a + b
-    if math.isinf(s):
-        if math.isinf(a) or math.isinf(b):
-            return s
-        return s if s > 0 else -_MAX
-    return _next_up(s) if _sum_err_sign(a, b, s) > 0 else s
+    am, ad = a.as_integer_ratio()
+    bm, bd = b.as_integer_ratio()
+    sm, sd = s.as_integer_ratio()
+    # (a + b - s) * ad*bd*sd, all denominators positive
+    lhs = (am * bd + bm * ad) * sd
+    rhs = sm * ad * bd
+    if up:
+        return _next_up(s) if lhs > rhs else s
+    return _next_down(s) if lhs < rhs else s
 
 
 def _prod_err_sign(a: float, b: float, p: float) -> int:
-    """Sign of a*b - p for finite a, b, p."""
+    """Sign of a*b - p for finite a, b and p = fl(a*b)."""
+    if _EFT_LO < abs(a) < _EFT_HI and _EFT_LO < abs(b) < _EFT_HI:
+        err = _two_prod_err(a, b, p)
+        return (err > 0) - (err < 0)
     am, ad = a.as_integer_ratio()
     bm, bd = b.as_integer_ratio()
     pm, pd = p.as_integer_ratio()
@@ -118,14 +153,24 @@ def _mul_up(a: float, b: float) -> float:
 
 
 def _quot_err_sign(a: float, b: float, q: float) -> int:
-    """Sign of a/b - q for finite a, b, q with b != 0."""
-    am, ad = a.as_integer_ratio()
-    bm, bd = b.as_integer_ratio()
-    qm, qd = q.as_integer_ratio()
-    # (a/b - q) * ad*bm*qd; the factor has the sign of b
-    lhs = am * qd * bd
-    rhs = qm * bm * ad
-    sign = (lhs > rhs) - (lhs < rhs)
+    """Sign of a/b - q for finite a, b != 0 and q = fl(a/b).
+
+    a/b - q has the sign of (a - q*b) * b.  In the float range, p =
+    fl(q*b) is within two ulps of a, so a - p is exact (Sterbenz) and
+    (a - p) - (q*b - p) rounds to the sign of a - q*b.
+    """
+    if _EFT_LO < abs(a) < _EFT_HI and _EFT_LO < abs(b) < _EFT_HI and _EFT_LO < abs(q) < _EFT_HI:
+        p = q * b
+        err = (a - p) - _two_prod_err(q, b, p)
+        sign = (err > 0) - (err < 0)
+    else:
+        am, ad = a.as_integer_ratio()
+        bm, bd = b.as_integer_ratio()
+        qm, qd = q.as_integer_ratio()
+        # (a/b - q) * ad*bm*qd; the factor has the sign of b
+        lhs = am * qd * bd
+        rhs = qm * bm * ad
+        sign = (lhs > rhs) - (lhs < rhs)
     return -sign if b < 0 else sign
 
 
@@ -156,7 +201,16 @@ def _div_up(a: float, b: float) -> float:
 
 
 def _sq_cmp(s: float, v: float) -> int:
-    """Sign of s*s - v for finite non-negative s, v."""
+    """Sign of s*s - v for finite non-negative s, v.
+
+    With p = fl(s*s), s*s - v = (p - v) + (s*s - p), and p - v is exact
+    when p is within a factor of 2 of v (Sterbenz).
+    """
+    if _EFT_LO < s < _EFT_HI and _EFT_LO < v < _EFT_HI:
+        p = s * s
+        if 0.5 * v <= p <= 2.0 * v:
+            err = (p - v) + _two_prod_err(s, s, p)
+            return (err > 0) - (err < 0)
     sm, sd = s.as_integer_ratio()
     vm, vd = v.as_integer_ratio()
     lhs = sm * sm * vd
@@ -199,6 +253,8 @@ def _pow_up_nonneg(v: float, n: int) -> float:
 
 def _pow_cmp(r: float, n: int, v: float) -> int:
     """Sign of r**n - v for finite non-negative r, v."""
+    if n == 2:
+        return _sq_cmp(r, v)
     rm, rd = r.as_integer_ratio()
     vm, vd = v.as_integer_ratio()
     lhs = rm**n * vd
@@ -440,7 +496,7 @@ class Interval:
         other = self._coerce(other)
         if self.lo > self.hi or other.lo > other.hi:
             return EMPTY
-        return _iv(_add_down(self.lo, other.lo), _add_up(self.hi, other.hi))
+        return _add_bounds(self.lo, other.lo, self.hi, other.hi)
 
     __radd__ = __add__
 
@@ -448,23 +504,35 @@ class Interval:
         other = self._coerce(other)
         if self.lo > self.hi or other.lo > other.hi:
             return EMPTY
-        return _iv(_add_down(self.lo, -other.hi), _add_up(self.hi, -other.lo))
+        return _add_bounds(self.lo, -other.hi, self.hi, -other.lo)
 
     def __rsub__(self, other: Interval | int | float) -> Interval:
         return self._coerce(other) - self
 
     def __mul__(self, other: Interval | int | float) -> Interval:
+        """Moore's sign table: 2 directed products, 4 when both straddle 0."""
         other = self._coerce(other)
-        if self.lo > self.hi or other.lo > other.hi:
+        xl, xh, yl, yh = self.lo, self.hi, other.lo, other.hi
+        if xl > xh or yl > yh:
             return EMPTY
-        pairs = (
-            (self.lo, other.lo),
-            (self.lo, other.hi),
-            (self.hi, other.lo),
-            (self.hi, other.hi),
-        )
-        lo = min(_mul_down(a, b) for a, b in pairs)
-        hi = max(_mul_up(a, b) for a, b in pairs)
+        if yl >= 0.0:
+            lo = _mul_down(xl, yl if xl >= 0.0 else yh)
+            hi = _mul_up(xh, yh if xh >= 0.0 else yl)
+        elif yh <= 0.0:
+            lo = _mul_down(xh, yl if xh >= 0.0 else yh)
+            hi = _mul_up(xl, yh if xl >= 0.0 else yl)
+        elif xl >= 0.0:
+            lo, hi = _mul_down(xh, yl), _mul_up(xh, yh)
+        elif xh <= 0.0:
+            lo, hi = _mul_down(xl, yh), _mul_up(xl, yl)
+        else:
+            lo = min(_mul_down(xl, yh), _mul_down(xh, yl))
+            hi = max(_mul_up(xl, yl), _mul_up(xh, yh))
+        if hi == 0.0:
+            # _mul_up rounds an underflowing negative product to -0.0; the
+            # sign of a zero bound is that of the first zero among the four
+            # candidates in this order
+            hi = max(_mul_up(xl, yl), _mul_up(xl, yh), _mul_up(xh, yl), _mul_up(xh, yh))
         return _iv(lo, hi)
 
     __rmul__ = __mul__
@@ -481,14 +549,17 @@ class Interval:
             return EMPTY
         b = other
         if b.lo > 0.0 or b.hi < 0.0:
-            pairs = (
-                (self.lo, b.lo),
-                (self.lo, b.hi),
-                (self.hi, b.lo),
-                (self.hi, b.hi),
-            )
-            lo = min(_div_down(a, d) for a, d in pairs)
-            hi = max(_div_up(a, d) for a, d in pairs)
+            # Moore's sign table; a zero upper bound takes its sign as in
+            # __mul__
+            xl, xh, yl, yh = self.lo, self.hi, b.lo, b.hi
+            if yl > 0.0:
+                lo = _div_down(xl, yh if xl >= 0.0 else yl)
+                hi = _div_up(xh, yl if xh >= 0.0 else yh)
+            else:
+                lo = _div_down(xh, yh if xh >= 0.0 else yl)
+                hi = _div_up(xl, yl if xl >= 0.0 else yh)
+            if hi == 0.0:
+                hi = max(_div_up(xl, yl), _div_up(xl, yh), _div_up(xh, yl), _div_up(xh, yh))
             return _iv(lo, hi)
         if self.lo <= 0.0 <= self.hi:
             return _ENTIRE
@@ -615,7 +686,7 @@ class Interval:
         return f"[{self.lo!r},{self.hi!r}]"
 
 
-_new_interval = object.__new__
+_new = object.__new__
 _set_lo = Interval.lo.__set__
 _set_hi = Interval.hi.__set__
 
@@ -626,7 +697,7 @@ def _iv(lo: float, hi: float) -> Interval:
     Skips ``__post_init__``; only for results computed from valid
     operands, never for bounds that come from outside.
     """
-    iv = _new_interval(Interval)
+    iv = _new(Interval)
     _set_lo(iv, lo)
     _set_hi(iv, hi)
     return iv
@@ -664,7 +735,7 @@ class Box:
 
     @classmethod
     def empty(cls, n: int) -> Box:
-        return cls((EMPTY,) * n)
+        return _box((EMPTY,) * n)
 
     # -- container protocol ---------------------------------------------------
 
@@ -747,7 +818,7 @@ class Box:
 
     def intersect(self, other: Box) -> Box:
         self._check_dims(other)
-        return Box(tuple(a.intersect(b) for a, b in zip(self.dims, other.dims)))
+        return _box(tuple(a.intersect(b) for a, b in zip(self.dims, other.dims)))
 
     def hull(self, other: Box) -> Box:
         """Smallest box containing both; the empty box is the identity."""
@@ -756,12 +827,12 @@ class Box:
             return other
         if other.is_empty:
             return self
-        return Box(tuple(a.hull(b) for a, b in zip(self.dims, other.dims)))
+        return _box(tuple(a.hull(b) for a, b in zip(self.dims, other.dims)))
 
     def replace(self, axis: int, iv: Interval) -> Box:
         dims = list(self.dims)
         dims[axis] = iv
-        return Box(tuple(dims))
+        return _box(tuple(dims))
 
     def bisect(self, axis: int) -> tuple[Box, Box]:
         """Split at the midpoint of the given axis.
@@ -799,14 +870,24 @@ class Box:
         for k, (outer_iv, inner_iv) in enumerate(zip(self.dims, inner.dims)):
             if inner_iv.lo > outer_iv.lo:
                 pieces.append(
-                    Box(tuple(cur[:k]) + (_iv(outer_iv.lo, inner_iv.lo),) + tuple(cur[k + 1:]))
+                    _box(tuple(cur[:k]) + (_iv(outer_iv.lo, inner_iv.lo),) + tuple(cur[k + 1:]))
                 )
             if inner_iv.hi < outer_iv.hi:
                 pieces.append(
-                    Box(tuple(cur[:k]) + (_iv(inner_iv.hi, outer_iv.hi),) + tuple(cur[k + 1:]))
+                    _box(tuple(cur[:k]) + (_iv(inner_iv.hi, outer_iv.hi),) + tuple(cur[k + 1:]))
                 )
             cur[k] = inner_iv
         return pieces
 
     def __str__(self) -> str:
         return "x".join(str(iv) for iv in self.dims) if self.dims else "()"
+
+
+_set_dims = Box.dims.__set__
+
+
+def _box(dims: tuple[Interval, ...]) -> Box:
+    """Build a Box from a tuple of Intervals, skipping ``__post_init__``."""
+    box = _new(Box)
+    _set_dims(box, dims)
+    return box

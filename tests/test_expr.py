@@ -143,6 +143,38 @@ def test_render_parse_round_trip(e):
     assert parse_expression(text, symbols) == e
 
 
+def preorder(e) -> list:
+    """Node labels in pre-order, collected without recursion; with the
+    arities they imply, they determine the tree."""
+    out, stack = [], [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Binary):
+            out.append(("binary", node.op))
+            stack += [node.right, node.left]
+        elif isinstance(node, Unary):
+            out.append(("unary", node.op))
+            stack.append(node.child)
+        elif isinstance(node, Pow):
+            out.append(("pow", node.exponent))
+            stack.append(node.base)
+        else:
+            out.append(node)
+    return out
+
+
+def test_render_walks_deeper_than_the_recursion_limit():
+    e = parse_expression(" + ".join(["0.001*x"] * 1500), SYMS)
+    text = render(e, ["x"], ["y"])
+    assert text == " + ".join(["0.001 * x"] * 1500)
+    assert preorder(parse_expression(text, SYMS)) == preorder(e)
+    # the parser recurses into parentheses, so this one is checked as text
+    expected = "x1"
+    for i in range(5000):
+        expected = f"{expected} + 0.0" if i % 2 == 0 else f"-({expected})"
+    assert render(deep_chain(5000)) == expected
+
+
 # ---------------------------------------------------------------------------
 # interval evaluation
 

@@ -13,7 +13,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import assert_interval, contains_fraction
-from qine.interval import EMPTY, Box, Interval, _add_down, _add_up, _div_down, _div_up
+from qine.interval import (
+    EMPTY,
+    Box,
+    Interval,
+    _add_bounds,
+    _div_down,
+    _div_up,
+    _mul_down,
+    _mul_up,
+    _root_down,
+    _root_up,
+    _sqrt_down,
+    _sqrt_up,
+)
 
 INF = math.inf
 
@@ -499,7 +512,15 @@ def test_bisect_partitions_volume(pair):
 
 MAX = sys.float_info.max
 TINY = 5e-324  # smallest subnormal
-SPECIAL = [TINY, -TINY, 3 * TINY, sys.float_info.min, MAX, -MAX, 1.0, -3.0, 0.1, 2.0**-1070]
+# 2**+-450 bound the operands whose rounding errors are found in floats;
+# they and their neighbours run both that path and the integer fallback
+EFT_EDGES = [
+    f for e in (2.0**-450, 2.0**450) for f in (math.nextafter(e, 0.0), e, math.nextafter(e, INF))
+]
+SPECIAL = [
+    TINY, -TINY, 3 * TINY, sys.float_info.min, MAX, -MAX, 1.0, -3.0, 0.1, 2.0**-1070,
+    *EFT_EDGES, *(-f for f in EFT_EDGES),
+]
 
 
 def floor_float(x: Fraction) -> float:
@@ -561,11 +582,66 @@ def test_div_kernels_at_the_edges(a, b):
     check_div(a, b)
 
 
+def check_mul(a: float, b: float) -> None:
+    exact = Fraction(a) * Fraction(b)
+    assert _mul_down(a, b) == floor_float(exact), (a, b)
+    assert _mul_up(a, b) == ceil_float(exact), (a, b)
+
+
+@given(kernel_floats(), kernel_floats())
+def test_mul_kernels_are_the_tightest_outward_floats(a, b):
+    check_mul(a, b)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (0.1, 0.1),  # inexact, float path
+        (-0.1, 3.0),
+        (2.0**449, 2.0**449),  # largest products the float path sees
+        (math.nextafter(2.0**450, 0.0), -0.1),
+        (2.0**450, 0.1),  # just outside: integer fallback
+        (2.0**-450, 0.1),
+        (math.nextafter(2.0**-450, INF), 0.1),  # smallest operands inside
+        (2.0**-449, -(2.0**-449)),
+        (MAX, 0.5),  # exact, top binade
+        (MAX, 2.0),  # overflows
+        (-MAX, 3.0),
+        (TINY, 0.5),  # ties to zero
+        (-TINY, 0.5),
+        (3 * TINY, 0.1),
+        (sys.float_info.min, 0.1),  # normal to subnormal
+    ],
+)
+def test_mul_kernels_at_the_edges(a, b):
+    check_mul(a, b)
+
+
+@given(kernel_floats().map(abs))
+def test_sqrt_kernels_are_the_tightest_outward_floats(v):
+    down, up = _sqrt_down(v), _sqrt_up(v)
+    assert Fraction(down) ** 2 <= Fraction(v) < Fraction(math.nextafter(down, INF)) ** 2
+    assert Fraction(v) <= Fraction(up) ** 2
+    assert up == 0.0 or Fraction(math.nextafter(up, -INF)) ** 2 < Fraction(v)
+
+
+@given(kernel_floats().map(abs))
+def test_square_root_kernels_bracket_the_root(v):
+    down, up = _root_down(v, 2), _root_up(v, 2)
+    assert Fraction(down) ** 2 <= Fraction(v) <= Fraction(up) ** 2
+
+
+def check_add(a: float, b: float) -> Interval:
+    exact = Fraction(a) + Fraction(b)
+    r = _add_bounds(a, b, a, b)
+    assert r.lo == floor_float(exact), (a, b)
+    assert r.hi == ceil_float(exact), (a, b)
+    return r
+
+
 @given(kernel_floats(), kernel_floats())
 def test_add_kernels_are_the_tightest_outward_floats(a, b):
-    exact = Fraction(a) + Fraction(b)
-    assert _add_down(a, b) == floor_float(exact)
-    assert _add_up(a, b) == ceil_float(exact)
+    check_add(a, b)
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -573,10 +649,61 @@ def test_add_kernels_when_the_error_term_overflows(sign):
     # a + b = MAX - 2**971 - 2**970 ties to MAX - 2**971, and s - a overflows
     a, b = sign * -3 * 2.0**970, sign * MAX
     assert math.isinf((a + b) - a)
-    exact = Fraction(a) + Fraction(b)
-    assert _add_down(a, b) == floor_float(exact)
-    assert _add_up(a, b) == ceil_float(exact)
-    assert math.nextafter(_add_down(a, b), INF) == _add_up(a, b)
+    r = check_add(a, b)
+    assert math.nextafter(r.lo, INF) == r.hi
+
+
+# ---------------------------------------------------------------------------
+# products and quotients bit for bit against the hull of all four
+# directed candidates, signed zeros included
+
+
+def four_candidate_hull(x: Interval, y: Interval, down, up) -> tuple[float, float]:
+    """min of the rounded-down and max of the rounded-up candidates, in this
+    order; min and max keep the first of tied zeros."""
+    pairs = ((x.lo, y.lo), (x.lo, y.hi), (x.hi, y.lo), (x.hi, y.hi))
+    return min(down(a, b) for a, b in pairs), max(up(a, b) for a, b in pairs)
+
+
+HULL_EDGES = [0.0, -0.0, INF, -INF, 1e-170, -1e-170, 1e-300, -1e-300, *SPECIAL]
+
+
+def edge_interval(rng: random.Random) -> Interval:
+    while True:
+        bounds = []
+        for _ in range(2):
+            r = rng.random()
+            if r < 0.5:
+                bounds.append(rng.choice(HULL_EDGES))
+            elif r < 0.75:
+                bounds.append(rng.uniform(-10.0, 10.0))
+            else:
+                bounds.append(math.ldexp(rng.uniform(-1.0, 1.0), rng.randint(-1074, 1024)))
+        lo, hi = min(bounds), max(bounds)
+        if not (lo == hi and math.isinf(lo)):
+            return Interval(lo, hi)
+
+
+def hexes(lo: float, hi: float) -> tuple[str, str]:
+    return lo.hex(), hi.hex()
+
+
+def test_mul_and_div_match_the_four_candidate_hull_bit_for_bit():
+    rng = random.Random(1971)
+    for _ in range(20_000):
+        x, y = edge_interval(rng), edge_interval(rng)
+        r = x * y
+        assert hexes(r.lo, r.hi) == hexes(*four_candidate_hull(x, y, _mul_down, _mul_up)), (x, y)
+        if y.lo > 0.0 or y.hi < 0.0:
+            r = x / y
+            assert hexes(r.lo, r.hi) == hexes(*four_candidate_hull(x, y, _div_down, _div_up)), (x, y)
+
+
+def test_mul_keeps_the_sign_of_an_underflowed_zero_upper_bound():
+    # the first candidate, lo * lo, underflows from below to -0.0
+    r = Interval(3.3589380537835444e-139, 5.969158481563145) * Interval(-TINY, 0.0)
+    assert r.hi.hex() == "-0x0.0p+0"
+    assert r.lo == -6 * TINY  # hi * lo = -5.97 * TINY, rounded down
 
 
 def fraction_volume(box: Box) -> Fraction:
