@@ -19,6 +19,7 @@ for a given problem and flags.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from pathlib import Path
@@ -38,7 +39,6 @@ __all__ = [
     "main",
 ]
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 _NUMBER_RE = re.compile(r"[+-]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?\Z")
 _DECL_RE = re.compile(
     r"\s*(var|param)\s+([A-Za-z_][A-Za-z_0-9]*)\s+in\s+(\S.*?)\s*\Z", re.S
@@ -144,6 +144,9 @@ def parse_problem(text: str, name: str = "problem") -> Problem:
         except ParseError as exc:
             raise ProblemError(exc.message, offset + exc.position, text) from exc
         bound = float(rhs_text)
+        if math.isinf(bound):
+            at = offset + body.index(rhs_text, rel.end())
+            raise ProblemError(f"number {rhs_text!r} overflows to infinity", at, text)
         if rel.group() == "<=":
             normalized = f if bound == 0.0 else Binary("sub", f, Const(bound))
         else:

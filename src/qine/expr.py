@@ -3,10 +3,10 @@
 Provides the abstract syntax, an infix parser and renderer, the natural
 interval extension, plain floating-point evaluation for test oracles,
 and forward-mode interval differentiation used to prove monotonicity in
-a parameter over a box.  The interval evaluators share one forward
-sweep, a loop over the expression's distinct nodes, and the renderer
-walks an explicit stack, so neither has a depth limit; the parser and
-point evaluation recurse.
+a parameter over a box.  The interval and point evaluators loop over
+one memoized tape of the expression's distinct nodes, and the renderer
+walks an explicit stack, so none of them has a depth limit; only the
+parser recurses.
 """
 
 from __future__ import annotations
@@ -189,7 +189,10 @@ class _Parser:
     def atom(self) -> Expression:
         kind, text, at = self.advance()
         if kind == "num":
-            return Const(float(text))
+            value = float(text)
+            if math.isinf(value):
+                raise ParseError(f"number {text!r} overflows to infinity", at)
+            return Const(value)
         if kind == "name":
             if text in FUNCTIONS:
                 self.expect_op("(")
@@ -422,37 +425,35 @@ def eval_interval(e: Expression, x: Box, y: Box) -> Interval:
 
 
 def eval_point(e: Expression, x: Sequence[float], y: Sequence[float]) -> float:
-    """Floating-point evaluation; domain errors yield NaN."""
+    """Floating-point evaluation over the tape; domain errors yield NaN."""
+    tape = _tape(e)[0]
+    values: list[float] = []
+    push = values.append
     try:
-        return _eval_point(e, x, y)
+        for op, a, b in tape:
+            if op == "var":
+                push(x[a])
+            elif op == "param":
+                push(y[a])
+            elif op == "const":
+                push(a.lo)
+            elif op == "add":
+                push(values[a] + values[b])
+            elif op == "sub":
+                push(values[a] - values[b])
+            elif op == "mul":
+                push(values[a] * values[b])
+            elif op == "div":
+                push(values[a] / values[b])
+            elif op == "neg":
+                push(-values[a])
+            elif op == "pow":
+                push(values[a] ** b)
+            else:
+                push(getattr(math, op)(values[a]))
     except (ValueError, OverflowError, ZeroDivisionError):
         return math.nan
-
-
-def _eval_point(e: Expression, x: Sequence[float], y: Sequence[float]) -> float:
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, VarRef):
-        seq = x if e.kind is VarKind.VARIABLE else y
-        return seq[e.index]
-    if isinstance(e, Binary):
-        l = _eval_point(e.left, x, y)
-        r = _eval_point(e.right, x, y)
-        if e.op == "add":
-            return l + r
-        if e.op == "sub":
-            return l - r
-        if e.op == "mul":
-            return l * r
-        return l / r
-    if isinstance(e, Unary):
-        v = _eval_point(e.child, x, y)
-        if e.op == "neg":
-            return -v
-        return getattr(math, e.op)(v)
-    if isinstance(e, Pow):
-        return _eval_point(e.base, x, y) ** e.exponent
-    raise TypeError(f"not an expression node: {e!r}")
+    return values[-1]
 
 
 def derivative_interval(e: Expression, wrt: VarRef, x: Box, y: Box) -> Interval:

@@ -3,7 +3,7 @@
 The containment contract: every operation returns an interval that
 contains the exact real result for all point inputs drawn from the
 operand intervals.  Addition, subtraction, multiplication, division,
-integer powers and square roots round each bound toward the appropriate
+integer powers and integer roots round each bound toward the appropriate
 infinity.  The direction follows from the exact sign of the rounding
 error, found with error-free float transformations (TwoSum, and
 Dekker's TwoProduct) where they are proven exact and by an exact
@@ -29,7 +29,7 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = ["Interval", "Box", "EMPTY"]
 
@@ -218,43 +218,16 @@ def _sq_cmp(s: float, v: float) -> int:
     return (lhs > rhs) - (lhs < rhs)
 
 
-def _sqrt_down(v: float) -> float:
-    if v == 0.0:
-        return 0.0
-    if math.isinf(v):
-        return _INF
-    s = math.sqrt(v)
-    return _next_down(s) if _sq_cmp(s, v) > 0 else s
-
-
-def _sqrt_up(v: float) -> float:
-    if v == 0.0:
-        return 0.0
-    if math.isinf(v):
-        return _INF
-    s = math.sqrt(v)
-    return _next_up(s) if _sq_cmp(s, v) < 0 else s
-
-
-def _pow_down_nonneg(v: float, n: int) -> float:
-    """v**n rounded down, v >= 0, n >= 1."""
+def _pow_nonneg(v: float, n: int, mul: Callable[[float, float], float]) -> float:
+    """v**n for v >= 0, n >= 1, rounded by mul, which is _mul_down or _mul_up."""
     acc = v
     for _ in range(n - 1):
-        acc = _mul_down(acc, v)
-    return acc
-
-
-def _pow_up_nonneg(v: float, n: int) -> float:
-    acc = v
-    for _ in range(n - 1):
-        acc = _mul_up(acc, v)
+        acc = mul(acc, v)
     return acc
 
 
 def _pow_cmp(r: float, n: int, v: float) -> int:
     """Sign of r**n - v for finite non-negative r, v."""
-    if n == 2:
-        return _sq_cmp(r, v)
     rm, rd = r.as_integer_ratio()
     vm, vd = v.as_integer_ratio()
     lhs = rm**n * vd
@@ -262,30 +235,59 @@ def _pow_cmp(r: float, n: int, v: float) -> int:
     return (lhs > rhs) - (lhs < rhs)
 
 
+def _root_start(v: float, n: int) -> float:
+    """A double within two ulps of v**(1/n), for finite v > 0.
+
+    v is scaled by 2**(-n*k) into [0.5, 2**(n-1)), which is exact, so the
+    error of the rounded exponent 1/n stays below an ulp.  For n >= 2 the
+    root is a normal double, so scaling it back by 2**k is exact too.
+    """
+    k = math.frexp(v)[1] // n
+    return math.ldexp(math.ldexp(v, -n * k) ** (1.0 / n), k)
+
+
 def _root_down(v: float, n: int) -> float:
-    """Largest checked float r >= 0 with r**n <= v, for v >= 0."""
+    """Largest double r >= 0 with r**n <= v, for v >= 0 and n >= 2.
+
+    math.sqrt is correctly rounded, so for n = 2 one comparison tells
+    the floor from its successor.  Other roots walk from _root_start
+    toward the root, at most 64 steps, and fall back on 0.0.
+    """
     if v == 0.0:
         return 0.0
     if math.isinf(v):
         return _INF
-    r = v ** (1.0 / n)
+    if n == 2:
+        r = math.sqrt(v)
+        return _next_down(r) if _sq_cmp(r, v) > 0 else r
+    r = _root_start(v, n)
     for _ in range(64):
-        if _pow_cmp(r, n, v) <= 0:
+        if _pow_cmp(r, n, v) > 0:
+            r = _next_down(r)
+        elif _pow_cmp(_next_up(r), n, v) <= 0:
+            r = _next_up(r)
+        else:
             return r
-        r = _next_down(r)
     return 0.0
 
 
 def _root_up(v: float, n: int) -> float:
+    """Smallest double r >= 0 with r**n >= v, for v >= 0 and n >= 2; falls back on inf."""
     if v == 0.0:
         return 0.0
     if math.isinf(v):
         return _INF
-    r = v ** (1.0 / n)
+    if n == 2:
+        r = math.sqrt(v)
+        return _next_up(r) if _sq_cmp(r, v) < 0 else r
+    r = _root_start(v, n)
     for _ in range(64):
-        if _pow_cmp(r, n, v) >= 0:
+        if _pow_cmp(r, n, v) < 0:
+            r = _next_up(r)
+        elif _pow_cmp(_next_down(r), n, v) >= 0:
+            r = _next_down(r)
+        else:
             return r
-        r = _next_up(r)
     return _INF
 
 
@@ -399,10 +401,6 @@ class Interval:
     @classmethod
     def point(cls, v: float) -> Interval:
         return cls(v, v)
-
-    @classmethod
-    def empty(cls) -> Interval:
-        return EMPTY
 
     @classmethod
     def parse(cls, text: str) -> Interval:
@@ -605,12 +603,12 @@ class Interval:
         lo, hi = self.lo, self.hi
         if n % 2 == 0:
             if lo >= 0.0:
-                return _iv(_pow_down_nonneg(lo, n), _pow_up_nonneg(hi, n))
+                return _iv(_pow_nonneg(lo, n, _mul_down), _pow_nonneg(hi, n, _mul_up))
             if hi <= 0.0:
-                return _iv(_pow_down_nonneg(-hi, n), _pow_up_nonneg(-lo, n))
-            return _iv(0.0, max(_pow_up_nonneg(-lo, n), _pow_up_nonneg(hi, n)))
-        down = -_pow_up_nonneg(-lo, n) if lo < 0.0 else _pow_down_nonneg(lo, n)
-        up = -_pow_down_nonneg(-hi, n) if hi < 0.0 else _pow_up_nonneg(hi, n)
+                return _iv(_pow_nonneg(-hi, n, _mul_down), _pow_nonneg(-lo, n, _mul_up))
+            return _iv(0.0, max(_pow_nonneg(-lo, n, _mul_up), _pow_nonneg(hi, n, _mul_up)))
+        down = -_pow_nonneg(-lo, n, _mul_up) if lo < 0.0 else _pow_nonneg(lo, n, _mul_down)
+        up = -_pow_nonneg(-hi, n, _mul_down) if hi < 0.0 else _pow_nonneg(hi, n, _mul_up)
         return _iv(down, up)
 
     def root_int(self, n: int) -> Interval:
@@ -621,6 +619,8 @@ class Interval:
         """
         if self.lo > self.hi:
             return EMPTY
+        if n == 1:
+            return self
         if n % 2 == 0:
             dom = self.intersect(_NONNEG)
             if dom.lo > dom.hi:
@@ -631,10 +631,8 @@ class Interval:
         return _iv(down, up)
 
     def sqrt(self) -> Interval:
-        dom = self.intersect(_NONNEG)
-        if dom.lo > dom.hi:
-            return EMPTY
-        return _iv(_sqrt_down(dom.lo), _sqrt_up(dom.hi))
+        """Square root of the non-negative part; empty when hi < 0."""
+        return self.root_int(2)
 
     def exp(self) -> Interval:
         if self.lo > self.hi:
@@ -649,32 +647,24 @@ class Interval:
         return _iv(lo, _log_up(self.hi))
 
     def sin(self) -> Interval:
-        if self.lo > self.hi:
-            return EMPTY
-        lo, hi = self.lo, self.hi
-        if math.isinf(lo) or math.isinf(hi) or hi - lo >= math.tau:
-            return _UNIT
-        s_lo, s_hi = math.sin(lo), math.sin(hi)
-        out_lo = _next_down(_next_down(min(s_lo, s_hi)))
-        out_hi = _next_up(_next_up(max(s_lo, s_hi)))
-        if _has_critical_point(lo, hi, math.pi / 2):
-            out_hi = 1.0
-        if _has_critical_point(lo, hi, -math.pi / 2):
-            out_lo = -1.0
-        return _iv(max(out_lo, -1.0), min(out_hi, 1.0))
+        return self._periodic(math.sin, math.pi / 2, -math.pi / 2)
 
     def cos(self) -> Interval:
+        return self._periodic(math.cos, 0.0, math.pi)
+
+    def _periodic(self, fn: Callable[[float], float], peak: float, trough: float) -> Interval:
+        """sin or cos, given its maxima at peak + k*2pi and minima at trough + k*2pi."""
         if self.lo > self.hi:
             return EMPTY
         lo, hi = self.lo, self.hi
         if math.isinf(lo) or math.isinf(hi) or hi - lo >= math.tau:
             return _UNIT
-        c_lo, c_hi = math.cos(lo), math.cos(hi)
-        out_lo = _next_down(_next_down(min(c_lo, c_hi)))
-        out_hi = _next_up(_next_up(max(c_lo, c_hi)))
-        if _has_critical_point(lo, hi, 0.0):
+        f_lo, f_hi = fn(lo), fn(hi)
+        out_lo = _next_down(_next_down(min(f_lo, f_hi)))
+        out_hi = _next_up(_next_up(max(f_lo, f_hi)))
+        if _has_critical_point(lo, hi, peak):
             out_hi = 1.0
-        if _has_critical_point(lo, hi, math.pi):
+        if _has_critical_point(lo, hi, trough):
             out_lo = -1.0
         return _iv(max(out_lo, -1.0), min(out_hi, 1.0))
 
@@ -767,15 +757,6 @@ class Box:
     @property
     def midpoint(self) -> tuple[float, ...]:
         return tuple(iv.midpoint for iv in self.dims)
-
-    @property
-    def volume(self) -> float:
-        if self.is_empty:
-            return 0.0
-        v = 1.0
-        for iv in self.dims:
-            v *= iv.width
-        return v
 
     def exact_volume(self) -> Fraction:
         """Volume as an exact rational; requires finite bounds.

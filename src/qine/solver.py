@@ -93,7 +93,6 @@ class SolverConfig:
     stop_ratio: float | None = None
     mode: str = "2b+"
     param_bisect: bool = True
-    max_param_splits: int = 1
     max_nodes: int | None = None
     time_limit: float | None = None
 
@@ -105,8 +104,6 @@ class SolverConfig:
             raise ValueError("epsilon must be positive and finite")
         if self.stop_ratio is not None and not 0.0 < self.stop_ratio <= 1.0:
             raise ValueError("stop ratio must lie in (0, 1]")
-        if self.max_param_splits < 0:
-            raise ValueError("max_param_splits must be >= 0")
         if self.max_nodes is not None and self.max_nodes < 1:
             raise ValueError("max_nodes must be >= 1")
         if self.time_limit is not None and self.time_limit <= 0.0:
@@ -139,10 +136,6 @@ class SolveStats:
     @property
     def volume_boundary(self) -> float:
         return float(self.exact_boundary)
-
-    @property
-    def volume_queued(self) -> float:
-        return float(self.exact_queued)
 
 
 @dataclass
@@ -282,33 +275,25 @@ def solution_identification(
 
 
 def parameter_domain_bisection(
-    store: Sequence[QuantifiedConstraint], epsilon: float, max_splits: int = 1
+    store: Sequence[QuantifiedConstraint], epsilon: float
 ) -> list[QuantifiedConstraint]:
-    """Split each constraint along its widest parameter coordinate.
+    """Halve each constraint's parameter domain once, along its widest coordinate.
 
-    A constraint whose widest coordinate is at most epsilon wide stays
-    whole; otherwise it is replaced by two copies per split, up to
-    max_splits rounds, lower half first.
+    A constraint without parameters, or whose widest coordinate is at
+    most epsilon wide or too thin to halve, stays whole; otherwise it is
+    replaced by two copies, lower half first.
     """
     out: list[QuantifiedConstraint] = []
     for qc in store:
-        out.extend(_split(qc, epsilon, max_splits))
+        dom = qc.param_domain
+        axis = _widest_axis(dom)
+        if len(dom) == 0 or dom.dims[axis].width <= epsilon or not _bisectable(dom.dims[axis]):
+            out.append(qc)
+        else:
+            lo_half, hi_half = dom.bisect(axis)
+            out.append(QuantifiedConstraint(qc.f, lo_half))
+            out.append(QuantifiedConstraint(qc.f, hi_half))
     return out
-
-
-def _split(
-    qc: QuantifiedConstraint, epsilon: float, budget: int
-) -> list[QuantifiedConstraint]:
-    dom = qc.param_domain
-    if budget <= 0 or len(dom) == 0:
-        return [qc]
-    axis = _widest_axis(dom)
-    if dom.dims[axis].width <= epsilon or not _bisectable(dom.dims[axis]):
-        return [qc]
-    lo_half, hi_half = dom.bisect(axis)
-    return _split(QuantifiedConstraint(qc.f, lo_half), epsilon, budget - 1) + _split(
-        QuantifiedConstraint(qc.f, hi_half), epsilon, budget - 1
-    )
 
 
 def branch(box: Box) -> tuple[Box, Box]:
@@ -389,9 +374,7 @@ def solve(
                     piece.contains_box(remainder) for piece in inner_pieces
                 ):
                     if cfg.param_bisect:
-                        kept = parameter_domain_bisection(
-                            kept, cfg.epsilon, cfg.max_param_splits
-                        )
+                        kept = parameter_domain_bisection(kept, cfg.epsilon)
                     kept_t = tuple(kept)
                     if remainder.width <= cfg.epsilon:
                         push(remainder, kept_t)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -140,14 +141,12 @@ def test_format_report_round_trips():
     assert inner == paving.inner
     assert boundary == paving.boundary
     # header volumes agree with the records they summarize
-    vol = lambda boxes: sum(b.volume for b in boxes)
+    vol = lambda boxes: sum((b.exact_volume() for b in boxes), Fraction(0))
     m = re.match(r"initial=(\S+) inner=(\S+) boundary=(\S+)", meta["volume"])
     assert float(m.group(1)) == 15.0
-    assert float(m.group(2)) == pytest.approx(vol(inner), rel=1e-12)
-    assert float(m.group(3)) == pytest.approx(vol(boundary), rel=1e-12)
-    assert float(meta["ratio"]) == pytest.approx(
-        (15.0 - vol(boundary)) / 15.0, rel=1e-12
-    )
+    assert float(m.group(2)) == float(vol(inner))
+    assert float(m.group(3)) == float(vol(boundary))
+    assert float(meta["ratio"]) == float(1 - vol(boundary) / 15)
 
 
 def test_report_floats_survive_round_trip_exactly():
@@ -162,6 +161,53 @@ def test_report_elapsed_has_its_own_line():
     text = format_report(problem, cfg, paving)
     (elapsed_line,) = [l for l in text.splitlines() if l.startswith("# elapsed:")]
     assert re.fullmatch(r"# elapsed: \d+\.\d{3} s", elapsed_line)
+
+
+# One value for each SolverConfig field, none of them the default.
+NON_DEFAULT_CONFIG = {
+    "epsilon": 0.01,
+    "stop_ratio": 0.5,
+    "mode": "2b",
+    "param_bisect": False,
+    "max_nodes": 7,
+    "time_limit": 100.0,
+}
+
+
+def solve_to_text(argv, tmp_path, capsys) -> str:
+    out = tmp_path / "report.txt"
+    code = cli.run(["solve", *argv, "--out", str(out)])
+    assert code in (0, 2), capsys.readouterr().err
+    return out.read_text()
+
+
+def test_every_config_field_is_a_flag_in_the_report(problems_dir, tmp_path, capsys):
+    assert set(NON_DEFAULT_CONFIG) == {f.name for f in dataclasses.fields(SolverConfig)}
+    ex1 = str(problems_dir / "ex1.qcsp")
+    default_flags = cli._flags_text(SolverConfig())
+    for name, value in NON_DEFAULT_CONFIG.items():
+        flags = cli._flags_text(SolverConfig(**{name: value}))
+        assert flags != default_flags, f"{name} is missing from '# flags:'"
+        # the CLI reads the printed flags back into the same configuration
+        meta, _, _ = parse_report(solve_to_text([ex1, *flags.split()], tmp_path, capsys))
+        assert meta["flags"] == flags, name
+
+
+@pytest.mark.parametrize(
+    "name,argv",
+    [
+        ("ex1", ["--mode", "2b", "--eps", "0.01", "--param-bisect", "off", "--max-nodes", "40"]),
+        ("ring2d", ["--eps", "0.01", "--ratio", "0.99", "--time-limit", "600"]),
+    ],
+    ids=["ex1", "ring2d-ratio"],
+)
+def test_flags_line_reproduces_the_report(name, argv, problems_dir, tmp_path, capsys):
+    path = str(problems_dir / f"{name}.qcsp")
+    first = solve_to_text([path, *argv], tmp_path, capsys)
+    meta, _, _ = parse_report(first)
+    again = solve_to_text([path, *meta["flags"].split()], tmp_path, capsys)
+    drop_elapsed = lambda text: re.sub(r"^# elapsed: .*\n", "", text, flags=re.M)
+    assert drop_elapsed(again) == drop_elapsed(first)
 
 
 def test_parse_report_rejects_malformed_records():
@@ -345,6 +391,17 @@ def test_cli_deep_nesting_is_a_parse_error(expression, tmp_path, capsys):
     assert err.startswith("error: ") and "nested too deeply" in err
     with pytest.raises(ParseError, match="nested too deeply"):
         parse_expression(expression, {"x": VarRef(VarKind.VARIABLE, 0)})
+
+
+@pytest.mark.parametrize("constraint", ["x + 1e999 <= 0", "x <= 1e999"], ids=["lhs", "rhs"])
+def test_cli_rejects_a_literal_that_overflows(constraint, tmp_path, capsys):
+    problem = tmp_path / "huge.qcsp"
+    text = f"var x in [0, 1];\nconstraint {constraint};\n"
+    problem.write_text(text)
+    assert cli.run(["solve", str(problem)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'1e999' overflows to infinity" in err
+    assert f"(line 2, offset {text.index('1e999')})" in err
 
 
 def test_cli_node_budget_exit_code(problems_dir, tmp_path, capsys):

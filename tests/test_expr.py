@@ -256,6 +256,9 @@ def deep_chain(depth: int):
 def test_eval_interval_walks_deeper_than_the_recursion_limit():
     x = Box.from_bounds([(0.0, 1.0)])
     assert eval_interval(deep_chain(5000), x, Box(())) == Interval(0.0, 1.0)
+    assert eval_point(deep_chain(5000), [0.25], []) == 0.25
+    total = parse_expression(" + ".join(["0.001*x"] * 1500), SYMS)
+    assert math.isclose(eval_point(total, [1.0], []), 1.5, rel_tol=1e-12)
 
 
 def test_tape_memo_stays_bounded():

@@ -24,8 +24,6 @@ from qine.interval import (
     _mul_up,
     _root_down,
     _root_up,
-    _sqrt_down,
-    _sqrt_up,
 )
 
 INF = math.inf
@@ -56,7 +54,6 @@ def test_constructor_rejects_nan_and_inverted_bounds():
 
 def test_empty_interval_is_canonical():
     assert EMPTY.is_empty
-    assert Interval.empty() == EMPTY
     assert not Interval(1.0, 1.0).is_empty
     assert EMPTY.width == 0.0
     with pytest.raises(ValueError):
@@ -409,10 +406,9 @@ def test_box_emptiness_and_zero_dim():
 def test_box_midpoint_and_volume():
     b = Box.from_bounds([(0.0, 15.0), (1.0, 2.0)])
     assert b.midpoint == (7.5, 1.5)
-    assert b.volume == 15.0
     assert b.exact_volume() == Fraction(15)
-    assert Box.empty(2).volume == 0.0
-    assert Box(()).volume == 1.0
+    assert Box.empty(2).exact_volume() == 0
+    assert Box(()).exact_volume() == 1
 
 
 def test_box_contains():
@@ -619,7 +615,7 @@ def test_mul_kernels_at_the_edges(a, b):
 
 @given(kernel_floats().map(abs))
 def test_sqrt_kernels_are_the_tightest_outward_floats(v):
-    down, up = _sqrt_down(v), _sqrt_up(v)
+    down, up = _root_down(v, 2), _root_up(v, 2)
     assert Fraction(down) ** 2 <= Fraction(v) < Fraction(math.nextafter(down, INF)) ** 2
     assert Fraction(v) <= Fraction(up) ** 2
     assert up == 0.0 or Fraction(math.nextafter(up, -INF)) ** 2 < Fraction(v)
@@ -629,6 +625,23 @@ def test_sqrt_kernels_are_the_tightest_outward_floats(v):
 def test_square_root_kernels_bracket_the_root(v):
     down, up = _root_down(v, 2), _root_up(v, 2)
     assert Fraction(down) ** 2 <= Fraction(v) <= Fraction(up) ** 2
+
+
+@given(kernel_floats().map(abs), st.integers(min_value=3, max_value=6))
+def test_root_kernels_are_the_tightest_outward_floats(v, n):
+    down, up = _root_down(v, n), _root_up(v, n)
+    assert Fraction(down) ** n <= Fraction(v) < Fraction(math.nextafter(down, INF)) ** n
+    assert Fraction(v) <= Fraction(up) ** n
+    assert up == 0.0 or Fraction(math.nextafter(up, -INF)) ** n < Fraction(v)
+
+
+def test_cube_root_of_a_huge_bound_is_the_tightest_double():
+    # the unscaled start 1e300 ** (1/3) is more than 64 ulps off the root
+    r = Interval(8.0, 1e300).root_int(3)
+    assert r.lo == 2.0
+    assert Fraction(r.hi) ** 3 >= Fraction(1e300) > Fraction(math.nextafter(r.hi, 0.0)) ** 3
+    assert Fraction(_root_down(1e-300, 3)) ** 3 <= Fraction(1e-300)
+    assert Fraction(math.nextafter(_root_down(1e-300, 3), INF)) ** 3 > Fraction(1e-300)
 
 
 def check_add(a: float, b: float) -> Interval:
