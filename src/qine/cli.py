@@ -19,14 +19,13 @@ for a given problem and flags.
 from __future__ import annotations
 
 import argparse
-import math
 import re
 import sys
 from pathlib import Path
 from typing import Sequence
 
 from .interval import Box, Interval
-from .expr import Binary, Const, Expression, ParseError, VarKind, VarRef, parse_expression
+from .expr import Binary, Expression, ParseError, VarKind, VarRef, _literal, parse_expression
 from .solver import Paving, Problem, SolverConfig, classified_ratio, solve
 
 __all__ = [
@@ -143,14 +142,16 @@ def parse_problem(text: str, name: str = "problem") -> Problem:
             f = parse_expression(lhs_text, symbols)
         except ParseError as exc:
             raise ProblemError(exc.message, offset + exc.position, text) from exc
-        bound = float(rhs_text)
-        if math.isinf(bound):
+        try:
+            bound = _literal(rhs_text)
+        except OverflowError as exc:
             at = offset + body.index(rhs_text, rel.end())
-            raise ProblemError(f"number {rhs_text!r} overflows to infinity", at, text)
+            raise ProblemError(str(exc), at, text) from None
         if rel.group() == "<=":
-            normalized = f if bound == 0.0 else Binary("sub", f, Const(bound))
+            exact_zero = bound.value == 0.0 and bound.enclosure is None
+            normalized = f if exact_zero else Binary("sub", f, bound)
         else:
-            normalized = Binary("sub", Const(bound), f)
+            normalized = Binary("sub", bound, f)
         constraints.append(normalized)
 
     try:

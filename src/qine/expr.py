@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Sequence, Union
 
-from .interval import _NONNEG, _ONE, Box, Interval
+from .interval import _NONNEG, _ONE, Box, Interval, _literal_bounds
 
 __all__ = [
     "VarKind",
@@ -55,7 +55,27 @@ class VarRef:
 
 @dataclass(frozen=True, slots=True)
 class Const:
+    """A constant: ``value`` is the double that renders and that
+    ``eval_point`` uses; the interval evaluators use ``enclosure``, the
+    point ``value`` when None.  A literal whose nearest double is inexact
+    carries its outward-rounded enclosure (see ``_literal``), so proofs
+    hold for the number as written.  Equality and hashing read ``value``.
+    """
+
     value: float
+    enclosure: Interval | None = field(default=None, compare=False)
+
+
+def _literal(text: str) -> Const:
+    """The constant a decimal or scientific literal denotes.
+
+    Raises OverflowError when the literal overflows to infinity.
+    """
+    value = float(text)
+    if math.isinf(value):
+        raise OverflowError(f"number {text!r} overflows to infinity")
+    lo, hi = _literal_bounds(text)
+    return Const(value, Interval(lo, hi) if lo < hi else None)
 
 
 @dataclass(frozen=True, slots=True)
@@ -189,10 +209,10 @@ class _Parser:
     def atom(self) -> Expression:
         kind, text, at = self.advance()
         if kind == "num":
-            value = float(text)
-            if math.isinf(value):
-                raise ParseError(f"number {text!r} overflows to infinity", at)
-            return Const(value)
+            try:
+                return _literal(text)
+            except OverflowError as exc:
+                raise ParseError(str(exc), at) from None
         if kind == "name":
             if text in FUNCTIONS:
                 self.expect_op("(")
@@ -304,8 +324,8 @@ def render(
 # Evaluation.  A tape lists an expression's distinct node objects (by
 # identity, never by structure), operands before their users and left
 # operands first, so the root comes last.  Step i is (op, a, b) for node
-# i: a leaf holds its payload in a (an Interval for "const", an index
-# for "var" and "param"); an operation holds operand slots in a and b,
+# i: "var" and "param" hold an index in a, "const" holds its enclosure
+# in a and its value in b; an operation holds operand slots in a and b,
 # and a unary node holds None or its exponent ("pow") in b.  Tapes are
 # built without recursion and memoized per expression object; the memo
 # holds the expression, so its id is not reused while the entry lives.
@@ -324,17 +344,18 @@ _BINARY = ("add", "sub", "mul", "div")
 _SETTLED_OPS = frozenset(_LEAVES + ("add", "sub", "mul", "neg", "pow", "sin", "cos"))
 
 
-def _node(e: Expression) -> tuple[str, tuple[Expression, ...], object]:
+def _node(e: Expression) -> tuple[str, tuple[Expression, ...], tuple[object, ...]]:
     if isinstance(e, Binary):
-        return e.op, (e.left, e.right), None
+        return e.op, (e.left, e.right), ()
     if isinstance(e, Unary):
-        return e.op, (e.child,), None
+        return e.op, (e.child,), ()
     if isinstance(e, Pow):
-        return "pow", (e.base,), e.exponent
+        return "pow", (e.base,), (e.exponent,)
     if isinstance(e, Const):
-        return "const", (), Interval.point(e.value)
+        enclosure = Interval.point(e.value) if e.enclosure is None else e.enclosure
+        return "const", (), (enclosure, e.value)
     if isinstance(e, VarRef):
-        return ("var" if e.kind is VarKind.VARIABLE else "param"), (), e.index
+        return ("var" if e.kind is VarKind.VARIABLE else "param"), (), (e.index,)
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -353,7 +374,7 @@ def _tape(e: Expression) -> _Tape:
         op, operands, payload = _node(node)
         if ready:
             slot[id(node)] = len(steps)
-            args = [slot[id(c)] for c in operands] + [payload, None]
+            args = [slot[id(c)] for c in operands] + [*payload, None, None]
             steps.append((op, args[0], args[1]))
         else:
             stack.append((node, True))
@@ -436,7 +457,7 @@ def eval_point(e: Expression, x: Sequence[float], y: Sequence[float]) -> float:
             elif op == "param":
                 push(y[a])
             elif op == "const":
-                push(a.lo)
+                push(b)
             elif op == "add":
                 push(values[a] + values[b])
             elif op == "sub":

@@ -250,8 +250,7 @@ def _root_down(v: float, n: int) -> float:
     """Largest double r >= 0 with r**n <= v, for v >= 0 and n >= 2.
 
     math.sqrt is correctly rounded, so for n = 2 one comparison tells
-    the floor from its successor.  Other roots walk from _root_start
-    toward the root, at most 64 steps, and fall back on 0.0.
+    the floor from its successor; other roots take ``_root_walk``.
     """
     if v == 0.0:
         return 0.0
@@ -260,19 +259,11 @@ def _root_down(v: float, n: int) -> float:
     if n == 2:
         r = math.sqrt(v)
         return _next_down(r) if _sq_cmp(r, v) > 0 else r
-    r = _root_start(v, n)
-    for _ in range(64):
-        if _pow_cmp(r, n, v) > 0:
-            r = _next_down(r)
-        elif _pow_cmp(_next_up(r), n, v) <= 0:
-            r = _next_up(r)
-        else:
-            return r
-    return 0.0
+    return _root_walk(v, n, False)
 
 
 def _root_up(v: float, n: int) -> float:
-    """Smallest double r >= 0 with r**n >= v, for v >= 0 and n >= 2; falls back on inf."""
+    """Smallest double r >= 0 with r**n >= v, for v >= 0 and n >= 2."""
     if v == 0.0:
         return 0.0
     if math.isinf(v):
@@ -280,15 +271,33 @@ def _root_up(v: float, n: int) -> float:
     if n == 2:
         r = math.sqrt(v)
         return _next_up(r) if _sq_cmp(r, v) < 0 else r
+    return _root_walk(v, n, True)
+
+
+def _root_walk(v: float, n: int, up: bool) -> float:
+    """_root_up (or _root_down) of finite v > 0 for n >= 3.
+
+    A bound r is valid when r**n is on its side of v.  From _root_start
+    the walk goes one way only, one comparison per step: an invalid start
+    steps toward validity until the first valid double, a valid one steps
+    away while its neighbour stays valid.  After 64 steps an invalid walk
+    falls back on inf (0.0 when rounding down); a valid one keeps its r.
+    """
+    bad = -1 if up else 1
+    fix, probe = (_next_up, _next_down) if up else (_next_down, _next_up)
     r = _root_start(v, n)
+    if _pow_cmp(r, n, v) == bad:
+        for _ in range(64):
+            r = fix(r)
+            if _pow_cmp(r, n, v) != bad:
+                return r
+        return _INF if up else 0.0
     for _ in range(64):
-        if _pow_cmp(r, n, v) < 0:
-            r = _next_up(r)
-        elif _pow_cmp(_next_down(r), n, v) >= 0:
-            r = _next_down(r)
-        else:
+        s = probe(r)
+        if _pow_cmp(s, n, v) == bad:
             return r
-    return _INF
+        r = s
+    return r
 
 
 # libm is faithful but not correctly rounded for the transcendentals;
@@ -356,18 +365,27 @@ def _has_critical_point(lo: float, hi: float, offset: float) -> bool:
 _INTERVAL_RE = re.compile(r"\s*\[\s*([^\s,\]]+)\s*,\s*([^\s,\]]+)\s*\]\s*\Z")
 
 
-def _float_from_literal(text: str, round_up: bool) -> float:
-    """Parse a decimal/scientific literal, rounding outward when inexact."""
+def _literal_bounds(text: str) -> tuple[float, float]:
+    """The tightest doubles lo <= hi around a decimal/scientific literal.
+
+    Both are the nearest double when it is exact, infinite or NaN.
+    """
     f = float(text)
     if math.isinf(f) or f != f:
-        return f
-    exact = Fraction(Decimal(text))
-    approx = Fraction(f)
-    if round_up and approx < exact:
-        return _next_up(f)
-    if not round_up and approx > exact:
-        return _next_down(f)
-    return f
+        return f, f
+    d = Decimal(text)
+    if d and d.adjusted() < -324:
+        # |d| < 1e-324, so f is a signed zero; the exact form would cost
+        # a power of ten as long as the exponent (copy_negate, unlike -d,
+        # does not round d to the decimal context)
+        err = d.copy_negate()
+    else:
+        err = Fraction(f) - Fraction(d)
+    if err > 0:
+        return _next_down(f), f
+    if err < 0:
+        return f, _next_up(f)
+    return f, f
 
 
 @dataclass(frozen=True, slots=True)
@@ -408,8 +426,8 @@ class Interval:
         m = _INTERVAL_RE.match(text)
         if m is None:
             raise ValueError(f"not an interval literal: {text!r}")
-        lo = _float_from_literal(m.group(1), round_up=False)
-        hi = _float_from_literal(m.group(2), round_up=True)
+        lo = _literal_bounds(m.group(1))[0]
+        hi = _literal_bounds(m.group(2))[1]
         return cls(lo, hi)
 
     # -- predicates and measures --------------------------------------------
@@ -758,25 +776,29 @@ class Box:
     def midpoint(self) -> tuple[float, ...]:
         return tuple(iv.midpoint for iv in self.dims)
 
-    def exact_volume(self) -> Fraction:
-        """Volume as an exact rational; requires finite bounds.
+    def dyadic_volume(self) -> tuple[int, int]:
+        """Volume as (m, k), meaning m / 2**k; requires finite bounds.
 
-        Bounds are doubles, so every width is a dyadic rational; the
-        product is formed on integer numerators and denominators and
-        normalised once.
+        Bounds are doubles, so every denominator is a power of two and
+        the product is formed on integers alone, never normalised.
         """
-        num = den = 1
         if self.is_empty:
-            num = 0
-        else:
-            for iv in self.dims:
-                if math.isinf(iv.lo) or math.isinf(iv.hi):
-                    raise ValueError("exact volume of an unbounded box")
-                hm, hd = iv.hi.as_integer_ratio()
-                lm, ld = iv.lo.as_integer_ratio()
-                num *= hm * ld - lm * hd
-                den *= hd * ld
-        return Fraction(num, den)
+            return 0, 0
+        num = den = 1
+        for iv in self.dims:
+            lo, hi = iv.lo, iv.hi
+            if lo == -_INF or hi == _INF:
+                raise ValueError("exact volume of an unbounded box")
+            hm, hd = hi.as_integer_ratio()
+            lm, ld = lo.as_integer_ratio()
+            num *= hm * ld - lm * hd
+            den *= hd * ld
+        return num, den.bit_length() - 1
+
+    def exact_volume(self) -> Fraction:
+        """Volume as an exact rational; requires finite bounds."""
+        m, k = self.dyadic_volume()
+        return Fraction(m, 1 << k)
 
     def contains(self, point: Sequence[float]) -> bool:
         if len(point) != len(self.dims):

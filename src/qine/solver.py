@@ -12,10 +12,14 @@ contracting the negated constraints, then bisects parameter domains and
 branches on the widest variable coordinate.
 
 The volume ledger is exact.  Box bounds are doubles, so every volume is
-a dyadic rational; each box is measured once, when it is queued (or
-emitted as inner), and its volume travels with it through the queue to
-the boundary list.  The float ``volume_*`` figures are derived from the
-rational ``exact_*`` fields on read.  This makes the classified-volume
+a dyadic rational m / 2**k (``Box.dyadic_volume``); each box is measured
+once, when it is queued (or emitted as inner), and its (m, k) travels
+with it through the queue to the boundary list.  ``solve`` keeps the
+inner, boundary and queued totals as integers over one shared 2**K,
+raising K when a finer box arrives, and decides the ratio stop on those
+integers.  The rational ``exact_*`` fields are written from the totals
+before each progress call and when the run ends; the float ``volume_*``
+figures are derived from them on read.  This makes the classified-volume
 ratio monotone and exactly 1.0 on complete runs.
 """
 
@@ -114,6 +118,7 @@ class SolverConfig:
 class SolveStats:
     """Run statistics; the exact_* fields are the rational volume ledger.
 
+    ``solve`` writes them before each progress call and when it returns.
     The volume_* properties are the ledger rounded to the nearest float.
     """
 
@@ -163,19 +168,31 @@ def classified_ratio(paving: Paving) -> float:
     return float((s.exact_inner + rejected) / s.exact_initial)
 
 
-def _ratio_reached(initial: Fraction, stop_ratio: float) -> Callable[[Fraction], bool]:
+def _ratio_budget(initial: Fraction, stop_ratio: float) -> tuple[Fraction, bool]:
     """Exact form of ``classified_ratio(paving) >= stop_ratio``.
 
     Takes the unclassified (boundary plus queued) volume u, for which the
     ratio is 1 - u / initial with initial > 0.  Rounding to the nearest
     float is monotone, so the float test holds exactly when the ratio
     reaches the midpoint m between stop_ratio and the float below it,
-    m included iff m itself rounds to stop_ratio.  Built once per solve,
-    it spares each node a rational division and a float conversion.
+    m included iff m itself rounds to stop_ratio.  Returns the budget
+    (1 - m) * initial that u may not exceed, and whether u may equal it.
     """
     m = (Fraction(math.nextafter(stop_ratio, 0.0)) + Fraction(stop_ratio)) / 2
-    budget = (1 - m) * initial
-    return budget.__ge__ if float(m) >= stop_ratio else budget.__gt__
+    return (1 - m) * initial, float(m) >= stop_ratio
+
+
+def _within(u_num: int, u_den: int, bn: int, bd: int, inclusive: bool) -> bool:
+    """Whether u_num / u_den is below the budget bn / bd (or equal, if inclusive)."""
+    over = u_num * bd - bn * u_den
+    return over < 0 or (over == 0 and inclusive)
+
+
+def _ratio_reached(initial: Fraction, stop_ratio: float) -> Callable[[Fraction], bool]:
+    """The test of ``_ratio_budget`` as a predicate on the unclassified volume."""
+    budget, inclusive = _ratio_budget(initial, stop_ratio)
+    bn, bd = budget.numerator, budget.denominator
+    return lambda u: _within(u.numerator, u.denominator, bn, bd, inclusive)
 
 
 def _widest_axis(box: Box) -> int:
@@ -321,29 +338,51 @@ def solve(
         QuantifiedConstraint(f, problem.parameter_box) for f in problem.constraints
     )
 
-    # Entries are (-width, seq, box, store, exact volume); seq is unique,
-    # so comparisons never reach the box.
-    heap: list[tuple[float, int, Box, tuple[QuantifiedConstraint, ...], Fraction]] = []
-    seq = 0
+    # The ledger: inner, boundary and queued volume as integers over one
+    # denominator 2**K.  Every box volume is m / 2**k (Box.dyadic_volume);
+    # a box finer than 2**-K raises K and shifts the totals left.  Heap
+    # entries are (-width, seq, box, store, m, k); seq is unique, so
+    # comparisons never reach the box.
+    heap: list[tuple[float, int, Box, tuple[QuantifiedConstraint, ...], int, int]] = []
+    seq = K = inner = boundary = queued = 0
+
+    def scaled(m: int, k: int) -> int:
+        """m / 2**k as a numerator over 2**K, raising K to k if k is larger.
+
+        Raising K shifts the totals, so a caller reads them only after it.
+        """
+        nonlocal K, inner, boundary, queued
+        if k > K:
+            inner <<= k - K
+            boundary <<= k - K
+            queued <<= k - K
+            K = k
+        return m << (K - k)
 
     def push(box: Box, store: tuple[QuantifiedConstraint, ...]) -> None:
-        nonlocal seq
-        vol = box.exact_volume()
-        heapq.heappush(heap, (-box.width, seq, box, store, vol))
-        stats.exact_queued += vol
+        nonlocal seq, queued
+        m, k = box.dyadic_volume()
+        heapq.heappush(heap, (-box.width, seq, box, store, m, k))
+        vol = scaled(m, k)
+        queued += vol
         seq += 1
 
+    def record() -> None:
+        den = 1 << K
+        stats.exact_inner = Fraction(inner, den)
+        stats.exact_boundary = Fraction(boundary, den)
+        stats.exact_queued = Fraction(queued, den)
+
     push(problem.variable_box, root_store)
-    stats.exact_initial = stats.exact_queued
-    ratio_reached = None
+    stats.exact_initial = Fraction(queued, 1 << K)
+    budget = None
     if cfg.stop_ratio is not None and stats.exact_initial > 0:
-        ratio_reached = _ratio_reached(stats.exact_initial, cfg.stop_ratio)
+        budget, inclusive = _ratio_budget(stats.exact_initial, cfg.stop_ratio)
+        bn, bd = budget.numerator, budget.denominator
     t0 = time.perf_counter()
     stop = "complete"
     while heap:
-        if ratio_reached is not None and ratio_reached(
-            stats.exact_boundary + stats.exact_queued
-        ):
+        if budget is not None and _within(boundary + queued, 1 << K, bn, bd, inclusive):
             stop = "ratio"
             break
         if cfg.max_nodes is not None and stats.nodes_processed >= cfg.max_nodes:
@@ -352,12 +391,13 @@ def solve(
         if cfg.time_limit is not None and time.perf_counter() - t0 > cfg.time_limit:
             stop = "time"
             break
-        _, _, box, store, vol = heapq.heappop(heap)
-        stats.exact_queued -= vol
+        _, _, box, store, m, k = heapq.heappop(heap)
+        vol = m << (K - k)
+        queued -= vol
         stats.nodes_processed += 1
         if box.width <= cfg.epsilon:
             paving.boundary.append(box)
-            stats.exact_boundary += vol
+            boundary += vol
         else:
             if cfg.mode == "2b+":
                 store = tuple(parameter_instantiation(store, box))
@@ -366,7 +406,8 @@ def solve(
                 kept, remainder, inner_pieces = solution_identification(store, pruned)
                 for piece in inner_pieces:
                     paving.inner.append(piece)
-                    stats.exact_inner += piece.exact_volume()
+                    vol = scaled(*piece.dyadic_volume())
+                    inner += vol
                 # A remainder left degenerate inside the box sits on the face
                 # of an emitted inner piece; its closure is already covered,
                 # so exploring it further would only mint boundary boxes.
@@ -386,15 +427,17 @@ def solve(
                         # Wider than epsilon but at float spacing: no
                         # split can shrink it, so it stays undecided.
                         paving.boundary.append(remainder)
-                        stats.exact_boundary += remainder.exact_volume()
+                        vol = scaled(*remainder.dyadic_volume())
+                        boundary += vol
         if progress is not None:
+            record()
             stats.elapsed = time.perf_counter() - t0
             progress(paving)
     while heap:
-        _, _, box, _, vol = heapq.heappop(heap)
-        stats.exact_queued -= vol
-        paving.boundary.append(box)
-        stats.exact_boundary += vol
+        paving.boundary.append(heapq.heappop(heap)[2])
+    boundary += queued
+    queued = 0
+    record()
     stats.stop_reason = stop
     stats.elapsed = time.perf_counter() - t0
     return paving

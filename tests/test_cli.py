@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import re
+import resource
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -402,6 +407,51 @@ def test_cli_rejects_a_literal_that_overflows(constraint, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "'1e999' overflows to infinity" in err
     assert f"(line 2, offset {text.index('1e999')})" in err
+
+
+def _cap_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_cli_reads_a_vanishing_literal_quickly(tmp_path):
+    # 1e-999999999 rounds to a signed zero, and its exact rational form
+    # would hold a billion-digit power of ten; the solve runs in a child
+    # with a time and memory cap, so a regression fails instead of hanging
+    problem = tmp_path / "tiny.qcsp"
+    problem.write_text(
+        "var x in [-1, 1];\n"
+        "constraint x <= 1e-999999999;\n"
+        "constraint -x - 1e-999999999 <= 0;\n"
+    )
+    code = "import sys; from qine import cli; sys.exit(cli.run(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "solve", str(problem), "--eps", "0.1"],
+        capture_output=True, text=True, timeout=20, preexec_fn=_cap_memory,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "# stop: complete" in proc.stdout
+    one = Interval.parse("[1e-999999999, 1e-999999999]")
+    assert (one.lo, one.hi) == (0.0, math.nextafter(0.0, 1.0))
+    neg = Interval.parse("[-1e-999999999, -1e-999999999]")
+    assert (neg.lo, neg.hi) == (-math.nextafter(0.0, 1.0), 0.0)
+
+
+@pytest.mark.parametrize(
+    "constraint, below",
+    [("x <= 0.1", True), ("x - 0.1 <= 0", True), ("x >= 0.1", False), ("0.1 - x <= 0", False)],
+    ids=["rhs-leq", "lhs-leq", "rhs-geq", "lhs-geq"],
+)
+def test_inner_boxes_hold_for_the_decimal_literal_as_written(constraint, below):
+    # the double 0.1 lies above 1/10, so x <= 0.1 holds there only for the double
+    problem = parse_problem(f"var x in [0, 1]; constraint {constraint};")
+    paving = solve(problem, SolverConfig(epsilon=0.01))
+    assert paving.inner
+    for b in paving.inner:
+        if below:
+            assert Fraction(b[0].hi) <= Fraction(1, 10)
+        else:
+            assert Fraction(b[0].lo) >= Fraction(1, 10)
 
 
 def test_cli_node_budget_exit_code(problems_dir, tmp_path, capsys):

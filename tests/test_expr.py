@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -63,6 +64,16 @@ def test_parse_scientific_numbers():
     assert parse_expression("1e-3", SYMS) == Const(1e-3)
     assert parse_expression("2.5E+2", SYMS) == Const(250.0)
     assert parse_expression(".5", SYMS) == Const(0.5)
+
+
+def test_inexact_literal_carries_its_enclosure():
+    # the interval evaluators see an enclosure of 1/10 itself; eval_point
+    # and render keep the nearest double
+    tenth = parse_expression("0.1", SYMS)
+    assert Fraction(tenth.enclosure.lo) < Fraction(1, 10) < Fraction(tenth.enclosure.hi)
+    assert eval_interval(tenth, Box(()), Box(())) == tenth.enclosure
+    assert eval_point(tenth, [], []) == 0.1 and render(tenth) == "0.1"
+    assert parse_expression("0.5", SYMS).enclosure is None
 
 
 def test_parse_division_and_associativity():

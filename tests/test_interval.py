@@ -635,6 +635,35 @@ def test_root_kernels_are_the_tightest_outward_floats(v, n):
     assert up == 0.0 or Fraction(math.nextafter(up, -INF)) ** n < Fraction(v)
 
 
+MIN_NORMAL = sys.float_info.min
+ROOT_EDGES = [TINY, 2 * TINY, 3 * TINY, 2.0**-1060, math.nextafter(MIN_NORMAL, 0.0), MIN_NORMAL,
+              MAX / 3, math.nextafter(MAX, 0.0), MAX]
+
+
+def check_root(v: float, n: int) -> None:
+    down, up = _root_down(v, n), _root_up(v, n)
+    assert Fraction(down) ** n <= Fraction(v) < Fraction(math.nextafter(down, INF)) ** n, (v, n)
+    assert Fraction(math.nextafter(up, -INF)) ** n < Fraction(v) <= Fraction(up) ** n, (v, n)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7])
+def test_root_walk_is_tight_at_the_ends_of_the_range(n):
+    for v in ROOT_EDGES:
+        check_root(v, n)
+
+
+@given(
+    st.one_of(
+        st.floats(min_value=TINY, max_value=MIN_NORMAL),
+        st.floats(min_value=MAX / 2, max_value=MAX),
+        st.floats(min_value=TINY, max_value=MAX),
+    ),
+    st.sampled_from([3, 4, 5, 7]),
+)
+def test_root_walk_is_the_tightest_double(v, n):
+    check_root(v, n)
+
+
 def test_cube_root_of_a_huge_bound_is_the_tightest_double():
     # the unscaled start 1e300 ** (1/3) is more than 64 ulps off the root
     r = Interval(8.0, 1e300).root_int(3)

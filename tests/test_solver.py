@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import assert_interval, monotone_problem
+from qine.cli import parse_problem
 from qine.expr import parse_expression
 from qine.interval import Box, Interval
 from qine.solver import (
@@ -350,6 +351,68 @@ def test_ratio_test_agrees_with_float_rounding_at_ties(stop_ratio, initial):
     for ratio in (mid - tiny, mid, mid + tiny, Fraction(below), Fraction(stop_ratio)):
         unclassified = (1 - ratio) * initial
         assert reached(unclassified) == (float(ratio) >= stop_ratio), ratio
+
+
+# The ledger is kept in integers over a shared 2**K.  Near the subnormal
+# literal the boxes' bounds are subnormal, so K passes 2,000 bits.
+SUBNORMAL = "var x in [0,1]; var y in [0,1]; constraint x*y <= 1e-310;"
+
+
+def assert_ledger_is_the_box_sums(p: Paving) -> None:
+    s = p.stats
+    assert s.exact_inner == sum((b.exact_volume() for b in p.inner), Fraction(0))
+    assert s.exact_boundary == sum((b.exact_volume() for b in p.boundary), Fraction(0))
+
+
+@pytest.mark.parametrize("mode", ["2b", "2b+"])
+def test_ledger_is_exact_at_tiny_eps(mode):
+    ex1 = solve(monotone_problem(), SolverConfig(epsilon=1e-300, mode=mode))
+    assert ex1.stats.stop_reason == "complete"
+    assert_ledger_is_the_box_sums(ex1)
+    deep = solve(parse_problem(SUBNORMAL), SolverConfig(epsilon=1e-300, mode=mode, max_nodes=400))
+    assert max(b.dyadic_volume()[1] for b in deep.inner + deep.boundary) > 2000
+    assert_ledger_is_the_box_sums(deep)
+
+
+@pytest.mark.parametrize(
+    "problem, cfg",
+    [
+        (disc_problem(), SolverConfig(epsilon=0.05)),
+        (parse_problem(SUBNORMAL), SolverConfig(epsilon=1e-300, mode="2b", max_nodes=400)),
+    ],
+    ids=["disc", "subnormal"],
+)
+def test_rejected_volume_never_decreases(problem, cfg):
+    rejected = [Fraction(0)]
+
+    def check(p):
+        s = p.stats
+        rejected.append(s.exact_initial - s.exact_inner - s.exact_boundary - s.exact_queued)
+
+    paving = solve(problem, cfg, progress=check)
+    assert len(rejected) == paving.stats.nodes_processed + 1
+    assert all(a <= b for a, b in zip(rejected, rejected[1:]))
+
+
+def test_ratio_stop_on_the_ledger_agrees_with_classified_ratio():
+    # K grows from 0 to over 1,000 bits in this run; the stop must land on
+    # the first node whose classified ratio reaches the target, for targets
+    # one float below, at and one float above a node's ratio
+    problem = parse_problem("var x in [-1,1]; constraint x + x^2 <= 0;")
+    cfg = dict(epsilon=1e-300, mode="2b")
+    ratios = [0.0]
+    full = solve(problem, SolverConfig(**cfg), progress=lambda p: ratios.append(classified_ratio(p)))
+    assert full.stats.stop_reason == "complete"
+    total = full.stats.nodes_processed
+    hits = sorted(set(ratios[1:]))
+    targets = set()
+    for r in hits[:: max(1, len(hits) // 8)] + [hits[-1]]:
+        targets.update(t for t in (math.nextafter(r, 0.0), r, math.nextafter(r, 2.0)) if 0.0 < t <= 1.0)
+    for target in sorted(targets):
+        paving = solve(problem, SolverConfig(stop_ratio=target, **cfg))
+        first = next((k for k, r in enumerate(ratios) if r >= target), total)
+        assert paving.stats.nodes_processed == first, target
+        assert paving.stats.stop_reason == ("ratio" if first < total else "complete")
 
 
 def test_solve_emits_unsplittable_remainders_as_boundary():
