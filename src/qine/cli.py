@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .interval import Box, Interval
+from .expr import _NUMBER_RE as _UNSIGNED_RE
 from .expr import Binary, Expression, ParseError, VarKind, VarRef, _literal, parse_expression
 from .solver import Paving, Problem, SolverConfig, classified_ratio, solve
 
@@ -38,7 +39,7 @@ __all__ = [
     "main",
 ]
 
-_NUMBER_RE = re.compile(r"[+-]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?\Z")
+_NUMBER_RE = re.compile(rf"[+-]?{_UNSIGNED_RE}\Z")
 _DECL_RE = re.compile(
     r"\s*(var|param)\s+([A-Za-z_][A-Za-z_0-9]*)\s+in\s+(\S.*?)\s*\Z", re.S
 )

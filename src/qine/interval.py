@@ -52,10 +52,10 @@ def _next_down(x: float) -> float:
 # error then decides whether one ulp-step toward the target infinity is
 # needed.  Error signs are computed exactly, never estimated, by
 # error-free float transformations: TwoSum for sums unless it overflows,
-# and Dekker's TwoProduct for products, quotients and squares while every
-# operand lies in (2**-450, 2**450), where no Veltkamp split overflows
-# and no partial product underflows.  Elsewhere they cross-multiply the
-# integer ratios of the operands.
+# and Dekker's TwoProduct for products while both operands lie in
+# (2**-450, 2**450), where no Veltkamp split overflows and no partial
+# product underflows, else by the operands' integer ratios.  Quotients
+# and square roots reduce to the sign of a product minus a double.
 
 _EFT_LO = 2.0**-450
 _EFT_HI = 2.0**450
@@ -152,26 +152,16 @@ def _mul_up(a: float, b: float) -> float:
     return _next_up(p) if _prod_err_sign(a, b, p) > 0 else p
 
 
-def _quot_err_sign(a: float, b: float, q: float) -> int:
-    """Sign of a/b - q for finite a, b != 0 and q = fl(a/b).
+def _prod_cmp(x: float, y: float, v: float) -> int:
+    """Sign of x*y - v for finite x, y and v.
 
-    a/b - q has the sign of (a - q*b) * b.  In the float range, p =
-    fl(q*b) is within two ulps of a, so a - p is exact (Sterbenz) and
-    (a - p) - (q*b - p) rounds to the sign of a - q*b.
+    No double lies strictly between x*y and its rounding p (an infinity
+    if x*y is past the largest double), so x*y is on p's side of v != p.
     """
-    if _EFT_LO < abs(a) < _EFT_HI and _EFT_LO < abs(b) < _EFT_HI and _EFT_LO < abs(q) < _EFT_HI:
-        p = q * b
-        err = (a - p) - _two_prod_err(q, b, p)
-        sign = (err > 0) - (err < 0)
-    else:
-        am, ad = a.as_integer_ratio()
-        bm, bd = b.as_integer_ratio()
-        qm, qd = q.as_integer_ratio()
-        # (a/b - q) * ad*bm*qd; the factor has the sign of b
-        lhs = am * qd * bd
-        rhs = qm * bm * ad
-        sign = (lhs > rhs) - (lhs < rhs)
-    return -sign if b < 0 else sign
+    p = x * y
+    if p != v:
+        return 1 if p > v else -1
+    return _prod_err_sign(x, y, p)
 
 
 def _div_down(a: float, b: float) -> float:
@@ -184,7 +174,8 @@ def _div_down(a: float, b: float) -> float:
     q = a / b
     if math.isinf(q):
         return _MAX if q > 0 else q
-    return _next_down(q) if _quot_err_sign(a, b, q) < 0 else q
+    # a/b - q = (a - q*b) / b, so a/b < q exactly when q*b - a has b's sign
+    return _next_down(q) if _prod_cmp(q, b, a) * b > 0 else q
 
 
 def _div_up(a: float, b: float) -> float:
@@ -197,25 +188,7 @@ def _div_up(a: float, b: float) -> float:
     q = a / b
     if math.isinf(q):
         return q if q > 0 else -_MAX
-    return _next_up(q) if _quot_err_sign(a, b, q) > 0 else q
-
-
-def _sq_cmp(s: float, v: float) -> int:
-    """Sign of s*s - v for finite non-negative s, v.
-
-    With p = fl(s*s), s*s - v = (p - v) + (s*s - p), and p - v is exact
-    when p is within a factor of 2 of v (Sterbenz).
-    """
-    if _EFT_LO < s < _EFT_HI and _EFT_LO < v < _EFT_HI:
-        p = s * s
-        if 0.5 * v <= p <= 2.0 * v:
-            err = (p - v) + _two_prod_err(s, s, p)
-            return (err > 0) - (err < 0)
-    sm, sd = s.as_integer_ratio()
-    vm, vd = v.as_integer_ratio()
-    lhs = sm * sm * vd
-    rhs = vm * sd * sd
-    return (lhs > rhs) - (lhs < rhs)
+    return _next_up(q) if _prod_cmp(q, b, a) * b < 0 else q
 
 
 def _pow_nonneg(v: float, n: int, mul: Callable[[float, float], float]) -> float:
@@ -252,25 +225,21 @@ def _root_down(v: float, n: int) -> float:
     math.sqrt is correctly rounded, so for n = 2 one comparison tells
     the floor from its successor; other roots take ``_root_walk``.
     """
-    if v == 0.0:
-        return 0.0
-    if math.isinf(v):
-        return _INF
+    if v == 0.0 or v == _INF:
+        return abs(v)  # its own root, with a zero's sign dropped
     if n == 2:
         r = math.sqrt(v)
-        return _next_down(r) if _sq_cmp(r, v) > 0 else r
+        return _next_down(r) if _prod_cmp(r, r, v) > 0 else r
     return _root_walk(v, n, False)
 
 
 def _root_up(v: float, n: int) -> float:
     """Smallest double r >= 0 with r**n >= v, for v >= 0 and n >= 2."""
-    if v == 0.0:
-        return 0.0
-    if math.isinf(v):
-        return _INF
+    if v == 0.0 or v == _INF:
+        return abs(v)  # its own root, with a zero's sign dropped
     if n == 2:
         r = math.sqrt(v)
-        return _next_up(r) if _sq_cmp(r, v) < 0 else r
+        return _next_up(r) if _prod_cmp(r, r, v) < 0 else r
     return _root_walk(v, n, True)
 
 

@@ -15,12 +15,13 @@ The volume ledger is exact.  Box bounds are doubles, so every volume is
 a dyadic rational m / 2**k (``Box.dyadic_volume``); each box is measured
 once, when it is queued (or emitted as inner), and its (m, k) travels
 with it through the queue to the boundary list.  ``solve`` keeps the
-inner, boundary and queued totals as integers over one shared 2**K,
-raising K when a finer box arrives, and decides the ratio stop on those
-integers.  The rational ``exact_*`` fields are written from the totals
-before each progress call and when the run ends; the float ``volume_*``
-figures are derived from them on read.  This makes the classified-volume
-ratio monotone and exactly 1.0 on complete runs.
+initial, inner, boundary and queued totals as integers over one shared
+2**K, raising K when a finer box arrives, and stops on ``classified_ratio``
+itself by dividing those integers.  The rational ``exact_*`` fields are
+written from the totals before each progress call and when the run
+ends; the float ``volume_*`` figures are derived from them on read.
+This makes the classified-volume ratio monotone and exactly 1.0 on
+complete runs.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class Problem:
-    """A quantified system: constraints are read as f(x, y) <= 0 for all y."""
+    """A quantified system: f(x, y) <= 0 for all y, each variable domain of positive width."""
 
     variable_names: tuple[str, ...]
     variable_box: Box
@@ -81,6 +82,9 @@ class Problem:
                 raise ValueError(f"empty domain for {name}")
             if math.isinf(iv.lo) or math.isinf(iv.hi):
                 raise ValueError(f"unbounded domain for {name}")
+        for name, iv in zip(self.variable_names, self.variable_box.dims):
+            if iv.is_degenerate:
+                raise ValueError(f"zero-width domain for variable {name}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,35 +168,22 @@ def classified_ratio(paving: Paving) -> float:
     s = paving.stats
     if s.exact_initial <= 0:
         raise ValueError("classified ratio needs a positive initial volume")
-    rejected = s.exact_initial - s.exact_inner - s.exact_boundary - s.exact_queued
-    return float((s.exact_inner + rejected) / s.exact_initial)
+    return float(1 - (s.exact_boundary + s.exact_queued) / s.exact_initial)
 
 
-def _ratio_budget(initial: Fraction, stop_ratio: float) -> tuple[Fraction, bool]:
-    """Exact form of ``classified_ratio(paving) >= stop_ratio``.
+def _ratio_met(unclassified: int, initial: int, stop_ratio: float) -> bool:
+    """``classified_ratio >= stop_ratio``, from volumes over one denominator.
 
-    Takes the unclassified (boundary plus queued) volume u, for which the
-    ratio is 1 - u / initial with initial > 0.  Rounding to the nearest
-    float is monotone, so the float test holds exactly when the ratio
-    reaches the midpoint m between stop_ratio and the float below it,
-    m included iff m itself rounds to stop_ratio.  Returns the budget
-    (1 - m) * initial that u may not exceed, and whether u may equal it.
+    float() of a Fraction is numerator / denominator, and int / int is
+    correctly rounded, so this rounds the very rational that figure does.
     """
-    m = (Fraction(math.nextafter(stop_ratio, 0.0)) + Fraction(stop_ratio)) / 2
-    return (1 - m) * initial, float(m) >= stop_ratio
-
-
-def _within(u_num: int, u_den: int, bn: int, bd: int, inclusive: bool) -> bool:
-    """Whether u_num / u_den is below the budget bn / bd (or equal, if inclusive)."""
-    over = u_num * bd - bn * u_den
-    return over < 0 or (over == 0 and inclusive)
+    return (initial - unclassified) / initial >= stop_ratio
 
 
 def _ratio_reached(initial: Fraction, stop_ratio: float) -> Callable[[Fraction], bool]:
-    """The test of ``_ratio_budget`` as a predicate on the unclassified volume."""
-    budget, inclusive = _ratio_budget(initial, stop_ratio)
-    bn, bd = budget.numerator, budget.denominator
-    return lambda u: _within(u.numerator, u.denominator, bn, bd, inclusive)
+    """``solve``'s ratio stop as a predicate on the unclassified volume."""
+    a, b = initial.numerator, initial.denominator
+    return lambda u: _ratio_met(u.numerator * b, a * u.denominator, stop_ratio)
 
 
 def _widest_axis(box: Box) -> int:
@@ -338,21 +329,22 @@ def solve(
         QuantifiedConstraint(f, problem.parameter_box) for f in problem.constraints
     )
 
-    # The ledger: inner, boundary and queued volume as integers over one
-    # denominator 2**K.  Every box volume is m / 2**k (Box.dyadic_volume);
-    # a box finer than 2**-K raises K and shifts the totals left.  Heap
-    # entries are (-width, seq, box, store, m, k); seq is unique, so
-    # comparisons never reach the box.
+    # The ledger: initial, inner, boundary and queued volume as integers
+    # over one denominator 2**K.  Every box volume is m / 2**k
+    # (Box.dyadic_volume); a box finer than 2**-K raises K and shifts the
+    # totals left.  Heap entries are (-width, seq, box, store, m, k); seq
+    # is unique, so comparisons never reach the box.
     heap: list[tuple[float, int, Box, tuple[QuantifiedConstraint, ...], int, int]] = []
-    seq = K = inner = boundary = queued = 0
+    seq = K = initial = inner = boundary = queued = 0
 
     def scaled(m: int, k: int) -> int:
         """m / 2**k as a numerator over 2**K, raising K to k if k is larger.
 
         Raising K shifts the totals, so a caller reads them only after it.
         """
-        nonlocal K, inner, boundary, queued
+        nonlocal K, initial, inner, boundary, queued
         if k > K:
+            initial <<= k - K
             inner <<= k - K
             boundary <<= k - K
             queued <<= k - K
@@ -374,15 +366,12 @@ def solve(
         stats.exact_queued = Fraction(queued, den)
 
     push(problem.variable_box, root_store)
-    stats.exact_initial = Fraction(queued, 1 << K)
-    budget = None
-    if cfg.stop_ratio is not None and stats.exact_initial > 0:
-        budget, inclusive = _ratio_budget(stats.exact_initial, cfg.stop_ratio)
-        bn, bd = budget.numerator, budget.denominator
+    initial = queued
+    stats.exact_initial = Fraction(initial, 1 << K)
     t0 = time.perf_counter()
     stop = "complete"
     while heap:
-        if budget is not None and _within(boundary + queued, 1 << K, bn, bd, inclusive):
+        if cfg.stop_ratio is not None and _ratio_met(boundary + queued, initial, cfg.stop_ratio):
             stop = "ratio"
             break
         if cfg.max_nodes is not None and stats.nodes_processed >= cfg.max_nodes:
@@ -391,11 +380,11 @@ def solve(
         if cfg.time_limit is not None and time.perf_counter() - t0 > cfg.time_limit:
             stop = "time"
             break
-        _, _, box, store, m, k = heapq.heappop(heap)
+        neg_width, _, box, store, m, k = heapq.heappop(heap)
         vol = m << (K - k)
         queued -= vol
         stats.nodes_processed += 1
-        if box.width <= cfg.epsilon:
+        if -neg_width <= cfg.epsilon:
             paving.boundary.append(box)
             boundary += vol
         else:

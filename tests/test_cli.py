@@ -409,6 +409,16 @@ def test_cli_rejects_a_literal_that_overflows(constraint, tmp_path, capsys):
     assert f"(line 2, offset {text.index('1e999')})" in err
 
 
+@pytest.mark.parametrize("flags", [[], ["--stats"]])
+def test_cli_rejects_a_zero_width_variable_domain(flags, tmp_path, capsys):
+    problem = tmp_path / "fixed.qcsp"
+    problem.write_text("var x in [0,1]; var z in [2,2]; constraint x + z - 2.5 <= 0;\n")
+    assert cli.run(["solve", str(problem), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "zero-width domain for variable z" in captured.err
+
+
 def _cap_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 

@@ -22,6 +22,7 @@ from qine.interval import (
     _div_up,
     _mul_down,
     _mul_up,
+    _prod_cmp,
     _root_down,
     _root_up,
 )
@@ -611,6 +612,47 @@ def test_mul_kernels_are_the_tightest_outward_floats(a, b):
 )
 def test_mul_kernels_at_the_edges(a, b):
     check_mul(a, b)
+
+
+def check_prod_cmp(x: float, y: float, v: float) -> None:
+    exact = Fraction(x) * Fraction(y) - Fraction(v)
+    assert _prod_cmp(x, y, v) == (exact > 0) - (exact < 0), (x, y, v)
+
+
+def near_product(x: float, y: float) -> list[float]:
+    """fl(x*y) and its two neighbours, the finite ones among them."""
+    p = x * y
+    return [f for f in (p, math.nextafter(p, INF), math.nextafter(p, -INF)) if math.isfinite(f)]
+
+
+@given(kernel_floats(), kernel_floats(), st.data())
+def test_prod_cmp_is_the_exact_sign(x, y, data):
+    v = data.draw(st.one_of(st.sampled_from(near_product(x, y)), kernel_floats()))
+    check_prod_cmp(x, y, v)
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        (0.1, 0.1),  # inexact: fl(x*y) != x*y
+        (3.0, -7.0),  # exact
+        (TINY, 0.5),  # subnormal products
+        (3 * TINY, 0.1),
+        (2.0**-540, 2.0**-530),
+        (sys.float_info.min, -0.1),
+        (MAX, 0.5),  # top binade
+        (math.nextafter(MAX, 0.0), math.nextafter(1.0, 0.0)),
+        (2.0**512, 2.0**511 * 1.9999999999999998),
+        (MAX, 2.0),  # overflowing products
+        (-MAX, math.nextafter(1.0, INF)),
+        (math.nextafter(2.0**450, 0.0), 2.0**450),  # across the float path's range
+        (2.0**-450, math.nextafter(2.0**-450, INF)),
+    ],
+)
+def test_prod_cmp_at_the_edges(x, y):
+    for v in near_product(x, y) + [0.0, -0.0, TINY, -TINY, MAX, -MAX]:
+        check_prod_cmp(x, y, v)
+        check_prod_cmp(-x, y, -v)
 
 
 @given(kernel_floats().map(abs))

@@ -475,6 +475,16 @@ def test_solver_config_validation():
     assert SolverConfig(mode="2B+").mode == "2b+"
 
 
+def test_problem_rejects_a_zero_width_variable_domain():
+    f = parse_expression("x1 + x2 - 2.5", SYMS)
+    with pytest.raises(ValueError, match="zero-width domain for variable z"):
+        Problem(("x", "z"), Box.from_bounds([(0.0, 1.0), (2.0, 2.0)]), (), Box(()), (f,))
+    # a parameter domain may still be a point
+    g = parse_expression("x - y", SYMS)
+    point = Problem(("x",), Box.from_bounds([(0.0, 1.0)]), ("y",), Box.from_bounds([(0.5, 0.5)]), (g,))
+    assert classified_ratio(solve(point, SolverConfig(epsilon=0.1))) == 1.0
+
+
 def test_problem_validation():
     f = parse_expression("x - y", SYMS)
     with pytest.raises(ValueError):
