@@ -19,6 +19,7 @@ for a given problem and flags.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from pathlib import Path
@@ -103,10 +104,14 @@ def parse_problem(text: str, name: str = "problem") -> Problem:
                 domain = Interval.parse(literal)
             except ValueError as exc:
                 raise ProblemError(str(exc), offset + m.start(3), text) from exc
+            # Problem checks these too; here they point at the declaration
+            at = offset + m.start(3)
             if domain.is_empty:
-                raise ProblemError(
-                    f"empty domain for {ident!r}", offset + m.start(3), text
-                )
+                raise ProblemError(f"empty domain for {ident!r}", at, text)
+            if math.isinf(domain.lo) or math.isinf(domain.hi):
+                raise ProblemError(f"unbounded domain for {ident}", at, text)
+            if kind == "var" and domain.is_degenerate:
+                raise ProblemError(f"zero-width domain for variable {ident}", at, text)
             if kind == "var":
                 var_names.append(ident)
                 var_domains.append(domain)
@@ -372,3 +377,7 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -3,10 +3,11 @@
 Provides the abstract syntax, an infix parser and renderer, the natural
 interval extension, plain floating-point evaluation for test oracles,
 and forward-mode interval differentiation used to prove monotonicity in
-a parameter over a box.  The interval and point evaluators loop over
-one memoized tape of the expression's distinct nodes, and the renderer
-walks an explicit stack, so none of them has a depth limit; only the
-parser recurses.
+a parameter over a box.  The evaluators read one memoized tape of the
+expression's distinct nodes: the natural extension is compiled from it
+once into straight-line code, and the point and derivative evaluators
+loop over it.  The renderer walks an explicit stack, so none of them
+has a depth limit; only the parser recurses.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from .interval import _NONNEG, _ONE, Box, Interval, _literal_bounds
 
@@ -333,34 +334,62 @@ def render(
 # Beside the tape the memo keeps one "settled" flag per step, read by
 # hc4_revise: a step is settled when its op is in _SETTLED_OPS, its
 # operands are settled, and no internal node of the tape has more than
-# one user (leaves may be shared).
+# one user (leaves may be shared).  It also keeps the kernels compiled
+# from the tape (``forward_sweep``'s and one per relation for
+# ``hc4_revise``), each built on first use and evicted with the entry.
 
 _Step = tuple[str, object, object]
-_Tape = tuple[tuple[_Step, ...], tuple[bool, ...]]
+_Tape = tuple[tuple[_Step, ...], tuple[bool, ...], dict[object, Callable]]
 _TAPES: dict[int, tuple[Expression, _Tape]] = {}
 _TAPES_MAX = 256
 _LEAVES = ("var", "param", "const")
 _BINARY = ("add", "sub", "mul", "div")
+_UNARY = ("neg",) + FUNCTIONS
 _SETTLED_OPS = frozenset(_LEAVES + ("add", "sub", "mul", "neg", "pow", "sin", "cos"))
+
+# The natural extension, one Python expression per op, written once:
+# v{a} and v{b} are operand values, xs and ys the input boxes' intervals
+# and k{i} a constant's enclosure, which reaches the kernel through its
+# namespace.  The source of a kernel holds only these op templates, slot
+# numbers and integers, never text taken from an expression.
+_FORWARD = {
+    "var": "xs[{a}]",
+    "param": "ys[{a}]",
+    "const": "k{i}",
+    "add": "v{a} + v{b}",
+    "sub": "v{a} - v{b}",
+    "mul": "v{a} * v{b}",
+    "div": "v{a} / v{b}",
+    "neg": "-v{a}",
+    "pow": "v{a}.pow_int({b})",
+    **{f: "v{a}.%s()" % f for f in FUNCTIONS},
+}
+
+
+def _index(n: object) -> int:
+    # the integers a kernel's source may hold
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"not a non-negative integer: {n!r}")
+    return n
 
 
 def _node(e: Expression) -> tuple[str, tuple[Expression, ...], tuple[object, ...]]:
-    if isinstance(e, Binary):
+    if isinstance(e, Binary) and e.op in _BINARY:
         return e.op, (e.left, e.right), ()
-    if isinstance(e, Unary):
+    if isinstance(e, Unary) and e.op in _UNARY:
         return e.op, (e.child,), ()
     if isinstance(e, Pow):
-        return "pow", (e.base,), (e.exponent,)
+        return "pow", (e.base,), (_index(e.exponent),)
     if isinstance(e, Const):
         enclosure = Interval.point(e.value) if e.enclosure is None else e.enclosure
         return "const", (), (enclosure, e.value)
     if isinstance(e, VarRef):
-        return ("var" if e.kind is VarKind.VARIABLE else "param"), (), (e.index,)
+        return ("var" if e.kind is VarKind.VARIABLE else "param"), (), (_index(e.index),)
     raise TypeError(f"not an expression node: {e!r}")
 
 
 def _tape(e: Expression) -> _Tape:
-    """The tape of e and its settled flags, memoized."""
+    """The tape of e, its settled flags and its kernels, memoized."""
     hit = _TAPES.get(id(e))
     if hit is not None:
         return hit[1]
@@ -381,7 +410,7 @@ def _tape(e: Expression) -> _Tape:
             stack.extend((c, False) for c in reversed(operands))
     if len(_TAPES) >= _TAPES_MAX:
         del _TAPES[next(iter(_TAPES))]
-    entry = (tuple(steps), _settled(steps))
+    entry = (tuple(steps), _settled(steps), {})
     _TAPES[id(e)] = (e, entry)
     return entry
 
@@ -404,40 +433,41 @@ def _settled(steps: list[_Step]) -> tuple[bool, ...]:
     return tuple(settled)
 
 
+def _forward_code(steps: Sequence[_Step]) -> tuple[list[str], dict[str, object]]:
+    """The forward sweep as lines ``v{i} = ...``, and the namespace they read."""
+    lines: list[str] = []
+    consts: dict[str, object] = {}
+    for i, (op, a, b) in enumerate(steps):
+        if op == "const":
+            consts[f"k{i}"] = a
+        lines.append(f"v{i} = " + _FORWARD[op].format(i=i, a=a, b=b))
+    return lines, consts
+
+
+def _compile(name: str, lines: list[str], namespace: dict[str, object]) -> Callable:
+    """The function ``name(xs, ys)`` whose body is ``lines``, with namespace as its globals."""
+    source = f"def {name}(xs, ys):\n " + "\n ".join(lines)
+    # a file name of its own, or profilers would merge every kernel into one row
+    exec(compile(source, f"<qine {name} {id(namespace):x}>", "exec"), namespace)
+    return namespace.pop(name)  # no cycle through its own globals
+
+
 def forward_sweep(e: Expression, x: Box, y: Box) -> tuple[tuple[_Step, ...], list[Interval]]:
     """The tape of e and the natural interval extension at each step.
 
     The one interval evaluator: ``eval_interval`` returns the root value,
-    ``derivative_interval`` and ``hc4_revise`` read every value.  Empty
-    results propagate; sqrt and log keep only the part of their operand
-    inside their natural domain.
+    ``derivative_interval`` reads every value and ``hc4_revise`` inlines
+    the same code.  The tape is compiled once into straight-line code,
+    one line per step.  Empty results propagate; sqrt and log keep only
+    the part of their operand inside their natural domain.
     """
-    tape = _tape(e)[0]
-    xs, ys = x.dims, y.dims
-    values: list[Interval] = []
-    push = values.append
-    for op, a, b in tape:
-        if op == "var":
-            push(xs[a])
-        elif op == "param":
-            push(ys[a])
-        elif op == "const":
-            push(a)
-        elif op == "add":
-            push(values[a] + values[b])
-        elif op == "sub":
-            push(values[a] - values[b])
-        elif op == "mul":
-            push(values[a] * values[b])
-        elif op == "div":
-            push(values[a] / values[b])
-        elif op == "neg":
-            push(-values[a])
-        elif op == "pow":
-            push(values[a].pow_int(b))
-        else:
-            push(getattr(values[a], op)())
-    return tape, values
+    steps, _, kernels = _tape(e)
+    kernel = kernels.get("forward")
+    if kernel is None:
+        lines, namespace = _forward_code(steps)
+        lines.append("return [%s]" % ", ".join(f"v{i}" for i in range(len(steps))))
+        kernel = kernels["forward"] = _compile("forward", lines, namespace)
+    return steps, kernel(x.dims, y.dims)
 
 
 def eval_interval(e: Expression, x: Box, y: Box) -> Interval:

@@ -419,6 +419,47 @@ def test_cli_rejects_a_zero_width_variable_domain(flags, tmp_path, capsys):
     assert captured.err.startswith("error: ") and "zero-width domain for variable z" in captured.err
 
 
+@pytest.mark.parametrize(
+    "declaration, message",
+    [
+        ("var z in [2, 2];", "zero-width domain for variable z"),
+        ("var z in [2, inf];", "unbounded domain for z"),
+        ("param z in [-1e999, 0];", "unbounded domain for z"),
+    ],
+)
+def test_domain_errors_point_at_the_declaration(declaration, message, tmp_path, capsys):
+    text = f"var x in [0, 1];\n\n{declaration}\nconstraint x + z - 2.5 <= 0;\n"
+    with pytest.raises(ProblemError) as err:
+        parse_problem(text)
+    assert err.value.message == message
+    assert err.value.position == text.index("[", text.index("z in"))
+    problem = tmp_path / "bad.qcsp"
+    problem.write_text(text)
+    assert cli.run(["solve", str(problem)]) == 1
+    assert f"{message} (line 3, offset {err.value.position})" in capsys.readouterr().err
+
+
+def _run_module(*args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-m", "qine", *args], capture_output=True, text=True, timeout=60, env=env
+    )
+
+
+def test_python_dash_m_runs_the_command_line(problems_dir, tmp_path, capsys):
+    drop_elapsed = lambda text: re.sub(r"^# elapsed: .*\n", "", text, flags=re.M)
+    ex1 = str(problems_dir / "ex1.qcsp")
+    proc = _run_module("solve", ex1)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert cli.run(["solve", ex1]) == 0
+    assert drop_elapsed(proc.stdout) == drop_elapsed(capsys.readouterr().out)
+    bad = tmp_path / "bad.qcsp"
+    bad.write_text("var x in [0, 1];\nconstraint x + <= 0;\n")
+    proc = _run_module("solve", str(bad))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+
+
 def _cap_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 

@@ -18,7 +18,7 @@ from qine.contractor import (
     backward_project,
     hc4_revise,
 )
-from qine.expr import Binary, Const, Pow, Unary, VarKind, VarRef, forward_sweep, parse_expression
+from qine.expr import Binary, Const, Pow, Unary, VarKind, VarRef, _tape, forward_sweep, parse_expression
 from qine.interval import EMPTY, Box, Interval
 from test_expr import SYMS, X, X2, Y, boxes_and_point, deep_chain, expr_trees
 
@@ -395,6 +395,82 @@ def test_revise_does_not_skip_on_a_shared_internal_node():
     f = Binary("add", Binary("add", Pow(X2, 4), s), Unary("sin", s))
     x, _ = hc4_revise(InequalityConstraint(f), Box.from_bounds([(1.0, 2.0), (-2.25, -1.2)]), Box(()))
     assert x[0] == Interval(1.227943869237377, 2.0)
+
+
+@pytest.mark.parametrize(
+    "rel, x0, y0, x1, y1",
+    [
+        (Relation.LEQ, (0.5, 2.0), (-0.5, 3.0), (0.5, 1.0), (-0.5, -0.5)),
+        (Relation.GEQ, (0.5, 3.0), (-4.0, -2.0), (1.0, 1.5), (-3.0, -2.0)),
+    ],
+)
+def test_revise_projects_onto_a_shared_leafs_current_value(rel, x0, y0, x1, y1):
+    # x occurs twice in x + x*y: the product's projection reads the value
+    # that x's first visit wrote, not x's forward value
+    c = InequalityConstraint(parse_expression("x + x*y", SYMS), rel)
+    x, y = hc4_revise(c, Box.from_bounds([x0]), Box.from_bounds([y0]))
+    assert (x, y) == (Box.from_bounds([x1]), Box.from_bounds([y1]))
+    assert _full_sweep(c, Box.from_bounds([x0]), Box.from_bounds([y0])) == (x, y)
+
+
+@pytest.mark.parametrize(
+    "text, rel, x0, y0, x1, y1",
+    [
+        ("x + (cos(x) + (x - x))", Relation.LEQ, (-0.5, 0.5), (-2.0, 0.5), None, None),
+        (
+            "x^3 + (0.5*x + x*y)",
+            Relation.GEQ,
+            (-3.0, -0.5),
+            (-3.0, 1.0),
+            (-2.0606426499042785, -0.5),
+            (-3.0, -0.18198206274019396),
+        ),
+    ],
+)
+def test_revise_stop_keeps_a_shared_leafs_current_value(text, rel, x0, y0, x1, y1):
+    # a settled node that stops leaves the subtree below it as it is; x's
+    # value from an earlier path must survive for the projections after it
+    c = InequalityConstraint(parse_expression(text, SYMS), rel)
+    x, y = hc4_revise(c, Box.from_bounds([x0]), Box.from_bounds([y0]))
+    if x1 is None:
+        assert x.is_empty and y.is_empty
+    else:
+        assert (x, y) == (Box.from_bounds([x1]), Box.from_bounds([y1]))
+    assert _full_sweep(c, Box.from_bounds([x0]), Box.from_bounds([y0])) == (x, y)
+
+
+def test_revise_checks_a_settled_node_cut_to_empty():
+    # the product's projection cuts cos(y) to empty; cos hands its operand on
+    # unchanged, so only the cos node's own empty check ends the sweep
+    c = leq("x + cos(y)*x")
+    x0, y0 = Box.from_bounds([(0.5, 2.0)]), Box.from_bounds([(-2.0, 2.0)])
+    x, y = hc4_revise(c, x0, y0)
+    assert x.is_empty and y.is_empty
+    assert _full_sweep(c, x0, y0) == (x, y)
+
+
+def test_every_op_maps_an_empty_operand_to_an_empty_value():
+    # the compiled sweep leans on this: once the root's value passes its
+    # empty check no forward value is empty, so a node reached with its
+    # forward value needs no check of its own
+    others = (Interval(0.0, 0.0), Interval(-1.0, 2.0), Interval(1.0, math.inf), Interval(-math.inf, math.inf), EMPTY)
+    for e in [Binary(op, X, X2) for op in _BINARY_OPS]:
+        for other in others:
+            for x in (Box((EMPTY, other)), Box((other, EMPTY))):
+                assert forward_sweep(e, x, Box(()))[1][-1].is_empty, (e, x)
+    for e in [Unary(op, X) for op in _UNARY_OPS] + [Pow(X, n) for n in range(6)]:
+        assert forward_sweep(e, Box((EMPTY,)), Box(()))[1][-1].is_empty, e
+
+
+def test_kernels_of_the_two_relations_differ():
+    e = parse_expression("x - 1", SYMS)
+    x = Box.from_bounds([(0.0, 2.0)])
+    assert hc4_revise(InequalityConstraint(e), x, Box(()))[0] == Box.from_bounds([(0.0, 1.0)])
+    assert hc4_revise(InequalityConstraint(e, Relation.GEQ), x, Box(()))[0] == Box.from_bounds([(1.0, 2.0)])
+    kernels = _tape(e)[2]
+    assert kernels[Relation.LEQ] is not kernels[Relation.GEQ]
+    # profilers tell code apart by file, line and name
+    assert kernels[Relation.LEQ].__code__.co_filename != kernels[Relation.GEQ].__code__.co_filename
 
 
 def _subinterval(rng: random.Random, iv: Interval) -> Interval:

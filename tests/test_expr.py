@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import oracle
 from helpers import contains_fraction
+from qine import expr
 from qine.expr import (
     Binary,
     Const,
@@ -22,6 +24,7 @@ from qine.expr import (
     derivative_interval,
     eval_interval,
     eval_point,
+    forward_sweep,
     parse_expression,
     render,
 )
@@ -273,13 +276,88 @@ def test_eval_interval_walks_deeper_than_the_recursion_limit():
 
 
 def test_tape_memo_stays_bounded():
-    from qine import expr
-
     x = Box.from_bounds([(0.0, 1.0)])
     for k in range(2 * expr._TAPES_MAX):
         e = Binary("add", X, Const(float(k)))
         assert eval_interval(e, x, Box(())) == Interval(float(k), float(k + 1))
     assert len(expr._TAPES) <= expr._TAPES_MAX
+
+
+# ---------------------------------------------------------------------------
+# the compiled forward sweep against the loop it replaced
+
+
+def _forward_loop(e, x: Box, y: Box) -> list[Interval]:
+    """Reference: the natural extension as a loop over the tape, dispatching on op names."""
+    xs, ys = x.dims, y.dims
+    values: list[Interval] = []
+    push = values.append
+    for op, a, b in expr._tape(e)[0]:
+        if op == "var":
+            push(xs[a])
+        elif op == "param":
+            push(ys[a])
+        elif op == "const":
+            push(a)
+        elif op == "add":
+            push(values[a] + values[b])
+        elif op == "sub":
+            push(values[a] - values[b])
+        elif op == "mul":
+            push(values[a] * values[b])
+        elif op == "div":
+            push(values[a] / values[b])
+        elif op == "neg":
+            push(-values[a])
+        elif op == "pow":
+            push(values[a].pow_int(b))
+        else:
+            push(getattr(values[a], op)())
+    return values
+
+
+def test_forward_sweep_matches_the_loop_bit_for_bit():
+    # random trees and DAGs over edge-case bounds, some joined with decimal
+    # literals whose enclosures are not points; float.hex tells -0.0 from 0.0
+    from test_contractor import _bits, _random_dag, _random_interval, _random_tree
+
+    rng = random.Random(1789)
+    literals = [parse_expression(t, SYMS) for t in ("0.1", "1e-7", "3.3", "2.5")]
+    assert all(c.enclosure is not None for c in literals[:3])
+    for case in range(1000):
+        e = _random_tree(rng, 5) if case % 2 else _random_dag(rng, rng.randint(1, 8))
+        if case % 3 == 0:
+            lit = rng.choice(literals)
+            e = Binary(rng.choice(("add", "sub", "mul", "div")), *((e, lit) if rng.random() < 0.5 else (lit, e)))
+        x = Box((_random_interval(rng), _random_interval(rng)))
+        y = Box((_random_interval(rng),))
+        tape, got = forward_sweep(e, x, y)
+        assert tape == expr._tape(e)[0]
+        assert _bits(got) == _bits(_forward_loop(e, x, y)), (case, e, x, y)
+
+
+def test_kernels_live_and_leave_with_their_tape():
+    import weakref
+
+    from qine.contractor import InequalityConstraint, Relation, hc4_revise
+
+    x = Box.from_bounds([(0.0, 2.0)])
+    first = Binary("sub", X, Const(1.0))
+    for rel in Relation:
+        hc4_revise(InequalityConstraint(first, rel), x, Box(()))
+    forward_sweep(first, x, Box(()))
+    kernels = expr._tape(first)[2]
+    assert set(kernels) == {"forward", *Relation}
+    refs = [weakref.ref(k) for k in kernels.values()]
+    del kernels
+    for k in range(expr._TAPES_MAX + 1):
+        e = Binary("add", X, Const(float(k)))
+        hc4_revise(InequalityConstraint(e, Relation.GEQ), x, Box(()))
+        assert eval_interval(e, x, Box(())) == Interval(float(k), float(k + 2))
+    assert len(expr._TAPES) <= expr._TAPES_MAX
+    assert all(len(entry[2]) <= 3 for _, entry in expr._TAPES.values())
+    # freed with the evicted entry, without waiting for the cycle collector
+    assert all(ref() is None for ref in refs)
 
 
 # ---------------------------------------------------------------------------
