@@ -37,9 +37,21 @@ from .solver import (
     solution_identification,
     solve,
 )
-from .cli import ProblemError, emit_svg, format_report, parse_problem, parse_report, run
 
 __version__ = "0.1.0"
+
+# The command-line names load qine.cli on first use: were it imported
+# here, ``python -m qine.cli`` would find it loaded before running it.
+_CLI_NAMES = ("ProblemError", "parse_problem", "format_report", "parse_report", "emit_svg", "run")
+
+
+def __getattr__(name: str) -> object:
+    if name in _CLI_NAMES:
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Interval",

@@ -5,9 +5,11 @@ interval extension, plain floating-point evaluation for test oracles,
 and forward-mode interval differentiation used to prove monotonicity in
 a parameter over a box.  The evaluators read one memoized tape of the
 expression's distinct nodes: the natural extension is compiled from it
-once into straight-line code, and the point and derivative evaluators
-loop over it.  The renderer walks an explicit stack, so none of them
-has a depth limit; only the parser recurses.
+once into straight-line code on float bounds, which calls interval.py's
+functions on bounds and builds Intervals only in its return, and the
+point and derivative evaluators loop over it.  The renderer walks an
+explicit stack, so none of them has a depth limit; only the parser
+recurses.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Mapping, Sequence, Union
 
+from . import interval
 from .interval import _NONNEG, _ONE, Box, Interval, _literal_bounds
 
 __all__ = [
@@ -347,23 +350,33 @@ _BINARY = ("add", "sub", "mul", "div")
 _UNARY = ("neg",) + FUNCTIONS
 _SETTLED_OPS = frozenset(_LEAVES + ("add", "sub", "mul", "neg", "pow", "sin", "cos"))
 
-# The natural extension, one Python expression per op, written once:
-# v{a} and v{b} are operand values, xs and ys the input boxes' intervals
-# and k{i} a constant's enclosure, which reaches the kernel through its
-# namespace.  The source of a kernel holds only these op templates, slot
-# numbers and integers, never text taken from an expression.
+# The natural extension, one Python expression per op, written once: each
+# gives the step's (lo, hi) from float locals, v{a}l, v{a}h and v{b}l,
+# v{b}h for the operands, and the input boxes' intervals xs and ys.  The
+# ops are interval.py's functions on bounds; k{i} is a constant's
+# enclosure, which reaches the kernel through its namespace.  The source
+# of a kernel holds only these op templates, slot numbers and integers,
+# never text taken from an expression.
 _FORWARD = {
-    "var": "xs[{a}]",
-    "param": "ys[{a}]",
-    "const": "k{i}",
-    "add": "v{a} + v{b}",
-    "sub": "v{a} - v{b}",
-    "mul": "v{a} * v{b}",
-    "div": "v{a} / v{b}",
-    "neg": "-v{a}",
-    "pow": "v{a}.pow_int({b})",
-    **{f: "v{a}.%s()" % f for f in FUNCTIONS},
+    "var": "xs[{a}].lo, xs[{a}].hi",
+    "param": "ys[{a}].lo, ys[{a}].hi",
+    "const": "k{i}.lo, k{i}.hi",
+    "add": "_add(v{a}l, v{a}h, v{b}l, v{b}h)",
+    "sub": "_add(v{a}l, v{a}h, -v{b}h, -v{b}l)",
+    "mul": "_mul(v{a}l, v{a}h, v{b}l, v{b}h)",
+    "div": "_div(v{a}l, v{a}h, v{b}l, v{b}h)",
+    "neg": "-v{a}h, -v{a}l",
+    "sqr": "_sqr(v{a}l, v{a}h)",  # pow with exponent 2
+    "pow": "_pow(v{a}l, v{a}h, {b})",
+    "sqrt": "_root(v{a}l, v{a}h, 2)",
+    **{f: "_%s(v{a}l, v{a}h)" % f for f in ("exp", "log", "sin", "cos")},
 }
+_OPS = {
+    f: getattr(interval, f)
+    for f in ("_add", "_mul", "_div", "_sqr", "_pow", "_root", "_exp", "_log", "_sin", "_cos", "_iv")
+}
+# a step's value as forward_sweep returns it: a leaf's own interval, or its bounds boxed
+_BOXED = {"var": "xs[{a}]", "param": "ys[{a}]", "const": "k{i}"}
 
 
 def _index(n: object) -> int:
@@ -434,19 +447,20 @@ def _settled(steps: list[_Step]) -> tuple[bool, ...]:
 
 
 def _forward_code(steps: Sequence[_Step]) -> tuple[list[str], dict[str, object]]:
-    """The forward sweep as lines ``v{i} = ...``, and the namespace they read."""
+    """The forward sweep as lines ``v{i}l, v{i}h = ...``, and the namespace they read."""
     lines: list[str] = []
-    consts: dict[str, object] = {}
+    namespace: dict[str, object] = dict(_OPS)
     for i, (op, a, b) in enumerate(steps):
         if op == "const":
-            consts[f"k{i}"] = a
-        lines.append(f"v{i} = " + _FORWARD[op].format(i=i, a=a, b=b))
-    return lines, consts
+            namespace[f"k{i}"] = a
+        key = "sqr" if op == "pow" and b == 2 else op
+        lines.append(f"v{i}l, v{i}h = " + _FORWARD[key].format(i=i, a=a, b=b))
+    return lines, namespace
 
 
-def _compile(name: str, lines: list[str], namespace: dict[str, object]) -> Callable:
-    """The function ``name(xs, ys)`` whose body is ``lines``, with namespace as its globals."""
-    source = f"def {name}(xs, ys):\n " + "\n ".join(lines)
+def _compile(name: str, params: str, lines: list[str], namespace: dict[str, object]) -> Callable:
+    """The function ``name(params)`` whose body is ``lines``, with namespace as its globals."""
+    source = f"def {name}({params}):\n " + "\n ".join(lines)
     # a file name of its own, or profilers would merge every kernel into one row
     exec(compile(source, f"<qine {name} {id(namespace):x}>", "exec"), namespace)
     return namespace.pop(name)  # no cycle through its own globals
@@ -458,15 +472,18 @@ def forward_sweep(e: Expression, x: Box, y: Box) -> tuple[tuple[_Step, ...], lis
     The one interval evaluator: ``eval_interval`` returns the root value,
     ``derivative_interval`` reads every value and ``hc4_revise`` inlines
     the same code.  The tape is compiled once into straight-line code,
-    one line per step.  Empty results propagate; sqrt and log keep only
-    the part of their operand inside their natural domain.
+    one line per step, on float bounds; the values are boxed only in its
+    return, where a leaf gives back its input or constant interval.
+    Empty results propagate; sqrt and log keep only the part of their
+    operand inside their natural domain.
     """
     steps, _, kernels = _tape(e)
     kernel = kernels.get("forward")
     if kernel is None:
         lines, namespace = _forward_code(steps)
-        lines.append("return [%s]" % ", ".join(f"v{i}" for i in range(len(steps))))
-        kernel = kernels["forward"] = _compile("forward", lines, namespace)
+        boxed = [_BOXED.get(op, "_iv(v{i}l, v{i}h)").format(i=i, a=a) for i, (op, a, _) in enumerate(steps)]
+        lines.append("return [%s]" % ", ".join(boxed))
+        kernel = kernels["forward"] = _compile("forward", "xs, ys", lines, namespace)
     return steps, kernel(x.dims, y.dims)
 
 

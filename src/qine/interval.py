@@ -11,6 +11,13 @@ integer comparison elsewhere, so computations whose exact results are
 representable doubles stay bit-exact.  exp, log, sin and cos fall back
 on libm widened by two ulps per bound.
 
+Each operation is written once, as a function on float bounds that
+returns the result's (lo, hi): ``_add``, ``_mul``, ``_div``, ``_sqr``,
+``_pow``, ``_root``, ``_exp``, ``_log``, ``_sin`` and ``_cos``.
+``Interval``'s operators wrap them, and the kernels that ``expr`` and
+``contractor`` compile call them on float locals, so no rounding or case
+rule has a second copy.
+
 All values are immutable and operations are pure; the FPU rounding mode
 is never touched, so concurrent use is safe.
 
@@ -75,27 +82,6 @@ def _two_prod_err(a: float, b: float, p: float) -> float:
     bh = t - (t - b)
     bl = b - bh
     return al * bl - (((p - ah * bh) - al * bh) - ah * bl)
-
-
-def _add_bounds(al: float, bl: float, ah: float, bh: float) -> Interval:
-    """[al + bl rounded down, ah + bh rounded up].
-
-    TwoSum gives each rounding error exactly; ``t - t == 0.0`` holds only
-    for finite t, so a sum or ``s - a`` that overflows goes to _add_edge.
-    """
-    lo = al + bl
-    t = lo - al
-    if t - t != 0.0:
-        lo = _add_edge(al, bl, lo, False)
-    elif (al - (lo - t)) + (bl - t) < 0.0:
-        lo = _next_down(lo)
-    hi = ah + bh
-    t = hi - ah
-    if t - t != 0.0:
-        hi = _add_edge(ah, bh, hi, True)
-    elif (ah - (hi - t)) + (bh - t) > 0.0:
-        hi = _next_up(hi)
-    return _iv(lo, hi)
 
 
 def _add_edge(a: float, b: float, s: float, up: bool) -> float:
@@ -331,6 +317,186 @@ def _has_critical_point(lo: float, hi: float, offset: float) -> bool:
     return False
 
 
+# ---------------------------------------------------------------------------
+# The operations on bounds (see the module docstring).  Each takes its
+# operands' bounds and returns the result's (lo, hi).  An empty operand,
+# any pair with lo > hi, gives the empty interval's (inf, -inf): the check
+# comes first, as arithmetic on (inf, -inf) can give NaN.
+
+_E = (_INF, -_INF)
+
+
+def _add(xl: float, xh: float, yl: float, yh: float) -> tuple[float, float]:
+    """x + y; x - y is _add(xl, xh, -yh, -yl).
+
+    TwoSum gives each rounding error exactly; ``t - t == 0.0`` holds only
+    for finite t, so a sum or ``s - a`` that overflows goes to _add_edge.
+    """
+    if xl > xh or yl > yh:
+        return _E
+    lo = xl + yl
+    t = lo - xl
+    if t - t != 0.0:
+        lo = _add_edge(xl, yl, lo, False)
+    elif (xl - (lo - t)) + (yl - t) < 0.0:
+        lo = _next_down(lo)
+    hi = xh + yh
+    t = hi - xh
+    if t - t != 0.0:
+        hi = _add_edge(xh, yh, hi, True)
+    elif (xh - (hi - t)) + (yh - t) > 0.0:
+        hi = _next_up(hi)
+    return lo, hi
+
+
+def _mul(xl: float, xh: float, yl: float, yh: float) -> tuple[float, float]:
+    """Moore's sign table: 2 directed products, 4 when both straddle 0."""
+    if xl > xh or yl > yh:
+        return _E
+    if yl >= 0.0:
+        lo = _mul_down(xl, yl if xl >= 0.0 else yh)
+        hi = _mul_up(xh, yh if xh >= 0.0 else yl)
+    elif yh <= 0.0:
+        lo = _mul_down(xh, yl if xh >= 0.0 else yh)
+        hi = _mul_up(xl, yh if xl >= 0.0 else yl)
+    elif xl >= 0.0:
+        lo, hi = _mul_down(xh, yl), _mul_up(xh, yh)
+    elif xh <= 0.0:
+        lo, hi = _mul_down(xl, yh), _mul_up(xl, yl)
+    else:
+        lo = min(_mul_down(xl, yh), _mul_down(xh, yl))
+        hi = max(_mul_up(xl, yl), _mul_up(xh, yh))
+    if hi == 0.0:
+        # _mul_up rounds an underflowing negative product to -0.0; the
+        # sign of a zero bound is that of the first zero among the four
+        # candidates in this order
+        hi = max(_mul_up(xl, yl), _mul_up(xl, yh), _mul_up(xh, yl), _mul_up(xh, yh))
+    return lo, hi
+
+
+def _div(xl: float, xh: float, yl: float, yh: float) -> tuple[float, float]:
+    """Quotient set hull; divisors containing 0 follow extended division.
+
+    The result is always a single interval: the two-ray case collapses
+    to (-inf, inf), and division by the exact zero interval is empty
+    unless the numerator contains 0, in which case any real works.
+    """
+    if xl > xh or yl > yh:
+        return _E
+    if yl > 0.0 or yh < 0.0:
+        # Moore's sign table; a zero upper bound takes its sign as in _mul
+        if yl > 0.0:
+            lo = _div_down(xl, yh if xl >= 0.0 else yl)
+            hi = _div_up(xh, yl if xh >= 0.0 else yh)
+        else:
+            lo = _div_down(xh, yh if xh >= 0.0 else yl)
+            hi = _div_up(xl, yl if xl >= 0.0 else yh)
+        if hi == 0.0:
+            hi = max(_div_up(xl, yl), _div_up(xl, yh), _div_up(xh, yl), _div_up(xh, yh))
+        return lo, hi
+    if xl <= 0.0 <= xh:
+        return -_INF, _INF
+    if yl == 0.0 and yh == 0.0:
+        return _E
+    if xl > 0.0:
+        if yh == 0.0:
+            return -_INF, _div_up(xl, yl)
+        if yl == 0.0:
+            return _div_down(xl, yh), _INF
+        return -_INF, _INF
+    if yh == 0.0:
+        return _div_down(xh, yl), _INF
+    if yl == 0.0:
+        return -_INF, _div_up(xh, yh)
+    return -_INF, _INF
+
+
+def _sqr(lo: float, hi: float) -> tuple[float, float]:
+    if lo > hi:
+        return _E
+    if lo >= 0.0:
+        return _mul_down(lo, lo), _mul_up(hi, hi)
+    if hi <= 0.0:
+        return _mul_down(hi, hi), _mul_up(lo, lo)
+    return 0.0, max(_mul_up(lo, lo), _mul_up(hi, hi))
+
+
+def _pow(lo: float, hi: float, n: int) -> tuple[float, float]:
+    if n < 0:
+        raise ValueError("negative exponent not supported")
+    if lo > hi:
+        return _E
+    if n == 0:
+        return 1.0, 1.0
+    if n == 1:
+        return lo, hi
+    if n == 2:
+        return _sqr(lo, hi)
+    if n % 2 == 0:
+        if lo >= 0.0:
+            return _pow_nonneg(lo, n, _mul_down), _pow_nonneg(hi, n, _mul_up)
+        if hi <= 0.0:
+            return _pow_nonneg(-hi, n, _mul_down), _pow_nonneg(-lo, n, _mul_up)
+        return 0.0, max(_pow_nonneg(-lo, n, _mul_up), _pow_nonneg(hi, n, _mul_up))
+    down = -_pow_nonneg(-lo, n, _mul_up) if lo < 0.0 else _pow_nonneg(lo, n, _mul_down)
+    up = -_pow_nonneg(-hi, n, _mul_down) if hi < 0.0 else _pow_nonneg(hi, n, _mul_up)
+    return down, up
+
+
+def _root(lo: float, hi: float, n: int) -> tuple[float, float]:
+    if lo > hi:
+        return _E
+    if n == 1:
+        return lo, hi
+    if n % 2 == 0:
+        # the part inside [0, inf)
+        lo = max(lo, 0.0)
+        if lo > hi:
+            return _E
+        return _root_down(lo, n), _root_up(hi, n)
+    down = -_root_up(-lo, n) if lo < 0.0 else _root_down(lo, n)
+    up = -_root_down(-hi, n) if hi < 0.0 else _root_up(hi, n)
+    return down, up
+
+
+def _exp(lo: float, hi: float) -> tuple[float, float]:
+    if lo > hi:
+        return _E
+    return _exp_down(lo), _exp_up(hi)
+
+
+def _log(lo: float, hi: float) -> tuple[float, float]:
+    if lo > hi or hi <= 0.0:
+        return _E
+    return (-_INF if lo <= 0.0 else _log_down(lo)), _log_up(hi)
+
+
+def _sin(lo: float, hi: float) -> tuple[float, float]:
+    return _periodic(lo, hi, math.sin, math.pi / 2, -math.pi / 2)
+
+
+def _cos(lo: float, hi: float) -> tuple[float, float]:
+    return _periodic(lo, hi, math.cos, 0.0, math.pi)
+
+
+def _periodic(
+    lo: float, hi: float, fn: Callable[[float], float], peak: float, trough: float
+) -> tuple[float, float]:
+    """sin or cos, given its maxima at peak + k*2pi and minima at trough + k*2pi."""
+    if lo > hi:
+        return _E
+    if math.isinf(lo) or math.isinf(hi) or hi - lo >= math.tau:
+        return -1.0, 1.0
+    f_lo, f_hi = fn(lo), fn(hi)
+    out_lo = _next_down(_next_down(min(f_lo, f_hi)))
+    out_hi = _next_up(_next_up(max(f_lo, f_hi)))
+    if _has_critical_point(lo, hi, peak):
+        out_hi = 1.0
+    if _has_critical_point(lo, hi, trough):
+        out_lo = -1.0
+    return max(out_lo, -1.0), min(out_hi, 1.0)
+
+
 _INTERVAL_RE = re.compile(r"\s*\[\s*([^\s,\]]+)\s*,\s*([^\s,\]]+)\s*\]\s*\Z")
 
 
@@ -473,130 +639,40 @@ class Interval:
         return Interval.point(float(other))
 
     def __neg__(self) -> Interval:
-        if self.lo > self.hi:
-            return EMPTY
-        return _iv(-self.hi, -self.lo)
+        return _iv(-self.hi, -self.lo)  # the empty (inf, -inf) maps to itself
 
     def __add__(self, other: Interval | int | float) -> Interval:
         other = self._coerce(other)
-        if self.lo > self.hi or other.lo > other.hi:
-            return EMPTY
-        return _add_bounds(self.lo, other.lo, self.hi, other.hi)
+        return _iv(*_add(self.lo, self.hi, other.lo, other.hi))
 
     __radd__ = __add__
 
     def __sub__(self, other: Interval | int | float) -> Interval:
         other = self._coerce(other)
-        if self.lo > self.hi or other.lo > other.hi:
-            return EMPTY
-        return _add_bounds(self.lo, -other.hi, self.hi, -other.lo)
+        return _iv(*_add(self.lo, self.hi, -other.hi, -other.lo))
 
     def __rsub__(self, other: Interval | int | float) -> Interval:
         return self._coerce(other) - self
 
     def __mul__(self, other: Interval | int | float) -> Interval:
-        """Moore's sign table: 2 directed products, 4 when both straddle 0."""
         other = self._coerce(other)
-        xl, xh, yl, yh = self.lo, self.hi, other.lo, other.hi
-        if xl > xh or yl > yh:
-            return EMPTY
-        if yl >= 0.0:
-            lo = _mul_down(xl, yl if xl >= 0.0 else yh)
-            hi = _mul_up(xh, yh if xh >= 0.0 else yl)
-        elif yh <= 0.0:
-            lo = _mul_down(xh, yl if xh >= 0.0 else yh)
-            hi = _mul_up(xl, yh if xl >= 0.0 else yl)
-        elif xl >= 0.0:
-            lo, hi = _mul_down(xh, yl), _mul_up(xh, yh)
-        elif xh <= 0.0:
-            lo, hi = _mul_down(xl, yh), _mul_up(xl, yl)
-        else:
-            lo = min(_mul_down(xl, yh), _mul_down(xh, yl))
-            hi = max(_mul_up(xl, yl), _mul_up(xh, yh))
-        if hi == 0.0:
-            # _mul_up rounds an underflowing negative product to -0.0; the
-            # sign of a zero bound is that of the first zero among the four
-            # candidates in this order
-            hi = max(_mul_up(xl, yl), _mul_up(xl, yh), _mul_up(xh, yl), _mul_up(xh, yh))
-        return _iv(lo, hi)
+        return _iv(*_mul(self.lo, self.hi, other.lo, other.hi))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Interval | int | float) -> Interval:
-        """Quotient set hull; divisors containing 0 follow extended division.
-
-        The result is always a single interval: the two-ray case collapses
-        to (-inf, inf), and division by the exact zero interval is empty
-        unless the numerator contains 0, in which case any real works.
-        """
         other = self._coerce(other)
-        if self.lo > self.hi or other.lo > other.hi:
-            return EMPTY
-        b = other
-        if b.lo > 0.0 or b.hi < 0.0:
-            # Moore's sign table; a zero upper bound takes its sign as in
-            # __mul__
-            xl, xh, yl, yh = self.lo, self.hi, b.lo, b.hi
-            if yl > 0.0:
-                lo = _div_down(xl, yh if xl >= 0.0 else yl)
-                hi = _div_up(xh, yl if xh >= 0.0 else yh)
-            else:
-                lo = _div_down(xh, yh if xh >= 0.0 else yl)
-                hi = _div_up(xl, yl if xl >= 0.0 else yh)
-            if hi == 0.0:
-                hi = max(_div_up(xl, yl), _div_up(xl, yh), _div_up(xh, yl), _div_up(xh, yh))
-            return _iv(lo, hi)
-        if self.lo <= 0.0 <= self.hi:
-            return _ENTIRE
-        if b.lo == 0.0 and b.hi == 0.0:
-            return EMPTY
-        if self.lo > 0.0:
-            if b.hi == 0.0:
-                return _iv(-_INF, _div_up(self.lo, b.lo))
-            if b.lo == 0.0:
-                return _iv(_div_down(self.lo, b.hi), _INF)
-            return _ENTIRE
-        if b.hi == 0.0:
-            return _iv(_div_down(self.hi, b.lo), _INF)
-        if b.lo == 0.0:
-            return _iv(-_INF, _div_up(self.hi, b.hi))
-        return _ENTIRE
+        return _iv(*_div(self.lo, self.hi, other.lo, other.hi))
 
     def __rtruediv__(self, other: Interval | int | float) -> Interval:
         return self._coerce(other) / self
 
     def sqr(self) -> Interval:
-        if self.lo > self.hi:
-            return EMPTY
-        lo, hi = self.lo, self.hi
-        if lo >= 0.0:
-            return _iv(_mul_down(lo, lo), _mul_up(hi, hi))
-        if hi <= 0.0:
-            return _iv(_mul_down(hi, hi), _mul_up(lo, lo))
-        return _iv(0.0, max(_mul_up(lo, lo), _mul_up(hi, hi)))
+        return _iv(*_sqr(self.lo, self.hi))
 
     def pow_int(self, n: int) -> Interval:
         """Integer power with even/odd handling; n must be >= 0."""
-        if n < 0:
-            raise ValueError("negative exponent not supported")
-        if self.lo > self.hi:
-            return EMPTY
-        if n == 0:
-            return _ONE
-        if n == 1:
-            return self
-        if n == 2:
-            return self.sqr()
-        lo, hi = self.lo, self.hi
-        if n % 2 == 0:
-            if lo >= 0.0:
-                return _iv(_pow_nonneg(lo, n, _mul_down), _pow_nonneg(hi, n, _mul_up))
-            if hi <= 0.0:
-                return _iv(_pow_nonneg(-hi, n, _mul_down), _pow_nonneg(-lo, n, _mul_up))
-            return _iv(0.0, max(_pow_nonneg(-lo, n, _mul_up), _pow_nonneg(hi, n, _mul_up)))
-        down = -_pow_nonneg(-lo, n, _mul_up) if lo < 0.0 else _pow_nonneg(lo, n, _mul_down)
-        up = -_pow_nonneg(-hi, n, _mul_down) if hi < 0.0 else _pow_nonneg(hi, n, _mul_up)
-        return _iv(down, up)
+        return _iv(*_pow(self.lo, self.hi, n))
 
     def root_int(self, n: int) -> Interval:
         """Set of real n-th roots; even roots give the non-negative branch.
@@ -604,56 +680,24 @@ class Interval:
         Used by inverse projections; the symmetric negative branch for
         even n is handled by the caller.
         """
-        if self.lo > self.hi:
-            return EMPTY
-        if n == 1:
-            return self
-        if n % 2 == 0:
-            dom = self.intersect(_NONNEG)
-            if dom.lo > dom.hi:
-                return EMPTY
-            return _iv(_root_down(dom.lo, n), _root_up(dom.hi, n))
-        down = -_root_up(-self.lo, n) if self.lo < 0.0 else _root_down(self.lo, n)
-        up = -_root_down(-self.hi, n) if self.hi < 0.0 else _root_up(self.hi, n)
-        return _iv(down, up)
+        return _iv(*_root(self.lo, self.hi, n))
 
     def sqrt(self) -> Interval:
         """Square root of the non-negative part; empty when hi < 0."""
         return self.root_int(2)
 
     def exp(self) -> Interval:
-        if self.lo > self.hi:
-            return EMPTY
-        return _iv(_exp_down(self.lo), _exp_up(self.hi))
+        return _iv(*_exp(self.lo, self.hi))
 
     def log(self) -> Interval:
         """Natural log over the positive part; empty when hi <= 0."""
-        if self.lo > self.hi or self.hi <= 0.0:
-            return EMPTY
-        lo = -_INF if self.lo <= 0.0 else _log_down(self.lo)
-        return _iv(lo, _log_up(self.hi))
+        return _iv(*_log(self.lo, self.hi))
 
     def sin(self) -> Interval:
-        return self._periodic(math.sin, math.pi / 2, -math.pi / 2)
+        return _iv(*_sin(self.lo, self.hi))
 
     def cos(self) -> Interval:
-        return self._periodic(math.cos, 0.0, math.pi)
-
-    def _periodic(self, fn: Callable[[float], float], peak: float, trough: float) -> Interval:
-        """sin or cos, given its maxima at peak + k*2pi and minima at trough + k*2pi."""
-        if self.lo > self.hi:
-            return EMPTY
-        lo, hi = self.lo, self.hi
-        if math.isinf(lo) or math.isinf(hi) or hi - lo >= math.tau:
-            return _UNIT
-        f_lo, f_hi = fn(lo), fn(hi)
-        out_lo = _next_down(_next_down(min(f_lo, f_hi)))
-        out_hi = _next_up(_next_up(max(f_lo, f_hi)))
-        if _has_critical_point(lo, hi, peak):
-            out_hi = 1.0
-        if _has_critical_point(lo, hi, trough):
-            out_lo = -1.0
-        return _iv(max(out_lo, -1.0), min(out_hi, 1.0))
+        return _iv(*_cos(self.lo, self.hi))
 
     # -- formatting ----------------------------------------------------------
 
@@ -682,8 +726,6 @@ def _iv(lo: float, hi: float) -> Interval:
 
 EMPTY = Interval(_INF, -_INF)
 _NONNEG = Interval(0.0, _INF)
-_ENTIRE = Interval(-_INF, _INF)
-_UNIT = Interval(-1.0, 1.0)
 _ONE = Interval(1.0, 1.0)
 
 

@@ -180,12 +180,6 @@ def _ratio_met(unclassified: int, initial: int, stop_ratio: float) -> bool:
     return (initial - unclassified) / initial >= stop_ratio
 
 
-def _ratio_reached(initial: Fraction, stop_ratio: float) -> Callable[[Fraction], bool]:
-    """``solve``'s ratio stop as a predicate on the unclassified volume."""
-    a, b = initial.numerator, initial.denominator
-    return lambda u: _ratio_met(u.numerator * b, a * u.denominator, stop_ratio)
-
-
 def _widest_axis(box: Box) -> int:
     best = 0
     for i in range(1, len(box)):

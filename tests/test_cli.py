@@ -439,10 +439,10 @@ def test_domain_errors_point_at_the_declaration(declaration, message, tmp_path, 
     assert f"{message} (line 3, offset {err.value.position})" in capsys.readouterr().err
 
 
-def _run_module(*args: str) -> subprocess.CompletedProcess:
+def _run_module(*args: str, module: str = "qine") -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     return subprocess.run(
-        [sys.executable, "-m", "qine", *args], capture_output=True, text=True, timeout=60, env=env
+        [sys.executable, "-m", module, *args], capture_output=True, text=True, timeout=60, env=env
     )
 
 
@@ -458,6 +458,25 @@ def test_python_dash_m_runs_the_command_line(problems_dir, tmp_path, capsys):
     proc = _run_module("solve", str(bad))
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("module", ["qine", "qine.cli"])
+def test_both_module_entries_run_without_a_warning(problems_dir, module):
+    # importing the package must not load qine.cli, or running it as a
+    # module prints runpy's RuntimeWarning first
+    proc = _run_module("solve", str(problems_dir / "ex1.qcsp"), module=module)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("# ")
+
+
+def test_package_reaches_the_command_line_names():
+    import qine
+
+    assert qine.parse_problem is cli.parse_problem and qine.run is cli.run
+    assert set(qine._CLI_NAMES) <= set(qine.__all__)
+    with pytest.raises(AttributeError):
+        qine.no_such_name
 
 
 def _cap_memory() -> None:

@@ -519,3 +519,88 @@ def test_unsettled_ops_cut_an_operand_with_their_own_forward_value():
     # div projects back by multiplying, and ENTIRE * [0, 0] is [0, 0]
     l, r = Interval(-math.inf, math.inf), Interval(0.0, 0.0)
     assert backward_project("div", l / r, (l, r))[0] == Interval(0.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the kernels on float bounds: empty inputs, signed zeros, no boxing
+
+
+@pytest.mark.parametrize("text", ["x + x*y", "sqrt(x) - y", "(x-y)^2 + x2^2 - 1"])
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_an_empty_input_coordinate_through_the_kernels(text, slot):
+    # the forward kernel maps a value that reads the empty coordinate to
+    # the empty interval and leaves the others as the loop computes them;
+    # HC4-revise empties both boxes when the expression reads it, and
+    # otherwise returns it as it came, beside the other contracted domains
+    from test_expr import _forward_loop
+
+    e = parse_expression(text, SYMS)
+    dims = [Interval(-1.0, 2.0), Interval(-2.0, 0.0), Interval(0.5, 3.0)]
+    dims[slot] = EMPTY
+    x, y = Box(tuple(dims[:2])), Box((dims[2],))
+    tape, values = forward_sweep(e, x, y)
+    assert _bits(values) == _bits(_forward_loop(e, x, y))
+    reads = ("var", slot) if slot < 2 else ("param", 0)
+    assert values[-1].is_empty == any((op, a) == reads for op, a, _ in tape)
+    for rel in Relation:
+        c = InequalityConstraint(e, rel)
+        got = [iv for box in hc4_revise(c, x, y) for iv in box]
+        assert _bits(got) == _bits([iv for box in _full_sweep(c, x, y) for iv in box])
+        if values[-1].is_empty:
+            assert all(iv.is_empty for iv in got)
+        else:
+            assert got[slot] is EMPTY
+
+
+def test_a_containment_that_holds_only_because_zero_equals_minus_zero():
+    # -x + -x2 over [-2, 0.0]^2 has the forward value [-0.0, 4]; it lies in
+    # [0, inf) because 0.0 <= -0.0, so the settled root stops at once and
+    # returns the input intervals themselves, as the full sweep's bits do
+    c = geq("-x1 + -x2")
+    x0 = Box.from_bounds([(-2.0, 0.0), (-2.0, 0.0)])
+    assert forward_sweep(c.f, x0, Box(()))[1][-1].lo.hex() == "-0x0.0p+0"
+    x, _ = hc4_revise(c, x0, Box(()))
+    assert all(a is b for a, b in zip(x, x0))
+    assert _bits(x) == _bits(_full_sweep(c, x0, Box(()))[0])
+    # against f <= 0 the root is cut to [-0.0, 0.0], and so is each domain
+    c = leq("-x1 + -x2")
+    x, _ = hc4_revise(c, x0, Box(()))
+    assert _bits(x) == (("-0x0.0p+0", "0x0.0p+0"),) * 2 == _bits(_full_sweep(c, x0, Box(()))[0])
+
+
+_INTERVAL_CALLS = ("_iv(", "_box(", ".intersect(", ".hull(", ".sqr(", ".pow_int(", ".root_int(")
+_INTERVAL_CALLS += (".exp(", ".log(", ".sin(", ".cos(")
+
+
+def test_kernels_build_intervals_only_in_their_returns(problems_dir, monkeypatch):
+    # the bench problems' constraints compile to kernels that work on float
+    # locals: outside a return statement no line builds an Interval or
+    # calls an Interval method
+    from qine import contractor, expr
+    from qine.cli import parse_problem
+
+    sources: list[list[str]] = []
+    compile_kernel = expr._compile
+
+    def spy(name, params, lines, namespace):
+        sources.append(lines)
+        return compile_kernel(name, params, lines, namespace)
+
+    monkeypatch.setattr(expr, "_compile", spy)
+    monkeypatch.setattr(contractor, "_compile", spy)
+    bench = problems_dir.parent / "bench" / "problems"
+    files = [problems_dir / "ring2d.qcsp", bench / "lens.qcsp", bench / "mixed3d.qcsp"]
+    constraints = [f for path in files for f in parse_problem(path.read_text()).constraints]
+    assert len(constraints) == 6
+    for f in constraints:
+        x = Box.from_bounds([(-1.0, 1.0)] * 3)
+        y = Box.from_bounds([(0.0, 1.0)] * 2)
+        forward_sweep(f, x, y)
+        for rel in Relation:
+            hc4_revise(InequalityConstraint(f, rel), x, y)
+    assert len(sources) == 3 * len(constraints)
+    for lines in sources:
+        for line in lines:
+            body = line.split("return", 1)[0]
+            assert not any(call in body for call in _INTERVAL_CALLS), line
+        assert lines[-1].startswith("return ")

@@ -17,7 +17,7 @@ from qine.interval import (
     EMPTY,
     Box,
     Interval,
-    _add_bounds,
+    _add,
     _div_down,
     _div_up,
     _mul_down,
@@ -717,7 +717,7 @@ def test_cube_root_of_a_huge_bound_is_the_tightest_double():
 
 def check_add(a: float, b: float) -> Interval:
     exact = Fraction(a) + Fraction(b)
-    r = _add_bounds(a, b, a, b)
+    r = Interval(*_add(a, a, b, b))
     assert r.lo == floor_float(exact), (a, b)
     assert r.hi == ceil_float(exact), (a, b)
     return r

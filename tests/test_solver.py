@@ -25,7 +25,7 @@ from qine.solver import (
     parameter_instantiation,
     solution_identification,
     solve,
-    _ratio_reached,
+    _ratio_met,
 )
 from test_expr import SYMS
 
@@ -347,10 +347,11 @@ def test_ratio_test_agrees_with_float_rounding_at_ties(stop_ratio, initial):
     below = math.nextafter(stop_ratio, 0.0)
     mid = (Fraction(below) + Fraction(stop_ratio)) / 2  # rounds to the even neighbour
     tiny = Fraction(1, 2**1200)
-    reached = _ratio_reached(initial, stop_ratio)
+    a, b = initial.numerator, initial.denominator
     for ratio in (mid - tiny, mid, mid + tiny, Fraction(below), Fraction(stop_ratio)):
-        unclassified = (1 - ratio) * initial
-        assert reached(unclassified) == (float(ratio) >= stop_ratio), ratio
+        u = (1 - ratio) * initial  # the unclassified volume
+        met = _ratio_met(u.numerator * b, a * u.denominator, stop_ratio)
+        assert met == (float(ratio) >= stop_ratio), ratio
 
 
 # The ledger is kept in integers over a shared 2**K.  Near the subnormal
