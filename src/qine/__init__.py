@@ -17,7 +17,6 @@ from .expr import (
     VarRef,
     derivative_interval,
     eval_interval,
-    eval_point,
     parse_expression,
     render,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "parse_expression",
     "render",
     "eval_interval",
-    "eval_point",
     "derivative_interval",
     "Relation",
     "InequalityConstraint",

@@ -358,12 +358,18 @@ def run(argv: Sequence[str] | None = None) -> int:
 
     paving = solve(problem, cfg)
     report = format_report(problem, cfg, paving)
-    if args.out is not None:
-        Path(args.out).write_text(report)
-    else:
+    if args.out is None:
         sys.stdout.write(report)
-    if args.svg is not None:
-        emit_svg(paving, axes[0], axes[1], args.svg)
+    path = args.out
+    try:
+        if path is not None:
+            Path(path).write_text(report)
+        if args.svg is not None:
+            path = args.svg
+            emit_svg(paving, axes[0], axes[1], path)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     if args.stats:
         s = paving.stats
         print(

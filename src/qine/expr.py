@@ -1,15 +1,14 @@
 """Expression trees for constraint functions f(x, y).
 
 Provides the abstract syntax, an infix parser and renderer, the natural
-interval extension, plain floating-point evaluation for test oracles,
-and forward-mode interval differentiation used to prove monotonicity in
-a parameter over a box.  The evaluators read one memoized tape of the
-expression's distinct nodes: the natural extension is compiled from it
-once into straight-line code on float bounds, which calls interval.py's
-functions on bounds and builds Intervals only in its return, and the
-point and derivative evaluators loop over it.  The renderer walks an
-explicit stack, so none of them has a depth limit; only the parser
-recurses.
+interval extension, and forward-mode interval differentiation used to
+prove monotonicity in a parameter over a box.  The evaluators read one
+memoized tape of the expression's distinct nodes, compiled from it into
+straight-line code on float bounds, which calls interval.py's functions
+on bounds and builds Intervals only in its return: the natural extension
+once per tape, its partial derivatives once per input differentiated by.
+The renderer walks an explicit stack, so none of them has a depth limit;
+only the parser recurses.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from enum import Enum
 from typing import Callable, Mapping, Sequence, Union
 
 from . import interval
-from .interval import _NONNEG, _ONE, Box, Interval, _literal_bounds
+from .interval import Box, Interval, _literal_bounds
 
 __all__ = [
     "VarKind",
@@ -36,7 +35,6 @@ __all__ = [
     "render",
     "forward_sweep",
     "eval_interval",
-    "eval_point",
     "derivative_interval",
     "FUNCTIONS",
 ]
@@ -59,11 +57,11 @@ class VarRef:
 
 @dataclass(frozen=True, slots=True)
 class Const:
-    """A constant: ``value`` is the double that renders and that
-    ``eval_point`` uses; the interval evaluators use ``enclosure``, the
-    point ``value`` when None.  A literal whose nearest double is inexact
-    carries its outward-rounded enclosure (see ``_literal``), so proofs
-    hold for the number as written.  Equality and hashing read ``value``.
+    """A constant: ``value`` is the double that renders; the interval
+    evaluators use ``enclosure``, the point ``value`` when None.  A
+    literal whose nearest double is inexact carries its outward-rounded
+    enclosure (see ``_literal``), so proofs hold for the number as
+    written.  Equality and hashing read ``value``.
     """
 
     value: float
@@ -338,8 +336,9 @@ def render(
 # hc4_revise: a step is settled when its op is in _SETTLED_OPS, its
 # operands are settled, and no internal node of the tape has more than
 # one user (leaves may be shared).  It also keeps the kernels compiled
-# from the tape (``forward_sweep``'s and one per relation for
-# ``hc4_revise``), each built on first use and evicted with the entry.
+# from the tape (``forward_sweep``'s, one per relation for ``hc4_revise``
+# and one per ("var" | "param", index) for ``derivative_interval``), each
+# built on first use and evicted with the entry.
 
 _Step = tuple[str, object, object]
 _Tape = tuple[tuple[_Step, ...], tuple[bool, ...], dict[object, Callable]]
@@ -370,6 +369,27 @@ _FORWARD = {
     "pow": "_pow(v{a}l, v{a}h, {b})",
     "sqrt": "_root(v{a}l, v{a}h, 2)",
     **{f: "_%s(v{a}l, v{a}h)" % f for f in ("exp", "log", "sin", "cos")},
+}
+# The chain rule beside it (forward-mode tangents, Griewank & Walther): each
+# gives step i's partial d{i}l, d{i}h from the operands' partials d{a}, d{b}
+# and the forward values, with the bound functions and operand order of the
+# Interval arithmetic it stands for; a difference parks its negated pair in
+# d{i} first.  Other leaves and 0th powers take "zero".
+_TANGENT = {
+    "zero": "0.0, 0.0",
+    "one": "1.0, 1.0",
+    "add": "_add(d{a}l, d{a}h, d{b}l, d{b}h)",
+    "sub": "_add(d{a}l, d{a}h, -d{b}h, -d{b}l)",
+    "mul": "_add(*_mul(d{a}l, d{a}h, v{b}l, v{b}h), *_mul(v{a}l, v{a}h, d{b}l, d{b}h))",
+    "div": "_mul(v{a}l, v{a}h, d{b}l, d{b}h); "
+    "d{i}l, d{i}h = _div(*_add(*_mul(d{a}l, d{a}h, v{b}l, v{b}h), -d{i}h, -d{i}l), *_sqr(v{b}l, v{b}h))",
+    "neg": "-d{a}h, -d{a}l",
+    "pow": "_mul(*_mul(*_pow(v{a}l, v{a}h, {b} - 1), {b}.0, {b}.0), d{a}l, d{a}h)",
+    "sqrt": "_div(d{a}l, d{a}h, *_mul(v{i}l, v{i}h, 2.0, 2.0))",
+    "exp": "_mul(v{i}l, v{i}h, d{a}l, d{a}h)",
+    "log": "_div(d{a}l, d{a}h, 0.0 if 0.0 > v{a}l else v{a}l, v{a}h)",  # d_a / (v_a ∩ [0, inf))
+    "sin": "_mul(*_cos(v{a}l, v{a}h), d{a}l, d{a}h)",
+    "cos": "_sin(v{a}l, v{a}h); d{i}l, d{i}h = _mul(-d{i}h, -d{i}l, d{a}l, d{a}h)",
 }
 _OPS = {
     f: getattr(interval, f)
@@ -470,10 +490,10 @@ def forward_sweep(e: Expression, x: Box, y: Box) -> tuple[tuple[_Step, ...], lis
     """The tape of e and the natural interval extension at each step.
 
     The one interval evaluator: ``eval_interval`` returns the root value,
-    ``derivative_interval`` reads every value and ``hc4_revise`` inlines
-    the same code.  The tape is compiled once into straight-line code,
-    one line per step, on float bounds; the values are boxed only in its
-    return, where a leaf gives back its input or constant interval.
+    and ``derivative_interval`` and ``hc4_revise`` inline the same code.
+    The tape is compiled once into straight-line code, one line per step,
+    on float bounds; the values are boxed only in its return, where a
+    leaf gives back its input or constant interval.
     Empty results propagate; sqrt and log keep only the part of their
     operand inside their natural domain.
     """
@@ -492,79 +512,23 @@ def eval_interval(e: Expression, x: Box, y: Box) -> Interval:
     return forward_sweep(e, x, y)[1][-1]
 
 
-def eval_point(e: Expression, x: Sequence[float], y: Sequence[float]) -> float:
-    """Floating-point evaluation over the tape; domain errors yield NaN."""
-    tape = _tape(e)[0]
-    values: list[float] = []
-    push = values.append
-    try:
-        for op, a, b in tape:
-            if op == "var":
-                push(x[a])
-            elif op == "param":
-                push(y[a])
-            elif op == "const":
-                push(b)
-            elif op == "add":
-                push(values[a] + values[b])
-            elif op == "sub":
-                push(values[a] - values[b])
-            elif op == "mul":
-                push(values[a] * values[b])
-            elif op == "div":
-                push(values[a] / values[b])
-            elif op == "neg":
-                push(-values[a])
-            elif op == "pow":
-                push(values[a] ** b)
-            else:
-                push(getattr(math, op)(values[a]))
-    except (ValueError, OverflowError, ZeroDivisionError):
-        return math.nan
-    return values[-1]
-
-
 def derivative_interval(e: Expression, wrt: VarRef, x: Box, y: Box) -> Interval:
     """Enclosure of the partial derivative d e / d wrt over the joint box.
 
-    Forward-mode tangent propagation with interval coefficients, over
-    the node values of ``forward_sweep``.  Where the derivative is
-    unbounded (sqrt or log touching the domain edge, division near zero)
-    the enclosure is unbounded; callers must treat anything not strictly
-    sign-definite as monotonicity unproven.
+    The forward code of ``forward_sweep`` and one ``_TANGENT`` line per
+    step, compiled once per tape and wrt.  The enclosure is unbounded where
+    the derivative is (sqrt or log at the domain edge, division near zero),
+    and an empty forward value empties it even where the tangent is zero;
+    callers must treat anything not sign-definite as monotonicity unproven.
     """
-    tape, values = forward_sweep(e, x, y)
-    wrt_op = "var" if wrt.kind is VarKind.VARIABLE else "param"
-    ders: list[Interval] = []
-    push = ders.append
-    for i, (op, a, b) in enumerate(tape):
-        if op == "var" or op == "param":
-            push(_ONE if op == wrt_op and a == wrt.index else _ZERO)
-        elif op == "const":
-            push(_ZERO)
-        elif op == "add":
-            push(ders[a] + ders[b])
-        elif op == "sub":
-            push(ders[a] - ders[b])
-        elif op == "mul":
-            push(ders[a] * values[b] + values[a] * ders[b])
-        elif op == "div":
-            push((ders[a] * values[b] - values[a] * ders[b]) / values[b].sqr())
-        elif op == "neg":
-            push(-ders[a])
-        elif op == "sqrt":
-            push(ders[a] / (values[i] * 2))
-        elif op == "exp":
-            push(values[i] * ders[a])
-        elif op == "log":
-            push(ders[a] / values[a].intersect(_NONNEG))
-        elif op == "sin":
-            push(values[a].cos() * ders[a])
-        elif op == "cos":
-            push(-values[a].sin() * ders[a])
-        else:  # pow
-            push(_ZERO if b == 0 else values[a].pow_int(b - 1) * b * ders[a])
-    return ders[-1]
-
-
-_ZERO = Interval(0.0, 0.0)
+    steps, _, kernels = _tape(e)
+    key = ("var" if wrt.kind is VarKind.VARIABLE else "param", _index(wrt.index))
+    kernel = kernels.get(key)
+    if kernel is None:
+        lines, namespace = _forward_code(steps)
+        for i, (op, a, b) in enumerate(steps):
+            rule = "one" if (op, a) == key else "zero" if op in _LEAVES or (op, b) == ("pow", 0) else op
+            lines.append(f"d{i}l, d{i}h = " + _TANGENT[rule].format(i=i, a=a, b=b))
+        lines.append(f"return _iv(d{len(steps) - 1}l, d{len(steps) - 1}h)")
+        kernel = kernels[key] = _compile("tangent", "xs, ys", lines, namespace)
+    return kernel(x.dims, y.dims)

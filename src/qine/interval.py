@@ -725,8 +725,6 @@ def _iv(lo: float, hi: float) -> Interval:
 
 
 EMPTY = Interval(_INF, -_INF)
-_NONNEG = Interval(0.0, _INF)
-_ONE = Interval(1.0, 1.0)
 
 
 @dataclass(frozen=True, slots=True)

@@ -114,7 +114,7 @@ class SolverConfig:
             raise ValueError("stop ratio must lie in (0, 1]")
         if self.max_nodes is not None and self.max_nodes < 1:
             raise ValueError("max_nodes must be >= 1")
-        if self.time_limit is not None and self.time_limit <= 0.0:
+        if self.time_limit is not None and not self.time_limit > 0.0:  # NaN too
             raise ValueError("time_limit must be positive")
 
 

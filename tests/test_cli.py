@@ -303,6 +303,25 @@ def test_cli_out_file(problems_dir, tmp_path, capsys):
     assert "inner 9.0 15.0" in out.read_text()
 
 
+@pytest.mark.parametrize("flag", ["--out", "--svg"])
+def test_cli_unwritable_output_is_a_clean_error(flag, problems_dir, tmp_path, capsys):
+    target = tmp_path / "missing" / "paving.out"
+    code = cli.run(["solve", str(problems_dir / "ring2d.qcsp"), "--eps", "0.5", flag, str(target)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: cannot write {target}: ") and "Traceback" not in err
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "0", "-1"])
+def test_cli_rejects_a_time_limit_that_is_not_positive(value, problems_dir, capsys):
+    code = cli.run(["solve", str(problems_dir / "ex1.qcsp"), "--time-limit", value])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: time_limit must be positive\n"
+
+
 def test_cli_ratio_stop_is_success(problems_dir, capsys):
     code = cli.run(
         [

@@ -574,10 +574,11 @@ _INTERVAL_CALLS += (".exp(", ".log(", ".sin(", ".cos(")
 
 def test_kernels_build_intervals_only_in_their_returns(problems_dir, monkeypatch):
     # the bench problems' constraints compile to kernels that work on float
-    # locals: outside a return statement no line builds an Interval or
-    # calls an Interval method
+    # locals, the tangent kernel of each parameter included: outside a
+    # return statement no line builds an Interval or calls an Interval method
     from qine import contractor, expr
     from qine.cli import parse_problem
+    from qine.expr import derivative_interval
 
     sources: list[list[str]] = []
     compile_kernel = expr._compile
@@ -590,15 +591,18 @@ def test_kernels_build_intervals_only_in_their_returns(problems_dir, monkeypatch
     monkeypatch.setattr(contractor, "_compile", spy)
     bench = problems_dir.parent / "bench" / "problems"
     files = [problems_dir / "ring2d.qcsp", bench / "lens.qcsp", bench / "mixed3d.qcsp"]
-    constraints = [f for path in files for f in parse_problem(path.read_text()).constraints]
+    problems = [parse_problem(path.read_text()) for path in files]
+    constraints = [(f, len(p.parameter_box)) for p in problems for f in p.constraints]
     assert len(constraints) == 6
-    for f in constraints:
+    for f, params in constraints:
         x = Box.from_bounds([(-1.0, 1.0)] * 3)
         y = Box.from_bounds([(0.0, 1.0)] * 2)
         forward_sweep(f, x, y)
         for rel in Relation:
             hc4_revise(InequalityConstraint(f, rel), x, y)
-    assert len(sources) == 3 * len(constraints)
+        for j in range(params):
+            derivative_interval(f, VarRef(VarKind.PARAMETER, j), x, y)
+    assert len(sources) == 3 * len(constraints) + 7
     for lines in sources:
         for line in lines:
             body = line.split("return", 1)[0]

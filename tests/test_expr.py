@@ -23,7 +23,6 @@ from qine.expr import (
     VarRef,
     derivative_interval,
     eval_interval,
-    eval_point,
     forward_sweep,
     parse_expression,
     render,
@@ -70,8 +69,8 @@ def test_parse_scientific_numbers():
 
 
 def test_inexact_literal_carries_its_enclosure():
-    # the interval evaluators see an enclosure of 1/10 itself; eval_point
-    # and render keep the nearest double
+    # the interval evaluators see an enclosure of 1/10 itself; the float
+    # walker and render keep the nearest double
     tenth = parse_expression("0.1", SYMS)
     assert Fraction(tenth.enclosure.lo) < Fraction(1, 10) < Fraction(tenth.enclosure.hi)
     assert eval_interval(tenth, Box(()), Box(())) == tenth.enclosure
@@ -213,6 +212,37 @@ def test_eval_interval_empty_domain_propagates():
     assert v.is_empty
 
 
+def eval_point(e, x, y) -> float:
+    """Reference: floating-point evaluation over the tape; domain errors yield NaN."""
+    values: list[float] = []
+    push = values.append
+    try:
+        for op, a, b in expr._tape(e)[0]:
+            if op == "var":
+                push(x[a])
+            elif op == "param":
+                push(y[a])
+            elif op == "const":
+                push(b)
+            elif op == "add":
+                push(values[a] + values[b])
+            elif op == "sub":
+                push(values[a] - values[b])
+            elif op == "mul":
+                push(values[a] * values[b])
+            elif op == "div":
+                push(values[a] / values[b])
+            elif op == "neg":
+                push(-values[a])
+            elif op == "pow":
+                push(values[a] ** b)
+            else:
+                push(getattr(math, op)(values[a]))
+    except (ValueError, OverflowError, ZeroDivisionError):
+        return math.nan
+    return values[-1]
+
+
 def test_eval_point_and_domain_errors():
     f = parse_expression("10*y - x - y^2", SYMS)
     assert eval_point(f, [9.0], [1.0]) == 0.0
@@ -346,8 +376,9 @@ def test_kernels_live_and_leave_with_their_tape():
     for rel in Relation:
         hc4_revise(InequalityConstraint(first, rel), x, Box(()))
     forward_sweep(first, x, Box(()))
+    assert derivative_interval(first, X, x, Box(())) == Interval(1.0, 1.0)
     kernels = expr._tape(first)[2]
-    assert set(kernels) == {"forward", *Relation}
+    assert set(kernels) == {"forward", *Relation, ("var", 0)}
     refs = [weakref.ref(k) for k in kernels.values()]
     del kernels
     for k in range(expr._TAPES_MAX + 1):
@@ -356,8 +387,9 @@ def test_kernels_live_and_leave_with_their_tape():
         assert eval_interval(e, x, Box(())) == Interval(float(k), float(k + 2))
     assert len(expr._TAPES) <= expr._TAPES_MAX
     assert all(len(entry[2]) <= 3 for _, entry in expr._TAPES.values())
-    # freed with the evicted entry, without waiting for the cycle collector
-    assert all(ref() is None for ref in refs)
+    # freed with the evicted entry, the tangent kernel too, without waiting
+    # for the cycle collector
+    assert len(refs) == 4 and all(ref() is None for ref in refs)
 
 
 # ---------------------------------------------------------------------------
@@ -427,3 +459,81 @@ def test_derivative_encloses_central_difference(e, bx, by):
 def test_derivative_walks_deeper_than_the_recursion_limit():
     x = Box.from_bounds([(0.0, 1.0)])
     assert derivative_interval(deep_chain(5000), X, x, Box(())) == Interval(1.0, 1.0)
+
+
+def test_an_empty_forward_value_empties_a_zero_tangent():
+    # log(x) is empty over x < 0; its tangent in y is zero, but the product
+    # rules keep the empty factor, so the partial is empty and pinning
+    # leaves y whole rather than fixing it at 1 by a derivative [1, 1]
+    from qine.solver import QuantifiedConstraint, parameter_instantiation
+
+    f = parse_expression("log(x) + y", SYMS)
+    x, y = Box.from_bounds([(-2.0, -1.0)]), Box.from_bounds([(0.0, 1.0)])
+    assert derivative_interval(f, Y, x, y).is_empty
+    assert parameter_instantiation([QuantifiedConstraint(f, y)], x)[0].param_domain == y
+
+
+def test_every_forward_op_has_a_tangent_rule():
+    # pow's alias sqr aside, the two tables name the same ops, so an op
+    # cannot be added to one and forgotten in the other
+    ops = set(expr._FORWARD) - set(expr._LEAVES) - {"sqr"}
+    assert set(expr._TANGENT) == ops | {"zero", "one"}
+
+
+_ZERO, _ONE, _NONNEG = Interval(0.0, 0.0), Interval(1.0, 1.0), Interval(0.0, math.inf)
+
+
+def _derivative_loop(e, wrt: VarRef, x: Box, y: Box) -> Interval:
+    """Reference: forward-mode tangents as a loop over the tape, dispatching on op names."""
+    tape, values = forward_sweep(e, x, y)
+    wrt_op = "var" if wrt.kind is VarKind.VARIABLE else "param"
+    ders: list[Interval] = []
+    push = ders.append
+    for i, (op, a, b) in enumerate(tape):
+        if op == "var" or op == "param":
+            push(_ONE if op == wrt_op and a == wrt.index else _ZERO)
+        elif op == "const":
+            push(_ZERO)
+        elif op == "add":
+            push(ders[a] + ders[b])
+        elif op == "sub":
+            push(ders[a] - ders[b])
+        elif op == "mul":
+            push(ders[a] * values[b] + values[a] * ders[b])
+        elif op == "div":
+            push((ders[a] * values[b] - values[a] * ders[b]) / values[b].sqr())
+        elif op == "neg":
+            push(-ders[a])
+        elif op == "sqrt":
+            push(ders[a] / (values[i] * 2))
+        elif op == "exp":
+            push(values[i] * ders[a])
+        elif op == "log":
+            push(ders[a] / values[a].intersect(_NONNEG))
+        elif op == "sin":
+            push(values[a].cos() * ders[a])
+        elif op == "cos":
+            push(-values[a].sin() * ders[a])
+        else:  # pow
+            push(_ZERO if b == 0 else values[a].pow_int(b - 1) * b * ders[a])
+    return ders[-1]
+
+
+def test_derivative_matches_the_loop_bit_for_bit():
+    # the compiled tangents against the loop they replaced, on random trees
+    # and DAGs over edge-case bounds, differentiated by each variable and
+    # the parameter; float.hex tells -0.0 from 0.0
+    from test_contractor import _bits, _random_dag, _random_interval, _random_tree
+
+    rng = random.Random(2008)
+    literals = [parse_expression(t, SYMS) for t in ("0.1", "1e-7", "3.3", "2.5")]
+    for case in range(3000):
+        e = _random_tree(rng, 5) if case % 2 else _random_dag(rng, rng.randint(1, 8))
+        if case % 3 == 0:
+            lit = rng.choice(literals)
+            e = Binary(rng.choice(("add", "sub", "mul", "div")), *((e, lit) if rng.random() < 0.5 else (lit, e)))
+        x = Box((_random_interval(rng), _random_interval(rng)))
+        y = Box((_random_interval(rng),))
+        wrt = rng.choice((X, X2, Y))
+        got = derivative_interval(e, wrt, x, y)
+        assert _bits([got]) == _bits([_derivative_loop(e, wrt, x, y)]), (case, e, wrt, x, y)
