@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -27,7 +28,7 @@ from typing import Sequence
 
 from .interval import Box, Interval
 from .expr import _NUMBER_RE as _UNSIGNED_RE
-from .expr import Binary, Expression, ParseError, VarKind, VarRef, _literal, parse_expression
+from .expr import FUNCTIONS, Binary, Expression, ParseError, VarKind, VarRef, _literal, parse_expression
 from .solver import Paving, Problem, SolverConfig, classified_ratio, solve
 
 __all__ = [
@@ -99,6 +100,8 @@ def parse_problem(text: str, name: str = "problem") -> Problem:
             kind, ident, literal = m.groups()
             if ident in seen:
                 raise ProblemError(f"duplicate name {ident!r}", offset + m.start(2), text)
+            if ident in FUNCTIONS:
+                raise ProblemError(f"{ident!r} is a function name", offset + m.start(2), text)
             seen.add(ident)
             try:
                 domain = Interval.parse(literal)
@@ -359,7 +362,12 @@ def run(argv: Sequence[str] | None = None) -> int:
     paving = solve(problem, cfg)
     report = format_report(problem, cfg, paving)
     if args.out is None:
-        sys.stdout.write(report)
+        try:
+            sys.stdout.write(report)
+            sys.stdout.flush()
+        except BrokenPipeError:  # the reader left; keep the exit flush quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
     path = args.out
     try:
         if path is not None:

@@ -36,6 +36,7 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from operator import is_
 from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = ["Interval", "Box", "EMPTY"]
@@ -708,20 +709,26 @@ class Interval:
 
 
 _new = object.__new__
-_set_lo = Interval.lo.__set__
-_set_hi = Interval.hi.__set__
 
 
-def _iv(lo: float, hi: float) -> Interval:
-    """Build an Interval from float bounds that are valid by construction.
+def _unchecked(cls: type) -> Callable:
+    """A builder of cls, a frozen slotted dataclass of two fields, from their values.
 
-    Skips ``__post_init__``; only for results computed from valid
-    operands, never for bounds that come from outside.
+    It skips ``__init__`` and ``__post_init__``; only for values computed
+    from valid operands, never for values that come from outside.
     """
-    iv = _new(Interval)
-    _set_lo(iv, lo)
-    _set_hi(iv, hi)
-    return iv
+    set_a, set_b = (getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def build(a, b):
+        obj = _new(cls)
+        set_a(obj, a)
+        set_b(obj, b)
+        return obj
+
+    return build
+
+
+_iv = _unchecked(Interval)  # an Interval from bounds valid by construction
 
 
 EMPTY = Interval(_INF, -_INF)
@@ -777,9 +784,13 @@ class Box:
     @property
     def width(self) -> float:
         """Largest coordinate width (0.0 for empty or 0-d boxes)."""
-        if self.is_empty or not self.dims:
-            return 0.0
-        return max(iv.width for iv in self.dims)
+        widest = 0.0
+        for iv in self.dims:
+            if iv.lo > iv.hi:
+                return 0.0
+            if (w := iv.hi - iv.lo) > widest:
+                widest = w
+        return widest
 
     @property
     def midpoint(self) -> tuple[float, ...]:
@@ -789,7 +800,9 @@ class Box:
         """Volume as (m, k), meaning m / 2**k; requires finite bounds.
 
         Bounds are doubles, so every denominator is a power of two and
-        the product is formed on integers alone, never normalised.
+        the product is formed on integers alone, never normalised.  A
+        width that TwoSum shows to be exact is a double and gives its
+        ratio at once; any other is hi - lo over the bounds' ratios.
         """
         if self.is_empty:
             return 0, 0
@@ -798,10 +811,16 @@ class Box:
             lo, hi = iv.lo, iv.hi
             if lo == -_INF or hi == _INF:
                 raise ValueError("exact volume of an unbounded box")
-            hm, hd = hi.as_integer_ratio()
-            lm, ld = lo.as_integer_ratio()
-            num *= hm * ld - lm * hd
-            den *= hd * ld
+            w = hi - lo
+            t = w - hi
+            if t - t == 0.0 and hi - (w - t) == lo + t:
+                wm, wd = w.as_integer_ratio()
+            else:
+                hm, hd = hi.as_integer_ratio()
+                lm, ld = lo.as_integer_ratio()
+                wm, wd = hm * ld - lm * hd, hd * ld
+            num *= wm
+            den *= wd
         return num, den.bit_length() - 1
 
     def exact_volume(self) -> Fraction:
@@ -829,8 +848,10 @@ class Box:
     # -- set operations ---------------------------------------------------------
 
     def intersect(self, other: Box) -> Box:
+        """self ∩ other; self itself when each coordinate's intersect returned self's."""
         self._check_dims(other)
-        return _box(tuple(a.intersect(b) for a, b in zip(self.dims, other.dims)))
+        dims = tuple(map(Interval.intersect, self.dims, other.dims))
+        return self if all(map(is_, dims, self.dims)) else _box(dims)
 
     def hull(self, other: Box) -> Box:
         """Smallest box containing both; the empty box is the identity."""
@@ -839,7 +860,7 @@ class Box:
             return other
         if other.is_empty:
             return self
-        return _box(tuple(a.hull(b) for a, b in zip(self.dims, other.dims)))
+        return _box(tuple(map(Interval.hull, self.dims, other.dims)))
 
     def replace(self, axis: int, iv: Interval) -> Box:
         dims = list(self.dims)
@@ -878,17 +899,16 @@ class Box:
         if inner.is_empty:
             return [self]
         pieces: list[Box] = []
-        cur = list(self.dims)
+        cur = self.dims
         for k, (outer_iv, inner_iv) in enumerate(zip(self.dims, inner.dims)):
+            if inner_iv is outer_iv:
+                continue
+            head, tail = cur[:k], cur[k + 1:]
             if inner_iv.lo > outer_iv.lo:
-                pieces.append(
-                    _box(tuple(cur[:k]) + (_iv(outer_iv.lo, inner_iv.lo),) + tuple(cur[k + 1:]))
-                )
+                pieces.append(_box(head + (_iv(outer_iv.lo, inner_iv.lo),) + tail))
             if inner_iv.hi < outer_iv.hi:
-                pieces.append(
-                    _box(tuple(cur[:k]) + (_iv(inner_iv.hi, outer_iv.hi),) + tuple(cur[k + 1:]))
-                )
-            cur[k] = inner_iv
+                pieces.append(_box(head + (_iv(inner_iv.hi, outer_iv.hi),) + tail))
+            cur = head + (inner_iv,) + tail
         return pieces
 
     def __str__(self) -> str:

@@ -9,7 +9,10 @@ A node is (box, store).  Processing a node optionally pins parameters
 proven monotone (2B+ mode), prunes the box with each constraint
 instantiated at its parameter midpoint, identifies an inner region by
 contracting the negated constraints, then bisects parameter domains and
-branches on the widest variable coordinate.
+branches on the widest variable coordinate.  The loop builds its
+constraints, midpoint boxes and pinned points from valid operands, with
+the unchecked builders of ``interval`` (``_unchecked``, ``_box``); a
+solve runs the dataclass checks only for the root store.
 
 The volume ledger is exact.  Box bounds are doubles, so every volume is
 a dyadic rational m / 2**k (``Box.dyadic_volume``); each box is measured
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .interval import Box, Interval
+from .interval import Box, Interval, _box, _iv, _unchecked
 from .expr import Expression, VarKind, VarRef, derivative_interval
 from .contractor import InequalityConstraint, Relation, hc4_revise
 
@@ -93,6 +96,10 @@ class QuantifiedConstraint:
 
     f: Expression
     param_domain: Box
+
+
+_qc = _unchecked(QuantifiedConstraint)
+_ineq = _unchecked(InequalityConstraint)
 
 
 @dataclass
@@ -181,10 +188,11 @@ def _ratio_met(unclassified: int, initial: int, stop_ratio: float) -> bool:
 
 
 def _widest_axis(box: Box) -> int:
-    best = 0
-    for i in range(1, len(box)):
-        if box.dims[i].width > box.dims[best].width:
-            best = i
+    # an empty coordinate's hi - lo is negative, below its width 0.0
+    best, widest = 0, 0.0
+    for i, iv in enumerate(box.dims):
+        if (w := iv.hi - iv.lo) > widest:
+            best, widest = i, w
     return best
 
 
@@ -206,26 +214,18 @@ def parameter_instantiation(
     """
     out: list[QuantifiedConstraint] = []
     for qc in store:
-        dims = list(qc.param_domain.dims)
-        changed = False
-        for j, iv in enumerate(dims):
+        dom = qc.param_domain
+        for j, iv in enumerate(dom.dims):
             if iv.is_degenerate:
                 continue
-            d = derivative_interval(
-                qc.f, VarRef(VarKind.PARAMETER, j), box, Box(tuple(dims))
-            )
+            d = derivative_interval(qc.f, VarRef(VarKind.PARAMETER, j), box, dom)
             if d.is_empty or math.isinf(d.lo) or math.isinf(d.hi):
                 continue
             if d.lo >= 0.0 and math.isfinite(iv.hi):
-                dims[j] = Interval.point(iv.hi)
-                changed = True
+                dom = dom.replace(j, _iv(iv.hi, iv.hi))
             elif d.hi <= 0.0 and math.isfinite(iv.lo):
-                dims[j] = Interval.point(iv.lo)
-                changed = True
-        if changed:
-            out.append(QuantifiedConstraint(qc.f, Box(tuple(dims))))
-        else:
-            out.append(qc)
+                dom = dom.replace(j, _iv(iv.lo, iv.lo))
+        out.append(qc if dom is qc.param_domain else _qc(qc.f, dom))
     return out
 
 
@@ -236,8 +236,9 @@ def local_pruning(qc: QuantifiedConstraint, box: Box) -> Box:
     parameter point, the midpoint included.  With no parameters the
     midpoint is the empty tuple and the constraint is contracted as is.
     """
-    y_mid = Box.point(qc.param_domain.midpoint)
-    contracted, _ = hc4_revise(InequalityConstraint(qc.f, Relation.LEQ), box, y_mid)
+    dom = qc.param_domain
+    y_mid = _box(tuple(_iv(m, m) for m in dom.midpoint)) if dom.dims else dom
+    contracted, _ = hc4_revise(_ineq(qc.f, Relation.LEQ), box, y_mid)
     return contracted
 
 
@@ -264,15 +265,14 @@ def solution_identification(
     and the closure of box minus that hull as inner boxes.
     """
     kept: list[QuantifiedConstraint] = []
-    remainder = Box.empty(len(box))
     for qc in store:
-        xi, yi = hc4_revise(
-            InequalityConstraint(qc.f, Relation.GEQ), box, qc.param_domain
-        )
+        xi, yi = hc4_revise(_ineq(qc.f, Relation.GEQ), box, qc.param_domain)
         if xi.is_empty:
             continue
-        kept.append(QuantifiedConstraint(qc.f, yi))
-        remainder = remainder.hull(xi)
+        remainder = remainder.hull(xi) if kept else xi  # from the first kept region
+        kept.append(_qc(qc.f, yi))
+    if not kept:
+        remainder = Box.empty(len(box))
     return kept, remainder, box.set_difference_closure(remainder)
 
 
@@ -289,12 +289,12 @@ def parameter_domain_bisection(
     for qc in store:
         dom = qc.param_domain
         axis = _widest_axis(dom)
-        if len(dom) == 0 or dom.dims[axis].width <= epsilon or not _bisectable(dom.dims[axis]):
+        if not dom.dims or dom.dims[axis].width <= epsilon or not _bisectable(dom.dims[axis]):
             out.append(qc)
         else:
             lo_half, hi_half = dom.bisect(axis)
-            out.append(QuantifiedConstraint(qc.f, lo_half))
-            out.append(QuantifiedConstraint(qc.f, hi_half))
+            out.append(_qc(qc.f, lo_half))
+            out.append(_qc(qc.f, hi_half))
     return out
 
 

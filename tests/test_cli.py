@@ -115,6 +115,17 @@ def test_parse_problem_errors(text, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("kind", ["var", "param"])
+@pytest.mark.parametrize("name", ["sin", "sqrt"])
+def test_a_function_name_is_not_a_declared_name(kind, name):
+    text = f"var x in [0,1];\n{kind} {name} in [0,1];\nconstraint x - 1 <= 0;\n"
+    with pytest.raises(ProblemError) as err:
+        parse_problem(text)
+    assert err.value.message == f"{name!r} is a function name"
+    assert err.value.position == text.index(name)
+    assert "(line 2" in str(err.value)
+
+
 def test_parse_problem_error_reports_line():
     text = "var x in [0,1];\nparam y in [0,1];\nconstraint x + z <= 0;\n"
     with pytest.raises(ProblemError) as err:
@@ -496,6 +507,20 @@ def test_package_reaches_the_command_line_names():
     assert set(qine._CLI_NAMES) <= set(qine.__all__)
     with pytest.raises(AttributeError):
         qine.no_such_name
+
+
+def test_a_closed_stdout_pipe_is_a_clean_error(problems_dir):
+    # the read end is closed before the child writes its report, so the
+    # write fails with EPIPE; no traceback follows, at the write or at exit
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qine", "solve", str(problems_dir / "ring2d.qcsp"), "--eps", "0.01"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err
 
 
 def _cap_memory() -> None:

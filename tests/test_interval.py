@@ -827,3 +827,168 @@ def test_exact_volume_edge_boxes():
     assert big.exact_volume() == (2 * Fraction(MAX)) ** 2
     with pytest.raises(ValueError):
         Box.from_bounds([(0.0, INF)]).exact_volume()
+
+
+# ---------------------------------------------------------------------------
+# the one-pass Box code against the code it replaced, bit for bit
+
+
+def _width_ref(box: Box) -> float:
+    """Reference: Box.width as the max of the coordinates' width properties."""
+    if box.is_empty or not box.dims:
+        return 0.0
+    return max(iv.width for iv in box.dims)
+
+
+def _widest_axis_ref(box: Box) -> int:
+    """Reference: solver._widest_axis reading two width properties per step."""
+    best = 0
+    for i in range(1, len(box)):
+        if box.dims[i].width > box.dims[best].width:
+            best = i
+    return best
+
+
+def _dyadic_volume_ref(box: Box) -> tuple[int, int]:
+    """Reference: each width as hi - lo over the product of the bounds' ratios."""
+    if box.is_empty:
+        return 0, 0
+    num = den = 1
+    for iv in box.dims:
+        lo, hi = iv.lo, iv.hi
+        if lo == -INF or hi == INF:
+            raise ValueError("exact volume of an unbounded box")
+        hm, hd = hi.as_integer_ratio()
+        lm, ld = lo.as_integer_ratio()
+        num *= hm * ld - lm * hd
+        den *= hd * ld
+    return num, den.bit_length() - 1
+
+
+def _intersect_ref(a: Box, b: Box) -> Box:
+    """Reference: Box.intersect building a new box every time."""
+    return Box(tuple(x.intersect(y) for x, y in zip(a.dims, b.dims)))
+
+
+def _hull_ref(a: Box, b: Box) -> Box:
+    """Reference: Box.hull, which the identification folded from the empty box."""
+    if a.is_empty:
+        return b
+    if b.is_empty:
+        return a
+    return Box(tuple(x.hull(y) for x, y in zip(a.dims, b.dims)))
+
+
+def _closure_ref(outer: Box, inner: Box) -> list[Box]:
+    """Reference: set_difference_closure rebuilding every coordinate tuple."""
+    if outer.is_empty:
+        return []
+    inner = _intersect_ref(outer, inner)
+    if inner.is_empty:
+        return [outer]
+    pieces: list[Box] = []
+    cur = list(outer.dims)
+    for k, (outer_iv, inner_iv) in enumerate(zip(outer.dims, inner.dims)):
+        if inner_iv.lo > outer_iv.lo:
+            pieces.append(Box(tuple(cur[:k]) + (Interval(outer_iv.lo, inner_iv.lo),) + tuple(cur[k + 1:])))
+        if inner_iv.hi < outer_iv.hi:
+            pieces.append(Box(tuple(cur[:k]) + (Interval(inner_iv.hi, outer_iv.hi),) + tuple(cur[k + 1:])))
+        cur[k] = inner_iv
+    return pieces
+
+
+def _box_bits(box: Box) -> tuple:
+    # float.hex tells -0.0 from 0.0
+    return tuple((iv.lo.hex(), iv.hi.hex()) for iv in box.dims)
+
+
+# hi - lo overflows on [-1e308, 1e308], where the exact-width path must not run
+BOX_EDGES = [0.0, -0.0, TINY, -TINY, 1e308, -1e308, MAX, -MAX, 1.0, 0.1, -3.0, 2.0**-1070]
+
+
+@st.composite
+def edge_intervals(draw, finite=False):
+    if draw(st.integers(0, 9)) == 0:
+        return EMPTY
+    values = st.one_of(st.floats(allow_nan=False, allow_infinity=not finite), st.sampled_from(BOX_EDGES))
+    a, b = draw(values), draw(values)
+    assume(not (a == b and math.isinf(a)))
+    return Interval(min(a, b), max(a, b))
+
+
+@st.composite
+def box_pairs(draw, finite=False):
+    """(a, b) of one dimension; each of b's coordinates is a's own object, a's
+    with its zeros' signs flipped, a wider or narrower copy, or any interval."""
+    n = draw(st.integers(min_value=0, max_value=4))
+    a = Box(tuple(draw(edge_intervals(finite)) for _ in range(n)))
+    dims = []
+    for iv in a.dims:
+        kind = draw(st.integers(0, 3))
+        if kind == 0 or iv.is_empty:
+            dims.append(iv)
+        elif kind == 1:
+            dims.append(Interval(-iv.lo if iv.lo == 0.0 else iv.lo, -iv.hi if iv.hi == 0.0 else iv.hi))
+        elif kind == 2:
+            lo, hi = draw(st.sampled_from([(iv.lo, iv.hi), (-INF, iv.hi), (iv.lo, INF), (iv.lo, iv.lo)]))
+            dims.append(Interval(lo, hi))
+        else:
+            dims.append(draw(edge_intervals(finite)))
+    return a, Box(tuple(dims))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400)
+@given(box_pairs())
+def test_box_code_matches_its_reference_bit_for_bit(pair):
+    from qine.solver import _widest_axis
+
+    a, b = pair
+    for box in pair:
+        assert box.width.hex() == _width_ref(box).hex()
+        assert _widest_axis(box) == _widest_axis_ref(box)
+        got, ref = _outcome(Box.dyadic_volume, box), _outcome(_dyadic_volume_ref, box)
+        if isinstance(ref, str):
+            assert got == ref
+        else:
+            assert Fraction(got[0], 1 << got[1]) == Fraction(ref[0], 1 << ref[1])
+    assert _box_bits(a.intersect(b)) == _box_bits(_intersect_ref(a, b))
+    got, ref = a.set_difference_closure(b), _closure_ref(a, b)
+    assert [_box_bits(p) for p in got] == [_box_bits(p) for p in ref]
+    assert _box_bits(a.hull(b)) == _box_bits(_hull_ref(a, b))
+    # the identification's hull starts from the first region
+    regions = [box for box in (a, b, a.intersect(b)) if not box.is_empty]
+    folded = Box.empty(len(a))
+    for box in regions:
+        folded = _hull_ref(folded, box)
+    if regions:
+        first = regions[0]
+        for box in regions[1:]:
+            first = first.hull(box)
+        assert _box_bits(first) == _box_bits(folded)
+
+
+def test_box_intersect_returns_self_when_no_coordinate_is_cut():
+    a = Box.from_bounds([(0.0, 1.0), (-0.0, 2.0)])
+    # b holds a with its zeros signed the other way: a's own zeros come back
+    assert a.intersect(Box.from_bounds([(-0.0, 1.0), (0.0, 2.0)])) is a
+    cut = a.intersect(Box.from_bounds([(-1.0, 1.0), (0.0, 1.0)]))
+    assert cut is not a and cut.dims[0] is a.dims[0]
+    assert _box_bits(cut) == ((0.0.hex(), 1.0.hex()), ((-0.0).hex(), 1.0.hex()))
+
+
+def test_dyadic_volume_falls_back_where_the_width_is_inexact():
+    for bounds in ([(-1e308, 1e308)], [(-MAX, MAX), (0.0, TINY)], [(0.1, 1e20)], [(-TINY, 1.0)]):
+        box = Box.from_bounds(bounds)
+        m, k = box.dyadic_volume()
+        assert Fraction(m, 1 << k) == fraction_volume(box)
+        rm, rk = _dyadic_volume_ref(box)
+        assert Fraction(m, 1 << k) == Fraction(rm, 1 << rk)
+    half_empty = Box((Interval(-INF, 0.0), EMPTY))
+    assert half_empty.dyadic_volume() == _dyadic_volume_ref(half_empty) == (0, 0)

@@ -508,3 +508,43 @@ def test_problem_validation():
             Box(()),
             (f,),
         )
+
+
+# ---------------------------------------------------------------------------
+# the node loop builds no checked objects
+
+
+@pytest.mark.parametrize(
+    "path, mode, coarse, fine",
+    [
+        ("problems/ring2d.qcsp", "2b+", 0.1, 0.05),
+        ("bench/problems/lens.qcsp", "2b", 0.1, 0.05),
+        ("bench/problems/mixed3d.qcsp", "2b+", 0.6, 0.3),
+    ],
+)
+def test_solve_constructs_no_checked_object_per_node(path, mode, coarse, fine, problems_dir, monkeypatch):
+    # constraints, intervals and boxes built inside the loop skip their
+    # dataclass __init__ and __post_init__, so a solve runs them only for
+    # the root store, however many nodes it processes
+    from qine.contractor import InequalityConstraint
+
+    problem = parse_problem((problems_dir.parent / path).read_text())
+    solve(problem, SolverConfig(epsilon=coarse, mode=mode))  # compiles the kernels
+    counts: dict[str, int] = {}
+    for cls, attr in (
+        (Interval, "__post_init__"),
+        (Box, "__post_init__"),
+        (QuantifiedConstraint, "__init__"),
+        (InequalityConstraint, "__init__"),
+    ):
+        def counted(self, *args, _orig=getattr(cls, attr), _key=f"{cls.__name__}.{attr}", **kwargs):
+            counts[_key] = counts.get(_key, 0) + 1
+            return _orig(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, attr, counted)
+    nodes = []
+    for eps in (coarse, fine):
+        counts.clear()
+        nodes.append(solve(problem, SolverConfig(epsilon=eps, mode=mode)).stats.nodes_processed)
+        assert counts == {"QuantifiedConstraint.__init__": len(problem.constraints)}, eps
+    assert nodes[1] > 2 * nodes[0] > 20
