@@ -330,8 +330,8 @@ def run(argv: Sequence[str] | None = None) -> int:
             raise _CliError("a subcommand is required (try 'solve')")
         try:
             text = Path(args.file).read_text()
-        except OSError as exc:
-            raise _CliError(f"cannot read {args.file}: {exc.strerror or exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:  # the latter has no strerror
+            raise _CliError(f"cannot read {args.file}: {getattr(exc, 'strerror', None) or exc}") from exc
         try:
             problem = parse_problem(text, name=Path(args.file).stem)
         except ProblemError as exc:

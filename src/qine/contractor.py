@@ -6,8 +6,9 @@ the feasible half-line of the relation, and one backward sweep projects
 each node interval onto its operands.  There is no internal fixpoint
 iteration: callers that want more contraction call again.
 
-Each (expression, relation) pair is compiled once into one straight-line
-function: the forward code of ``expr.forward_sweep``, then one block per
+Each expression is compiled once into one straight-line function of the
+boxes and the relation's feasible half-line, which both relations share:
+the forward code of ``expr.forward_sweep``, then one block per
 visit of the backward sweep, in the order of a depth-first walk (left
 operand first, a node reached along several paths visited once per
 path).  The code has no loop and no dispatch on ops, and, like the
@@ -15,7 +16,8 @@ tape, no depth limit.  Its size is the number of visits, which is the
 tape's length when only leaves are shared, as in every parsed
 expression.  It works on float bounds: the arithmetic calls interval.py's
 functions on bounds, intersections, hulls and empty checks are float
-comparisons, and Intervals are built only for the returned boxes.
+comparisons, and Intervals are built only for the returned boxes, while a
+box or interval that was not cut is returned as it came.
 
 The backward sweep stops at a settled node that the narrowing never
 reached (see ``hc4_revise``): projecting it would return every value
@@ -165,8 +167,9 @@ def _rebuilt(k: str, first: dict[int, int]) -> str:
     # the box of the input intervals ks, each j in first rebuilt from
     # k{j}l, k{j}h if it was cut.  Slot first[j] holds the input bounds,
     # and a cut moves a bound strictly inward, so equal bounds mean none.
+    # A box the tape never reads is the input box k itself.
     if not first:
-        return f"_box({k}s)"
+        return k
     top = max(first) + 1
     items = [
         f"{k}s[{j}] if {k}{j}l == v{first[j]}l and {k}{j}h == v{first[j]}h else _iv({k}{j}l, {k}{j}h)"
@@ -177,9 +180,31 @@ def _rebuilt(k: str, first: dict[int, int]) -> str:
     return f"_box(({', '.join(items)}, *{k}s[{top}:]))"
 
 
-def _compile_revise(steps: Sequence[_Step], settled: Sequence[bool], relation: Relation) -> Callable:
-    """HC4-revise of one tape against one relation, as one function of (xs, ys).
+# the ops whose projection of their own forward value is exact (see hc4_revise)
+_SETTLED_OPS = frozenset(_LEAVES + ("add", "sub", "mul", "neg", "pow", "sin", "cos"))
 
+
+def _settled(steps: Sequence[_Step], paths: Sequence[int]) -> tuple[bool, ...]:
+    # a step is settled when its op is in _SETTLED_OPS, its operands are
+    # settled, and no internal step has more than one user (leaves may be
+    # shared).  Every step lies below the root, so some internal step has
+    # two users exactly when some internal step is reached along two paths.
+    if any(n > 1 and op not in _LEAVES for n, (op, _, _) in zip(paths, steps)):
+        return (False,) * len(steps)
+    settled: list[bool] = []
+    for op, a, b in steps:
+        ok = op in _SETTLED_OPS
+        if ok and op not in _LEAVES:
+            ok = settled[a] and (op not in _BINARY or settled[b])
+        settled.append(ok)
+    return tuple(settled)
+
+
+def _compile_revise(steps: Sequence[_Step]) -> Callable:
+    """HC4-revise of one tape, as one function of (x, y, n0l, n0h).
+
+    x and y are the boxes, and n0l, n0h the feasible half-line of the
+    relation: (-inf, 0.0) for f <= 0, (0.0, inf) for f >= 0.
     Every value is a pair of float locals, named by a prefix and l or h:
     v{i} is step i's forward value, c{i} the current value of a step
     reached along several paths (a single-path step's operands are read
@@ -188,7 +213,8 @@ def _compile_revise(steps: Sequence[_Step], settled: Sequence[bool], relation: R
     contracted domains.  A settled inner step's visit also gets the flag
     n{w}u, which holds when n{w} is its forward value unchanged.  Only
     the returned boxes are built as Intervals: an input interval whose
-    domain was not cut is returned as it came.
+    domain was not cut is returned as it came, and so is a box the tape
+    never reads, or both boxes when the settled root stops at once.
 
     Every op maps an empty operand to an empty result, so once the root
     passes its empty check every forward value is non-empty, and a visit
@@ -214,23 +240,23 @@ def _compile_revise(steps: Sequence[_Step], settled: Sequence[bool], relation: R
             if op in _BINARY:
                 paths[b] += paths[i]
     cur = [f"c{i}" if n > 1 else f"v{i}" for i, n in enumerate(paths)]
-    flagged = [s and op not in _LEAVES for s, (op, _, _) in zip(settled, steps)]
+    flagged = [s and op not in _LEAVES for s, (op, _, _) in zip(_settled(steps, paths), steps)]
     first: dict[str, dict[int, int]] = {"x": {}, "y": {}}  # an input's first slot
     for i, (op, a, _) in enumerate(steps):
         if op == "var" or op == "param":
             first["x" if op == "var" else "y"].setdefault(a, i)
-    # chained assignments start c{i}, x{j} and y{j} at the forward value
+    # chained assignments start c{i}, x{j} and y{j} at the forward value;
+    # step i's line is lines[i + 1]
     for i, n in enumerate(paths):
         if n > 1:
-            lines[i] = f"c{i}l, c{i}h = {lines[i]}"
+            lines[i + 1] = f"c{i}l, c{i}h = {lines[i + 1]}"
     for k, slots in first.items():
         for j, i in slots.items():
-            lines[i] = f"{k}{j}l, {k}{j}h = {lines[i]}"
+            lines[i + 1] = f"{k}{j}l, {k}{j}h = {lines[i + 1]}"
     done = "return " + _rebuilt("x", first["x"]) + ", " + _rebuilt("y", first["y"])
     fail = "return"  # None: no point of the box satisfies the constraint
     root = len(steps) - 1
-    feasible = "-_INF, 0.0" if relation is Relation.LEQ else "0.0, _INF"
-    lines += [f"n0l, n0h = {feasible}", *_cut("n0", f"v{root}", flagged[root]), f"if n0l > n0h: {fail}"]
+    lines += [*_cut("n0", f"v{root}", flagged[root]), f"if n0l > n0h: {fail}"]
     stack = [(root, 0)]
     while stack:
         i, w = stack.pop()
@@ -252,8 +278,9 @@ def _compile_revise(steps: Sequence[_Step], settled: Sequence[bool], relation: R
             operands = [cur[j] for j, _ in children]
             project = _projection(_rule(op, b), n, operands, b, targets, [flagged[j] for j, _ in children])
             check = [f"if {n}l > {n}h: {fail}"] if w else []
-            if settled[i]:
-                stop = done if w + size[i] == size[-1] else "; ".join(
+            if flagged[i]:
+                # at the root nothing is cut yet
+                stop = "return x, y" if not w else done if w + size[i] == size[-1] else "; ".join(
                     f"{t}l, {t}h = {o}l, {o}h" + (f"; {t}u = True" if flagged[j] else "")
                     for t, o, (j, _) in zip(targets, operands, children)
                 )
@@ -263,7 +290,7 @@ def _compile_revise(steps: Sequence[_Step], settled: Sequence[bool], relation: R
                 lines += [*check, *project]
             stack.extend(reversed(children))
     lines.append(done)
-    return _compile("revise", "xs, ys", lines, namespace)
+    return _compile("revise", "x, y, n0l, n0h", lines, namespace)
 
 
 def hc4_revise(constraint: InequalityConstraint, x: Box, y: Box) -> tuple[Box, Box]:
@@ -293,11 +320,12 @@ def hc4_revise(constraint: InequalityConstraint, x: Box, y: Box) -> tuple[Box, B
     that is its forward value, the domain already lies inside it.
 
     The sweep runs as a function compiled from the expression's tape on
-    the first call for each relation (see ``_compile_revise``).
+    the first call, for both relations (see ``_compile_revise``).
     """
-    steps, settled, kernels = _tape(constraint.f)
-    kernel = kernels.get(constraint.relation)
+    steps, kernels = _tape(constraint.f)
+    kernel = kernels.get("revise")
     if kernel is None:
-        kernel = kernels[constraint.relation] = _compile_revise(steps, settled, constraint.relation)
-    contracted = kernel(x.dims, y.dims)
+        kernel = kernels["revise"] = _compile_revise(steps)
+    fl, fh = (-math.inf, 0.0) if constraint.relation is Relation.LEQ else (0.0, math.inf)
+    contracted = kernel(x, y, fl, fh)
     return (Box.empty(len(x)), Box.empty(len(y))) if contracted is None else contracted

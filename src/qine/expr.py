@@ -6,7 +6,8 @@ prove monotonicity in a parameter over a box.  The evaluators read one
 memoized tape of the expression's distinct nodes, compiled from it into
 straight-line code on float bounds, which calls interval.py's functions
 on bounds and builds Intervals only in its return: the natural extension
-once per tape, its partial derivatives once per input differentiated by.
+once per tape, and its partial derivatives once per tape too, the input
+differentiated by being an argument of the compiled function.
 The renderer walks an explicit stack, so none of them has a depth limit;
 only the parser recurses.
 """
@@ -120,7 +121,7 @@ class ParseError(ValueError):
 #   atom   := number | identifier | function "(" expr ")" | "(" expr ")"
 #
 # "^" binds tighter than unary minus and takes a non-negative integer
-# literal exponent.
+# literal exponent of at most MAX_EXPONENT.
 
 _NUMBER_RE = r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
 _TOKEN_RE = re.compile(
@@ -128,6 +129,12 @@ _TOKEN_RE = re.compile(
 )
 
 _INT_RE = re.compile(r"\d+\Z")
+
+# The largest exponent accepted.  interval._root_start scales its operand
+# into [0.5, 2**(n-1)), which stays inside the double range only for
+# n <= 1025; the cap also bounds the products of interval._pow_nonneg and
+# the integers of interval._pow_cmp.
+MAX_EXPONENT = 1024
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -204,6 +211,9 @@ class _Parser:
             nkind, ntext, nat = self.peek()
             if nkind != "num" or not _INT_RE.match(ntext):
                 raise ParseError("exponent must be a non-negative integer", nat)
+            # the digit count first: int() refuses strings past 4300 digits
+            if len(ntext.lstrip("0")) > len(str(MAX_EXPONENT)) or int(ntext) > MAX_EXPONENT:
+                raise ParseError(f"exponent exceeds {MAX_EXPONENT}", nat)
             self.advance()
             return Pow(node, int(ntext))
         return node
@@ -332,26 +342,24 @@ def render(
 # built without recursion and memoized per expression object; the memo
 # holds the expression, so its id is not reused while the entry lives.
 #
-# Beside the tape the memo keeps one "settled" flag per step, read by
-# hc4_revise: a step is settled when its op is in _SETTLED_OPS, its
-# operands are settled, and no internal node of the tape has more than
-# one user (leaves may be shared).  It also keeps the kernels compiled
-# from the tape (``forward_sweep``'s, one per relation for ``hc4_revise``
-# and one per ("var" | "param", index) for ``derivative_interval``), each
-# built on first use and evicted with the entry.
+# Beside the tape the memo keeps the kernels compiled from it, at most one
+# per purpose: "forward" for ``forward_sweep``, "revise" for ``hc4_revise``
+# (the relation is an argument) and "tangent" for ``derivative_interval``
+# (the input differentiated by is an argument), each built on first use
+# and evicted with the entry.
 
 _Step = tuple[str, object, object]
-_Tape = tuple[tuple[_Step, ...], tuple[bool, ...], dict[object, Callable]]
+_Tape = tuple[tuple[_Step, ...], dict[str, Callable]]
 _TAPES: dict[int, tuple[Expression, _Tape]] = {}
 _TAPES_MAX = 256
 _LEAVES = ("var", "param", "const")
 _BINARY = ("add", "sub", "mul", "div")
 _UNARY = ("neg",) + FUNCTIONS
-_SETTLED_OPS = frozenset(_LEAVES + ("add", "sub", "mul", "neg", "pow", "sin", "cos"))
 
 # The natural extension, one Python expression per op, written once: each
 # gives the step's (lo, hi) from float locals, v{a}l, v{a}h and v{b}l,
-# v{b}h for the operands, and the input boxes' intervals xs and ys.  The
+# v{b}h for the operands, and the input boxes' intervals xs and ys, which
+# the kernel's first line reads off its arguments x and y.  The
 # ops are interval.py's functions on bounds; k{i} is a constant's
 # enclosure, which reaches the kernel through its namespace.  The source
 # of a kernel holds only these op templates, slot numbers and integers,
@@ -374,10 +382,13 @@ _FORWARD = {
 # gives step i's partial d{i}l, d{i}h from the operands' partials d{a}, d{b}
 # and the forward values, with the bound functions and operand order of the
 # Interval arithmetic it stands for; a difference parks its negated pair in
-# d{i} first.  Other leaves and 0th powers take "zero".
+# d{i} first.  The kernel's argument w codes the input differentiated by,
+# variable j as j and parameter j as -1 - j (~j), so only that input's leaves
+# get the tangent 1.  Constants and 0th powers take "zero".
 _TANGENT = {
     "zero": "0.0, 0.0",
-    "one": "1.0, 1.0",
+    "var": "(1.0, 1.0) if w == {a} else (0.0, 0.0)",
+    "param": "(1.0, 1.0) if w == ~{a} else (0.0, 0.0)",
     "add": "_add(d{a}l, d{a}h, d{b}l, d{b}h)",
     "sub": "_add(d{a}l, d{a}h, -d{b}h, -d{b}l)",
     "mul": "_add(*_mul(d{a}l, d{a}h, v{b}l, v{b}h), *_mul(v{a}l, v{a}h, d{b}l, d{b}h))",
@@ -412,7 +423,9 @@ def _node(e: Expression) -> tuple[str, tuple[Expression, ...], tuple[object, ...
     if isinstance(e, Unary) and e.op in _UNARY:
         return e.op, (e.child,), ()
     if isinstance(e, Pow):
-        return "pow", (e.base,), (_index(e.exponent),)
+        if _index(e.exponent) > MAX_EXPONENT:
+            raise ValueError(f"exponent {e.exponent} exceeds {MAX_EXPONENT}")
+        return "pow", (e.base,), (e.exponent,)
     if isinstance(e, Const):
         enclosure = Interval.point(e.value) if e.enclosure is None else e.enclosure
         return "const", (), (enclosure, e.value)
@@ -422,7 +435,7 @@ def _node(e: Expression) -> tuple[str, tuple[Expression, ...], tuple[object, ...
 
 
 def _tape(e: Expression) -> _Tape:
-    """The tape of e, its settled flags and its kernels, memoized."""
+    """The tape of e and its kernels, memoized."""
     hit = _TAPES.get(id(e))
     if hit is not None:
         return hit[1]
@@ -443,32 +456,18 @@ def _tape(e: Expression) -> _Tape:
             stack.extend((c, False) for c in reversed(operands))
     if len(_TAPES) >= _TAPES_MAX:
         del _TAPES[next(iter(_TAPES))]
-    entry = (tuple(steps), _settled(steps), {})
+    entry = (tuple(steps), {})
     _TAPES[id(e)] = (e, entry)
     return entry
 
 
-def _settled(steps: list[_Step]) -> tuple[bool, ...]:
-    users = [0] * len(steps)
-    for op, a, b in steps:
-        if op not in _LEAVES:
-            users[a] += 1
-            if op in _BINARY:
-                users[b] += 1
-    if any(n > 1 and steps[i][0] not in _LEAVES for i, n in enumerate(users)):
-        return (False,) * len(steps)
-    settled: list[bool] = []
-    for op, a, b in steps:
-        ok = op in _SETTLED_OPS
-        if ok and op not in _LEAVES:
-            ok = settled[a] and (op not in _BINARY or settled[b])
-        settled.append(ok)
-    return tuple(settled)
-
-
 def _forward_code(steps: Sequence[_Step]) -> tuple[list[str], dict[str, object]]:
-    """The forward sweep as lines ``v{i}l, v{i}h = ...``, and the namespace they read."""
-    lines: list[str] = []
+    """The forward sweep, and the namespace it reads.
+
+    Line 0 reads the intervals xs, ys off the boxes x, y; line i + 1 is
+    step i's ``v{i}l, v{i}h = ...``.
+    """
+    lines = ["xs, ys = x.dims, y.dims"]
     namespace: dict[str, object] = dict(_OPS)
     for i, (op, a, b) in enumerate(steps):
         if op == "const":
@@ -497,14 +496,14 @@ def forward_sweep(e: Expression, x: Box, y: Box) -> tuple[tuple[_Step, ...], lis
     Empty results propagate; sqrt and log keep only the part of their
     operand inside their natural domain.
     """
-    steps, _, kernels = _tape(e)
+    steps, kernels = _tape(e)
     kernel = kernels.get("forward")
     if kernel is None:
         lines, namespace = _forward_code(steps)
         boxed = [_BOXED.get(op, "_iv(v{i}l, v{i}h)").format(i=i, a=a) for i, (op, a, _) in enumerate(steps)]
         lines.append("return [%s]" % ", ".join(boxed))
-        kernel = kernels["forward"] = _compile("forward", "xs, ys", lines, namespace)
-    return steps, kernel(x.dims, y.dims)
+        kernel = kernels["forward"] = _compile("forward", "x, y", lines, namespace)
+    return steps, kernel(x, y)
 
 
 def eval_interval(e: Expression, x: Box, y: Box) -> Interval:
@@ -516,19 +515,20 @@ def derivative_interval(e: Expression, wrt: VarRef, x: Box, y: Box) -> Interval:
     """Enclosure of the partial derivative d e / d wrt over the joint box.
 
     The forward code of ``forward_sweep`` and one ``_TANGENT`` line per
-    step, compiled once per tape and wrt.  The enclosure is unbounded where
+    step, compiled once per tape; wrt is the kernel's argument w (variable
+    j is j, parameter j is -1 - j).  The enclosure is unbounded where
     the derivative is (sqrt or log at the domain edge, division near zero),
     and an empty forward value empties it even where the tangent is zero;
     callers must treat anything not sign-definite as monotonicity unproven.
     """
-    steps, _, kernels = _tape(e)
-    key = ("var" if wrt.kind is VarKind.VARIABLE else "param", _index(wrt.index))
-    kernel = kernels.get(key)
+    steps, kernels = _tape(e)
+    w = _index(wrt.index)
+    kernel = kernels.get("tangent")
     if kernel is None:
         lines, namespace = _forward_code(steps)
         for i, (op, a, b) in enumerate(steps):
-            rule = "one" if (op, a) == key else "zero" if op in _LEAVES or (op, b) == ("pow", 0) else op
+            rule = "zero" if op == "const" or (op, b) == ("pow", 0) else op
             lines.append(f"d{i}l, d{i}h = " + _TANGENT[rule].format(i=i, a=a, b=b))
         lines.append(f"return _iv(d{len(steps) - 1}l, d{len(steps) - 1}h)")
-        kernel = kernels[key] = _compile("tangent", "xs, ys", lines, namespace)
-    return kernel(x.dims, y.dims)
+        kernel = kernels["tangent"] = _compile("tangent", "x, y, w", lines, namespace)
+    return kernel(x, y, w if wrt.kind is VarKind.VARIABLE else ~w)

@@ -45,3 +45,28 @@ def test_workload_report_matches_the_reference_hash(name):
     cfg = qine.SolverConfig(**w.flags)
     report = qine.format_report(problem, cfg, qine.solve(problem, cfg))
     assert paving_sha256(report) == REFERENCE[name]
+
+
+@pytest.mark.parametrize(
+    "name, kernels", [("ring2d-ratio", 2), ("lens-2b", 1), ("mixed3d", 6)]
+)
+def test_a_cold_solve_compiles_one_kernel_per_tape_and_purpose(name, kernels, monkeypatch):
+    # one revise kernel per constraint serves both relations, and one
+    # tangent kernel per constraint serves every parameter it pins: ring2d
+    # has 2 constraints and no parameter, lens 1 solved in 2b (no pinning),
+    # mixed3d 3 with parameters solved in 2b+
+    from qine import contractor, expr
+
+    compiled: list[str] = []
+    compile_kernel = expr._compile
+
+    def spy(kernel, params, lines, namespace):
+        compiled.append(kernel)
+        return compile_kernel(kernel, params, lines, namespace)
+
+    monkeypatch.setattr(expr, "_compile", spy)
+    monkeypatch.setattr(contractor, "_compile", spy)
+    w = WORKLOADS[name]
+    problem = qine.parse_problem(w.problem.read_text(), name=w.problem_name)
+    qine.solve(problem, qine.SolverConfig(**w.flags))
+    assert len(compiled) == kernels, compiled

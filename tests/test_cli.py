@@ -676,3 +676,31 @@ def test_cli_output_is_deterministic(problems_dir, tmp_path, capsys):
         return [l for l in lines if not l.startswith("# elapsed:")]
 
     assert run_once() == run_once()
+
+
+@pytest.mark.parametrize("exponent", ["1025", "9" * 5000], ids=["1025", "5000-digits"])
+def test_cli_rejects_an_exponent_above_the_cap(exponent, tmp_path, capsys):
+    # x^1100 overflowed the integer root's start and x^99999999 hung; int()
+    # refuses a text of more than 4300 digits
+    problem = tmp_path / "pow.qcsp"
+    text = f"var x in [0, 2];\nconstraint x^{exponent} <= 1;\n"
+    problem.write_text(text)
+    assert cli.run(["solve", str(problem)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "exponent exceeds 1024" in err
+    assert f"(line 2, offset {text.index(exponent)})" in err
+
+
+def test_cli_solves_the_largest_exponent(tmp_path, capsys):
+    problem = tmp_path / "pow.qcsp"
+    problem.write_text("var x in [0, 2];\nconstraint x^1024 >= 0.5;\n")
+    assert cli.run(["solve", str(problem), "--eps", "0.01"]) == 0
+    assert "# stop: complete" in capsys.readouterr().out
+
+
+def test_a_file_that_is_not_utf8_is_a_clean_error(tmp_path):
+    bad = tmp_path / "bad.qcsp"
+    bad.write_bytes(b"var x in [0,1];\xff constraint x <= 0.5;")
+    proc = _run_module("solve", str(bad))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith(f"error: cannot read {bad}: ") and "Traceback" not in proc.stderr

@@ -462,15 +462,17 @@ def test_every_op_maps_an_empty_operand_to_an_empty_value():
         assert forward_sweep(e, Box((EMPTY,)), Box(()))[1][-1].is_empty, e
 
 
-def test_kernels_of_the_two_relations_differ():
+def test_one_revise_kernel_serves_both_relations():
     e = parse_expression("x - 1", SYMS)
     x = Box.from_bounds([(0.0, 2.0)])
     assert hc4_revise(InequalityConstraint(e), x, Box(()))[0] == Box.from_bounds([(0.0, 1.0)])
+    kernels = _tape(e)[1]
+    revise = kernels["revise"]
     assert hc4_revise(InequalityConstraint(e, Relation.GEQ), x, Box(()))[0] == Box.from_bounds([(1.0, 2.0)])
-    kernels = _tape(e)[2]
-    assert kernels[Relation.LEQ] is not kernels[Relation.GEQ]
+    assert kernels["revise"] is revise and set(kernels) == {"revise"}
     # profilers tell code apart by file, line and name
-    assert kernels[Relation.LEQ].__code__.co_filename != kernels[Relation.GEQ].__code__.co_filename
+    forward_sweep(e, x, Box(()))
+    assert revise.__code__.co_filename != kernels["forward"].__code__.co_filename
 
 
 def _subinterval(rng: random.Random, iv: Interval) -> Interval:
@@ -602,9 +604,24 @@ def test_kernels_build_intervals_only_in_their_returns(problems_dir, monkeypatch
             hc4_revise(InequalityConstraint(f, rel), x, y)
         for j in range(params):
             derivative_interval(f, VarRef(VarKind.PARAMETER, j), x, y)
-    assert len(sources) == 3 * len(constraints) + 7
+    # one forward and one revise kernel per constraint, one tangent kernel
+    # per constraint that reads a parameter
+    assert len(sources) == 2 * len(constraints) + 4
     for lines in sources:
         for line in lines:
             body = line.split("return", 1)[0]
             assert not any(call in body for call in _INTERVAL_CALLS), line
         assert lines[-1].startswith("return ")
+
+
+def test_revise_returns_a_box_the_tape_never_reads_as_it_came():
+    x, y = Box.from_bounds([(0.0, 1.0)]), Box.from_bounds([(0.0, 1.0)])
+    got = hc4_revise(leq("x - 0.5"), x, y)
+    assert got[0] == Box.from_bounds([(0.0, 0.5)]) and got[1] is y
+
+
+def test_revise_returns_both_boxes_as_they_came_when_the_settled_root_stops():
+    # x - 5 <= 0 holds on all of [0, 1], so nothing is cut
+    x, y = Box.from_bounds([(0.0, 1.0)]), Box.from_bounds([(0.0, 1.0)])
+    got = hc4_revise(leq("x - 5"), x, y)
+    assert got[0] is x and got[1] is y

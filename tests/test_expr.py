@@ -377,8 +377,8 @@ def test_kernels_live_and_leave_with_their_tape():
         hc4_revise(InequalityConstraint(first, rel), x, Box(()))
     forward_sweep(first, x, Box(()))
     assert derivative_interval(first, X, x, Box(())) == Interval(1.0, 1.0)
-    kernels = expr._tape(first)[2]
-    assert set(kernels) == {"forward", *Relation, ("var", 0)}
+    kernels = expr._tape(first)[1]
+    assert set(kernels) == {"forward", "revise", "tangent"}
     refs = [weakref.ref(k) for k in kernels.values()]
     del kernels
     for k in range(expr._TAPES_MAX + 1):
@@ -386,10 +386,10 @@ def test_kernels_live_and_leave_with_their_tape():
         hc4_revise(InequalityConstraint(e, Relation.GEQ), x, Box(()))
         assert eval_interval(e, x, Box(())) == Interval(float(k), float(k + 2))
     assert len(expr._TAPES) <= expr._TAPES_MAX
-    assert all(len(entry[2]) <= 3 for _, entry in expr._TAPES.values())
+    assert all(len(entry[1]) <= 3 for _, entry in expr._TAPES.values())
     # freed with the evicted entry, the tangent kernel too, without waiting
     # for the cycle collector
-    assert len(refs) == 4 and all(ref() is None for ref in refs)
+    assert len(refs) == 3 and all(ref() is None for ref in refs)
 
 
 # ---------------------------------------------------------------------------
@@ -473,11 +473,23 @@ def test_an_empty_forward_value_empties_a_zero_tangent():
     assert parameter_instantiation([QuantifiedConstraint(f, y)], x)[0].param_domain == y
 
 
+def test_an_exponent_above_the_cap_is_rejected():
+    # interval._root_start overflows past 1025, and _pow_nonneg and _pow_cmp
+    # grow with the exponent
+    x = Box.from_bounds([(0.0, 2.0)])
+    assert eval_interval(Pow(X, expr.MAX_EXPONENT), x, Box(())) == Interval(0.0, math.inf)
+    with pytest.raises(ValueError, match="exponent 1025 exceeds 1024"):
+        eval_interval(Pow(X, 1025), x, Box(()))
+    with pytest.raises(ParseError, match="exponent exceeds 1024"):
+        parse_expression("x^" + "9" * 5000, SYMS)
+    assert parse_expression("x^01024", SYMS) == Pow(X, 1024)
+
+
 def test_every_forward_op_has_a_tangent_rule():
     # pow's alias sqr aside, the two tables name the same ops, so an op
     # cannot be added to one and forgotten in the other
     ops = set(expr._FORWARD) - set(expr._LEAVES) - {"sqr"}
-    assert set(expr._TANGENT) == ops | {"zero", "one"}
+    assert set(expr._TANGENT) == ops | {"zero", "var", "param"}
 
 
 _ZERO, _ONE, _NONNEG = Interval(0.0, 0.0), Interval(1.0, 1.0), Interval(0.0, math.inf)

@@ -930,7 +930,8 @@ def box_pairs(draw, finite=False):
         elif kind == 1:
             dims.append(Interval(-iv.lo if iv.lo == 0.0 else iv.lo, -iv.hi if iv.hi == 0.0 else iv.hi))
         elif kind == 2:
-            lo, hi = draw(st.sampled_from([(iv.lo, iv.hi), (-INF, iv.hi), (iv.lo, INF), (iv.lo, iv.lo)]))
+            candidates = [(iv.lo, iv.hi), (-INF, iv.hi), (iv.lo, INF), (iv.lo, iv.lo)]
+            lo, hi = draw(st.sampled_from([c for c in candidates if not (math.isinf(c[0]) and c[0] == c[1])]))
             dims.append(Interval(lo, hi))
         else:
             dims.append(draw(edge_intervals(finite)))
