@@ -5,37 +5,11 @@ x in a box such that f_i(x, y) <= 0 holds for every y in a parameter
 box and every constraint i.
 """
 
-from .interval import EMPTY, Box, Interval
-from .expr import (
-    Binary,
-    Const,
-    Expression,
-    ParseError,
-    Pow,
-    Unary,
-    VarKind,
-    VarRef,
-    derivative_interval,
-    eval_interval,
-    parse_expression,
-    render,
-)
-from .contractor import InequalityConstraint, Relation, backward_project, hc4_revise
-from .solver import (
-    Paving,
-    Problem,
-    QuantifiedConstraint,
-    SolveStats,
-    SolverConfig,
-    branch,
-    classified_ratio,
-    global_pruning,
-    local_pruning,
-    parameter_domain_bisection,
-    parameter_instantiation,
-    solution_identification,
-    solve,
-)
+from . import contractor, expr, interval, solver
+from .interval import *
+from .expr import *
+from .contractor import *
+from .solver import *
 
 __version__ = "0.1.0"
 
@@ -52,43 +26,4 @@ def __getattr__(name: str) -> object:
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [
-    "Interval",
-    "Box",
-    "EMPTY",
-    "VarKind",
-    "VarRef",
-    "Const",
-    "Unary",
-    "Binary",
-    "Pow",
-    "Expression",
-    "ParseError",
-    "parse_expression",
-    "render",
-    "eval_interval",
-    "derivative_interval",
-    "Relation",
-    "InequalityConstraint",
-    "hc4_revise",
-    "backward_project",
-    "Problem",
-    "QuantifiedConstraint",
-    "SolverConfig",
-    "SolveStats",
-    "Paving",
-    "parameter_instantiation",
-    "local_pruning",
-    "global_pruning",
-    "solution_identification",
-    "parameter_domain_bisection",
-    "branch",
-    "solve",
-    "classified_ratio",
-    "ProblemError",
-    "parse_problem",
-    "format_report",
-    "parse_report",
-    "emit_svg",
-    "run",
-]
+__all__ = [*interval.__all__, *expr.__all__, *contractor.__all__, *solver.__all__, *_CLI_NAMES]

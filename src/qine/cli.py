@@ -19,17 +19,15 @@ for a given problem and flags.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import re
 import sys
 from pathlib import Path
 from typing import Sequence
 
-from .interval import Box, Interval
-from .expr import _NUMBER_RE as _UNSIGNED_RE
+from .interval import _NUMBER, Box, Interval
 from .expr import FUNCTIONS, Binary, Expression, ParseError, VarKind, VarRef, _literal, parse_expression
-from .solver import Paving, Problem, SolverConfig, classified_ratio, solve
+from .solver import Paving, Problem, SolverConfig, _check_domain, classified_ratio, solve
 
 __all__ = [
     "ProblemError",
@@ -41,7 +39,7 @@ __all__ = [
     "main",
 ]
 
-_NUMBER_RE = re.compile(rf"[+-]?{_UNSIGNED_RE}\Z")
+_NUMBER_RE = re.compile(rf"[+-]?{_NUMBER}\Z")
 _DECL_RE = re.compile(
     r"\s*(var|param)\s+([A-Za-z_][A-Za-z_0-9]*)\s+in\s+(\S.*?)\s*\Z", re.S
 )
@@ -105,16 +103,9 @@ def parse_problem(text: str, name: str = "problem") -> Problem:
             seen.add(ident)
             try:
                 domain = Interval.parse(literal)
+                _check_domain(ident, domain, kind == "var")  # as Problem does, at the declaration
             except ValueError as exc:
                 raise ProblemError(str(exc), offset + m.start(3), text) from exc
-            # Problem checks these too; here they point at the declaration
-            at = offset + m.start(3)
-            if domain.is_empty:
-                raise ProblemError(f"empty domain for {ident!r}", at, text)
-            if math.isinf(domain.lo) or math.isinf(domain.hi):
-                raise ProblemError(f"unbounded domain for {ident}", at, text)
-            if kind == "var" and domain.is_degenerate:
-                raise ProblemError(f"zero-width domain for variable {ident}", at, text)
             if kind == "var":
                 var_names.append(ident)
                 var_domains.append(domain)
@@ -241,6 +232,13 @@ def parse_report(text: str) -> tuple[dict[str, str], list[Box], list[Box]]:
 # SVG projection.
 
 
+def _check_axes(n: int, var_i: int, var_j: int) -> None:
+    if n < 2:
+        raise ValueError("SVG projection needs at least two variables")
+    if var_i == var_j or not (0 <= var_i < n and 0 <= var_j < n):
+        raise ValueError(f"bad axes ({var_i}, {var_j}) for {n} variables")
+
+
 def emit_svg(
     paving: Paving, var_i: int = 0, var_j: int = 1, path: str | Path | None = None
 ) -> str:
@@ -249,13 +247,11 @@ def emit_svg(
     One rect per record, inner boxes light gray and boundary boxes dark
     gray, no background rect.  The viewBox is the initial domain of the
     chosen axes (the j axis is flipped so larger values point up).
-    Raises ValueError for pavings with fewer than two variables.
+    Raises ValueError for pavings with fewer than two variables and for
+    axes that are equal or out of range.
     """
     init = paving.initial_box
-    if len(init) < 2:
-        raise ValueError("SVG projection needs at least two variables")
-    if var_i == var_j or not (0 <= var_i < len(init)) or not (0 <= var_j < len(init)):
-        raise ValueError(f"bad axes ({var_i}, {var_j}) for {len(init)} variables")
+    _check_axes(len(init), var_i, var_j)
     dom_x = init.dims[var_i]
     dom_y = init.dims[var_j]
     span_x = dom_x.width
@@ -349,12 +345,10 @@ def run(argv: Sequence[str] | None = None) -> int:
             raise _CliError(str(exc)) from exc
         axes = _parse_axes(args.axes)
         if args.svg is not None:
-            if len(problem.variable_names) < 2:
-                raise _CliError("SVG projection needs at least two variables")
-            if axes[0] == axes[1] or not all(
-                0 <= a < len(problem.variable_names) for a in axes
-            ):
-                raise _CliError(f"bad --axes value {args.axes!r}")
+            try:
+                _check_axes(len(problem.variable_names), *axes)
+            except ValueError as exc:
+                raise _CliError(f"--axes {args.axes}: {exc}") from exc
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-from .interval import _E, EMPTY, Box, Interval, _box
+from .interval import _E, EMPTY, Box, Interval, _box, _exponent
 from .expr import _BINARY, _LEAVES, _OPS, Expression, _compile, _forward_code, _Step, _tape
 
 __all__ = [
@@ -145,10 +145,11 @@ def backward_project(
     Each returned interval is the corresponding child intersected with
     the inverse image of ``node_interval`` under the operation, given
     the other children (the rules of ``_PROJECT``).  An empty result
-    means the constraint is infeasible over the current domains.
+    means the constraint is infeasible over the current domains.  A pow
+    takes an integer exponent from 0 to ``interval.MAX_EXPONENT``.
     """
-    if op == "pow" and exponent is None:
-        raise ValueError("pow projection needs an exponent")
+    if op == "pow":
+        _exponent(exponent, 0)
     key = _rule(op, exponent)
     project = _PROJECTORS.get(key)
     if project is None:

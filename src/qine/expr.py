@@ -21,7 +21,7 @@ from enum import Enum
 from typing import Callable, Mapping, Sequence, Union
 
 from . import interval
-from .interval import Box, Interval, _literal_bounds
+from .interval import _DIGITS, _NUMBER, MAX_EXPONENT, Box, Interval, _exponent, _literal_bounds
 
 __all__ = [
     "VarKind",
@@ -123,18 +123,11 @@ class ParseError(ValueError):
 # "^" binds tighter than unary minus and takes a non-negative integer
 # literal exponent of at most MAX_EXPONENT.
 
-_NUMBER_RE = r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
 _TOKEN_RE = re.compile(
-    rf"(?P<num>{_NUMBER_RE})|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()])|(?P<ws>\s+)|(?P<bad>.)"
+    rf"(?P<num>{_NUMBER})|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()])|(?P<ws>\s+)|(?P<bad>.)"
 )
 
-_INT_RE = re.compile(r"\d+\Z")
-
-# The largest exponent accepted.  interval._root_start scales its operand
-# into [0.5, 2**(n-1)), which stays inside the double range only for
-# n <= 1025; the cap also bounds the products of interval._pow_nonneg and
-# the integers of interval._pow_cmp.
-MAX_EXPONENT = 1024
+_INT_RE = re.compile(rf"{_DIGITS}\Z")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -423,9 +416,7 @@ def _node(e: Expression) -> tuple[str, tuple[Expression, ...], tuple[object, ...
     if isinstance(e, Unary) and e.op in _UNARY:
         return e.op, (e.child,), ()
     if isinstance(e, Pow):
-        if _index(e.exponent) > MAX_EXPONENT:
-            raise ValueError(f"exponent {e.exponent} exceeds {MAX_EXPONENT}")
-        return "pow", (e.base,), (e.exponent,)
+        return "pow", (e.base,), (_exponent(e.exponent, 0),)
     if isinstance(e, Const):
         enclosure = Interval.point(e.value) if e.enclosure is None else e.enclosure
         return "const", (), (enclosure, e.value)

@@ -256,6 +256,24 @@ def _root_walk(v: float, n: int, up: bool) -> float:
     return r
 
 
+# The largest exponent of a power or root.  _root_start scales its
+# operand into [0.5, 2**(n-1)), which stays inside the double range only
+# for n <= 1025; the cap also bounds the products of _pow_nonneg and the
+# integers of _pow_cmp.  _exponent checks an exponent where it comes in
+# (pow_int, root_int, a tape's Pow, backward_project), so _pow, _root and
+# the kernels that call them take theirs as valid.
+MAX_EXPONENT = 1024
+
+
+def _exponent(n: object, least: int) -> int:
+    """n if it is an int from least (0 for powers, 1 for roots) to MAX_EXPONENT."""
+    if not isinstance(n, int) or n < least:
+        raise ValueError(f"exponent {n!r} is not an integer >= {least}")
+    if n > MAX_EXPONENT:
+        raise ValueError(f"exponent {n} exceeds {MAX_EXPONENT}")
+    return n
+
+
 # libm is faithful but not correctly rounded for the transcendentals;
 # two ulps of widening cover it with margin.
 
@@ -423,8 +441,6 @@ def _sqr(lo: float, hi: float) -> tuple[float, float]:
 
 
 def _pow(lo: float, hi: float, n: int) -> tuple[float, float]:
-    if n < 0:
-        raise ValueError("negative exponent not supported")
     if lo > hi:
         return _E
     if n == 0:
@@ -498,7 +514,15 @@ def _periodic(
     return max(out_lo, -1.0), min(out_hi, 1.0)
 
 
-_INTERVAL_RE = re.compile(r"\s*\[\s*([^\s,\]]+)\s*,\s*([^\s,\]]+)\s*\]\s*\Z")
+# The one number grammar, of expression literals, right-hand sides and
+# domain bounds, in ASCII digits: a regex's digit class, like float(),
+# takes the digits of every script.  The sign is the caller's: in an
+# expression it is an operator, elsewhere an optional prefix.  A domain
+# bound may also be inf, which ``str(Interval)`` writes.
+_DIGITS = "[0-9]+"
+_NUMBER = rf"(?:{_DIGITS}\.[0-9]*|\.{_DIGITS}|{_DIGITS})(?:[eE][+-]?{_DIGITS})?"
+_BOUND = rf"[+-]?(?:{_NUMBER}|inf)"
+_INTERVAL_RE = re.compile(rf"\s*\[\s*({_BOUND})\s*,\s*({_BOUND})\s*\]\s*\Z")
 
 
 def _literal_bounds(text: str) -> tuple[float, float]:
@@ -558,7 +582,10 @@ class Interval:
 
     @classmethod
     def parse(cls, text: str) -> Interval:
-        """Parse the literal syntax "[lo,hi]" with outward-rounded bounds."""
+        """Parse the literal syntax "[lo,hi]" with outward-rounded bounds.
+
+        Each bound is a signed number of the grammar above, or inf.
+        """
         m = _INTERVAL_RE.match(text)
         if m is None:
             raise ValueError(f"not an interval literal: {text!r}")
@@ -672,16 +699,16 @@ class Interval:
         return _iv(*_sqr(self.lo, self.hi))
 
     def pow_int(self, n: int) -> Interval:
-        """Integer power with even/odd handling; n must be >= 0."""
-        return _iv(*_pow(self.lo, self.hi, n))
+        """Integer power with even/odd handling; 0 <= n <= MAX_EXPONENT."""
+        return _iv(*_pow(self.lo, self.hi, _exponent(n, 0)))
 
     def root_int(self, n: int) -> Interval:
         """Set of real n-th roots; even roots give the non-negative branch.
 
-        Used by inverse projections; the symmetric negative branch for
-        even n is handled by the caller.
+        1 <= n <= MAX_EXPONENT.  Used by inverse projections; the symmetric
+        negative branch for even n is handled by the caller.
         """
-        return _iv(*_root(self.lo, self.hi, n))
+        return _iv(*_root(self.lo, self.hi, _exponent(n, 1)))
 
     def sqrt(self) -> Interval:
         """Square root of the non-negative part; empty when hi < 0."""

@@ -57,6 +57,16 @@ __all__ = [
 ]
 
 
+def _check_domain(name: str, iv: Interval, variable: bool) -> None:
+    """Raise ValueError unless iv is non-empty, bounded and, for a variable, not a point."""
+    if iv.is_empty:
+        raise ValueError(f"empty domain for {name}")
+    if math.isinf(iv.lo) or math.isinf(iv.hi):
+        raise ValueError(f"unbounded domain for {name}")
+    if variable and iv.is_degenerate:
+        raise ValueError(f"zero-width domain for variable {name}")
+
+
 @dataclass(frozen=True, slots=True)
 class Problem:
     """A quantified system: f(x, y) <= 0 for all y, each variable domain of positive width."""
@@ -77,17 +87,10 @@ class Problem:
             raise ValueError("at least one variable is required")
         if not self.constraints:
             raise ValueError("at least one constraint is required")
-        for name, iv in zip(
-            self.variable_names + self.parameter_names,
-            self.variable_box.dims + self.parameter_box.dims,
-        ):
-            if iv.is_empty:
-                raise ValueError(f"empty domain for {name}")
-            if math.isinf(iv.lo) or math.isinf(iv.hi):
-                raise ValueError(f"unbounded domain for {name}")
         for name, iv in zip(self.variable_names, self.variable_box.dims):
-            if iv.is_degenerate:
-                raise ValueError(f"zero-width domain for variable {name}")
+            _check_domain(name, iv, True)
+        for name, iv in zip(self.parameter_names, self.parameter_box.dims):
+            _check_domain(name, iv, False)
 
 
 @dataclass(frozen=True, slots=True)

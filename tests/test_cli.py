@@ -102,6 +102,7 @@ def test_parse_problem_outward_decimal_bounds():
         ("var x in [0,1]; constraint x + y <= 0;", "unknown identifier"),
         ("var x in [0,1]; constraint x;", "expected '<=' or '>='"),
         ("var x in [0,1]; constraint x <= y;", "right-hand side must be a number"),
+        ("var x in [0,1]; constraint x <= \u0661\u0660;", "right-hand side must be a number"),
         ("param y in [0,1]; constraint y <= 0;", "at least one variable"),
         ("var x in [0,1];", "at least one constraint"),
         ("var x in [zz];", "not an interval literal"),
@@ -455,6 +456,10 @@ def test_cli_rejects_a_zero_width_variable_domain(flags, tmp_path, capsys):
         ("var z in [2, 2];", "zero-width domain for variable z"),
         ("var z in [2, inf];", "unbounded domain for z"),
         ("param z in [-1e999, 0];", "unbounded domain for z"),
+        ("var z in [inf, -inf];", "empty domain for z"),
+        # bounds take the ASCII number grammar of expressions, not float()'s
+        ("var z in [0, 1_0];", "not an interval literal: '[0, 1_0]'"),
+        ("param z in [0, \u0661\u0660];", "not an interval literal: '[0, \u0661\u0660]'"),
     ],
 )
 def test_domain_errors_point_at_the_declaration(declaration, message, tmp_path, capsys):

@@ -95,6 +95,14 @@ def test_project_power_zero():
     assert child.is_empty
 
 
+@pytest.mark.parametrize("exponent", [-2, 2.5, 100000, None])
+def test_project_power_refuses_an_exponent_out_of_range(exponent):
+    # -2 projected [4, 9] to empty, a false proof of infeasibility; 2.5
+    # ended in a TypeError and 100000 in a walk of seconds
+    with pytest.raises(ValueError, match="exponent"):
+        backward_project("pow", Interval(4.0, 9.0), (Interval(-5.0, 5.0),), exponent=exponent)
+
+
 def test_project_trig_passes_child_through():
     (child,) = backward_project("sin", Interval(0.5, 1.0), (Interval(0.0, 9.0),))
     assert child == Interval(0.0, 9.0)

@@ -99,6 +99,11 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as err:
         parse_expression("x $ y", SYMS)
     assert err.value.position == 2
+    # numbers are ASCII digits only, though float() and int() read others
+    for text in ("x - \u0661\u0660", "x ^ \u0662"):
+        with pytest.raises(ParseError, match="unexpected character") as err:
+            parse_expression(text, SYMS)
+        assert err.value.position == 4
     with pytest.raises(ParseError):
         parse_expression("sin x", SYMS)
     with pytest.raises(ParseError):

@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import assert_interval, contains_fraction
+from qine import interval
 from qine.interval import (
     EMPTY,
     Box,
@@ -136,6 +137,23 @@ def test_sqr_and_pow():
     assert Interval(-3.0, -2.0).pow_int(4) == Interval(16.0, 81.0)
     with pytest.raises(ValueError):
         Interval(1.0, 2.0).pow_int(-1)
+
+
+@pytest.mark.parametrize(
+    "method, n",
+    [("root_int", 0), ("root_int", -2), ("root_int", -3), ("root_int", 100000), ("root_int", 2.5),
+     ("pow_int", -1), ("pow_int", 1025)],
+)
+def test_an_exponent_out_of_range_is_refused_before_any_arithmetic(method, n, monkeypatch):
+    # root_int(0) divided by zero, root_int(-2) of [4, 9] was empty and
+    # root_int(100000) walked for seconds
+    def unreached(*args):
+        raise AssertionError("the exponent was not checked first")
+
+    monkeypatch.setattr(interval, "_root", unreached)
+    monkeypatch.setattr(interval, "_pow", unreached)
+    with pytest.raises(ValueError, match="exponent"):
+        getattr(Interval(0.5, 2.0), method)(n)
 
 
 def test_sqrt():
