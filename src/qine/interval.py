@@ -16,7 +16,14 @@ returns the result's (lo, hi): ``_add``, ``_mul``, ``_div``, ``_sqr``,
 ``_pow``, ``_root``, ``_exp``, ``_log``, ``_sin`` and ``_cos``.
 ``Interval``'s operators wrap them, and the kernels that ``expr`` and
 ``contractor`` compile call them on float locals, so no rounding or case
-rule has a second copy.
+rule has a second copy.  Dekker's TwoProduct error is written once, as
+the text template ``_TWO_PROD``; the directed products, the square and
+the product error sign are compiled from source that holds it, so that
+on operands inside (2**-450, 2**450) in magnitude they make no Python
+call; nor do sums that do not overflow, nor quotients and square roots
+unless their rounded product check ties (``_prod_cmp``).  Products with
+an infinite or out-of-range nonzero operand, and overflowing sums, take
+slower exact fallbacks (``_mul_edge``, ``_add_edge``).
 
 All values are immutable and operations are pure; the FPU rounding mode
 is never touched, so concurrent use is safe.
@@ -45,12 +52,7 @@ _INF = math.inf
 _MAX = sys.float_info.max
 
 
-def _next_up(x: float) -> float:
-    return math.nextafter(x, _INF)
-
-
-def _next_down(x: float) -> float:
-    return math.nextafter(x, -_INF)
+_nextafter = math.nextafter  # the one ulp-step, called directly so no bound nests a Python call
 
 
 # ---------------------------------------------------------------------------
@@ -58,31 +60,42 @@ def _next_down(x: float) -> float:
 #
 # The round-to-nearest result is computed first; the sign of the exact
 # error then decides whether one ulp-step toward the target infinity is
-# needed.  Error signs are computed exactly, never estimated, by
-# error-free float transformations: TwoSum for sums unless it overflows,
-# and Dekker's TwoProduct for products while both operands lie in
-# (2**-450, 2**450), where no Veltkamp split overflows and no partial
-# product underflows, else by the operands' integer ratios.  Quotients
-# and square roots reduce to the sign of a product minus a double.
+# needed.  Error signs are computed exactly, never estimated: by TwoSum
+# for sums unless it overflows (then _add_edge), and by Dekker's
+# TwoProduct for products while both operands lie in (2**-450, 2**450)
+# in magnitude, where no Veltkamp split overflows and no partial product
+# underflows.  A product with a zero operand is 0.0; one with an infinite
+# or out-of-range operand takes _mul_edge, which compares integer ratios.
+# Quotients and square roots reduce to the sign of a product minus a
+# double (_prod_cmp).
 
 _EFT_LO = 2.0**-450
 _EFT_HI = 2.0**450
-_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter
+
+# Dekker's TwoProduct, written once as text: given p = fl(a*b) for locals
+# {a}, {b} inside (_EFT_LO, _EFT_HI) in magnitude, it sets e to a*b - p
+# exactly, as Veltkamp's splitter 2**27 + 1 gives 26-bit halves whose
+# partial products are exact.  The functions whose common path runs it
+# (_prod_err_sign, _mul_down, _mul_up and _sqr) are compiled by _flat from
+# source that holds it, so that path runs in their own frame.
+_TWO_PROD = (
+    "t = 134217729.0 * {a}; {a}h = t - (t - {a}); {a}l = {a} - {a}h",
+    "t = 134217729.0 * {b}; {b}h = t - (t - {b}); {b}l = {b} - {b}h",
+    "e = {a}l * {b}l - (((p - {a}h * {b}h) - {a}l * {b}h) - {a}h * {b}l)",
+)
 
 
-def _two_prod_err(a: float, b: float, p: float) -> float:
-    """a*b - p exactly, for p = fl(a*b) and a, b inside the float range above.
+def _two_prod(a: str, b: str) -> str:
+    """_TWO_PROD on the locals a and b, as one line; a square splits once."""
+    lines = [line.format(a=a, b=b) for line in _TWO_PROD]
+    return "; ".join(lines[::2] if a == b else lines)
 
-    Dekker's TwoProduct: the splits give 26-bit halves whose partial
-    products are exact.
-    """
-    t = _SPLIT * a
-    ah = t - (t - a)
-    al = a - ah
-    t = _SPLIT * b
-    bh = t - (t - b)
-    bl = b - bh
-    return al * bl - (((p - ah * bh) - al * bh) - ah * bl)
+
+def _flat(source: str, *names: str) -> tuple[Callable, ...]:
+    """The functions ``names`` that source defines, with this module as their globals."""
+    defined: dict[str, Callable] = {}
+    exec(compile(source, f"<qine {' '.join(names)}>", "exec"), globals(), defined)
+    return tuple(defined[name] for name in names)
 
 
 def _add_edge(a: float, b: float, s: float, up: bool) -> float:
@@ -100,15 +113,31 @@ def _add_edge(a: float, b: float, s: float, up: bool) -> float:
     lhs = (am * bd + bm * ad) * sd
     rhs = sm * ad * bd
     if up:
-        return _next_up(s) if lhs > rhs else s
-    return _next_down(s) if lhs < rhs else s
+        return _nextafter(s, _INF) if lhs > rhs else s
+    return _nextafter(s, -_INF) if lhs < rhs else s
 
 
+def _mul_edge(a: float, b: float, up: bool) -> float:
+    """a*b rounded down, or up, for nonzero a, b not both inside (_EFT_LO, _EFT_HI) in magnitude."""
+    if math.isinf(a) or math.isinf(b):
+        return _INF if (a > 0) == (b > 0) else -_INF
+    p = a * b
+    if math.isinf(p):
+        if up:
+            return p if p > 0 else -_MAX
+        return _MAX if p > 0 else p
+    if up:
+        return _nextafter(p, _INF) if _prod_err_sign(a, b, p) > 0 else p
+    return _nextafter(p, -_INF) if _prod_err_sign(a, b, p) < 0 else p
+
+
+_prod_err_sign, _mul_down, _mul_up = _flat(
+    f'''
 def _prod_err_sign(a: float, b: float, p: float) -> int:
     """Sign of a*b - p for finite a, b and p = fl(a*b)."""
     if _EFT_LO < abs(a) < _EFT_HI and _EFT_LO < abs(b) < _EFT_HI:
-        err = _two_prod_err(a, b, p)
-        return (err > 0) - (err < 0)
+        {_two_prod("a", "b")}
+        return (e > 0.0) - (e < 0.0)
     am, ad = a.as_integer_ratio()
     bm, bd = b.as_integer_ratio()
     pm, pd = p.as_integer_ratio()
@@ -118,25 +147,24 @@ def _prod_err_sign(a: float, b: float, p: float) -> int:
 
 
 def _mul_down(a: float, b: float) -> float:
-    if a == 0.0 or b == 0.0:
-        return 0.0
-    if math.isinf(a) or math.isinf(b):
-        return _INF if (a > 0) == (b > 0) else -_INF
-    p = a * b
-    if math.isinf(p):
-        return _MAX if p > 0 else p
-    return _next_down(p) if _prod_err_sign(a, b, p) < 0 else p
+    if _EFT_LO < abs(a) < _EFT_HI and _EFT_LO < abs(b) < _EFT_HI:
+        p = a * b
+        {_two_prod("a", "b")}
+        return _nextafter(p, -_INF) if e < 0.0 else p
+    return 0.0 if a == 0.0 or b == 0.0 else _mul_edge(a, b, False)
 
 
 def _mul_up(a: float, b: float) -> float:
-    if a == 0.0 or b == 0.0:
-        return 0.0
-    if math.isinf(a) or math.isinf(b):
-        return _INF if (a > 0) == (b > 0) else -_INF
-    p = a * b
-    if math.isinf(p):
-        return p if p > 0 else -_MAX
-    return _next_up(p) if _prod_err_sign(a, b, p) > 0 else p
+    if _EFT_LO < abs(a) < _EFT_HI and _EFT_LO < abs(b) < _EFT_HI:
+        p = a * b
+        {_two_prod("a", "b")}
+        return _nextafter(p, _INF) if e > 0.0 else p
+    return 0.0 if a == 0.0 or b == 0.0 else _mul_edge(a, b, True)
+''',
+    "_prod_err_sign",
+    "_mul_down",
+    "_mul_up",
+)
 
 
 def _prod_cmp(x: float, y: float, v: float) -> int:
@@ -144,6 +172,7 @@ def _prod_cmp(x: float, y: float, v: float) -> int:
 
     No double lies strictly between x*y and its rounding p (an infinity
     if x*y is past the largest double), so x*y is on p's side of v != p.
+    ``_div_down``, ``_div_up`` and ``_root`` make this test inline.
     """
     p = x * y
     if p != v:
@@ -162,7 +191,10 @@ def _div_down(a: float, b: float) -> float:
     if math.isinf(q):
         return _MAX if q > 0 else q
     # a/b - q = (a - q*b) / b, so a/b < q exactly when q*b - a has b's sign
-    return _next_down(q) if _prod_cmp(q, b, a) * b > 0 else q
+    p = q * b
+    if p != a:
+        return _nextafter(q, -_INF) if (p > a) == (b > 0.0) else q
+    return _nextafter(q, -_INF) if _prod_err_sign(q, b, p) * b > 0 else q
 
 
 def _div_up(a: float, b: float) -> float:
@@ -175,7 +207,10 @@ def _div_up(a: float, b: float) -> float:
     q = a / b
     if math.isinf(q):
         return q if q > 0 else -_MAX
-    return _next_up(q) if _prod_cmp(q, b, a) * b < 0 else q
+    p = q * b
+    if p != a:
+        return _nextafter(q, _INF) if (p > a) != (b > 0.0) else q
+    return _nextafter(q, _INF) if _prod_err_sign(q, b, p) * b < 0 else q
 
 
 def _pow_nonneg(v: float, n: int, mul: Callable[[float, float], float]) -> float:
@@ -209,14 +244,10 @@ def _root_start(v: float, n: int) -> float:
 def _root_down(v: float, n: int) -> float:
     """Largest double r >= 0 with r**n <= v, for v >= 0 and n >= 2.
 
-    math.sqrt is correctly rounded, so for n = 2 one comparison tells
-    the floor from its successor; other roots take ``_root_walk``.
+    ``_root`` takes square roots itself, through math.sqrt.
     """
     if v == 0.0 or v == _INF:
         return abs(v)  # its own root, with a zero's sign dropped
-    if n == 2:
-        r = math.sqrt(v)
-        return _next_down(r) if _prod_cmp(r, r, v) > 0 else r
     return _root_walk(v, n, False)
 
 
@@ -224,14 +255,11 @@ def _root_up(v: float, n: int) -> float:
     """Smallest double r >= 0 with r**n >= v, for v >= 0 and n >= 2."""
     if v == 0.0 or v == _INF:
         return abs(v)  # its own root, with a zero's sign dropped
-    if n == 2:
-        r = math.sqrt(v)
-        return _next_up(r) if _prod_cmp(r, r, v) < 0 else r
     return _root_walk(v, n, True)
 
 
 def _root_walk(v: float, n: int, up: bool) -> float:
-    """_root_up (or _root_down) of finite v > 0 for n >= 3.
+    """_root_up (or _root_down) of finite v > 0.
 
     A bound r is valid when r**n is on its side of v.  From _root_start
     the walk goes one way only, one comparison per step: an invalid start
@@ -239,17 +267,16 @@ def _root_walk(v: float, n: int, up: bool) -> float:
     away while its neighbour stays valid.  After 64 steps an invalid walk
     falls back on inf (0.0 when rounding down); a valid one keeps its r.
     """
-    bad = -1 if up else 1
-    fix, probe = (_next_up, _next_down) if up else (_next_down, _next_up)
+    bad, toward = (-1, _INF) if up else (1, -_INF)
     r = _root_start(v, n)
     if _pow_cmp(r, n, v) == bad:
         for _ in range(64):
-            r = fix(r)
+            r = _nextafter(r, toward)
             if _pow_cmp(r, n, v) != bad:
                 return r
         return _INF if up else 0.0
     for _ in range(64):
-        s = probe(r)
+        s = _nextafter(r, -toward)
         if _pow_cmp(s, n, v) == bad:
             return r
         r = s
@@ -287,7 +314,7 @@ def _exp_down(v: float) -> float:
         e = math.exp(v)
     except OverflowError:
         return _MAX
-    return max(0.0, _next_down(_next_down(e)))
+    return max(0.0, _nextafter(_nextafter(e, -_INF), -_INF))
 
 
 def _exp_up(v: float) -> float:
@@ -299,19 +326,19 @@ def _exp_up(v: float) -> float:
         e = math.exp(v)
     except OverflowError:
         return _INF
-    return _next_up(_next_up(e))
+    return _nextafter(_nextafter(e, _INF), _INF)
 
 
 def _log_down(v: float) -> float:
     if math.isinf(v):
         return _INF
-    return _next_down(_next_down(math.log(v)))
+    return _nextafter(_nextafter(math.log(v), -_INF), -_INF)
 
 
 def _log_up(v: float) -> float:
     if math.isinf(v):
         return _INF
-    return _next_up(_next_up(math.log(v)))
+    return _nextafter(_nextafter(math.log(v), _INF), _INF)
 
 
 def _has_critical_point(lo: float, hi: float, offset: float) -> bool:
@@ -358,13 +385,13 @@ def _add(xl: float, xh: float, yl: float, yh: float) -> tuple[float, float]:
     if t - t != 0.0:
         lo = _add_edge(xl, yl, lo, False)
     elif (xl - (lo - t)) + (yl - t) < 0.0:
-        lo = _next_down(lo)
+        lo = _nextafter(lo, -_INF)
     hi = xh + yh
     t = hi - xh
     if t - t != 0.0:
         hi = _add_edge(xh, yh, hi, True)
     elif (xh - (hi - t)) + (yh - t) > 0.0:
-        hi = _next_up(hi)
+        hi = _nextafter(hi, _INF)
     return lo, hi
 
 
@@ -430,14 +457,32 @@ def _div(xl: float, xh: float, yl: float, yh: float) -> tuple[float, float]:
     return -_INF, _INF
 
 
+(_sqr,) = _flat(
+    f'''
 def _sqr(lo: float, hi: float) -> tuple[float, float]:
+    """One directed square per bound; across 0 only the larger magnitude is squared."""
     if lo > hi:
         return _E
-    if lo >= 0.0:
-        return _mul_down(lo, lo), _mul_up(hi, hi)
-    if hi <= 0.0:
-        return _mul_down(hi, hi), _mul_up(lo, lo)
-    return 0.0, max(_mul_up(lo, lo), _mul_up(hi, hi))
+    if lo < 0.0 < hi:
+        # rounding up is monotone, so the larger magnitude's square is the larger
+        down, hi = 0.0, (-lo if -lo > hi else hi)
+    else:
+        if lo < 0.0:
+            lo, hi = -hi, -lo  # the mirror image, with the same squares
+        if _EFT_LO < lo < _EFT_HI:
+            p = lo * lo
+            {_two_prod("lo", "lo")}
+            down = _nextafter(p, -_INF) if e < 0.0 else p
+        else:
+            down = _mul_edge(lo, lo, False) if lo else 0.0
+    if _EFT_LO < hi < _EFT_HI:
+        p = hi * hi
+        {_two_prod("hi", "hi")}
+        return down, (_nextafter(p, _INF) if e > 0.0 else p)
+    return down, (_mul_edge(hi, hi, True) if hi else 0.0)
+''',
+    "_sqr",
+)
 
 
 def _pow(lo: float, hi: float, n: int) -> tuple[float, float]:
@@ -463,6 +508,24 @@ def _pow(lo: float, hi: float, n: int) -> tuple[float, float]:
 def _root(lo: float, hi: float, n: int) -> tuple[float, float]:
     if lo > hi:
         return _E
+    if n == 2:
+        # the part inside [0, inf); math.sqrt is correctly rounded, so the
+        # test of _prod_cmp, made inline, tells each bound from its neighbour
+        if hi < 0.0:
+            return _E
+        if lo <= 0.0:
+            lo = 0.0
+        elif lo < _INF:
+            r = math.sqrt(lo)
+            p = r * r
+            lo = _nextafter(r, -_INF) if p > lo or (p == lo and _prod_err_sign(r, r, p) > 0) else r
+        if hi <= 0.0:
+            hi = 0.0
+        elif hi < _INF:
+            r = math.sqrt(hi)
+            p = r * r
+            hi = _nextafter(r, _INF) if p < hi or (p == hi and _prod_err_sign(r, r, p) < 0) else r
+        return lo, hi
     if n == 1:
         return lo, hi
     if n % 2 == 0:
@@ -505,8 +568,8 @@ def _periodic(
     if math.isinf(lo) or math.isinf(hi) or hi - lo >= math.tau:
         return -1.0, 1.0
     f_lo, f_hi = fn(lo), fn(hi)
-    out_lo = _next_down(_next_down(min(f_lo, f_hi)))
-    out_hi = _next_up(_next_up(max(f_lo, f_hi)))
+    out_lo = _nextafter(_nextafter(min(f_lo, f_hi), -_INF), -_INF)
+    out_hi = _nextafter(_nextafter(max(f_lo, f_hi), _INF), _INF)
     if _has_critical_point(lo, hi, peak):
         out_hi = 1.0
     if _has_critical_point(lo, hi, trough):
@@ -542,9 +605,9 @@ def _literal_bounds(text: str) -> tuple[float, float]:
     else:
         err = Fraction(f) - Fraction(d)
     if err > 0:
-        return _next_down(f), f
+        return _nextafter(f, -_INF), f
     if err < 0:
-        return f, _next_up(f)
+        return f, _nextafter(f, _INF)
     return f, f
 
 

@@ -126,6 +126,62 @@ def violated_mask(
     return out
 
 
+def store_margins(stores, x_cols: np.ndarray, y_full: np.ndarray) -> list[np.ndarray]:
+    """Each store's margins over a shared full-domain parameter grid.
+
+    ``stores`` is a sequence of stores, each a sequence of (expression,
+    parameter Box) pairs; y_full has shape (m, count).  A pair sees the
+    columns of y_full inside its domain plus the domain's 2**m corners,
+    so stores transformed from one another are compared on the same
+    parameter samples.  Each distinct expression is evaluated once per
+    chunk of y_full, whichever stores hold it, and each of its domains
+    reduces that block through its column mask; only the corners are
+    evaluated per domain.
+    """
+    count = x_cols.shape[1]
+    xs = [x_cols[i][:, None] for i in range(x_cols.shape[0])]
+
+    def values(f, cols):
+        ys = [cols[j][None, :] for j in range(cols.shape[0])]
+        vals = np.asarray(eval_grid(f, xs, ys), dtype=float)
+        vals = np.where(np.isnan(vals), np.inf, vals)
+        return np.broadcast_to(vals, (count, cols.shape[1]))
+
+    def key(f, dom):
+        return id(f), tuple((iv.lo, iv.hi) for iv in dom.dims)
+
+    # each distinct expression with its distinct domains
+    domains = {}
+    for store in stores:
+        for f, dom in store:
+            domains.setdefault(id(f), (f, {}))[1].setdefault(key(f, dom), dom)
+    worst = {
+        k: values(f, grid_columns(dom, 2)).max(axis=1)
+        for f, doms in domains.values()
+        for k, dom in doms.items()
+    }
+    step = max(1, _TEMP_ELEMS // max(count, 1))
+    for start in range(0, y_full.shape[1], step):
+        cols = y_full[:, start : start + step]
+        for f, doms in domains.values():
+            vals = values(f, cols)
+            for k, dom in doms.items():
+                keep = np.ones(cols.shape[1], dtype=bool)
+                for j, iv in enumerate(dom.dims):
+                    keep &= (cols[j] >= iv.lo) & (cols[j] <= iv.hi)
+                if keep.all():
+                    worst[k] = np.maximum(worst[k], vals.max(axis=1))
+                elif keep.any():
+                    worst[k] = np.maximum(worst[k], vals[:, keep].max(axis=1))
+    out = []
+    for store in stores:
+        m = np.full(count, -np.inf)
+        for f, dom in store:
+            m = np.maximum(m, worst[key(f, dom)])
+        out.append(m)
+    return out
+
+
 def covered_mask(boxes, x_cols: np.ndarray) -> np.ndarray:
     """True where a point lies inside at least one of the boxes."""
     count = x_cols.shape[1]

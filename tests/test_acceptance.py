@@ -246,31 +246,6 @@ def _random_problem(rng, n_vars, n_params, index):
     )
 
 
-def _filtered_margins(pairs, x_cols, y_full_cols):
-    """Store margins over the shared full-domain grid.
-
-    Each constraint sees the full grid filtered to its own domain, plus
-    the domain's corner points, so transformed stores are compared on
-    the same parameter samples as the original.
-    """
-    count = x_cols.shape[1]
-    worst = np.full(count, -np.inf)
-    xs = [x_cols[i][:, None] for i in range(x_cols.shape[0])]
-    for f, dom in pairs:
-        keep = np.ones(y_full_cols.shape[1], dtype=bool)
-        for j, iv in enumerate(dom.dims):
-            keep &= (y_full_cols[j] >= iv.lo) & (y_full_cols[j] <= iv.hi)
-        cols = y_full_cols[:, keep]
-        corners = oracle.grid_columns(dom, 2)
-        cols = np.concatenate([cols, corners], axis=1) if cols.size else corners
-        ys = [cols[j][None, :] for j in range(cols.shape[0])]
-        vals = np.asarray(oracle.eval_grid(f, xs, ys), dtype=float)
-        vals = np.where(np.isnan(vals), np.inf, vals)
-        vals = np.broadcast_to(vals, (count, cols.shape[1]))
-        worst = np.maximum(worst, vals.max(axis=1))
-    return worst
-
-
 def _sample_box_points(box, rng, per_box):
     cols = [oracle.grid_columns(box, 2)]  # corners
     cols.append(np.array([[iv.midpoint] for iv in box.dims]))
@@ -283,15 +258,8 @@ def _sample_box_points(box, rng, per_box):
     return np.concatenate(cols, axis=1)
 
 
-def _equivalence_failures(pairs_old, pairs_new, x_cols, y_full, band=1e-7, m_old=None):
-    """Count points whose sign differs between two stores' margins.
-
-    ``m_old`` may carry the old store's margins on these grids when the
-    caller has already computed them.
-    """
-    if m_old is None:
-        m_old = _filtered_margins(pairs_old, x_cols, y_full)
-    m_new = _filtered_margins(pairs_new, x_cols, y_full)
+def _sign_changes(m_old, m_new, band=1e-7) -> int:
+    """Count points whose sign differs between two stores' margins."""
     usable = (np.abs(m_old) > band) & (np.abs(m_new) > band)
     return int(np.sum(((m_old > 0) != (m_new > 0)) & usable))
 
@@ -352,33 +320,27 @@ def test_criterion_6_randomized_grid_oracles():
             full = oracle.grid_columns(problem.variable_box, _PTS)
             eq_cols = full[:, rng.choice(full.shape[1], size=400, replace=False)]
 
-        root_margins = _filtered_margins(pairs, eq_cols, y_full)
         inst = parameter_instantiation(root_store, problem.variable_box)
-        equiv_fail += _equivalence_failures(
-            pairs, oracle.store_pairs(inst), eq_cols, y_full, m_old=root_margins
-        )
         split = parameter_domain_bisection(root_store, epsilon=1e-6)
-        equiv_fail += _equivalence_failures(
-            pairs, oracle.store_pairs(split), eq_cols, y_full, m_old=root_margins
-        )
         kept, remainder, _ = solution_identification(root_store, problem.variable_box)
-        dropped = len(root_store) - len(kept)
-        if dropped:
-            # a dropped constraint holds on the whole box
-            dropped_pairs = [
-                (qc.f, qc.param_domain)
-                for qc in root_store
-                if qc.f not in {k.f for k in kept}
-            ]
-            m = _filtered_margins(dropped_pairs, eq_cols, y_full)
-            equiv_fail += int(np.sum(m > 1e-7))
+        # a dropped constraint holds on the whole box
+        kept_fs = {k.f for k in kept}
+        dropped_pairs = [(qc.f, qc.param_domain) for qc in root_store if qc.f not in kept_fs]
+        m_root, m_inst, m_split, m_dropped = oracle.store_margins(
+            [pairs, oracle.store_pairs(inst), oracle.store_pairs(split), dropped_pairs],
+            eq_cols,
+            y_full,
+        )
+        equiv_fail += _sign_changes(m_root, m_inst) + _sign_changes(m_root, m_split)
+        equiv_fail += int(np.sum(m_dropped > 1e-7))
         if not remainder.is_empty and kept:
             r_cols = oracle.grid_columns(remainder, _PTS if n_vars == 1 else 21)
-            equiv_fail += _equivalence_failures(
-                [(qc.f, problem.parameter_box) for qc in kept],
-                oracle.store_pairs(kept),
-                r_cols,
-                y_full,
+            equiv_fail += _sign_changes(
+                *oracle.store_margins(
+                    [[(qc.f, problem.parameter_box) for qc in kept], oracle.store_pairs(kept)],
+                    r_cols,
+                    y_full,
+                )
             )
 
         # 6d. pruning never discards a strict solution of a sub-box

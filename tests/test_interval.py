@@ -675,7 +675,7 @@ def test_prod_cmp_at_the_edges(x, y):
 
 @given(kernel_floats().map(abs))
 def test_sqrt_kernels_are_the_tightest_outward_floats(v):
-    down, up = _root_down(v, 2), _root_up(v, 2)
+    down, up = interval._root(v, v, 2)
     assert Fraction(down) ** 2 <= Fraction(v) < Fraction(math.nextafter(down, INF)) ** 2
     assert Fraction(v) <= Fraction(up) ** 2
     assert up == 0.0 or Fraction(math.nextafter(up, -INF)) ** 2 < Fraction(v)
@@ -683,7 +683,7 @@ def test_sqrt_kernels_are_the_tightest_outward_floats(v):
 
 @given(kernel_floats().map(abs))
 def test_square_root_kernels_bracket_the_root(v):
-    down, up = _root_down(v, 2), _root_up(v, 2)
+    down, up = interval._root(v, v, 2)
     assert Fraction(down) ** 2 <= Fraction(v) <= Fraction(up) ** 2
 
 
@@ -806,6 +806,117 @@ def test_mul_keeps_the_sign_of_an_underflowed_zero_upper_bound():
     r = Interval(3.3589380537835444e-139, 5.969158481563145) * Interval(-TINY, 0.0)
     assert r.hi.hex() == "-0x0.0p+0"
     assert r.lo == -6 * TINY  # hi * lo = -5.97 * TINY, rounded down
+
+
+# ---------------------------------------------------------------------------
+# squares and square roots of boxes bit for bit against the exact
+# reference; a zero bound of either is +0.0, so the reference adds 0.0
+
+SQUARE_EDGES = [
+    0.0, TINY, 3 * TINY, 2.0**-1070, sys.float_info.min, 0.1, 1.0, 2.0, 3.0,
+    math.sqrt(MAX), math.nextafter(MAX, 0.0), MAX, *EFT_EDGES,
+]
+SQUARE_EDGES += [-f for f in SQUARE_EDGES] + [INF, -INF]  # -0.0 included
+# one-sided, straddling and point boxes on the edges
+SQUARE_BOXES = [
+    (lo, hi)
+    for lo in SQUARE_EDGES
+    for hi in SQUARE_EDGES
+    if lo <= hi and not (lo == hi and math.isinf(lo))
+]
+
+
+def square_hull(lo: float, hi: float) -> tuple[float, float]:
+    """The tightest doubles around {x*x : lo <= x <= hi}."""
+    if lo < 0.0 < hi:
+        least, most = 0.0, max(-lo, hi)
+    else:
+        least, most = sorted((abs(lo), abs(hi)))
+    up = INF if most == INF else ceil_float(Fraction(most) ** 2)
+    return floor_float(Fraction(least) ** 2) + 0.0, up + 0.0
+
+
+def sqrt_hull(v: float) -> tuple[float, float]:
+    """The tightest doubles around sqrt(v), for finite v >= 0.
+
+    r = floor(sqrt(v) * 2**K) / 2**K with K = 1100 is a multiple of
+    2**-1074, as every double is, so no double lies in (r, sqrt(v)] and
+    none in [sqrt(v), r + 2**-K) unless sqrt(v) = r.
+    """
+    k = 1100
+    scaled = Fraction(v) * 4**k  # an integer
+    n = math.isqrt(int(scaled))
+    r = Fraction(n, 2**k)
+    up = ceil_float(r) if n * n == scaled else ceil_float(r + Fraction(1, 2**k))
+    return floor_float(r) + 0.0, up + 0.0
+
+
+def root_hull(lo: float, hi: float) -> tuple[float, float]:
+    """The tightest doubles around the square roots of [lo, hi] ∩ [0, inf)."""
+    if hi < 0.0:
+        return INF, -INF
+    down = INF if lo == INF else sqrt_hull(max(lo, 0.0))[0]
+    return down, INF if hi == INF else sqrt_hull(hi)[1]
+
+
+def edge_and_random_boxes(seed: int) -> list[tuple[float, float]]:
+    rng = random.Random(seed)
+    return SQUARE_BOXES + [(iv.lo, iv.hi) for iv in (edge_interval(rng) for _ in range(5_000))]
+
+
+def test_sqr_of_a_box_is_the_tightest_enclosure_bit_for_bit():
+    for lo, hi in edge_and_random_boxes(1450):
+        assert hexes(*interval._sqr(lo, hi)) == hexes(*square_hull(lo, hi)), (lo, hi)
+
+
+def test_square_root_of_a_box_is_the_tightest_enclosure_bit_for_bit():
+    for lo, hi in edge_and_random_boxes(1451):
+        assert hexes(*interval._root(lo, hi, 2)) == hexes(*root_hull(lo, hi)), (lo, hi)
+
+
+# ---------------------------------------------------------------------------
+# the common path of each directed bound runs in the bound function's own
+# frame: C functions (abs, math.nextafter, math.sqrt) are allowed, a
+# Python helper is not
+
+
+def python_calls(fn, *args) -> list[str]:
+    """The Python functions entered while fn(*args) runs, fn first."""
+    names: list[str] = []
+
+    def record(frame, event, arg):
+        if event == "call":
+            names.append(frame.f_code.co_name)
+
+    sys.setprofile(record)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return names
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("_sqr", (0.3, 1.7)),  # one-sided
+        ("_sqr", (-1.7, -0.3)),
+        ("_sqr", (-0.3, 1.7)),  # across 0
+        ("_sqr", (-1.7, 0.3)),
+        ("_mul_down", (0.1, -3.0)),
+        ("_mul_up", (0.1, -3.0)),
+        ("_div_down", (1.0, 49.0)),
+        ("_div_up", (-1.0, 49.0)),
+        ("_root", (2.0, 3.0, 2)),
+        ("_add", (0.1, 0.3, 0.2, 0.7)),  # both bounds inexact
+    ],
+)
+def test_the_common_path_of_a_bound_makes_no_python_call(name, args):
+    # quotients and square roots whose rounded product check ties call
+    # _prod_err_sign; these operands do not tie
+    assert (1.0 / 49.0) * 49.0 != 1.0
+    assert all(math.sqrt(v) * math.sqrt(v) != v for v in (2.0, 3.0))
+    assert python_calls(getattr(interval, name), *args) == [name]
 
 
 def fraction_volume(box: Box) -> Fraction:
