@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import re
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Mapping, Sequence, Union
@@ -48,7 +49,7 @@ class VarKind(Enum):
     PARAMETER = "param"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True)
 class VarRef:
     """Reference to the index-th variable or parameter."""
 
@@ -56,7 +57,7 @@ class VarRef:
     index: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True)
 class Const:
     """A constant: ``value`` is the double that renders; the interval
     evaluators use ``enclosure``, the point ``value`` when None.  A
@@ -81,20 +82,20 @@ def _literal(text: str) -> Const:
     return Const(value, Interval(lo, hi) if lo < hi else None)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True)
 class Unary:
     op: str  # neg | sqrt | exp | log | sin | cos
     child: "Expression"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True)
 class Binary:
     op: str  # add | sub | mul | div
     left: "Expression"
     right: "Expression"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True)
 class Pow:
     base: "Expression"
     exponent: int
@@ -332,19 +333,20 @@ def render(
 # i: "var" and "param" hold an index in a, "const" holds its enclosure
 # in a and its value in b; an operation holds operand slots in a and b,
 # and a unary node holds None or its exponent ("pow") in b.  Tapes are
-# built without recursion and memoized per expression object; the memo
-# holds the expression, so its id is not reused while the entry lives.
+# built without recursion and memoized under the id of their expression
+# object, for as long as it lives: a finalizer drops the entry when the
+# expression dies, before its id can be reused.
 #
 # Beside the tape the memo keeps the kernels compiled from it, at most one
 # per purpose: "forward" for ``forward_sweep``, "revise" for ``hc4_revise``
 # (the relation is an argument) and "tangent" for ``derivative_interval``
 # (the input differentiated by is an argument), each built on first use
-# and evicted with the entry.
+# and freed with the entry.  Neither the steps nor the kernels hold a node,
+# so the memo keeps no expression alive.
 
 _Step = tuple[str, object, object]
 _Tape = tuple[tuple[_Step, ...], dict[str, Callable]]
-_TAPES: dict[int, tuple[Expression, _Tape]] = {}
-_TAPES_MAX = 256
+_TAPES: dict[int, _Tape] = {}
 _LEAVES = ("var", "param", "const")
 _BINARY = ("add", "sub", "mul", "div")
 _UNARY = ("neg",) + FUNCTIONS
@@ -426,10 +428,10 @@ def _node(e: Expression) -> tuple[str, tuple[Expression, ...], tuple[object, ...
 
 
 def _tape(e: Expression) -> _Tape:
-    """The tape of e and its kernels, memoized."""
+    """The tape of e and its kernels, memoized while e lives."""
     hit = _TAPES.get(id(e))
     if hit is not None:
-        return hit[1]
+        return hit
     steps: list[_Step] = []
     slot: dict[int, int] = {}
     stack = [(e, False)]
@@ -445,10 +447,8 @@ def _tape(e: Expression) -> _Tape:
         else:
             stack.append((node, True))
             stack.extend((c, False) for c in reversed(operands))
-    if len(_TAPES) >= _TAPES_MAX:
-        del _TAPES[next(iter(_TAPES))]
-    entry = (tuple(steps), {})
-    _TAPES[id(e)] = (e, entry)
+    entry = _TAPES[id(e)] = (tuple(steps), {})
+    weakref.finalize(e, _TAPES.pop, id(e), None)
     return entry
 
 

@@ -20,9 +20,10 @@ rule has a second copy.  Dekker's TwoProduct error is written once, as
 the text template ``_TWO_PROD``; the directed products, the square and
 the product error sign are compiled from source that holds it, so that
 on operands inside (2**-450, 2**450) in magnitude they make no Python
-call; nor do sums that do not overflow, nor quotients and square roots
-unless their rounded product check ties (``_prod_cmp``).  Products with
-an infinite or out-of-range nonzero operand, and overflowing sums, take
+call; nor do sums that do not overflow, nor exp and log of finite
+bounds, nor quotients and square roots unless the rounded product that
+checks them ties (then ``_prod_err_sign`` decides).  Products with an
+infinite or out-of-range nonzero operand, and overflowing sums, take
 slower exact fallbacks (``_mul_edge``, ``_add_edge``).
 
 All values are immutable and operations are pure; the FPU rounding mode
@@ -66,8 +67,10 @@ _nextafter = math.nextafter  # the one ulp-step, called directly so no bound nes
 # in magnitude, where no Veltkamp split overflows and no partial product
 # underflows.  A product with a zero operand is 0.0; one with an infinite
 # or out-of-range operand takes _mul_edge, which compares integer ratios.
-# Quotients and square roots reduce to the sign of a product minus a
-# double (_prod_cmp).
+# Quotients and square roots reduce to the sign of x*y - v for a double v,
+# tested inline: no double lies strictly between x*y and its rounding
+# p = fl(x*y) (an infinity past the largest double), so x*y is on p's
+# side of v != p, and only the tie p == v asks _prod_err_sign.
 
 _EFT_LO = 2.0**-450
 _EFT_HI = 2.0**450
@@ -167,19 +170,6 @@ def _mul_up(a: float, b: float) -> float:
 )
 
 
-def _prod_cmp(x: float, y: float, v: float) -> int:
-    """Sign of x*y - v for finite x, y and v.
-
-    No double lies strictly between x*y and its rounding p (an infinity
-    if x*y is past the largest double), so x*y is on p's side of v != p.
-    ``_div_down``, ``_div_up`` and ``_root`` make this test inline.
-    """
-    p = x * y
-    if p != v:
-        return 1 if p > v else -1
-    return _prod_err_sign(x, y, p)
-
-
 def _div_down(a: float, b: float) -> float:
     if a == 0.0:
         return 0.0
@@ -241,32 +231,19 @@ def _root_start(v: float, n: int) -> float:
     return math.ldexp(math.ldexp(v, -n * k) ** (1.0 / n), k)
 
 
-def _root_down(v: float, n: int) -> float:
-    """Largest double r >= 0 with r**n <= v, for v >= 0 and n >= 2.
-
-    ``_root`` takes square roots itself, through math.sqrt.
-    """
-    if v == 0.0 or v == _INF:
-        return abs(v)  # its own root, with a zero's sign dropped
-    return _root_walk(v, n, False)
-
-
-def _root_up(v: float, n: int) -> float:
-    """Smallest double r >= 0 with r**n >= v, for v >= 0 and n >= 2."""
-    if v == 0.0 or v == _INF:
-        return abs(v)  # its own root, with a zero's sign dropped
-    return _root_walk(v, n, True)
-
-
 def _root_walk(v: float, n: int, up: bool) -> float:
-    """_root_up (or _root_down) of finite v > 0.
+    """The smallest double r >= 0 with r**n >= v when up, else the largest with r**n <= v.
 
-    A bound r is valid when r**n is on its side of v.  From _root_start
-    the walk goes one way only, one comparison per step: an invalid start
-    steps toward validity until the first valid double, a valid one steps
-    away while its neighbour stays valid.  After 64 steps an invalid walk
-    falls back on inf (0.0 when rounding down); a valid one keeps its r.
+    For v >= 0 and n >= 2 (``_root`` takes square roots itself, through
+    math.sqrt).  A bound r is valid when r**n is on its side of v.  From
+    _root_start the walk goes one way only, one comparison per step: an
+    invalid start steps toward validity until the first valid double, a
+    valid one steps away while its neighbour stays valid.  After 64 steps
+    an invalid walk falls back on inf (0.0 when rounding down); a valid
+    one keeps its r.
     """
+    if v == 0.0 or v == _INF:
+        return abs(v)  # its own root, with a zero's sign dropped
     bad, toward = (-1, _INF) if up else (1, -_INF)
     r = _root_start(v, n)
     if _pow_cmp(r, n, v) == bad:
@@ -299,46 +276,6 @@ def _exponent(n: object, least: int) -> int:
     if n > MAX_EXPONENT:
         raise ValueError(f"exponent {n} exceeds {MAX_EXPONENT}")
     return n
-
-
-# libm is faithful but not correctly rounded for the transcendentals;
-# two ulps of widening cover it with margin.
-
-
-def _exp_down(v: float) -> float:
-    if v == -_INF:
-        return 0.0
-    if v == _INF:
-        return _MAX
-    try:
-        e = math.exp(v)
-    except OverflowError:
-        return _MAX
-    return max(0.0, _nextafter(_nextafter(e, -_INF), -_INF))
-
-
-def _exp_up(v: float) -> float:
-    if v == -_INF:
-        return 0.0
-    if v == _INF:
-        return _INF
-    try:
-        e = math.exp(v)
-    except OverflowError:
-        return _INF
-    return _nextafter(_nextafter(e, _INF), _INF)
-
-
-def _log_down(v: float) -> float:
-    if math.isinf(v):
-        return _INF
-    return _nextafter(_nextafter(math.log(v), -_INF), -_INF)
-
-
-def _log_up(v: float) -> float:
-    if math.isinf(v):
-        return _INF
-    return _nextafter(_nextafter(math.log(v), _INF), _INF)
 
 
 def _has_critical_point(lo: float, hi: float, offset: float) -> bool:
@@ -510,7 +447,8 @@ def _root(lo: float, hi: float, n: int) -> tuple[float, float]:
         return _E
     if n == 2:
         # the part inside [0, inf); math.sqrt is correctly rounded, so the
-        # test of _prod_cmp, made inline, tells each bound from its neighbour
+        # sign of r*r - v (see the rounding notes above) tells each bound
+        # from its neighbour
         if hi < 0.0:
             return _E
         if lo <= 0.0:
@@ -533,22 +471,40 @@ def _root(lo: float, hi: float, n: int) -> tuple[float, float]:
         lo = max(lo, 0.0)
         if lo > hi:
             return _E
-        return _root_down(lo, n), _root_up(hi, n)
-    down = -_root_up(-lo, n) if lo < 0.0 else _root_down(lo, n)
-    up = -_root_down(-hi, n) if hi < 0.0 else _root_up(hi, n)
+        return _root_walk(lo, n, False), _root_walk(hi, n, True)
+    down = -_root_walk(-lo, n, True) if lo < 0.0 else _root_walk(lo, n, False)
+    up = -_root_walk(-hi, n, False) if hi < 0.0 else _root_walk(hi, n, True)
     return down, up
 
 
+# libm is faithful but not correctly rounded for the transcendentals;
+# two ulps of widening cover it with margin.  exp(inf) and log(inf) are
+# inf, which widening up keeps.
+
+
 def _exp(lo: float, hi: float) -> tuple[float, float]:
+    """A bound past the largest double is that double below, inf above."""
     if lo > hi:
         return _E
-    return _exp_down(lo), _exp_up(hi)
+    try:
+        down = max(0.0, _nextafter(_nextafter(math.exp(lo), -_INF), -_INF)) if lo < _INF else _MAX
+    except OverflowError:
+        return _MAX, _INF  # exp(hi) overflows too
+    try:
+        up = _nextafter(_nextafter(math.exp(hi), _INF), _INF) if hi > -_INF else 0.0
+    except OverflowError:
+        up = _INF
+    return down, up
 
 
 def _log(lo: float, hi: float) -> tuple[float, float]:
     if lo > hi or hi <= 0.0:
         return _E
-    return (-_INF if lo <= 0.0 else _log_down(lo)), _log_up(hi)
+    if lo <= 0.0:
+        down = -_INF
+    else:
+        down = _nextafter(_nextafter(math.log(lo), -_INF), -_INF) if lo < _INF else _INF
+    return down, _nextafter(_nextafter(math.log(hi), _INF), _INF)
 
 
 def _sin(lo: float, hi: float) -> tuple[float, float]:
@@ -768,8 +724,8 @@ class Interval:
     def root_int(self, n: int) -> Interval:
         """Set of real n-th roots; even roots give the non-negative branch.
 
-        1 <= n <= MAX_EXPONENT.  Used by inverse projections; the symmetric
-        negative branch for even n is handled by the caller.
+        1 <= n <= MAX_EXPONENT.  For even n the symmetric negative branch
+        is the caller's to add.
         """
         return _iv(*_root(self.lo, self.hi, _exponent(n, 1)))
 

@@ -91,18 +91,22 @@ def violated_mask(
     pts: int = 201,
     chunk: int = 4096,
     rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """True where some constraint exceeds 0 at some parameter grid point.
+) -> tuple[np.ndarray, np.ndarray]:
+    """True where some constraint exceeds 0 at some parameter grid point,
+    and beside it each point's largest value seen.
 
     Equivalent to ``margins(...) > 0`` but sweeps the parameter grid in
     chunks (optionally shuffled) and drops a point as soon as it is
     disproved, which keeps dense two-parameter grids affordable.  A chunk
     holds at most ``chunk`` parameter points and is cut further so that
     its (alive x chunk) temporaries stay near ``_TEMP_ELEMS`` elements;
-    the answer does not depend on how the grid is cut.
+    the answer does not depend on how the grid is cut.  A point that is
+    not violated has seen the whole grid of every constraint, so its
+    largest value is its margin.
     """
     count = x_cols.shape[1]
     out = np.zeros(count, dtype=bool)
+    worst = np.full(count, -np.inf)
     alive = np.arange(count)
     for f, dom in constraints:
         if alive.size == 0:
@@ -119,11 +123,12 @@ def violated_mask(
             ys = [y_cols[j, sel][None, :] for j in range(y_cols.shape[0])]
             vals = np.asarray(eval_grid(f, xs, ys), dtype=float)
             vals = np.where(np.isnan(vals), np.inf, vals)
-            vals = np.broadcast_to(vals, (alive.size, sel.size))
-            bad = np.any(vals > 0.0, axis=1)
+            top = np.broadcast_to(vals, (alive.size, sel.size)).max(axis=1)
+            worst[alive] = np.maximum(worst[alive], top)
+            bad = top > 0.0
             out[alive[bad]] = True
             alive = alive[~bad]
-    return out
+    return out, worst
 
 
 def store_margins(stores, x_cols: np.ndarray, y_full: np.ndarray) -> list[np.ndarray]:

@@ -305,11 +305,9 @@ def test_criterion_6_randomized_grid_oracles():
         covered = oracle.covered_mask(paving.inner + paving.boundary, x_cols)
         uncovered = x_cols[:, ~covered]
         if uncovered.size:
-            alive = ~oracle.violated_mask(pairs, uncovered, pts=_PTS, rng=rng)
-            if np.any(alive):
-                m = oracle.margins(pairs, uncovered[:, alive], pts=_PTS)
-                flagged = uncovered[:, alive][:, m < -1e-9]
-                cover_fail += _certified_failures(pairs, flagged, n_params)
+            violated, worst = oracle.violated_mask(pairs, uncovered, pts=_PTS, rng=rng)
+            flagged = uncovered[:, ~violated & (worst < -1e-9)]
+            cover_fail += _certified_failures(pairs, flagged, n_params)
 
         # 6c. store transformations keep the solution set
         root_store = [QuantifiedConstraint(f, problem.parameter_box) for f in problem.constraints]

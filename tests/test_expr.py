@@ -311,11 +311,18 @@ def test_eval_interval_walks_deeper_than_the_recursion_limit():
 
 
 def test_tape_memo_stays_bounded():
+    # an entry lives as long as its expression, so a thousand expressions
+    # built and dropped in turn leave the memo as it was
     x = Box.from_bounds([(0.0, 1.0)])
-    for k in range(2 * expr._TAPES_MAX):
+    before = len(expr._TAPES)
+    for k in range(1000):
         e = Binary("add", X, Const(float(k)))
         assert eval_interval(e, x, Box(())) == Interval(float(k), float(k + 1))
-    assert len(expr._TAPES) <= expr._TAPES_MAX
+        key = id(e)
+        assert key in expr._TAPES
+        del e
+        assert key not in expr._TAPES
+    assert len(expr._TAPES) == before
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +379,7 @@ def test_forward_sweep_matches_the_loop_bit_for_bit():
 
 
 def test_kernels_live_and_leave_with_their_tape():
+    import gc
     import weakref
 
     from qine.contractor import InequalityConstraint, Relation, hc4_revise
@@ -385,16 +393,19 @@ def test_kernels_live_and_leave_with_their_tape():
     kernels = expr._tape(first)[1]
     assert set(kernels) == {"forward", "revise", "tangent"}
     refs = [weakref.ref(k) for k in kernels.values()]
+    key = id(first)
     del kernels
-    for k in range(expr._TAPES_MAX + 1):
-        e = Binary("add", X, Const(float(k)))
-        hc4_revise(InequalityConstraint(e, Relation.GEQ), x, Box(()))
-        assert eval_interval(e, x, Box(())) == Interval(float(k), float(k + 2))
-    assert len(expr._TAPES) <= expr._TAPES_MAX
-    assert all(len(entry[1]) <= 3 for _, entry in expr._TAPES.values())
-    # freed with the evicted entry, the tangent kernel too, without waiting
-    # for the cycle collector
-    assert len(refs) == 3 and all(ref() is None for ref in refs)
+    assert key in expr._TAPES and all(ref() is not None for ref in refs)
+    # no kernel holds a node, so the expression dies with its last
+    # reference, and its entry and kernels go with it without waiting for
+    # the cycle collector
+    gc.disable()
+    try:
+        del first
+        assert key not in expr._TAPES
+        assert len(refs) == 3 and all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -577,3 +577,26 @@ def test_no_inner_box_holds_the_pole_of_a_quotient():
 def test_no_inner_box_where_a_parameter_leaves_the_domain(text):
     # undefined for y < 0 at every x, so nothing is a solution
     assert solve(parse_problem(text), SolverConfig(epsilon=0.1)).inner == []
+
+
+def test_a_cold_solve_of_300_constraints_compiles_one_kernel_per_constraint(monkeypatch):
+    # the tape memo keeps the kernels of every live expression, however many
+    # constraints a store cycles through: each node revises all 300, and
+    # each is compiled once
+    from qine import contractor, expr
+
+    compiled: list[str] = []
+    compile_kernel = expr._compile
+
+    def spy(kernel, params, lines, namespace):
+        compiled.append(kernel)
+        return compile_kernel(kernel, params, lines, namespace)
+
+    monkeypatch.setattr(expr, "_compile", spy)
+    monkeypatch.setattr(contractor, "_compile", spy)
+    text = "var x in [-2,2];\nvar z in [-2,2];\n" + "".join(
+        f"constraint x^2 + z^2 - 1 - {k}*1e-6 <= 0;\n" for k in range(300)
+    )
+    paving = solve(parse_problem(text, name="many"), SolverConfig(epsilon=0.05, max_nodes=3))
+    assert paving.stats.nodes_processed == 3
+    assert compiled == ["revise"] * 300
