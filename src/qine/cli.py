@@ -19,6 +19,7 @@ for a given problem and flags.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -232,11 +233,15 @@ def parse_report(text: str) -> tuple[dict[str, str], list[Box], list[Box]]:
 # SVG projection.
 
 
-def _check_axes(n: int, var_i: int, var_j: int) -> None:
+def _check_axes(box: Box, var_i: int, var_j: int) -> None:
+    n = len(box)
     if n < 2:
         raise ValueError("SVG projection needs at least two variables")
     if var_i == var_j or not (0 <= var_i < n and 0 <= var_j < n):
         raise ValueError(f"bad axes ({var_i}, {var_j}) for {n} variables")
+    for k in (var_i, var_j):
+        if not math.isfinite(box.dims[k].width):
+            raise ValueError(f"the span of axis {k} is past the largest double")
 
 
 def emit_svg(
@@ -246,18 +251,19 @@ def emit_svg(
 
     One rect per record, inner boxes light gray and boundary boxes dark
     gray, no background rect.  The viewBox is the initial domain of the
-    chosen axes (the j axis is flipped so larger values point up).
-    Raises ValueError for pavings with fewer than two variables and for
-    axes that are equal or out of range.
+    chosen axes (the j axis is flipped so larger values point up); the
+    height keeps the aspect ratio within 1..64,000 pixels.  Raises
+    ValueError for fewer than two variables, for equal or out-of-range
+    axes, and for an axis whose span is past the largest double.
     """
     init = paving.initial_box
-    _check_axes(len(init), var_i, var_j)
+    _check_axes(init, var_i, var_j)
     dom_x = init.dims[var_i]
     dom_y = init.dims[var_j]
     span_x = dom_x.width
     span_y = dom_y.width
     px_w = 640
-    px_h = max(1, round(px_w * span_y / span_x)) if span_x > 0 else px_w
+    px_h = round(min(max(px_w * span_y / span_x, 1.0), 64000.0)) if span_x > 0 else px_w
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{px_w}" height="{px_h}" '
@@ -346,7 +352,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         axes = _parse_axes(args.axes)
         if args.svg is not None:
             try:
-                _check_axes(len(problem.variable_names), *axes)
+                _check_axes(problem.variable_box, *axes)
             except ValueError as exc:
                 raise _CliError(f"--axes {args.axes}: {exc}") from exc
     except _CliError as exc:

@@ -278,28 +278,6 @@ def _exponent(n: object, least: int) -> int:
     return n
 
 
-def _has_critical_point(lo: float, hi: float, offset: float) -> bool:
-    """Whether some offset + k*2pi may lie in [lo, hi].
-
-    Errs on the side of True, which only loosens sin/cos bounds to the
-    global extrema and never breaks containment.
-    """
-    slack = 1e-9 + 1e-12 * max(abs(lo), abs(hi))
-    start = (lo - slack - offset) / math.tau
-    stop = (hi + slack - offset) / math.tau
-    if math.isinf(start) or math.isinf(stop) or stop - start > 2.0:
-        # the slack overflowed near the largest doubles, or the window spans
-        # a whole period; far from 0, k * 2pi below can be too fine to step
-        return True
-    k_min = math.floor(start) - 1
-    k_max = math.ceil(stop) + 1
-    for k in range(k_min, k_max + 1):
-        c = offset + k * math.tau
-        if lo - slack <= c <= hi + slack:
-            return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # The operations on bounds (see the module docstring).  Each takes its
 # operands' bounds and returns the result's (lo, hi).  An empty operand,
@@ -479,7 +457,8 @@ def _root(lo: float, hi: float, n: int) -> tuple[float, float]:
 
 # libm is faithful but not correctly rounded for the transcendentals;
 # two ulps of widening cover it with margin.  exp(inf) and log(inf) are
-# inf, which widening up keeps.
+# inf, which widening up keeps.  A sin or cos bound becomes 1 or -1
+# instead where _periodic counts a maximum or a minimum inside.
 
 
 def _exp(lo: float, hi: float) -> tuple[float, float]:
@@ -508,29 +487,36 @@ def _log(lo: float, hi: float) -> tuple[float, float]:
 
 
 def _sin(lo: float, hi: float) -> tuple[float, float]:
-    return _periodic(lo, hi, math.sin, math.pi / 2, -math.pi / 2)
+    return _periodic(lo, hi, math.sin, math.pi / 2)
 
 
 def _cos(lo: float, hi: float) -> tuple[float, float]:
-    return _periodic(lo, hi, math.cos, 0.0, math.pi)
+    return _periodic(lo, hi, math.cos, 0.0)
 
 
-def _periodic(
-    lo: float, hi: float, fn: Callable[[float], float], peak: float, trough: float
-) -> tuple[float, float]:
-    """sin or cos, given its maxima at peak + k*2pi and minima at trough + k*2pi."""
+def _periodic(lo: float, hi: float, fn: Callable[[float], float], peak: float) -> tuple[float, float]:
+    """sin or cos, whose maxima lie at peak + j*pi for even j and minima for odd j.
+
+    One count of half periods over [lo, hi] widened by a slack finds the
+    j inside.  a, b and math.pi err far below the slack, so no extremum
+    inside is missed; one counted from just outside only loosens a bound.
+    """
     if lo > hi:
         return _E
-    if math.isinf(lo) or math.isinf(hi) or hi - lo >= math.tau:
+    slack = 1e-9 + 1e-12 * max(abs(lo), abs(hi))
+    a = (lo - slack - peak) / math.pi
+    b = (hi + slack - peak) / math.pi
+    if not b - a < 2.0:  # an infinite or overflowing bound, or a window of 2pi or more
         return -1.0, 1.0
+    j = math.ceil(a)
+    if j + 1 <= b:
+        return -1.0, 1.0  # a maximum and a minimum inside
     f_lo, f_hi = fn(lo), fn(hi)
-    out_lo = _nextafter(_nextafter(min(f_lo, f_hi), -_INF), -_INF)
-    out_hi = _nextafter(_nextafter(max(f_lo, f_hi), _INF), _INF)
-    if _has_critical_point(lo, hi, peak):
-        out_hi = 1.0
-    if _has_critical_point(lo, hi, trough):
-        out_lo = -1.0
-    return max(out_lo, -1.0), min(out_hi, 1.0)
+    down = max(_nextafter(_nextafter(min(f_lo, f_hi), -_INF), -_INF), -1.0)
+    up = min(_nextafter(_nextafter(max(f_lo, f_hi), _INF), _INF), 1.0)
+    if j > b:
+        return down, up
+    return (-1.0, up) if j % 2 else (down, 1.0)
 
 
 # The one number grammar, of expression literals, right-hand sides and
@@ -552,17 +538,17 @@ def _literal_bounds(text: str) -> tuple[float, float]:
     f = float(text)
     if math.isinf(f) or f != f:
         return f, f
-    d = Decimal(text)
-    if d and d.adjusted() < -324:
-        # |d| < 1e-324, so f is a signed zero; the exact form would cost
-        # a power of ten as long as the exponent (copy_negate, unlike -d,
-        # does not round d to the decimal context)
-        err = d.copy_negate()
+    if f:
+        side = Decimal(f).compare(Decimal(text))
+    elif any(c in "123456789" for c in text.lower().partition("e")[0]):
+        # nonzero, yet below the least subnormal: the literal lies on
+        # f's side of 0 (Decimal cannot hold every such exponent)
+        side = -math.copysign(1.0, f)
     else:
-        err = Fraction(f) - Fraction(d)
-    if err > 0:
+        side = 0
+    if side > 0:
         return _nextafter(f, -_INF), f
-    if err < 0:
+    if side < 0:
         return f, _nextafter(f, _INF)
     return f, f
 

@@ -133,7 +133,7 @@ class SolveStats:
     """Run statistics; the exact_* fields are the rational volume ledger.
 
     ``solve`` writes them before each progress call and when it returns.
-    The volume_* properties are the ledger rounded to the nearest float.
+    The volume_* properties round the ledger to the nearest float (or inf).
     """
 
     nodes_processed: int = 0
@@ -146,15 +146,20 @@ class SolveStats:
 
     @property
     def volume_initial(self) -> float:
-        return float(self.exact_initial)
+        return _nearest(self.exact_initial)
 
     @property
     def volume_inner(self) -> float:
-        return float(self.exact_inner)
+        return _nearest(self.exact_inner)
 
     @property
     def volume_boundary(self) -> float:
-        return float(self.exact_boundary)
+        return _nearest(self.exact_boundary)
+
+
+def _nearest(q: Fraction) -> float:
+    """A volume q >= 0 rounded to the nearest double: inf from the largest plus half an ulp."""
+    return float(q) if q < 2**1024 - 2**970 else math.inf
 
 
 @dataclass

@@ -291,6 +291,23 @@ def test_svg_writes_file(tmp_path):
     assert out.read_text() == text
 
 
+def test_svg_height_of_extreme_spans_is_clamped():
+    # 640 * 1e300 / 1e-300 overflows to inf; the height stops at 64,000 pixels
+    tall = Box.from_bounds([(0.0, 1e-300), (0.0, 1e300)])
+    assert 'width="640" height="64000"' in emit_svg(Paving([tall], [], SolveStats(), tall))
+    flat = Box.from_bounds([(0.0, 1e300), (0.0, 1e-300)])
+    assert 'width="640" height="1"' in emit_svg(Paving([flat], [], SolveStats(), flat))
+
+
+def test_svg_rejects_an_axis_whose_span_overflows():
+    # 1e308 - -1e308 rounds to inf, and the aspect ratio would be NaN
+    wide = Box.from_bounds([(-1e308, 1e308), (0.0, 1.0)])
+    with pytest.raises(ValueError, match="span of axis 0"):
+        emit_svg(Paving([], [], SolveStats(), wide))
+    with pytest.raises(ValueError, match="span of axis 0"):
+        emit_svg(Paving([], [], SolveStats(), wide), 1, 0)
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -557,6 +574,32 @@ def test_cli_reads_a_vanishing_literal_quickly(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "text",
+    [
+        "var x in [0, 1]; constraint x - 1e-9999999999999999999 <= 0;",
+        "var x in [0, 1]; constraint x <= 1e-9999999999999999999;",
+        "var x in [-1e-9999999999999999999, 1]; constraint x <= 0.5;",
+    ],
+    ids=["lhs", "rhs", "domain"],
+)
+def test_cli_reads_a_literal_past_the_decimal_exponent_range(text, tmp_path, capsys):
+    problem = tmp_path / "tiny.qcsp"
+    problem.write_text(text + "\n")
+    assert cli.run(["solve", str(problem), "--eps", "0.1"]) == 0
+    assert "# stop: complete" in capsys.readouterr().out
+
+
+def test_cli_reports_a_volume_past_the_largest_double(tmp_path, capsys):
+    # the domain's width 2e308 is not a double; the exact ledger holds it
+    problem = tmp_path / "wide.qcsp"
+    problem.write_text("var x in [-1e308, 1e308]; constraint x <= 1;\n")
+    assert cli.run(["solve", str(problem), "--stats"]) == 0
+    captured = capsys.readouterr()
+    assert "# volume: initial=inf inner=1e+308 boundary=0.0" in captured.out
+    assert "nodes=1 stop=complete" in captured.err
+
+
+@pytest.mark.parametrize(
     "constraint, below",
     [("x <= 0.1", True), ("x - 0.1 <= 0", True), ("x >= 0.1", False), ("0.1 - x <= 0", False)],
     ids=["rhs-leq", "lhs-leq", "rhs-geq", "lhs-geq"],
@@ -649,6 +692,25 @@ def test_cli_rejects_bad_axes(problems_dir, tmp_path, axes, capsys):
     )
     assert code == 1
     assert "--axes" in capsys.readouterr().err
+
+
+def test_cli_svg_of_extreme_spans(tmp_path, capsys):
+    problem = tmp_path / "tall.qcsp"
+    problem.write_text("var x in [0, 1e-300]; var y in [0, 1e300]; constraint x <= 1;\n")
+    svg = tmp_path / "tall.svg"
+    assert cli.run(["solve", str(problem), "--svg", str(svg)]) == 0
+    assert 'height="64000"' in svg.read_text()
+
+
+def test_cli_svg_rejects_an_overflowing_span_before_solving(tmp_path, capsys):
+    problem = tmp_path / "wide.qcsp"
+    problem.write_text("var x in [-1e308, 1e308]; var y in [-1e308, 1e308]; constraint x <= 1;\n")
+    svg = tmp_path / "wide.svg"
+    assert cli.run(["solve", str(problem), "--svg", str(svg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --axes 0,1: ") and "span of axis 0" in captured.err
+    assert not svg.exists()
 
 
 def test_cli_svg_written_with_axes(problems_dir, tmp_path, capsys):

@@ -186,9 +186,8 @@ def test_sin_cos_basic():
 
 
 def test_sin_cos_of_a_point_far_from_zero_returns():
-    # the slack window around 1e300 / 3 spans many periods, but a step of
-    # 2pi there is far below the float spacing, so a search for a critical
-    # point k by k does not advance
+    # the slack around 1e300 / 3 is about 3e287, so the window counts far
+    # more than two half periods and holds a maximum and a minimum
     v = 1e300 / 3
     assert Interval.point(v).sin() == Interval(-1.0, 1.0)
     assert Interval.point(v).cos() == Interval(-1.0, 1.0)
@@ -244,6 +243,20 @@ def test_parse_rounds_decimal_bounds_outward():
     assert Fraction(iv.hi) >= Fraction(2, 10)
     # representable bounds stay put
     assert Interval.parse("[0.5,0.75]") == Interval(0.5, 0.75)
+
+
+@pytest.mark.parametrize(
+    "text, bounds",
+    [
+        ("1e-9999999999999999999", (0.0, 5e-324)),
+        ("-1e-9999999999999999999", (-5e-324, -0.0)),
+        ("0e-9999999999999999999", (0.0, 0.0)),
+    ],
+)
+def test_literal_bounds_past_the_decimal_exponent_range(text, bounds):
+    # Decimal cannot hold this exponent; the signed zero and the mantissa's
+    # digits decide the side
+    assert [b.hex() for b in interval._literal_bounds(text)] == [b.hex() for b in bounds]
 
 
 def test_parse_rejects_garbage():
@@ -369,6 +382,62 @@ def test_transcendentals_contain_high_precision_result(ap, fn):
             val = getattr(mpmath, fn)(p)
         assert not result.is_empty
         assert result.lo <= val <= result.hi
+
+
+def _sin_cos_intervals(rng: random.Random, n: int):
+    """Random intervals: 40% with a bound 1e-12 to 1e-7 from some k*pi/2
+    up to 1.1e6, 20% one ulp wide around some k*pi/2 near 1e10, the rest
+    up to 1e6 in magnitude.
+
+    Near 1e10 the true sin and cos at such bounds are not within two ulps
+    of 1 or -1, so the clamp after widening cannot hide a missed extremum.
+    """
+    for _ in range(n):
+        kind = rng.random()
+        lo = rng.uniform(-1e6, 1e6) * 10 ** rng.uniform(-7, 0)
+        hi = lo + 10 ** rng.uniform(-12, 1)
+        if kind < 0.4:
+            k = rng.randint(-700_000, 700_000)
+            lo = float(k * mpmath.pi / 2) + rng.choice((-1, 1)) * 10 ** rng.uniform(-12, -7)
+            hi = lo + 10 ** rng.uniform(-12, 1)
+        elif kind < 0.6:
+            t = rng.randint(10**9, 10**10) * mpmath.pi / 2
+            c = float(t)
+            lo, hi = (c, math.nextafter(c, INF)) if c < t else (math.nextafter(c, -INF), c)
+        yield (lo, hi) if rng.random() < 0.5 else (-hi, -lo)
+
+
+def _extremum_parities(lo: float, hi: float, peak, margin) -> set[int]:
+    """{0} for a maximum, {1} for a minimum at peak + j*pi within [lo - margin, hi + margin]."""
+    first = int(mpmath.ceil((lo - margin - peak) / mpmath.pi))
+    last = int(mpmath.floor((hi + margin - peak) / mpmath.pi))
+    return {j % 2 for j in range(first, min(last, first + 1) + 1)}
+
+
+def test_sin_cos_extrema_against_mpmath():
+    # the slack is 1e-9 + 1e-12 * max(|lo|, |hi|); beside an extremum that
+    # close, 1 or -1 may also come from widening a value within two ulps
+    # of it and clamping
+    rng = random.Random(20081)
+    with mpmath.workprec(200):
+        for lo, hi in _sin_cos_intervals(rng, 3000):
+            slack = mpmath.mpf(1e-9 + 1e-12 * max(abs(lo), abs(hi)))
+            for name, peak in (("sin", mpmath.pi / 2), ("cos", mpmath.mpf(0))):
+                r = getattr(Interval(lo, hi), name)()
+                fn = getattr(mpmath, name)
+                low, high = sorted((fn(lo), fn(hi)))
+                inside = _extremum_parities(lo, hi, peak, 0)
+                near = _extremum_parities(lo, hi, peak, 2 * slack)
+                case = (name, lo, hi)
+                assert r.lo <= low and high <= r.hi, case
+                if 0 in inside:
+                    assert r.hi == 1.0, case
+                if 1 in inside:
+                    assert r.lo == -1.0, case
+                if r.hi == 1.0:
+                    assert 0 in near or high > 1 - 2**-50, case
+                if r.lo == -1.0:
+                    assert 1 in near or low < -1 + 2**-50, case
 
 
 @given(nested_intervals(), nested_intervals(), st.sampled_from("+-*/"))
@@ -913,6 +982,9 @@ def python_calls(fn, *args) -> list[str]:
         ("_add", (0.1, 0.3, 0.2, 0.7)),  # both bounds inexact
         ("_exp", (-0.5, 1.5)),
         ("_log", (0.5, 1.5)),
+        ("_periodic", (0.1, 0.5, math.sin, math.pi / 2)),  # no extremum
+        ("_periodic", (1.0, 2.0, math.sin, math.pi / 2)),  # one maximum
+        ("_periodic", (3.0, 3.5, math.cos, 0.0)),  # one minimum
     ],
 )
 def test_the_common_path_of_a_bound_makes_no_python_call(name, args):

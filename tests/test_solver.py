@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -450,6 +451,20 @@ def test_classified_ratio_counts_rejected_volume():
     stats.exact_boundary = Fraction(3)
     stats.exact_inner = Fraction(6)
     assert classified_ratio(paving) == pytest.approx(12 / 15)
+
+
+def test_volumes_past_the_largest_double_read_inf():
+    # the ledger rounds to nearest as float rounding does: up to the largest
+    # double plus half an ulp, exclusive, it reads that double
+    half_ulp_past = 2**1024 - 2**970
+    stats = SolveStats(
+        exact_initial=Fraction(2**1100),
+        exact_inner=Fraction(half_ulp_past),
+        exact_boundary=Fraction(half_ulp_past) - Fraction(1, 3),
+    )
+    assert stats.volume_initial == math.inf
+    assert stats.volume_inner == math.inf
+    assert stats.volume_boundary == sys.float_info.max
 
 
 def test_classified_ratio_requires_volume():
