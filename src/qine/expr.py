@@ -1,6 +1,6 @@
 """Expression trees for constraint functions f(x, y).
 
-Provides the abstract syntax, an infix parser and renderer, the natural
+Provides the abstract syntax, an infix parser, the natural
 interval extension, and forward-mode interval differentiation used to
 prove monotonicity in a parameter over a box.  The evaluators read one
 memoized tape of the expression's distinct nodes, compiled from it into
@@ -8,7 +8,7 @@ straight-line code on float bounds, which calls interval.py's functions
 on bounds and builds Intervals only in its return: the natural extension
 once per tape, and its partial derivatives once per tape too, the input
 differentiated by being an argument of the compiled function.
-The renderer walks an explicit stack, so none of them has a depth limit;
+Tapes are built on an explicit stack, so no evaluator has a depth limit;
 only the parser recurses.
 """
 
@@ -34,7 +34,6 @@ __all__ = [
     "Expression",
     "ParseError",
     "parse_expression",
-    "render",
     "forward_sweep",
     "eval_interval",
     "derivative_interval",
@@ -59,7 +58,7 @@ class VarRef:
 
 @dataclass(frozen=True, slots=True, weakref_slot=True)
 class Const:
-    """A constant: ``value`` is the double that renders; the interval
+    """A constant: ``value`` is the nearest double; the interval
     evaluators use ``enclosure``, the point ``value`` when None.  A
     literal whose nearest double is inexact carries its outward-rounded
     enclosure (see ``_literal``), so proofs hold for the number as
@@ -246,87 +245,6 @@ def parse_expression(text: str, symbols: Mapping[str, VarRef]) -> Expression:
 
 
 # ---------------------------------------------------------------------------
-# Rendering.  Produces text that re-parses to a structurally identical
-# tree, provided every Const is non-negative (the parser never creates
-# negative literals; sign lives in neg nodes).
-
-_PREC_ADD = 1
-_PREC_MUL = 2
-_PREC_NEG = 3
-_PREC_POW = 4
-_PREC_ATOM = 5
-
-
-def _prec(e: Expression) -> int:
-    if isinstance(e, Binary):
-        return _PREC_ADD if e.op in ("add", "sub") else _PREC_MUL
-    if isinstance(e, Unary):
-        return _PREC_NEG if e.op == "neg" else _PREC_ATOM
-    if isinstance(e, Pow):
-        return _PREC_POW
-    return _PREC_ATOM
-
-
-def _default_name(ref: VarRef) -> str:
-    prefix = "x" if ref.kind is VarKind.VARIABLE else "y"
-    return f"{prefix}{ref.index + 1}"
-
-
-def render(
-    e: Expression,
-    var_names: Sequence[str] | None = None,
-    param_names: Sequence[str] | None = None,
-) -> str:
-    """Render to infix text using the given names (default x1.., y1..)."""
-
-    def name_of(ref: VarRef) -> str:
-        names = var_names if ref.kind is VarKind.VARIABLE else param_names
-        if names is not None:
-            return names[ref.index]
-        return _default_name(ref)
-
-    # Post-order walk on an explicit stack, so depth is unlimited: a node
-    # is pushed once to schedule its operands (left on top) and once more,
-    # marked ready, to join their texts from ``out``.
-    out: list[str] = []
-    stack: list[tuple[Expression, int, bool]] = [(e, 0, False)]
-    while stack:
-        node, min_prec, ready = stack.pop()
-        if isinstance(node, Const):
-            text = repr(node.value)
-            out.append(f"({text})" if node.value < 0 else text)
-        elif isinstance(node, VarRef):
-            out.append(name_of(node))
-        elif not ready:
-            stack.append((node, min_prec, True))
-            if isinstance(node, Binary):
-                prec = _prec(node)
-                stack.append((node.right, prec + 1, False))
-                stack.append((node.left, prec, False))
-            elif isinstance(node, Unary):
-                stack.append((node.child, _PREC_NEG if node.op == "neg" else 0, False))
-            elif isinstance(node, Pow):
-                stack.append((node.base, _PREC_ATOM, False))
-            else:
-                raise TypeError(f"not an expression node: {node!r}")
-        elif isinstance(node, Binary):
-            right = out.pop()
-            sym = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[node.op]
-            text = f"{out.pop()} {sym} {right}"
-            out.append(f"({text})" if _prec(node) < min_prec else text)
-        elif isinstance(node, Unary):
-            if node.op == "neg":
-                text = f"-{out.pop()}"
-                out.append(f"({text})" if _PREC_NEG < min_prec else text)
-            else:
-                out.append(f"{node.op}({out.pop()})")
-        else:
-            text = f"{out.pop()}^{node.exponent}"
-            out.append(f"({text})" if _PREC_POW < min_prec else text)
-    return out[0]
-
-
-# ---------------------------------------------------------------------------
 # Evaluation.  A tape lists an expression's distinct node objects (by
 # identity, never by structure), operands before their users and left
 # operands first, so the root comes last.  Step i is (op, a, b) for node
@@ -408,7 +326,7 @@ _BOXED = {"var": "xs[{a}]", "param": "ys[{a}]", "const": "k{i}"}
 def _index(n: object) -> int:
     # the integers a kernel's source may hold
     if not isinstance(n, int) or n < 0:
-        raise ValueError(f"not a non-negative integer: {n!r}")
+        raise ValueError(f"variable or parameter index {n!r} is not a non-negative integer")
     return n
 
 

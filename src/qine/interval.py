@@ -204,10 +204,17 @@ def _div_up(a: float, b: float) -> float:
 
 
 def _pow_nonneg(v: float, n: int, mul: Callable[[float, float], float]) -> float:
-    """v**n for v >= 0, n >= 1, rounded by mul, which is _mul_down or _mul_up."""
+    """v**n for v >= 0, n >= 1, rounded by mul, which is _mul_down or _mul_up.
+
+    mul is pure, so once a product leaves acc unchanged (a bound stuck at
+    0, the least subnormal, 1 or the largest double) every later one does.
+    """
     acc = v
     for _ in range(n - 1):
-        acc = mul(acc, v)
+        nxt = mul(acc, v)
+        if nxt == acc:
+            return nxt  # not acc: mul gives +0.0 where acc may be -0.0
+        acc = nxt
     return acc
 
 

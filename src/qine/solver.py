@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .interval import Box, Interval, _box, _iv, _unchecked
-from .expr import Expression, VarKind, VarRef, derivative_interval
+from .expr import Expression, VarKind, VarRef, _tape, derivative_interval
 from .contractor import InequalityConstraint, Relation, hc4_revise
 
 __all__ = [
@@ -91,6 +91,16 @@ class Problem:
             _check_domain(name, iv, True)
         for name, iv in zip(self.parameter_names, self.parameter_box.dims):
             _check_domain(name, iv, False)
+        sizes = {"var": len(self.variable_box), "param": len(self.parameter_box)}
+        for i, f in enumerate(self.constraints, 1):
+            try:
+                steps = _tape(f)[0]
+            except ValueError as exc:
+                raise ValueError(f"constraint {i}: {exc}") from None
+            for op, a, _ in steps:
+                if op in sizes and a >= sizes[op]:
+                    kind = "variable" if op == "var" else "parameter"
+                    raise ValueError(f"constraint {i} reads {kind} index {a}, but only {sizes[op]} {kind}s exist")
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,7 +115,7 @@ _qc = _unchecked(QuantifiedConstraint)
 _ineq = _unchecked(InequalityConstraint)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     epsilon: float = 1e-3
     stop_ratio: float | None = None
@@ -115,7 +125,7 @@ class SolverConfig:
     time_limit: float | None = None
 
     def __post_init__(self) -> None:
-        self.mode = self.mode.lower()
+        object.__setattr__(self, "mode", self.mode.lower())
         if self.mode not in ("2b", "2b+"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):

@@ -1,4 +1,4 @@
-"""Expression parsing, rendering, evaluation and differentiation."""
+"""Expression parsing, evaluation and differentiation."""
 
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ from qine.expr import (
     eval_interval,
     forward_sweep,
     parse_expression,
-    render,
 )
 from qine.interval import Box, Interval
 
@@ -70,11 +69,11 @@ def test_parse_scientific_numbers():
 
 def test_inexact_literal_carries_its_enclosure():
     # the interval evaluators see an enclosure of 1/10 itself; the float
-    # walker and render keep the nearest double
+    # walker and the node's value keep the nearest double
     tenth = parse_expression("0.1", SYMS)
     assert Fraction(tenth.enclosure.lo) < Fraction(1, 10) < Fraction(tenth.enclosure.hi)
     assert eval_interval(tenth, Box(()), Box(())) == tenth.enclosure
-    assert eval_point(tenth, [], []) == 0.1 and render(tenth) == "0.1"
+    assert eval_point(tenth, [], []) == 0.1 and tenth.value == 0.1
     assert parse_expression("0.5", SYMS).enclosure is None
 
 
@@ -116,23 +115,7 @@ def test_unknown_function_like_identifier():
 
 
 # ---------------------------------------------------------------------------
-# rendering: output re-parses to the same tree
-
-
-def test_render_readable():
-    e = parse_expression("10*y - x - y^2", SYMS)
-    assert render(e, ["x"], ["y"]) == "10.0 * y - x - y^2"
-
-
-def test_render_parenthesizes_structure():
-    e = Binary("mul", Binary("add", X, Y), Const(2.0))
-    assert render(e, ["x"], ["y"]) == "(x + y) * 2.0"
-    e2 = Unary("neg", Binary("mul", X, Y))
-    assert render(e2, ["x"], ["y"]) == "-(x * y)"
-    e3 = Pow(Binary("add", X, Y), 2)
-    assert render(e3, ["x"], ["y"]) == "(x + y)^2"
-    e4 = Binary("sub", X, Binary("sub", X, Y))
-    assert render(e4, ["x"], ["y"]) == "x - (x - y)"
+# round trips: a tree printed with every operation parenthesized re-parses to itself
 
 
 def expr_trees(safe: bool = False, indices: tuple[int, ...] = (0, 1)):
@@ -154,9 +137,25 @@ def expr_trees(safe: bool = False, indices: tuple[int, ...] = (0, 1)):
     return st.recursive(leaves, extend, max_leaves=10)
 
 
+def parenthesized(e) -> str:
+    """e as text, each operation in parentheses of its own, leaves named x1.., y1..."""
+    if isinstance(e, Const):
+        return repr(e.value)
+    if isinstance(e, VarRef):
+        return f"{'x' if e.kind is VarKind.VARIABLE else 'y'}{e.index + 1}"
+    if isinstance(e, Binary):
+        sym = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[e.op]
+        return f"({parenthesized(e.left)} {sym} {parenthesized(e.right)})"
+    if isinstance(e, Pow):
+        return f"({parenthesized(e.base)}^{e.exponent})"
+    if e.op == "neg":
+        return f"(-{parenthesized(e.child)})"
+    return f"{e.op}({parenthesized(e.child)})"
+
+
 @given(expr_trees())
 def test_render_parse_round_trip(e):
-    text = render(e)
+    text = parenthesized(e)
     symbols = {"x1": X, "x2": X2, "y1": Y, "y2": Y2}
     assert parse_expression(text, symbols) == e
 
@@ -181,16 +180,10 @@ def preorder(e) -> list:
     return out
 
 
-def test_render_walks_deeper_than_the_recursion_limit():
-    e = parse_expression(" + ".join(["0.001*x"] * 1500), SYMS)
-    text = render(e, ["x"], ["y"])
-    assert text == " + ".join(["0.001 * x"] * 1500)
-    assert preorder(parse_expression(text, SYMS)) == preorder(e)
-    # the parser recurses into parentheses, so this one is checked as text
-    expected = "x1"
-    for i in range(5000):
-        expected = f"{expected} + 0.0" if i % 2 == 0 else f"-({expected})"
-    assert render(deep_chain(5000)) == expected
+def test_parse_builds_a_sum_deeper_than_the_recursion_limit():
+    # a flat sum parses in a loop, into a left-leaning chain 1500 deep
+    expected = [("binary", "add")] * 1499 + [("binary", "mul"), Const(0.001), X] * 1500
+    assert preorder(parse_expression(" + ".join(["0.001*x"] * 1500), SYMS)) == expected
 
 
 # ---------------------------------------------------------------------------

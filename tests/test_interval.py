@@ -156,6 +156,36 @@ def test_an_exponent_out_of_range_is_refused_before_any_arithmetic(method, n, mo
         getattr(Interval(0.5, 2.0), method)(n)
 
 
+def _pow_loop(v, n, mul):
+    acc = v
+    for _ in range(n - 1):
+        acc = mul(acc, v)
+    return acc
+
+
+@pytest.mark.parametrize("mul", [_mul_down, _mul_up])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1023, 1024])
+def test_pow_nonneg_keeps_the_bits_of_all_n_minus_1_products(mul, n):
+    edges = [0.0, -0.0, 5e-324, 1e-320, sys.float_info.min, 1e-300, 0.1, 0.5, 1.0, 1.5, 1e300, INF]
+    for v in edges:
+        assert interval._pow_nonneg(v, n, mul).hex() == _pow_loop(v, n, mul).hex(), v
+
+
+@pytest.mark.parametrize("v", [0.1, 1e-300])
+def test_a_power_bound_stuck_at_zero_or_the_least_subnormal_stops_multiplying(v, monkeypatch):
+    # below 2**-450 each product takes the exact _mul_edge fallback; once
+    # the bounds sit at 0 and 5e-324 no further product is made
+    edge = interval._mul_edge
+    calls = []
+    monkeypatch.setattr(interval, "_mul_edge", lambda a, b, up: calls.append(up) or edge(a, b, up))
+    counts = []
+    for n in (400, 1024):
+        calls.clear()
+        assert interval._pow(v, v, n) == (0.0, 5e-324)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] < 400
+
+
 def test_sqrt():
     assert Interval(4.0, 9.0).sqrt() == Interval(2.0, 3.0)
     assert Interval(-2.0, -1.0).sqrt().is_empty

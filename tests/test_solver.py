@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import sys
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 
 from helpers import assert_interval, monotone_problem
 from qine.cli import parse_problem
-from qine.expr import parse_expression
+from qine.expr import Binary, VarKind, VarRef, parse_expression
 from qine.interval import Box, Interval
 from qine.solver import (
     Paving,
@@ -523,6 +524,30 @@ def test_problem_validation():
             Box(()),
             (f,),
         )
+
+
+@pytest.mark.parametrize(
+    "ref, message",
+    [
+        (VarRef(VarKind.VARIABLE, 1), "constraint 1 reads variable index 1, but only 1 variables exist"),
+        (VarRef(VarKind.PARAMETER, 0), "constraint 1 reads parameter index 0, but only 0 parameters exist"),
+        (VarRef(VarKind.VARIABLE, -1), "constraint 1: variable or parameter index -1"),
+        (VarRef(VarKind.PARAMETER, -1), "constraint 1: variable or parameter index -1"),
+    ],
+)
+def test_problem_rejects_a_reference_outside_its_boxes(ref, message):
+    # solve used to end in an IndexError from inside a compiled kernel
+    with pytest.raises(ValueError, match=message):
+        Problem(("x",), Box.from_bounds([(0.0, 1.0)]), (), Box(()), (Binary("add", VarRef(VarKind.VARIABLE, 0), ref),))
+
+
+def test_solver_config_is_frozen():
+    cfg = SolverConfig(mode="2B")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.mode = "3b"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.epsilon = -1.0
+    assert (cfg.mode, cfg.epsilon) == ("2b", 1e-3)
 
 
 # ---------------------------------------------------------------------------
