@@ -209,10 +209,16 @@ def format_report(problem: Problem, cfg: SolverConfig, paving: Paving) -> str:
 
 
 def parse_report(text: str) -> tuple[dict[str, str], list[Box], list[Box]]:
-    """Parse report text back into header fields and inner/boundary boxes."""
+    """Parse report text back into header fields and inner/boundary boxes.
+
+    Every record must have one bound pair per name of the ``# vars:``
+    header, or, without one, as many as the first record; anything else
+    raises ValueError.
+    """
     meta: dict[str, str] = {}
     inner: list[Box] = []
     boundary: list[Box] = []
+    width = 0  # bounds per record
     for line in text.splitlines():
         if not line.strip():
             continue
@@ -222,7 +228,8 @@ def parse_report(text: str) -> tuple[dict[str, str], list[Box], list[Box]]:
             continue
         fields = line.split()
         label, bounds = fields[0], [float(v) for v in fields[1:]]
-        if label not in ("inner", "boundary") or len(bounds) % 2:
+        width = width or (2 * len(meta["vars"].split()) if "vars" in meta else len(bounds))
+        if label not in ("inner", "boundary") or not bounds or len(bounds) % 2 or len(bounds) != width:
             raise ValueError(f"malformed record: {line!r}")
         box = Box.from_bounds(list(zip(bounds[0::2], bounds[1::2])))
         (inner if label == "inner" else boundary).append(box)

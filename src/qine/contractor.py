@@ -19,9 +19,8 @@ functions on bounds, intersections, hulls and empty checks are float
 comparisons, and Intervals are built only for the returned boxes, while a
 box or interval that was not cut is returned as it came.
 
-The backward sweep stops at a settled node that the narrowing never
-reached (see ``hc4_revise``): projecting it would return every value
-below it unchanged, so the stop changes no result.
+A visit skips its projection when the narrowing left the node's forward
+value as it was and the projection could not cut it (see ``hc4_revise``).
 
 The same machinery contracts with respect to f <= 0 or f >= 0, which
 lets the solver run the negation of a constraint to identify regions
@@ -102,33 +101,18 @@ def _meet(dst: str, s: str, o: str) -> str:
     return f"{dst}l, {dst}h = {o}l if {o}l > {s}l else {s}l, {o}h if {o}h < {s}h else {s}h"
 
 
-def _projection(
-    rule: str, c: str, operands: Sequence[str], n: object, targets: Sequence[str], flagged: Sequence[bool]
-) -> list[str]:
-    """Lines that set each target to its operand's projection under the rule.
-
-    A flagged target t also gets the flag t{u}: the projection left the
-    operand as it was, as the object ``Interval.intersect`` returns from
-    its containment branch, or ``hull`` passes through when the other
-    part is empty.
-    """
+def _projection(rule: str, c: str, operands: Sequence[str], n: object, targets: Sequence[str]) -> list[str]:
+    """Lines that set each target to its operand's projection under the rule."""
     lines: list[str] = []
-    for template, s, t, flag in zip(_PROJECT[rule], operands, targets, flagged):
+    for template, s, t in zip(_PROJECT[rule], operands, targets):
         lines.append(f"{t}l, {t}h = " + template.format(c=c, l=operands[0], r=operands[-1], n=n))
         if rule == "pow_even":
             lines += [_meet("a", s, t), f"bl, bh = -{t}h, -{t}l", _meet("b", s, "b")]
             lines.append(f"{t}l, {t}h = (bl, bh) if al > ah else (al, ah) if bl > bh else "
                          f"(bl if bl < al else al, bh if bh > ah else ah)")
-            if flag:
-                lines.append(f"{t}u = (al > ah or bl > bh) and {t}l == {s}l and {t}h == {s}h")
         else:
-            lines += _cut(t, s, flag)
+            lines.append(_meet(t, s, t))
     return lines
-
-
-def _cut(t: str, s: str, flag: bool) -> list[str]:
-    # t = s ∩ t, and the flag t{u} when s is inside t
-    return [f"{t}u = {t}l <= {s}l and {s}h <= {t}h"] * flag + [_meet(t, s, t)]
 
 
 _PROJECTORS: dict[str, Callable] = {}  # backward_project's rules, built on first use
@@ -158,7 +142,7 @@ def backward_project(
         k = len(_PROJECT[key])
         operands, targets = ("l", "r")[:k], ("o0", "o1")[:k]
         lines = [f"{v}l, {v}h = {v}.lo, {v}.hi" for v in ("c", *operands)]
-        lines += _projection(key, "c", operands, "n", targets, (False,) * k)
+        lines += _projection(key, "c", operands, "n", targets)
         lines.append("return " + "".join(f"EMPTY if {t}l > {t}h else _iv({t}l, {t}h), " for t in targets))
         project = _PROJECTORS[key] = _compile(f"project_{key}", "c, l, r=None, n=None", lines, dict(_NAMESPACE))
     return project(node_interval, *child_intervals, n=exponent)
@@ -181,24 +165,8 @@ def _rebuilt(k: str, first: dict[int, int]) -> str:
     return f"_box(({', '.join(items)}, *{k}s[{top}:]))"
 
 
-# the ops whose projection of their own forward value is exact (see hc4_revise)
+# the ops whose projection of their own forward value changes nothing (see hc4_revise)
 _SETTLED_OPS = frozenset(_LEAVES + ("add", "sub", "mul", "neg", "pow", "sin", "cos"))
-
-
-def _settled(steps: Sequence[_Step], paths: Sequence[int]) -> tuple[bool, ...]:
-    # a step is settled when its op is in _SETTLED_OPS, its operands are
-    # settled, and no internal step has more than one user (leaves may be
-    # shared).  Every step lies below the root, so some internal step has
-    # two users exactly when some internal step is reached along two paths.
-    if any(n > 1 and op not in _LEAVES for n, (op, _, _) in zip(paths, steps)):
-        return (False,) * len(steps)
-    settled: list[bool] = []
-    for op, a, b in steps:
-        ok = op in _SETTLED_OPS
-        if ok and op not in _LEAVES:
-            ok = settled[a] and (op not in _BINARY or settled[b])
-        settled.append(ok)
-    return tuple(settled)
 
 
 def _compile_revise(steps: Sequence[_Step]) -> Callable:
@@ -211,21 +179,16 @@ def _compile_revise(steps: Sequence[_Step]) -> Callable:
     reached along several paths (a single-path step's operands are read
     before its only visit, so they still hold their forward values),
     n{w} the narrowed value handed to visit w, and x{j}, y{j} the
-    contracted domains.  A settled inner step's visit also gets the flag
-    n{w}u, which holds when n{w} is its forward value unchanged.  Only
-    the returned boxes are built as Intervals: an input interval whose
-    domain was not cut is returned as it came, and so is a box the tape
-    never reads, or both boxes when the settled root stops at once.
+    contracted domains.  Only the returned boxes are built as Intervals:
+    an input interval whose domain was not cut is returned as it came,
+    and so is a box the tape never reads, or both boxes when the root
+    stops and every op below it stops too.
 
     Every op maps an empty operand to an empty result, so once the root
     passes its empty check every forward value is non-empty, and a visit
-    reached with its forward value needs no empty check.  A settled visit
-    that stops hands its operands their current values instead of
-    projecting, so each visit below it stops too, or, at a leaf, meets
-    a domain already inside that value and leaves it as it is: the
-    subtree's code runs but changes nothing, as the skipped walk would,
-    and the code needs no jumps or nesting at any depth.  A stop with no
-    visit after its subtree returns at once.
+    that stops needs no empty check.  A stop hands the operands their
+    current values, and their visits run as they would after the
+    projection, so the code needs no jumps or nesting at any depth.
     """
     lines, namespace = _forward_code(steps)
     namespace.update(_NAMESPACE)
@@ -241,7 +204,9 @@ def _compile_revise(steps: Sequence[_Step]) -> Callable:
             if op in _BINARY:
                 paths[b] += paths[i]
     cur = [f"c{i}" if n > 1 else f"v{i}" for i, n in enumerate(paths)]
-    flagged = [s and op not in _LEAVES for s, (op, _, _) in zip(_settled(steps, paths), steps)]
+    # when every step is a leaf or an op that stops, a stop at the root is
+    # followed by stops alone, shared steps included, so it returns at once
+    settled = all(op in _SETTLED_OPS for op, _, _ in steps)
     first: dict[str, dict[int, int]] = {"x": {}, "y": {}}  # an input's first slot
     for i, (op, a, _) in enumerate(steps):
         if op == "var" or op == "param":
@@ -254,10 +219,9 @@ def _compile_revise(steps: Sequence[_Step]) -> Callable:
     for k, slots in first.items():
         for j, i in slots.items():
             lines[i + 1] = f"{k}{j}l, {k}{j}h = {lines[i + 1]}"
-    done = "return " + _rebuilt("x", first["x"]) + ", " + _rebuilt("y", first["y"])
     fail = "return"  # None: no point of the box satisfies the constraint
     root = len(steps) - 1
-    lines += [*_cut("n0", f"v{root}", flagged[root]), f"if n0l > n0h: {fail}"]
+    lines += [_meet("n0", f"v{root}", "n0"), f"if n0l > n0h: {fail}"]
     stack = [(root, 0)]
     while stack:
         i, w = stack.pop()
@@ -277,20 +241,18 @@ def _compile_revise(steps: Sequence[_Step]) -> Callable:
             children = [(a, wa), (b, wa + size[a])] if op in _BINARY else [(a, wa)]
             targets = [f"n{v}" for _, v in children]
             operands = [cur[j] for j, _ in children]
-            project = _projection(_rule(op, b), n, operands, b, targets, [flagged[j] for j, _ in children])
-            check = [f"if {n}l > {n}h: {fail}"] if w else []
-            if flagged[i]:
-                # at the root nothing is cut yet
-                stop = "return x, y" if not w else done if w + size[i] == size[-1] else "; ".join(
-                    f"{t}l, {t}h = {o}l, {o}h" + (f"; {t}u = True" if flagged[j] else "")
-                    for t, o, (j, _) in zip(targets, operands, children)
+            project = _projection(_rule(op, b), n, operands, b, targets)
+            check = [f"if {n}l > {n}h: {fail}"] if w else []  # the root was checked above
+            if op in _SETTLED_OPS:
+                stop = "return x, y" if settled and not w else "; ".join(
+                    f"{t}l, {t}h = {o}l, {o}h" for t, o in zip(targets, operands)
                 )
-                lines += [f"if {n}u: {stop}", *("el" + line for line in check), "else:"]
-                lines += [" " + line for line in project]
+                lines += [f"if {n}l == v{i}l and {n}h == v{i}h: {stop}", *("el" + line for line in check)]
+                lines += ["else:", *(" " + line for line in project)]
             else:
                 lines += [*check, *project]
             stack.extend(reversed(children))
-    lines.append(done)
+    lines.append("return " + _rebuilt("x", first["x"]) + ", " + _rebuilt("y", first["y"]))
     return _compile("revise", "x, y, n0l, n0h", lines, namespace)
 
 
@@ -303,22 +265,22 @@ def hc4_revise(constraint: InequalityConstraint, x: Box, y: Box) -> tuple[Box, B
     always shows in the variable part, which matters when y has no
     coordinates at all.
 
-    A node reached with its own forward value is not projected when it
-    is settled: its op is a leaf, add, sub, mul, neg, pow, sin or cos,
-    its operands are settled, and no internal node of the expression has
-    more than one user.  For these ops the projection of the forward
-    value onto operands inside their own forward values returns the
-    operands unchanged.  sqrt and log are left out because their forward
-    value drops the part of the operand outside their domain, so
-    projecting it back cuts the operand; div because its projection
-    multiplies back, and ENTIRE * [0, 0] = [0, 0] cuts a numerator
-    divided by [0, 0]; exp because its round trip through log would rest
-    on libm accuracy; every node above one of them because the cut must
-    reach the leaves; and shared internal nodes because each visit
-    re-projects their current value, and HC4 is not idempotent.  The
-    node's slot is still assigned before the stop, as a full sweep would.
-    A leaf always meets its domain with the value it is handed: when
-    that is its forward value, the domain already lies inside it.
+    A visit of an add, sub, mul, neg, pow, sin or cos node stops when its
+    narrowed value has the bounds of its forward value, and hands each
+    operand its current value in place of the projection.  That changes
+    nothing: a meet keeps an operand's own bounds unless it moves one
+    strictly inward, so equal bounds mean the narrowing never cut the
+    node, and for these ops the projection of the forward value onto
+    operands inside their forward values returns the operands as they
+    are.  The operands' own visits then run as in the full sweep, so the
+    rule needs nothing of the nodes below or of other users of the node.
+    sqrt and log are left out because their forward value drops the part
+    of the operand outside their domain, so projecting it back cuts the
+    operand; div because its projection multiplies back, and ENTIRE *
+    [0, 0] = [0, 0] cuts a numerator divided by [0, 0]; exp because its
+    round trip through log would rest on libm accuracy.  The comparison
+    is with the forward value, never a shared node's current value, and
+    the node's slot is assigned before it, as a full sweep would.
 
     The sweep runs as a function compiled from the expression's tape on
     the first call, for both relations (see ``_compile_revise``).

@@ -232,6 +232,16 @@ def test_parse_report_rejects_malformed_records():
         parse_report("inner 1.0\n")
     with pytest.raises(ValueError):
         parse_report("middle 0.0 1.0\n")
+    # a box of no dimension, records of two dimensions, and records that
+    # disagree with the header's variables are in no report format_report writes
+    for text in (
+        "inner\n",
+        "inner 0.0 1.0\nboundary 0.0 1.0 2.0 3.0\n",
+        "# vars: x y\ninner 0.0 1.0\n",
+        "# vars: x\nboundary 0.0 1.0 2.0 3.0\n",
+    ):
+        with pytest.raises(ValueError, match="malformed record"):
+            parse_report(text)
 
 
 # ---------------------------------------------------------------------------

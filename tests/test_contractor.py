@@ -277,14 +277,14 @@ def test_revise_keeps_all_grid_solutions(e, bx, by, rel):
 
 
 # ---------------------------------------------------------------------------
-# the backward sweep stops at settled steps reached with their forward value
+# the backward sweep stops at steps reached with their forward value
 #
-# hc4_revise skips the projection of a step whose narrowed value is the very
-# object the forward sweep produced, when the step is settled (its op is a
-# leaf, add, sub, mul, neg, pow, sin or cos, its operands are settled, and
-# the tape is a tree apart from shared leaves).  The tests below compare it
-# with the sweep that projects every step, and pin the cases that show why
-# each part of the rule is needed.
+# hc4_revise skips the projection of an add, sub, mul, neg, pow, sin or cos
+# step whose narrowed value has bounds equal to those the forward sweep
+# produced, and hands its operands their current values; the root returns
+# at once only when every step is a leaf or one of those ops.  The tests
+# below compare it with the sweep that projects every step, and pin the
+# cases that show why each part of the rule is needed.
 
 _EDGE_BOUNDS = (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, -1e-300)
 _UNARY_OPS = ("neg", "sqrt", "exp", "log", "sin", "cos")
@@ -377,12 +377,95 @@ def test_revise_matches_the_full_sweep_bit_for_bit():
         assert _bits(got) == _bits(want), (case, e, x, y)
 
 
+def test_revise_matches_the_full_sweep_on_deep_trees_and_dags():
+    # the stop reaches shared nodes and nodes above sqrt, log, div and exp,
+    # so deeper trees and larger DAGs exercise it where the shapes differ most
+    rng = random.Random(8086)
+    for case in range(1500):
+        e = _random_tree(rng, rng.randint(2, 7)) if case % 2 else _random_dag(rng, rng.randint(1, 14))
+        c = InequalityConstraint(e, Relation.GEQ if case % 4 > 1 else Relation.LEQ)
+        x = Box((_random_interval(rng), _random_interval(rng)))
+        y = Box((_random_interval(rng),))
+        got = [iv for box in hc4_revise(c, x, y) for iv in box]
+        want = [iv for box in _full_sweep(c, x, y) for iv in box]
+        assert _bits(got) == _bits(want), (case, e, x, y)
+
+
+def _spied_revise(monkeypatch, c, x, y):
+    """hc4_revise through a fresh kernel, and the calls it made to _add and _div.
+
+    The kernel reads its bound functions from contractor._NAMESPACE when it
+    is compiled, so c's expression must not have been revised before.  Its
+    result must equal the full sweep's, which runs before the spies are in.
+    """
+    from qine import contractor
+
+    want = _full_sweep(c, x, y)
+    counts = {"_add": 0, "_div": 0}
+    for name in counts:
+        def spy(*bounds, _name=name, _f=contractor._NAMESPACE[name]):
+            counts[_name] += 1
+            return _f(*bounds)
+        monkeypatch.setitem(contractor._NAMESPACE, name, spy)
+    got = hc4_revise(c, x, y)
+    assert got == want
+    return got, counts
+
+
+def test_revise_stops_below_an_even_power_that_hulls_back_its_operand(monkeypatch):
+    # (x - y)^2 is cut to [1, 4]; its two root branches [-2, -1] and [1, 2]
+    # meet x - y in parts whose hull is x - y's forward value, so the
+    # difference is not projected: 2 forward and 2 root calls of _add, not 6
+    c = geq("(x - y)^2 - 1")
+    x, y = Box.from_bounds([(-1.0, 1.0)]), Box.from_bounds([(-1.0, 1.0)])
+    _, counts = _spied_revise(monkeypatch, c, x, y)
+    assert counts["_add"] == 4
+
+
+def test_revise_stops_above_a_sqrt_and_still_cuts_its_operand(monkeypatch):
+    # nothing is cut at the root or at the add, so neither is projected; the
+    # sqrt below them still projects its forward value and cuts x to [0, 4]
+    c = leq("sqrt(x) + y - 5")
+    (x, y), counts = _spied_revise(monkeypatch, c, Box.from_bounds([(-1.0, 4.0)]), Box.from_bounds([(0.0, 1.0)]))
+    assert (x, y) == (Box.from_bounds([(0.0, 4.0)]), Box.from_bounds([(0.0, 1.0)]))
+    assert counts["_add"] == 2
+
+
+@pytest.mark.parametrize(
+    "make, rel, bounds, calls",
+    [
+        # s*s + sin(s) - 5 <= 0 holds everywhere: only the forward sweep adds
+        (
+            lambda s: Binary("sub", Binary("add", Binary("mul", s, s), Unary("sin", s)), Const(5.0)),
+            Relation.LEQ,
+            [(-1.0, 1.0), (-1.0, 1.0)],
+            {"_add": 3, "_div": 0},
+        ),
+        # s^2 + x1*s >= 0 holds everywhere as well
+        (
+            lambda s: Binary("add", Pow(s, 2), Binary("mul", X, s)),
+            Relation.GEQ,
+            [(0.5, 1.0), (-1.0, 0.0)],
+            {"_add": 2, "_div": 0},
+        ),
+    ],
+)
+def test_revise_stops_at_a_shared_node_reached_with_its_forward_value(monkeypatch, make, rel, bounds, calls):
+    # s = x1 - x2 has several users; each visit would hand it its forward
+    # value, so neither s nor the nodes above it are projected, and the root
+    # returns the boxes as they came
+    c = InequalityConstraint(make(Binary("sub", X, X2)), rel)
+    x, y = Box.from_bounds(bounds), Box(())
+    got, counts = _spied_revise(monkeypatch, c, x, y)
+    assert got[0] is x and got[1] is y and counts == calls
+
+
 @pytest.mark.parametrize(
     "text, x0, x1",
     [
         # the root is not narrowed, yet the operands are cut to the domain of
-        # sqrt and log: a rule that checks only a step's own op, not its
-        # subtree, skips the sub at the root and keeps [-1, 1] and [-1, 2]
+        # sqrt and log: the root returns at once only when no sqrt, log, div
+        # or exp lies below it, or it would keep [-1, 1] and [-1, 2]
         ("sqrt(x) - 5", (-1.0, 1.0), (0.0, 1.0)),
         ("log(x)^1 - 10", (-1.0, 2.0), (0.0, 2.0)),
         # a leaf reached with its forward value still resets its slot: skipping
@@ -396,9 +479,10 @@ def test_revise_pins_of_the_settled_rule(text, x0, x1):
     assert _full_sweep(leq(text), Box.from_bounds([x0]), Box(())) == (x, Box(()))
 
 
-def test_revise_does_not_skip_on_a_shared_internal_node():
-    # s is reached twice; each visit re-projects its current value, and that
-    # narrows x1 even though the second visit arrives un-narrowed
+def test_revise_reprojects_a_narrowed_shared_internal_node():
+    # s is reached twice; a visit that arrives with s's forward value stops,
+    # but one that arrives with a narrowed value re-projects it, and that
+    # narrows x1
     s = Binary("sub", X, Pow(X, 4))
     f = Binary("add", Binary("add", Pow(X2, 4), s), Unary("sin", s))
     x, _ = hc4_revise(InequalityConstraint(f), Box.from_bounds([(1.0, 2.0), (-2.25, -1.2)]), Box(()))
@@ -501,8 +585,9 @@ def _interval_from(rng: random.Random, bounds: tuple[float, ...]) -> Interval:
 def test_settled_projection_of_the_forward_value_returns_operands_unchanged():
     # For each settled op, projecting its forward value over operand domains
     # l0, r0 onto operands l, r inside them returns l and r bit for bit,
-    # signed zeros included: the skipped walk would only have rewritten each
-    # value with itself.  (An even pow returns an equal new object, its hull.)
+    # signed zeros included: the skipped projection would only have rewritten
+    # each value with itself.  (An even pow hulls the root and its negation
+    # back to the operand's own bounds, so its operand's visit stops too.)
     rng = random.Random(77)
     bounds = _EDGE_BOUNDS + (math.inf, -math.inf)
     exprs = [Binary(op, X, X2) for op in ("add", "sub", "mul")]
