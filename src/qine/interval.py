@@ -3,13 +3,13 @@
 The containment contract: every operation returns an interval that
 contains the exact real result for all point inputs drawn from the
 operand intervals.  Addition, subtraction, multiplication, division,
-integer powers and integer roots round each bound toward the appropriate
-infinity.  The direction follows from the exact sign of the rounding
-error, found with error-free float transformations (TwoSum, and
-Dekker's TwoProduct) where they are proven exact and by an exact
-integer comparison elsewhere, so computations whose exact results are
-representable doubles stay bit-exact.  exp, log, sin and cos fall back
-on libm widened by two ulps per bound.
+integer powers and integer roots round each bound to the tightest
+double toward the appropriate infinity.  The direction follows from the
+exact sign of the rounding error, found with error-free float
+transformations (TwoSum, and Dekker's TwoProduct) where they are proven
+exact; every other case is an exact rational rounded once by
+``_round``.  exp, log, sin and cos fall back on libm widened by two ulps
+per bound.
 
 Each operation is written once, as a function on float bounds that
 returns the result's (lo, hi): ``_add``, ``_mul``, ``_div``, ``_sqr``,
@@ -23,8 +23,10 @@ on operands inside (2**-450, 2**450) in magnitude they make no Python
 call; nor do sums that do not overflow, nor exp and log of finite
 bounds, nor quotients and square roots unless the rounded product that
 checks them ties (then ``_prod_err_sign`` decides).  Products with an
-infinite or out-of-range nonzero operand, and overflowing sums, take
-slower exact fallbacks (``_mul_edge``, ``_add_edge``).
+infinite or out-of-range nonzero operand, overflowing sums, integer
+powers and the steps of the integer-root walk take slower exact
+fallbacks (``_mul_edge``, ``_add_edge``, ``_pow_bound``), each one call
+of ``_round`` on integer ratios.
 
 All values are immutable and operations are pure; the FPU rounding mode
 is never touched, so concurrent use is safe.
@@ -66,7 +68,9 @@ _nextafter = math.nextafter  # the one ulp-step, called directly so no bound nes
 # TwoProduct for products while both operands lie in (2**-450, 2**450)
 # in magnitude, where no Veltkamp split overflows and no partial product
 # underflows.  A product with a zero operand is 0.0; one with an infinite
-# or out-of-range operand takes _mul_edge, which compares integer ratios.
+# or out-of-range operand takes _mul_edge.  The exact fallbacks
+# (_add_edge, _mul_edge, _pow_bound) form the exact result as a ratio of
+# integers and round it once with _round.
 # Quotients and square roots reduce to the sign of x*y - v for a double v,
 # tested inline: no double lies strictly between x*y and its rounding
 # p = fl(x*y) (an infinity past the largest double), so x*y is on p's
@@ -101,37 +105,42 @@ def _flat(source: str, *names: str) -> tuple[Callable, ...]:
     return tuple(defined[name] for name in names)
 
 
-def _add_edge(a: float, b: float, s: float, up: bool) -> float:
-    """a + b rounded down, or up, given s = fl(a + b) when s or s - a is not finite."""
-    if math.isinf(s):
-        if math.isinf(a) or math.isinf(b):
-            return s
+def _round(num: int, den: int, up: bool) -> float:
+    """The tightest double on the up (else down) side of num / den, for den > 0.
+
+    ``int / int`` rounds to nearest once, as IEEE does, and raises
+    OverflowError past the largest double; the exact sign of num/den - p
+    then picks at most one ulp-step.  An underflowing negative ratio
+    rounds to -0.0, as a float product does.
+    """
+    try:
+        p = num / den
+    except OverflowError:
         if up:
-            return s if s > 0 else -_MAX
-        return _MAX if s > 0 else s
+            return _INF if num > 0 else -_MAX
+        return _MAX if num > 0 else -_INF
+    pm, pd = p.as_integer_ratio()
+    if up:
+        return _nextafter(p, _INF) if num * pd > pm * den else p
+    return _nextafter(p, -_INF) if num * pd < pm * den else p
+
+
+def _add_edge(a: float, b: float, up: bool) -> float:
+    """a + b rounded down, or up, where fl(a + b) or fl(a + b) - a is not finite."""
+    if math.isinf(a) or math.isinf(b):
+        return a + b
     am, ad = a.as_integer_ratio()
     bm, bd = b.as_integer_ratio()
-    sm, sd = s.as_integer_ratio()
-    # (a + b - s) * ad*bd*sd, all denominators positive
-    lhs = (am * bd + bm * ad) * sd
-    rhs = sm * ad * bd
-    if up:
-        return _nextafter(s, _INF) if lhs > rhs else s
-    return _nextafter(s, -_INF) if lhs < rhs else s
+    return _round(am * bd + bm * ad, ad * bd, up)
 
 
 def _mul_edge(a: float, b: float, up: bool) -> float:
     """a*b rounded down, or up, for nonzero a, b not both inside (_EFT_LO, _EFT_HI) in magnitude."""
     if math.isinf(a) or math.isinf(b):
         return _INF if (a > 0) == (b > 0) else -_INF
-    p = a * b
-    if math.isinf(p):
-        if up:
-            return p if p > 0 else -_MAX
-        return _MAX if p > 0 else p
-    if up:
-        return _nextafter(p, _INF) if _prod_err_sign(a, b, p) > 0 else p
-    return _nextafter(p, -_INF) if _prod_err_sign(a, b, p) < 0 else p
+    am, ad = a.as_integer_ratio()
+    bm, bd = b.as_integer_ratio()
+    return _round(am * bm, ad * bd, up)
 
 
 _prod_err_sign, _mul_down, _mul_up = _flat(
@@ -203,28 +212,23 @@ def _div_up(a: float, b: float) -> float:
     return _nextafter(q, _INF) if _prod_err_sign(q, b, p) * b < 0 else q
 
 
-def _pow_nonneg(v: float, n: int, mul: Callable[[float, float], float]) -> float:
-    """v**n for v >= 0, n >= 1, rounded by mul, which is _mul_down or _mul_up.
+def _pow_bound(v: float, n: int, up: bool) -> float:
+    """v**n rounded up, or down, to the tightest double, for v >= 0 and n >= 1.
 
-    mul is pure, so once a product leaves acc unchanged (a bound stuck at
-    0, the least subnormal, 1 or the largest double) every later one does.
+    v lies in [2**(e-1), 2**e), so a power below the least subnormal or
+    past the largest double is decided from e alone, before any integer
+    power is formed; every other one is the exact ratio m**n / 2**(k*n)
+    of v = m / 2**k, rounded once.
     """
-    acc = v
-    for _ in range(n - 1):
-        nxt = mul(acc, v)
-        if nxt == acc:
-            return nxt  # not acc: mul gives +0.0 where acc may be -0.0
-        acc = nxt
-    return acc
-
-
-def _pow_cmp(r: float, n: int, v: float) -> int:
-    """Sign of r**n - v for finite non-negative r, v."""
-    rm, rd = r.as_integer_ratio()
-    vm, vd = v.as_integer_ratio()
-    lhs = rm**n * vd
-    rhs = vm * rd**n
-    return (lhs > rhs) - (lhs < rhs)
+    if v == 0.0 or v == _INF:
+        return abs(v)  # its own power, with a zero's sign dropped
+    e = math.frexp(v)[1]
+    if n * e < -1074:
+        return 5e-324 if up else 0.0
+    if n * (e - 1) >= 1024:
+        return _INF if up else _MAX
+    m, d = v.as_integer_ratio()
+    return _round(m**n, 1 << (d.bit_length() - 1) * n, up)
 
 
 def _root_start(v: float, n: int) -> float:
@@ -251,17 +255,20 @@ def _root_walk(v: float, n: int, up: bool) -> float:
     """
     if v == 0.0 or v == _INF:
         return abs(v)  # its own root, with a zero's sign dropped
-    bad, toward = (-1, _INF) if up else (1, -_INF)
+    # v is a double, so r**n >= v exactly when r**n's tight lower bound is,
+    # and r**n <= v when its tight upper bound is: r is valid when
+    # side * _pow_bound(r, n, not up) >= side * v
+    side = 1.0 if up else -1.0
     r = _root_start(v, n)
-    if _pow_cmp(r, n, v) == bad:
+    if side * _pow_bound(r, n, not up) < side * v:
         for _ in range(64):
-            r = _nextafter(r, toward)
-            if _pow_cmp(r, n, v) != bad:
+            r = _nextafter(r, side * _INF)
+            if side * _pow_bound(r, n, not up) >= side * v:
                 return r
         return _INF if up else 0.0
     for _ in range(64):
-        s = _nextafter(r, -toward)
-        if _pow_cmp(s, n, v) == bad:
+        s = _nextafter(r, -side * _INF)
+        if side * _pow_bound(s, n, not up) < side * v:
             return r
         r = s
     return r
@@ -269,8 +276,8 @@ def _root_walk(v: float, n: int, up: bool) -> float:
 
 # The largest exponent of a power or root.  _root_start scales its
 # operand into [0.5, 2**(n-1)), which stays inside the double range only
-# for n <= 1025; the cap also bounds the products of _pow_nonneg and the
-# integers of _pow_cmp.  _exponent checks an exponent where it comes in
+# for n <= 1025; the cap also bounds the integer powers of _pow_bound to
+# about 55,000 bits.  _exponent checks an exponent where it comes in
 # (pow_int, root_int, a tape's Pow, backward_project), so _pow, _root and
 # the kernels that call them take theirs as valid.
 MAX_EXPONENT = 1024
@@ -305,13 +312,13 @@ def _add(xl: float, xh: float, yl: float, yh: float) -> tuple[float, float]:
     lo = xl + yl
     t = lo - xl
     if t - t != 0.0:
-        lo = _add_edge(xl, yl, lo, False)
+        lo = _add_edge(xl, yl, False)
     elif (xl - (lo - t)) + (yl - t) < 0.0:
         lo = _nextafter(lo, -_INF)
     hi = xh + yh
     t = hi - xh
     if t - t != 0.0:
-        hi = _add_edge(xh, yh, hi, True)
+        hi = _add_edge(xh, yh, True)
     elif (xh - (hi - t)) + (yh - t) > 0.0:
         hi = _nextafter(hi, _INF)
     return lo, hi
@@ -418,12 +425,12 @@ def _pow(lo: float, hi: float, n: int) -> tuple[float, float]:
         return _sqr(lo, hi)
     if n % 2 == 0:
         if lo >= 0.0:
-            return _pow_nonneg(lo, n, _mul_down), _pow_nonneg(hi, n, _mul_up)
+            return _pow_bound(lo, n, False), _pow_bound(hi, n, True)
         if hi <= 0.0:
-            return _pow_nonneg(-hi, n, _mul_down), _pow_nonneg(-lo, n, _mul_up)
-        return 0.0, max(_pow_nonneg(-lo, n, _mul_up), _pow_nonneg(hi, n, _mul_up))
-    down = -_pow_nonneg(-lo, n, _mul_up) if lo < 0.0 else _pow_nonneg(lo, n, _mul_down)
-    up = -_pow_nonneg(-hi, n, _mul_down) if hi < 0.0 else _pow_nonneg(hi, n, _mul_up)
+            return _pow_bound(-hi, n, False), _pow_bound(-lo, n, True)
+        return 0.0, _pow_bound(max(-lo, hi), n, True)
+    down = -_pow_bound(-lo, n, True) if lo < 0.0 else _pow_bound(lo, n, False)
+    up = -_pow_bound(-hi, n, False) if hi < 0.0 else _pow_bound(hi, n, True)
     return down, up
 
 

@@ -87,6 +87,9 @@ class Problem:
             raise ValueError("at least one variable is required")
         if not self.constraints:
             raise ValueError("at least one constraint is required")
+        if "".join(self.name.splitlines()) != self.name:
+            # the name is one header line of the report
+            raise ValueError(f"problem name {self.name!r} holds a line break")
         for name, iv in zip(self.variable_names, self.variable_box.dims):
             _check_domain(name, iv, True)
         for name, iv in zip(self.parameter_names, self.parameter_box.dims):
@@ -337,9 +340,16 @@ def solve(
     cfg = config if config is not None else SolverConfig()
     stats = SolveStats()
     paving = Paving([], [], stats, problem.variable_box)
-    root_store = tuple(
-        QuantifiedConstraint(f, problem.parameter_box) for f in problem.constraints
-    )
+    # f does not depend on a parameter coordinate that its tape never reads,
+    # so its copy starts collapsed there, at the upper endpoint that 2B+
+    # pinning picks; parameter bisection then never splits that coordinate
+    params = problem.parameter_box.dims
+    root_store = []
+    for f in problem.constraints:
+        read = {a for op, a, _ in _tape(f)[0] if op == "param"}
+        dims = tuple(iv if j in read else _iv(iv.hi, iv.hi) for j, iv in enumerate(params))
+        root_store.append(QuantifiedConstraint(f, _box(dims)))
+    root_store = tuple(root_store)
 
     # The ledger: initial, inner, boundary and queued volume as integers
     # over one denominator 2**K.  Every box volume is m / 2**k

@@ -467,6 +467,17 @@ def test_cli_rejects_a_literal_that_overflows(constraint, tmp_path, capsys):
     assert f"(line 2, offset {text.index('1e999')})" in err
 
 
+def test_cli_rejects_a_problem_file_whose_name_holds_a_line_break(tmp_path, capsys):
+    # its report's '# problem:' header was split over two lines, which
+    # parse_report then rejected as a malformed record
+    problem = tmp_path / "a\nb.qcsp"
+    problem.write_text("var x in [0,1]; constraint x - 0.5 <= 0;\n")
+    assert cli.run(["solve", str(problem)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "holds a line break" in captured.err
+
+
 @pytest.mark.parametrize("flags", [[], ["--stats"]])
 def test_cli_rejects_a_zero_width_variable_domain(flags, tmp_path, capsys):
     problem = tmp_path / "fixed.qcsp"

@@ -483,8 +483,8 @@ def test_an_empty_forward_value_empties_a_zero_tangent():
 
 
 def test_an_exponent_above_the_cap_is_rejected():
-    # interval._root_start overflows past 1025, and _pow_nonneg and _pow_cmp
-    # grow with the exponent
+    # interval._root_start overflows past 1025, and the integer powers that
+    # interval._pow_bound rounds grow with the exponent
     x = Box.from_bounds([(0.0, 2.0)])
     assert eval_interval(Pow(X, expr.MAX_EXPONENT), x, Box(())) == Interval(0.0, math.inf)
     with pytest.raises(ValueError, match="exponent 1025 exceeds 1024"):

@@ -156,34 +156,17 @@ def test_an_exponent_out_of_range_is_refused_before_any_arithmetic(method, n, mo
         getattr(Interval(0.5, 2.0), method)(n)
 
 
-def _pow_loop(v, n, mul):
-    acc = v
-    for _ in range(n - 1):
-        acc = mul(acc, v)
-    return acc
-
-
-@pytest.mark.parametrize("mul", [_mul_down, _mul_up])
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1023, 1024])
-def test_pow_nonneg_keeps_the_bits_of_all_n_minus_1_products(mul, n):
-    edges = [0.0, -0.0, 5e-324, 1e-320, sys.float_info.min, 1e-300, 0.1, 0.5, 1.0, 1.5, 1e300, INF]
-    for v in edges:
-        assert interval._pow_nonneg(v, n, mul).hex() == _pow_loop(v, n, mul).hex(), v
-
-
 @pytest.mark.parametrize("v", [0.1, 1e-300])
 def test_a_power_bound_stuck_at_zero_or_the_least_subnormal_stops_multiplying(v, monkeypatch):
-    # below 2**-450 each product takes the exact _mul_edge fallback; once
-    # the bounds sit at 0 and 5e-324 no further product is made
-    edge = interval._mul_edge
-    calls = []
-    monkeypatch.setattr(interval, "_mul_edge", lambda a, b, up: calls.append(up) or edge(a, b, up))
-    counts = []
+    # v's exponent alone puts v**400 and v**1024 below the least subnormal,
+    # so no product is rounded and no integer power is formed
+    def unreached(*args):
+        raise AssertionError("a power below the least subnormal was computed")
+
+    monkeypatch.setattr(interval, "_mul_edge", unreached)
+    monkeypatch.setattr(interval, "_round", unreached)
     for n in (400, 1024):
-        calls.clear()
         assert interval._pow(v, v, n) == (0.0, 5e-324)
-        counts.append(len(calls))
-    assert counts[0] == counts[1] < 400
 
 
 def test_sqrt():
@@ -729,6 +712,60 @@ def test_mul_kernels_are_the_tightest_outward_floats(a, b):
 )
 def test_mul_kernels_at_the_edges(a, b):
     check_mul(a, b)
+
+
+def check_pow(v: float, n: int) -> None:
+    """_pow of the point v: the tightest doubles around v**n, for each sign of v."""
+    for x in (v, -v):
+        if math.isinf(x):
+            assert interval._pow(x, x, n) == (x**n, x**n), (x, n)
+            continue
+        exact = Fraction(x) ** n
+        assert interval._pow(x, x, n) == (floor_float(exact), ceil_float(exact)), (x, n)
+
+
+@given(kernel_floats(), st.integers(min_value=3, max_value=6))
+def test_pow_bounds_are_the_tightest_outward_floats(v, n):
+    check_pow(v, n)
+
+
+@pytest.mark.parametrize("n", [3, 64, 1023, 1024])
+@pytest.mark.parametrize(
+    "v", [0.0, -0.0, TINY, sys.float_info.min, 1e-300, 1.1, 1e300, MAX, INF]
+)
+def test_pow_bounds_at_the_edges(v, n):
+    # the tightest upper bound of 1.1**3 is 1.3310000000000004
+    check_pow(v, n)
+
+
+@pytest.mark.parametrize(
+    "exact",
+    [
+        Fraction(3, 4),  # a double
+        Fraction(1, 3),
+        Fraction(-1, 3),
+        Fraction(MAX) + Fraction(MAX - math.nextafter(MAX, 0.0)) / 4,  # rounds to MAX
+        Fraction(MAX) + Fraction(MAX - math.nextafter(MAX, 0.0)) / 2,  # ties to inf
+        -Fraction(MAX) - Fraction(MAX - math.nextafter(MAX, 0.0)) / 2,
+        Fraction(MAX) ** 2,  # far past MAX
+        -(Fraction(MAX) ** 2),
+        Fraction(1, 1 << 1075),  # half the least subnormal: ties to 0
+        Fraction(3, 1 << 1076),  # above the tie: rounds to the least subnormal
+        Fraction(-1, 1 << 1075),
+        Fraction(-1, 1 << 1100),  # underflows
+    ],
+)
+def test_round_gives_the_tightest_double_on_each_side(exact):
+    num, den = exact.numerator, exact.denominator
+    assert interval._round(num, den, False) == floor_float(exact)
+    assert interval._round(num, den, True) == ceil_float(exact)
+
+
+def test_round_keeps_the_sign_of_a_negative_ratio_that_underflows():
+    # -0.0, as the float product -2**-600 * 2**-600 gives it: _mul's zero
+    # fix-up takes a zero bound's sign from _mul_up
+    assert math.copysign(1.0, interval._round(-1, 1 << 1100, True)) == -1.0
+    assert math.copysign(1.0, _mul_up(-(2.0**-600), 2.0**-600)) == -1.0
 
 
 def check_tie(x: float, y: float) -> None:

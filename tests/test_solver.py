@@ -541,6 +541,38 @@ def test_problem_rejects_a_reference_outside_its_boxes(ref, message):
         Problem(("x",), Box.from_bounds([(0.0, 1.0)]), (), Box(()), (Binary("add", VarRef(VarKind.VARIABLE, 0), ref),))
 
 
+@pytest.mark.parametrize("name", ["a\nb", "a\r\nb", "a\u2028b", "a\x0cb", "ab\n"])
+def test_problem_rejects_a_name_with_a_line_break(name):
+    # the name is the report's '# problem:' header line, which parse_report
+    # read back as a malformed record
+    f = parse_expression("x - 1", {"x": VarRef(VarKind.VARIABLE, 0)})
+    with pytest.raises(ValueError, match="holds a line break"):
+        Problem(("x",), Box.from_bounds([(0.0, 1.0)]), (), Box(()), (f,), name=name)
+
+
+@pytest.mark.parametrize("mode", ["2b", "2b+"])
+def test_a_constraint_copy_starts_collapsed_on_the_parameters_it_does_not_read(mode, monkeypatch):
+    # f does not depend on a parameter it never reads, so its copy is
+    # collapsed there from the root store on, at the upper endpoint that
+    # 2B+ pinning picks, and parameter bisection never splits it
+    from qine import solver
+
+    problem = parse_problem(
+        "var x in [0,1]; param a in [0,1]; param b in [-1,2];"
+        "constraint x + a - 3 <= 0; constraint x*(b - 0.5)^2 - 1 <= 0;"
+    )
+    stores = []
+    pruning = solver.global_pruning
+    monkeypatch.setattr(solver, "global_pruning", lambda store, box: stores.append(store) or pruning(store, box))
+    solve(problem, SolverConfig(epsilon=0.05, mode=mode))
+    assert len(stores) > 1
+    for store in stores:
+        for qc in store:
+            unread = 1 if qc.f is problem.constraints[0] else 0
+            hi = problem.parameter_box.dims[unread].hi
+            assert qc.param_domain.dims[unread] == Interval(hi, hi)
+
+
 def test_solver_config_is_frozen():
     cfg = SolverConfig(mode="2B")
     with pytest.raises(dataclasses.FrozenInstanceError):
