@@ -6,18 +6,23 @@ the feasible half-line of the relation, and one backward sweep projects
 each node interval onto its operands.  There is no internal fixpoint
 iteration: callers that want more contraction call again.
 
-Each expression is compiled once into one straight-line function of the
-boxes and the relation's feasible half-line, which both relations share:
-the forward code of ``expr.forward_sweep``, then one block per
-visit of the backward sweep, in the order of a depth-first walk (left
-operand first, a node reached along several paths visited once per
-path).  The code has no loop and no dispatch on ops, and, like the
-tape, no depth limit.  Its size is the number of visits, which is the
-tape's length when only leaves are shared, as in every parsed
-expression.  It works on float bounds: the arithmetic calls interval.py's
-functions on bounds, intersections, hulls and empty checks are float
-comparisons, and Intervals are built only for the returned boxes, while a
-box or interval that was not cut is returned as it came.
+Each expression is compiled into two functions, each a loop over a run
+of the expression's parameter copies in a solver store (see
+``_compile_run``): "prune" revises f <= 0 at each copy's parameter
+midpoint, threading the variable bounds through the run, and "revise"
+revises f against a half-line given as an argument over each copy's
+whole domain and hulls the regions.  The loop body is the forward code
+of ``expr.forward_sweep``, then one block per visit of the backward
+sweep, in the order of a depth-first walk (left operand first, a node
+reached along several paths visited once per path).  The body has no
+loop and no dispatch on ops, and, like the tape, no depth limit.  Its
+size is the number of visits, which is the tape's length when only
+leaves are shared, as in every parsed expression.  It works on float
+bounds: the arithmetic calls interval.py's functions on bounds,
+intersections, hulls and empty checks are float comparisons, and
+Intervals are built only in the return, while a box or interval that
+was not cut is returned as it came.  ``hc4_revise`` is the "revise"
+function on a store of one copy.
 
 A visit skips its projection when the narrowing left the node's forward
 value as it was and the projection could not cut it (see ``hc4_revise``).
@@ -34,12 +39,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-from .interval import _E, EMPTY, Box, Interval, _box, _exponent
-from .expr import _BINARY, _LEAVES, _OPS, Expression, _compile, _forward_code, _Step, _tape
+from .interval import _E, EMPTY, Box, Interval, _box, _exponent, _midpoint, _unchecked
+from .expr import _BINARY, _LEAVES, _OPS, _TAPES, Expression, _compile, _forward_code, _Step, _tape
 
 __all__ = [
     "Relation",
     "InequalityConstraint",
+    "QuantifiedConstraint",
     "hc4_revise",
     "backward_project",
 ]
@@ -54,6 +60,16 @@ class InequalityConstraint:
     f: Expression
     relation: Relation = Relation.LEQ
 
+
+@dataclass(frozen=True, slots=True)
+class QuantifiedConstraint:
+    """One constraint f <= 0 with its private copy of the parameter domain."""
+
+    f: Expression
+    param_domain: Box
+
+
+_qc = _unchecked(QuantifiedConstraint)
 
 # Projection rules on float bounds, written once for both the compiled
 # sweeps and ``backward_project``.  For each operand a rule gives the
@@ -82,7 +98,8 @@ _PROJECT = {
     "pow_odd": ("_root({c}l, {c}h, {n})",),
     "pow_even": ("_root({c}l, {c}h, {n})",),
 }
-_NAMESPACE = {**_OPS, "_E": _E, "_INF": math.inf, "EMPTY": EMPTY, "_box": _box}
+_NAMESPACE = {**_OPS, "_E": _E, "_INF": math.inf, "EMPTY": EMPTY, "_box": _box, "_qc": _qc}
+_NAMESPACE["_midpoint"] = _midpoint
 
 
 def _rule(op: str, n: object) -> str:
@@ -148,41 +165,58 @@ def backward_project(
     return project(node_interval, *child_intervals, n=exponent)
 
 
-def _rebuilt(k: str, first: dict[int, int]) -> str:
-    # the box of the input intervals ks, each j in first rebuilt from
-    # k{j}l, k{j}h if it was cut.  Slot first[j] holds the input bounds,
-    # and a cut moves a bound strictly inward, so equal bounds mean none.
-    # A box the tape never reads is the input box k itself.
-    if not first:
-        return k
-    top = max(first) + 1
+def _rebuilt(dims: str, read: Sequence[int], new: str, old: Callable[[int], tuple[str, str]]) -> tuple[str, str]:
+    """Source of (same, box) for the box whose intervals are ``dims``.
+
+    Each read coordinate j now has the bounds {new}{j}l, {new}{j}h, and
+    came in with the bounds old(j).  ``same`` tests that no read
+    coordinate moved: a cut moves a bound strictly inward, so equal bounds
+    mean none.  ``box`` rebuilds the moved ones and keeps every other
+    interval as it came.
+    """
+    same = {j: f"{new}{j}l == {old(j)[0]} and {new}{j}h == {old(j)[1]}" for j in read}
+    top = max(read) + 1
     items = [
-        f"{k}s[{j}] if {k}{j}l == v{first[j]}l and {k}{j}h == v{first[j]}h else _iv({k}{j}l, {k}{j}h)"
-        if j in first
-        else f"{k}s[{j}]"
+        f"{dims}[{j}] if {same[j]} else _iv({new}{j}l, {new}{j}h)" if j in same else f"{dims}[{j}]"
         for j in range(top)
     ]
-    return f"_box(({', '.join(items)}, *{k}s[{top}:]))"
+    return " and ".join(same.values()), f"_box(({', '.join(items)}, *{dims}[{top}:]))"
 
 
 # the ops whose projection of their own forward value changes nothing (see hc4_revise)
 _SETTLED_OPS = frozenset(_LEAVES + ("add", "sub", "mul", "neg", "pow", "sin", "cos"))
 
 
-def _compile_revise(steps: Sequence[_Step]) -> Callable:
-    """HC4-revise of one tape, as one function of (x, y, n0l, n0h).
+def _compile_run(steps: Sequence[_Step], purpose: str) -> Callable:
+    """HC4-revise of one tape over a run of its copies, as one function.
 
-    x and y are the boxes, and n0l, n0h the feasible half-line of the
-    relation: (-inf, 0.0) for f <= 0, (0.0, inf) for f >= 0.
+    A run is the stretch of ``store`` from index k on whose copies share
+    the tape's expression f; each kernel returns the index after it.
+
+    ``prune(x, store, k)`` revises f <= 0 for each copy in turn at its
+    parameter midpoint (``Interval.midpoint``), each on the variable
+    bounds the previous copy left, and returns (k, x'), x' None as soon
+    as one copy empties the box.
+
+    ``revise(x, store, k, fl, fh, r)`` revises f against the half-line
+    (fl, fh), (-inf, 0.0) for f <= 0 or (0.0, inf) for f >= 0, for each
+    copy over its whole parameter domain, each from the bounds of x.  It
+    returns (k, r', kept): r' is the hull of the hull r (None for no
+    region yet) and each non-empty region in store order, r itself when
+    every copy came out empty, and kept the copies with a non-empty
+    region, each with its contracted parameter domain.
+
     Every value is a pair of float locals, named by a prefix and l or h:
     v{i} is step i's forward value, c{i} the current value of a step
     reached along several paths (a single-path step's operands are read
     before its only visit, so they still hold their forward values),
-    n{w} the narrowed value handed to visit w, and x{j}, y{j} the
-    contracted domains.  Only the returned boxes are built as Intervals:
-    an input interval whose domain was not cut is returned as it came,
-    and so is a box the tape never reads, or both boxes when the root
-    stops and every op below it stops too.
+    n{w} the narrowed value handed to visit w, x{j}, y{j} the contracted
+    domains, p{j} the input bounds of x, m{j} a parameter's midpoint and
+    h{j} the hull.  Boxes and Intervals are built only in the return: a
+    box none of whose read coordinates moved is returned as it came, so
+    is a copy whose parameter domain was not cut, and each rebuilt box
+    keeps every interval that was not cut.  A region holds x's own
+    interval wherever the tape does not read x.
 
     Every op maps an empty operand to an empty result, so once the root
     passes its empty check every forward value is non-empty, and a visit
@@ -190,6 +224,7 @@ def _compile_revise(steps: Sequence[_Step]) -> Callable:
     current values, and their visits run as they would after the
     projection, so the code needs no jumps or nesting at any depth.
     """
+    prune = purpose == "prune"
     lines, namespace = _forward_code(steps)
     namespace.update(_NAMESPACE)
     size: list[int] = []  # visits in a step's subtree
@@ -205,37 +240,67 @@ def _compile_revise(steps: Sequence[_Step]) -> Callable:
                 paths[b] += paths[i]
     cur = [f"c{i}" if n > 1 else f"v{i}" for i, n in enumerate(paths)]
     # when every step is a leaf or an op that stops, a stop at the root is
-    # followed by stops alone, shared steps included, so it returns at once
+    # followed by stops alone, shared steps included, so the copy is done
     settled = all(op in _SETTLED_OPS for op, _, _ in steps)
-    first: dict[str, dict[int, int]] = {"x": {}, "y": {}}  # an input's first slot
+    first: dict[str, dict[int, int]] = {"var": {}, "param": {}}  # an input's first slot
     for i, (op, a, _) in enumerate(steps):
-        if op == "var" or op == "param":
-            first["x" if op == "var" else "y"].setdefault(a, i)
-    # chained assignments start c{i}, x{j} and y{j} at the forward value;
-    # step i's line is lines[i + 1]
-    for i, n in enumerate(paths):
-        if n > 1:
-            lines[i + 1] = f"c{i}l, c{i}h = {lines[i + 1]}"
-    for k, slots in first.items():
-        for j, i in slots.items():
-            lines[i + 1] = f"{k}{j}l, {k}{j}h = {lines[i + 1]}"
-    fail = "return"  # None: no point of the box satisfies the constraint
+        if op in first:
+            first[op].setdefault(a, i)
+    xr, yr = sorted(first["var"]), sorted(first["param"])
+    # a leaf reads the threaded bounds x{j} or the midpoint m{j} when
+    # pruning, the input bounds p{j} or the domain ys[j] otherwise; chained
+    # assignments start c{i}, and x{j} (for revise) and y{j}, at the
+    # forward value.  Step i's line is lines[i + 1].
+    for i, (op, a, _) in enumerate(steps):
+        if op == "var":
+            source = f"x{a}l, x{a}h" if prune else f"p{a}l, p{a}h"
+            targets = [] if prune or first["var"][a] != i else [f"x{a}"]
+        elif op == "param":
+            source = f"m{a}, m{a}" if prune else f"ys[{a}].lo, ys[{a}].hi"
+            targets = [f"y{a}"] if first["param"][a] == i else []
+        else:
+            source, targets = lines[i + 1].split(" = ", 1)[1], []
+        targets += [f"c{i}"] if paths[i] > 1 else []
+        lines[i + 1] = " = ".join([f"{t}l, {t}h" for t in targets + [f"v{i}"]] + [source])
+    body = lines[1:]
+    if yr:
+        body.insert(0, "ys = qc.param_domain.dims")
+    if prune:
+        # Interval.midpoint inline where the sum is finite: a <= b are
+        # doubles and rounding is monotone, so 0.5 * fl(a + b) lies in
+        # [a, b] and the clamp of _midpoint, which takes every other case,
+        # would leave it as it is
+        for j in reversed(yr):
+            body[1:1] = [
+                f"ml, mh = ys[{j}].lo, ys[{j}].hi",
+                f"m{j} = 0.5 * (ml + mh)",
+                f"if m{j} - m{j} != 0.0 or ml > mh: m{j} = _midpoint(ml, mh)",
+            ]
+        fail, keep = "return k, None", []
+    else:
+        # hull the region as Interval.hull does, min and max picking the
+        # accumulated bound on ties, and keep the copy
+        keep = [f"h{j}l, h{j}h = x{j}l if x{j}l < h{j}l else h{j}l, x{j}h if x{j}h > h{j}h else h{j}h"
+                for j in xr]
+        names = "".join(f", y{j}l, y{j}h" for j in yr)
+        keep.append(f"kept.append((qc, ys{names}))" if yr else "kept.append(qc)")
+        fail = "continue"  # no point of the box violates this copy
     root = len(steps) - 1
-    lines += [_meet("n0", f"v{root}", "n0"), f"if n0l > n0h: {fail}"]
+    body += [_meet("n0", f"v{root}", "f"), f"if n0l > n0h: {fail}"]
     stack = [(root, 0)]
     while stack:
         i, w = stack.pop()
         op, a, b = steps[i]
         n = f"n{w}"
         if paths[i] > 1:
-            lines.append(f"c{i}l, c{i}h = {n}l, {n}h")
+            body.append(f"c{i}l, c{i}h = {n}l, {n}h")
         if op == "var" or op == "param":
             # no check of n itself: d only shrinks, so it is empty when n is
             d = f"{'x' if op == 'var' else 'y'}{a}"
-            lines += [_meet(d, d, n), f"if {d}l > {d}h: {fail}"]
+            body += [_meet(d, d, n), f"if {d}l > {d}h: {fail}"]
         elif op == "const":
             if w:
-                lines.append(f"if {n}l > {n}h: {fail}")
+                body.append(f"if {n}l > {n}h: {fail}")
         else:
             wa = w + 1
             children = [(a, wa), (b, wa + size[a])] if op in _BINARY else [(a, wa)]
@@ -244,16 +309,44 @@ def _compile_revise(steps: Sequence[_Step]) -> Callable:
             project = _projection(_rule(op, b), n, operands, b, targets)
             check = [f"if {n}l > {n}h: {fail}"] if w else []  # the root was checked above
             if op in _SETTLED_OPS:
-                stop = "return x, y" if settled and not w else "; ".join(
+                stop = "; ".join(keep + ["continue"]) if settled and not w else "; ".join(
                     f"{t}l, {t}h = {o}l, {o}h" for t, o in zip(targets, operands)
                 )
-                lines += [f"if {n}l == v{i}l and {n}h == v{i}h: {stop}", *("el" + line for line in check)]
-                lines += ["else:", *(" " + line for line in project)]
+                body += [f"if {n}l == v{i}l and {n}h == v{i}h: {stop}", *("el" + line for line in check)]
+                body += ["else:", *(" " + line for line in project)]
             else:
-                lines += [*check, *project]
+                body += [*check, *project]
             stack.extend(reversed(children))
-    lines.append("return " + _rebuilt("x", first["x"]) + ", " + _rebuilt("y", first["y"]))
-    return _compile("revise", "x, y, n0l, n0h", lines, namespace)
+    body += keep
+    load = "x{j}l, x{j}h = " if prune else ""  # pruning threads x{j} from copy to copy
+    head = ["xs = x.dims", *((load + "p{j}l, p{j}h = xs[{j}].lo, xs[{j}].hi").format(j=j) for j in xr)]
+    head.append("f, end = store[k].f, len(store)")
+    loop = ["while k < end and (qc := store[k]).f is f:", " k += 1", *(" " + line for line in body)]
+    if prune:
+        head.append("fl, fh = -_INF, 0.0")
+        same, box = _rebuilt("xs", xr, "x", lambda j: (f"p{j}l", f"p{j}h")) if xr else ("True", "x")
+        return _compile("prune", "x, store, k", [*head, *loop, f"return k, (x if {same} else {box})"], namespace)
+    if xr:
+        hull = ", ".join(f"h{j}l, h{j}h" for j in xr)
+        head.append(f"{hull} = " + ", ".join(["_INF, -_INF"] * len(xr)))
+        head.append(f"if r is not None: rs = r.dims; {hull} = " + ", ".join(f"rs[{j}].lo, rs[{j}].hi" for j in xr))
+    head.append("kept = []")
+    same, box = _rebuilt("xs", xr, "h", lambda j: (f"p{j}l", f"p{j}h")) if xr else ("True", "x")
+    region = f"(x if {same} else {box}) if kept else r"
+    kept = "kept"
+    if yr:
+        same, box = _rebuilt("ys", yr, "y", lambda j: (f"ys[{j}].lo", f"ys[{j}].hi"))
+        kept = f"[qc if {same} else _qc(qc.f, {box}) for qc, ys{names} in kept]"
+    return _compile("revise", "x, store, k, fl, fh, r", [*head, *loop, f"return k, {region}, {kept}"], namespace)
+
+
+def _kernel(f: Expression, purpose: str) -> Callable:
+    """f's run kernel for purpose "prune" or "revise", compiled on first use."""
+    steps, kernels = _TAPES.get(id(f)) or _tape(f)  # the memo read inline: a call per run saved
+    kernel = kernels.get(purpose)
+    if kernel is None:
+        kernel = kernels[purpose] = _compile_run(steps, purpose)
+    return kernel
 
 
 def hc4_revise(constraint: InequalityConstraint, x: Box, y: Box) -> tuple[Box, Box]:
@@ -261,7 +354,8 @@ def hc4_revise(constraint: InequalityConstraint, x: Box, y: Box) -> tuple[Box, B
 
     Returns boxes that contain every point of (x, y) satisfying the
     constraint; both are empty when no point does.  The result never
-    grows: each output coordinate is a subset of its input.  Emptiness
+    grows: each output coordinate is a subset of its input, and a box
+    none of whose coordinates was cut is returned as it came.  Emptiness
     always shows in the variable part, which matters when y has no
     coordinates at all.
 
@@ -282,13 +376,11 @@ def hc4_revise(constraint: InequalityConstraint, x: Box, y: Box) -> tuple[Box, B
     is with the forward value, never a shared node's current value, and
     the node's slot is assigned before it, as a full sweep would.
 
-    The sweep runs as a function compiled from the expression's tape on
-    the first call, for both relations (see ``_compile_revise``).
+    This is the "revise" kernel of the expression's tape (see
+    ``_compile_run``) on the one-copy store of (f, y), for either relation.
     """
-    steps, kernels = _tape(constraint.f)
-    kernel = kernels.get("revise")
-    if kernel is None:
-        kernel = kernels["revise"] = _compile_revise(steps)
     fl, fh = (-math.inf, 0.0) if constraint.relation is Relation.LEQ else (0.0, math.inf)
-    contracted = kernel(x, y, fl, fh)
-    return (Box.empty(len(x)), Box.empty(len(y))) if contracted is None else contracted
+    _, region, kept = _kernel(constraint.f, "revise")(x, (_qc(constraint.f, y),), 0, fl, fh, None)
+    if region is None:
+        return Box.empty(len(x)), Box.empty(len(y))
+    return region, kept[0].param_domain

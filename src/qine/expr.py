@@ -256,10 +256,11 @@ def parse_expression(text: str, symbols: Mapping[str, VarRef]) -> Expression:
 # expression dies, before its id can be reused.
 #
 # Beside the tape the memo keeps the kernels compiled from it, at most one
-# per purpose: "forward" for ``forward_sweep``, "revise" for ``hc4_revise``
-# (the relation is an argument) and "tangent" for ``derivative_interval``
-# (the input differentiated by is an argument), each built on first use
-# and freed with the entry.  Neither the steps nor the kernels hold a node,
+# per purpose: "forward" for ``forward_sweep``, "prune" for the solver's
+# pruning, "revise" for its identification and ``hc4_revise`` (the
+# relation is an argument) and "tangent" for ``derivative_interval`` (the
+# input differentiated by is an argument), each built on first use and
+# freed with the entry.  Neither the steps nor the kernels hold a node,
 # so the memo keeps no expression alive.
 
 _Step = tuple[str, object, object]
@@ -398,7 +399,7 @@ def forward_sweep(e: Expression, x: Box, y: Box) -> tuple[tuple[_Step, ...], lis
     """The tape of e and the natural interval extension at each step.
 
     The one interval evaluator: ``eval_interval`` returns the root value,
-    and ``derivative_interval`` and ``hc4_revise`` inline the same code.
+    and ``derivative_interval`` and the HC4-revise kernels inline the same code.
     The tape is compiled once into straight-line code, one line per step,
     on float bounds; the values are boxed only in its return, where a
     leaf gives back its input or constant interval.

@@ -74,7 +74,8 @@ _nextafter = math.nextafter  # the one ulp-step, called directly so no bound nes
 # Quotients and square roots reduce to the sign of x*y - v for a double v,
 # tested inline: no double lies strictly between x*y and its rounding
 # p = fl(x*y) (an infinity past the largest double), so x*y is on p's
-# side of v != p, and only the tie p == v asks _prod_err_sign.
+# side of v != p.  Only the tie p == v needs the exact sign of x*y - p:
+# TwoProduct inline while x and y are in its range, else _prod_err_sign.
 
 _EFT_LO = 2.0**-450
 _EFT_HI = 2.0**450
@@ -82,9 +83,10 @@ _EFT_HI = 2.0**450
 # Dekker's TwoProduct, written once as text: given p = fl(a*b) for locals
 # {a}, {b} inside (_EFT_LO, _EFT_HI) in magnitude, it sets e to a*b - p
 # exactly, as Veltkamp's splitter 2**27 + 1 gives 26-bit halves whose
-# partial products are exact.  The functions whose common path runs it
-# (_prod_err_sign, _mul_down, _mul_up and _sqr) are compiled by _flat from
-# source that holds it, so that path runs in their own frame.
+# partial products are exact.  The functions that run it (_prod_err_sign,
+# _mul_down, _mul_up, _sqr, and the ties of _div_down, _div_up and the
+# square root of _root) are compiled by _flat from source that holds it,
+# so it runs in their own frame.
 _TWO_PROD = (
     "t = 134217729.0 * {a}; {a}h = t - (t - {a}); {a}l = {a} - {a}h",
     "t = 134217729.0 * {b}; {b}h = t - (t - {b}); {b}l = {b} - {b}h",
@@ -179,6 +181,8 @@ def _mul_up(a: float, b: float) -> float:
 )
 
 
+_div_down, _div_up = _flat(
+    f'''
 def _div_down(a: float, b: float) -> float:
     if a == 0.0:
         return 0.0
@@ -193,7 +197,11 @@ def _div_down(a: float, b: float) -> float:
     p = q * b
     if p != a:
         return _nextafter(q, -_INF) if (p > a) == (b > 0.0) else q
-    return _nextafter(q, -_INF) if _prod_err_sign(q, b, p) * b > 0 else q
+    if _EFT_LO < abs(q) < _EFT_HI and _EFT_LO < abs(b) < _EFT_HI:
+        {_two_prod("q", "b")}
+    else:
+        e = _prod_err_sign(q, b, p)
+    return _nextafter(q, -_INF) if (e > 0.0 if b > 0.0 else e < 0.0) else q
 
 
 def _div_up(a: float, b: float) -> float:
@@ -209,7 +217,15 @@ def _div_up(a: float, b: float) -> float:
     p = q * b
     if p != a:
         return _nextafter(q, _INF) if (p > a) != (b > 0.0) else q
-    return _nextafter(q, _INF) if _prod_err_sign(q, b, p) * b < 0 else q
+    if _EFT_LO < abs(q) < _EFT_HI and _EFT_LO < abs(b) < _EFT_HI:
+        {_two_prod("q", "b")}
+    else:
+        e = _prod_err_sign(q, b, p)
+    return _nextafter(q, _INF) if (e < 0.0 if b > 0.0 else e > 0.0) else q
+''',
+    "_div_down",
+    "_div_up",
+)
 
 
 def _pow_bound(v: float, n: int, up: bool) -> float:
@@ -341,10 +357,15 @@ def _mul(xl: float, xh: float, yl: float, yh: float) -> tuple[float, float]:
     else:
         lo = min(_mul_down(xl, yh), _mul_down(xh, yl))
         hi = max(_mul_up(xl, yl), _mul_up(xh, yh))
-    if hi == 0.0:
+    if hi == 0.0 and (
+        0.0 < abs(xl) <= _EFT_LO or 0.0 < abs(xh) <= _EFT_LO
+        or 0.0 < abs(yl) <= _EFT_LO or 0.0 < abs(yh) <= _EFT_LO
+    ):
         # _mul_up rounds an underflowing negative product to -0.0; the
         # sign of a zero bound is that of the first zero among the four
-        # candidates in this order
+        # candidates in this order.  Only a product with a nonzero operand
+        # at most _EFT_LO in magnitude can underflow; every other zero
+        # candidate is +0.0, and so is the bound already.
         hi = max(_mul_up(xl, yl), _mul_up(xl, yh), _mul_up(xh, yl), _mul_up(xh, yh))
     return lo, hi
 
@@ -434,13 +455,16 @@ def _pow(lo: float, hi: float, n: int) -> tuple[float, float]:
     return down, up
 
 
+(_root,) = _flat(
+    f'''
 def _root(lo: float, hi: float, n: int) -> tuple[float, float]:
     if lo > hi:
         return _E
     if n == 2:
         # the part inside [0, inf); math.sqrt is correctly rounded, so the
         # sign of r*r - v (see the rounding notes above) tells each bound
-        # from its neighbour
+        # from its neighbour: e takes it, as p - v off a tie and as the
+        # exact r*r - p on one
         if hi < 0.0:
             return _E
         if lo <= 0.0:
@@ -448,13 +472,25 @@ def _root(lo: float, hi: float, n: int) -> tuple[float, float]:
         elif lo < _INF:
             r = math.sqrt(lo)
             p = r * r
-            lo = _nextafter(r, -_INF) if p > lo or (p == lo and _prod_err_sign(r, r, p) > 0) else r
+            if p != lo:
+                e = p - lo
+            elif _EFT_LO < r < _EFT_HI:
+                {_two_prod("r", "r")}
+            else:
+                e = _prod_err_sign(r, r, p)
+            lo = _nextafter(r, -_INF) if e > 0.0 else r
         if hi <= 0.0:
             hi = 0.0
         elif hi < _INF:
             r = math.sqrt(hi)
             p = r * r
-            hi = _nextafter(r, _INF) if p < hi or (p == hi and _prod_err_sign(r, r, p) < 0) else r
+            if p != hi:
+                e = p - hi
+            elif _EFT_LO < r < _EFT_HI:
+                {_two_prod("r", "r")}
+            else:
+                e = _prod_err_sign(r, r, p)
+            hi = _nextafter(r, _INF) if e < 0.0 else r
         return lo, hi
     if n == 1:
         return lo, hi
@@ -467,6 +503,9 @@ def _root(lo: float, hi: float, n: int) -> tuple[float, float]:
     down = -_root_walk(-lo, n, True) if lo < 0.0 else _root_walk(lo, n, False)
     up = -_root_walk(-hi, n, False) if hi < 0.0 else _root_walk(hi, n, True)
     return down, up
+''',
+    "_root",
+)
 
 
 # libm is faithful but not correctly rounded for the transcendentals;
@@ -630,19 +669,7 @@ class Interval:
 
     @property
     def midpoint(self) -> float:
-        if self.is_empty:
-            raise ValueError("midpoint of the empty interval")
-        lo, hi = self.lo, self.hi
-        if lo == -_INF and hi == _INF:
-            return 0.0
-        if lo == -_INF:
-            return hi - 1.0
-        if hi == _INF:
-            return lo + 1.0
-        m = 0.5 * (lo + hi)
-        if not math.isfinite(m):
-            m = 0.5 * lo + 0.5 * hi
-        return min(max(m, lo), hi)
+        return _midpoint(self.lo, self.hi)
 
     def contains(self, v: float) -> bool:
         return self.lo <= v <= self.hi
@@ -752,6 +779,26 @@ class Interval:
         if self.is_empty:
             return "[empty]"
         return f"[{self.lo!r},{self.hi!r}]"
+
+
+def _midpoint(lo: float, hi: float) -> float:
+    """The midpoint of [lo, hi], inside it; lo + 1 or hi - 1 past an infinite bound.
+
+    The pruning kernels inline the case of a finite 0.5 * (lo + hi),
+    which the clamp leaves as it is, and call this for the rest.
+    """
+    if lo > hi:
+        raise ValueError("midpoint of the empty interval")
+    if lo == -_INF and hi == _INF:
+        return 0.0
+    if lo == -_INF:
+        return hi - 1.0
+    if hi == _INF:
+        return lo + 1.0
+    m = 0.5 * (lo + hi)
+    if not math.isfinite(m):
+        m = 0.5 * lo + 0.5 * hi
+    return min(max(m, lo), hi)
 
 
 _new = object.__new__

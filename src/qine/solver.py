@@ -9,10 +9,15 @@ A node is (box, store).  Processing a node optionally pins parameters
 proven monotone (2B+ mode), prunes the box with each constraint
 instantiated at its parameter midpoint, identifies an inner region by
 contracting the negated constraints, then bisects parameter domains and
-branches on the widest variable coordinate.  The loop builds its
-constraints, midpoint boxes and pinned points from valid operands, with
-the unchecked builders of ``interval`` (``_unchecked``, ``_box``); a
-solve runs the dataclass checks only for the root store.
+branches on the widest variable coordinate.  A store keeps the copies of
+one constraint next to each other: the root store is in constraint
+order, parameter bisection splits a copy in place and pinning and
+identification keep the order.  Pruning and identification therefore
+revise each such run of copies in one call of a compiled kernel
+(``contractor._compile_run``), on float bounds.  The loop builds its
+constraints, boxes and pinned points from valid operands, with the
+unchecked builders of ``interval`` (``_unchecked``, ``_box``); a solve
+runs the dataclass checks only for the root store.
 
 The volume ledger is exact.  Box bounds are doubles, so every volume is
 a dyadic rational m / 2**k (``Box.dyadic_volume``); each box is measured
@@ -36,9 +41,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .interval import Box, Interval, _box, _iv, _unchecked
+from .interval import Box, Interval, _box, _iv
 from .expr import Expression, VarKind, VarRef, _tape, derivative_interval
-from .contractor import InequalityConstraint, Relation, hc4_revise
+from .contractor import QuantifiedConstraint, _kernel, _qc
+from .contractor import hc4_revise  # noqa: F401 -- bench/tracer.py wraps the name in this namespace
 
 __all__ = [
     "Problem",
@@ -104,18 +110,6 @@ class Problem:
                 if op in sizes and a >= sizes[op]:
                     kind = "variable" if op == "var" else "parameter"
                     raise ValueError(f"constraint {i} reads {kind} index {a}, but only {sizes[op]} {kind}s exist")
-
-
-@dataclass(frozen=True, slots=True)
-class QuantifiedConstraint:
-    """One constraint f <= 0 with its private copy of the parameter domain."""
-
-    f: Expression
-    param_domain: Box
-
-
-_qc = _unchecked(QuantifiedConstraint)
-_ineq = _unchecked(InequalityConstraint)
 
 
 @dataclass(frozen=True)
@@ -257,19 +251,23 @@ def local_pruning(qc: QuantifiedConstraint, box: Box) -> Box:
     parameter point, the midpoint included.  With no parameters the
     midpoint is the empty tuple and the constraint is contracted as is.
     """
-    dom = qc.param_domain
-    y_mid = _box(tuple(_iv(m, m) for m in dom.midpoint)) if dom.dims else dom
-    contracted, _ = hc4_revise(_ineq(qc.f, Relation.LEQ), box, y_mid)
-    return contracted
+    contracted = _kernel(qc.f, "prune")(box, (qc,), 0)[1]
+    return Box.empty(len(box)) if contracted is None else contracted
 
 
 def global_pruning(store: Sequence[QuantifiedConstraint], box: Box) -> Box:
-    """Sequential local pruning over the whole store; empty means rejected."""
-    cur = box
-    for qc in store:
-        cur = local_pruning(qc, cur)
-        if cur.is_empty:
-            return cur
+    """Sequential local pruning over the whole store; empty means rejected.
+
+    The copies of one constraint stand next to each other in every store
+    ``solve`` builds, and each such run is pruned by one kernel call.  The
+    result is the empty box as soon as one copy empties it; a box that
+    comes in empty comes out empty.
+    """
+    cur, k, end = box, 0, len(store)
+    while k < end:
+        k, cur = _kernel(store[k].f, "prune")(cur, store, k)
+        if cur is None:
+            return Box.empty(len(box))
     return cur
 
 
@@ -285,15 +283,16 @@ def solution_identification(
     reusable for the whole subtree), the hull of the negation regions,
     and the closure of box minus that hull as inner boxes.
     """
+    if box.is_empty:
+        return [], Box.empty(len(box)), []
     kept: list[QuantifiedConstraint] = []
-    for qc in store:
-        xi, yi = hc4_revise(_ineq(qc.f, Relation.GEQ), box, qc.param_domain)
-        if xi.is_empty:
-            continue
-        remainder = remainder.hull(xi) if kept else xi  # from the first kept region
-        kept.append(_qc(qc.f, yi))
-    if not kept:
-        remainder = Box.empty(len(box))
+    remainder, k, end = None, 0, len(store)
+    while k < end:
+        # one kernel call per run of one constraint's copies, as in global_pruning
+        k, remainder, part = _kernel(store[k].f, "revise")(box, store, k, 0.0, math.inf, remainder)
+        kept += part
+    if remainder is None:
+        return kept, Box.empty(len(box)), [box]
     return kept, remainder, box.set_difference_closure(remainder)
 
 

@@ -808,6 +808,44 @@ def test_prod_cmp_at_the_edges(x, y):
         check_tie(a, b)
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (6.0, 3.0),  # exact quotients: a tie whose error is 0
+        (-6.0, 3.0),
+        (7.5, -2.5),
+        (2.0**-400, 2.0**-40),  # quotient below 2**-450: the integer fallback
+        (2.0**500, 4.0),  # quotient above 2**450
+        (3.0 * 2.0**-449, 3.0),  # operands at the edge of the float path
+        (1.0, 3.0),  # (1/3)*3 rounds to 1: a tie with a nonzero error
+        (-1.0, 3.0),
+        (1.0, -3.0),
+        (10.0, 3.0),
+        (1.0, 3.0 * 2.0**-460),  # divisor below 2**-450
+    ],
+)
+def test_div_kernels_on_a_tie_of_the_rounded_product(a, b):
+    assert (a / b) * b == a
+    check_div(a, b)
+
+
+@pytest.mark.parametrize(
+    "v",
+    [
+        4.0, 9.0, 0.25, 2.0**-800, 2.0**800, 49.0 * 2.0**-1000,  # perfect squares
+        2.0**-1000, 2.0**-1074 * 4, 2.0**1000,  # roots outside (2**-450, 2**450)
+        (1.0 + 2.0**-30) ** 2,  # rounds to a tie with a nonzero error
+        (3.0 + 2.0**-40) ** 2,
+    ],
+)
+def test_sqrt_kernels_on_a_tie_of_the_rounded_product(v):
+    r = math.sqrt(v)
+    assert r * r == v
+    down, up = interval._root(v, v, 2)
+    assert Fraction(down) ** 2 <= Fraction(v) < Fraction(math.nextafter(down, INF)) ** 2
+    assert Fraction(math.nextafter(up, -INF)) ** 2 < Fraction(v) <= Fraction(up) ** 2
+
+
 @given(kernel_floats().map(abs))
 def test_sqrt_kernels_are_the_tightest_outward_floats(v):
     down, up = interval._root(v, v, 2)
@@ -946,6 +984,53 @@ def test_mul_keeps_the_sign_of_an_underflowed_zero_upper_bound():
     assert r.lo == -6 * TINY  # hi * lo = -5.97 * TINY, rounded down
 
 
+def mul_refixing_every_zero(xl, xh, yl, yh):
+    """_mul as it was before its zero-sign fix-up was guarded: every zero
+    upper bound re-rounds the four candidates."""
+    if xl > xh or yl > yh:
+        return INF, -INF
+    if yl >= 0.0:
+        lo = _mul_down(xl, yl if xl >= 0.0 else yh)
+        hi = _mul_up(xh, yh if xh >= 0.0 else yl)
+    elif yh <= 0.0:
+        lo = _mul_down(xh, yl if xh >= 0.0 else yh)
+        hi = _mul_up(xl, yh if xl >= 0.0 else yl)
+    elif xl >= 0.0:
+        lo, hi = _mul_down(xh, yl), _mul_up(xh, yh)
+    elif xh <= 0.0:
+        lo, hi = _mul_down(xl, yh), _mul_up(xl, yl)
+    else:
+        lo = min(_mul_down(xl, yh), _mul_down(xh, yl))
+        hi = max(_mul_up(xl, yl), _mul_up(xh, yh))
+    if hi == 0.0:
+        hi = max(_mul_up(xl, yl), _mul_up(xl, yh), _mul_up(xh, yl), _mul_up(xh, yh))
+    return lo, hi
+
+
+MUL_ZERO_EDGES = [0.0, TINY, 2.0**-450, 2.0**-451, MAX, INF]
+MUL_ZERO_EDGES += [-f for f in MUL_ZERO_EDGES]  # -0.0 included
+MUL_ZERO_BOXES = [
+    (lo, hi) for lo in MUL_ZERO_EDGES for hi in MUL_ZERO_EDGES if lo <= hi and not (lo == hi and math.isinf(lo))
+]
+
+
+def test_mul_skips_its_zero_fix_up_only_where_it_changes_nothing_at_the_edges():
+    # a -0.0 candidate comes only from a negative product that underflows,
+    # so from a nonzero operand at most 2**-450 in magnitude
+    for x in MUL_ZERO_BOXES:
+        for y in MUL_ZERO_BOXES:
+            assert hexes(*interval._mul(*x, *y)) == hexes(*mul_refixing_every_zero(*x, *y)), (x, y)
+
+
+@given(
+    st.lists(st.one_of(kernel_floats(), st.sampled_from(MUL_ZERO_EDGES)), min_size=4, max_size=4),
+)
+def test_mul_skips_its_zero_fix_up_only_where_it_changes_nothing(bounds):
+    (xl, xh), (yl, yh) = sorted(bounds[:2]), sorted(bounds[2:])
+    assume(not (xl == xh and math.isinf(xl)) and not (yl == yh and math.isinf(yl)))
+    assert hexes(*interval._mul(xl, xh, yl, yh)) == hexes(*mul_refixing_every_zero(xl, xh, yl, yh))
+
+
 # ---------------------------------------------------------------------------
 # squares and square roots of boxes bit for bit against the exact
 # reference; a zero bound of either is +0.0, so the reference adds 0.0
@@ -1060,6 +1145,28 @@ def test_the_common_path_of_a_bound_makes_no_python_call(name, args):
     assert (1.0 / 49.0) * 49.0 != 1.0
     assert all(math.sqrt(v) * math.sqrt(v) != v for v in (2.0, 3.0))
     assert python_calls(getattr(interval, name), *args) == [name]
+
+
+@pytest.mark.parametrize(
+    "name, a, b",
+    [
+        ("_div_down", 1.0, 3.0),  # (1/3)*3 rounds to 1: an inexact tie
+        ("_div_up", -1.0, 3.0),
+        ("_div_down", 6.0, -3.0),  # an exact quotient
+        ("_div_up", 7.5, 2.5),
+        ("_root", 4.0, 9.0),  # perfect squares
+        ("_root", (1.0 + 2.0**-30) ** 2, (3.0 + 2.0**-40) ** 2),  # inexact ties
+    ],
+)
+def test_a_tie_of_the_rounded_product_makes_no_python_call(name, a, b):
+    # the sign of the product's error on a tie comes from TwoProduct inline
+    # while both operands lie in (2**-450, 2**450)
+    if name == "_root":
+        assert all(math.sqrt(v) * math.sqrt(v) == v for v in (a, b))
+        assert python_calls(interval._root, a, b, 2) == ["_root"]
+    else:
+        assert (a / b) * b == a
+        assert python_calls(getattr(interval, name), a, b) == [name]
 
 
 def fraction_volume(box: Box) -> Fraction:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -11,8 +12,9 @@ import pytest
 
 from helpers import assert_interval, monotone_problem
 from qine.cli import parse_problem
+from qine.contractor import InequalityConstraint, Relation
 from qine.expr import Binary, VarKind, VarRef, parse_expression
-from qine.interval import Box, Interval
+from qine.interval import EMPTY, Box, Interval
 from qine.solver import (
     Paving,
     Problem,
@@ -29,6 +31,7 @@ from qine.solver import (
     solve,
     _ratio_met,
 )
+from test_contractor import _bits, _full_sweep, _random_dag, _random_interval, _random_tree
 from test_expr import SYMS
 
 
@@ -174,6 +177,126 @@ def test_identification_infeasible_negation_drops_constraint():
     assert kept == []
     assert remainder.is_empty
     assert len(pieces) == 1 and pieces[0][0] == Interval(-2.0, -1.0)
+
+
+# ---------------------------------------------------------------------------
+# pruning and identification revise each run of one constraint's copies in
+# one kernel call; they must give, bit for bit, what revising the copies one
+# by one with the full sweep gives, in store order
+
+
+def _pruned_copy_by_copy(store, box):
+    cur = box
+    for c in store:
+        mid = Box(tuple(Interval.point(iv.midpoint) for iv in c.param_domain.dims))
+        cur = _full_sweep(InequalityConstraint(c.f), cur, mid)[0]
+        if cur.is_empty:
+            return cur
+    return cur
+
+
+def _identified_copy_by_copy(store, box):
+    kept, remainder = [], None
+    for c in store:
+        xi, yi = _full_sweep(InequalityConstraint(c.f, Relation.GEQ), box, c.param_domain)
+        if xi.is_empty:
+            continue
+        remainder = xi if remainder is None else remainder.hull(xi)
+        kept.append(QuantifiedConstraint(c.f, yi))
+    if remainder is None:
+        remainder = Box.empty(len(box))
+    return kept, remainder, box.set_difference_closure(remainder)
+
+
+# two variables x, x2 and two parameters y, y2; the last two read no parameter
+_RUN_TEXTS = (
+    "10*y - x - y^2",
+    "x^2 + x2^2 + y - 4",
+    "x*y - x2*y2 + 0.5",
+    "(x - y)^2 + x2*y2 - 1",
+    "sqrt(x + 4) - y*x2",
+    "x + x2 - 0.25",
+    "x^2 - x2",
+)
+
+
+def _copies(rng, f, count):
+    copies = []
+    for _ in range(count):
+        dims = [_random_interval(rng) for _ in range(2)]
+        if rng.random() < 0.3:  # a pinned coordinate
+            j = rng.randrange(2)
+            dims[j] = Interval(dims[j].hi, dims[j].hi)
+        copies.append(QuantifiedConstraint(f, Box(tuple(dims))))
+    return copies
+
+
+def test_run_kernels_match_revising_copy_by_copy_bit_for_bit():
+    rng = random.Random(2209)
+    pool = [parse_expression(text, SYMS) for text in _RUN_TEXTS]
+    pool += [_random_tree(rng, 4) if k % 2 else _random_dag(rng, rng.randint(1, 8)) for k in range(40)]
+    seen = {"mid-run empty": 0, "kept whole": 0, "dropped": 0, "cut": 0}
+    for case in range(2000):
+        store = []
+        for f in rng.sample(pool, rng.randint(1, 3)):
+            store += _copies(rng, f, rng.randint(1, 6))
+        dims = [_random_interval(rng) for _ in range(2)]
+        if rng.random() < 0.1:
+            dims[rng.randrange(2)] = EMPTY
+        box = Box(tuple(dims))
+        got, want = global_pruning(store, box), _pruned_copy_by_copy(store, box)
+        if box.is_empty:
+            # an empty box is rejected whatever bounds it holds
+            assert got.is_empty and want.is_empty, (case, store, box)
+        else:
+            assert _bits(got) == _bits(want), (case, store, box)
+            emptied = next((k for k in range(len(store)) if _pruned_copy_by_copy(store[: k + 1], box).is_empty), None)
+            seen["mid-run empty"] += emptied is not None and emptied > 0 and store[emptied - 1].f is store[emptied].f
+        for c in store[:2]:
+            assert _bits(local_pruning(c, box)) == _bits(_pruned_copy_by_copy([c], box)), (case, c, box)
+        kept, remainder, pieces = solution_identification(store, box)
+        want_kept, want_remainder, want_pieces = _identified_copy_by_copy(store, box)
+        assert [c.f for c in kept] == [c.f for c in want_kept], (case, store, box)
+        assert [_bits(c.param_domain) for c in kept] == [_bits(c.param_domain) for c in want_kept], (case, store, box)
+        assert _bits(remainder) == _bits(want_remainder), (case, store, box)
+        assert [_bits(piece) for piece in pieces] == [_bits(piece) for piece in want_pieces], (case, store, box)
+        ids = {id(c) for c in store}
+        seen["kept whole"] += sum(id(c) in ids for c in kept)
+        seen["cut"] += sum(id(c) not in ids for c in kept)
+        seen["dropped"] += len(store) - len(kept)
+    assert min(seen.values()) >= 50, seen
+
+
+def test_a_run_stops_at_the_copy_that_empties_the_box():
+    # the second copy's midpoint 0.75 asks x <= -0.75, outside [0, 1]; the
+    # third would fail too, and pruning returns the canonical empty box
+    f = parse_expression("x + y", SYMS)
+    store = [QuantifiedConstraint(f, Box.from_bounds([(lo, lo + 0.5)])) for lo in (-1.0, 0.5, 1.0)]
+    box = Box.from_bounds([(0.0, 1.0)])
+    assert global_pruning(store[:1], box) == Box.from_bounds([(0.0, 0.75)])
+    assert global_pruning(store, box) == Box.empty(1)
+
+
+@pytest.mark.parametrize("order, hi", [(1, "0x0.0p+0"), (-1, "-0x0.0p+0")])
+def test_identification_hulls_tied_zero_bounds_as_interval_hull_does(order, hi):
+    # the regions of y - x >= 0 end at y's upper bound, 0.0 for one copy and
+    # -0.0 for the other; max keeps the first of tied zeros, in store order
+    f = parse_expression("y - x", SYMS)
+    store = [QuantifiedConstraint(f, Box.from_bounds([d])) for d in ((0.0, 0.0), (-1.0, -0.0))[::order]]
+    _, remainder, _ = solution_identification(store, Box.from_bounds([(-1.0, 1.0)]))
+    assert _bits(remainder) == (("-0x1.0000000000000p+0", hi),)
+    assert _bits(remainder) == _bits(_identified_copy_by_copy(store, Box.from_bounds([(-1.0, 1.0)]))[1])
+
+
+def test_identification_keeps_a_copy_it_does_not_cut_as_it_came():
+    # x - 5 >= 0 fails on all of [0, 1]: the copy is dropped.  x - 0.5 >= 0
+    # holds on [0.5, 1] whatever y, so the copy is kept whole, domain and all
+    box = Box.from_bounds([(0.0, 1.0)])
+    whole = qc("x - 0.5 + 0*y", [(0.0, 1.0)])
+    kept, remainder, pieces = solution_identification([qc("x - 5", [(0.0, 1.0)]), whole], box)
+    assert kept == [whole] and kept[0] is whole
+    assert remainder == Box.from_bounds([(0.5, 1.0)])
+    assert pieces == [Box.from_bounds([(0.0, 0.5)])]
 
 
 # ---------------------------------------------------------------------------
@@ -653,8 +776,8 @@ def test_no_inner_box_where_a_parameter_leaves_the_domain(text):
 
 def test_a_cold_solve_of_300_constraints_compiles_one_kernel_per_constraint(monkeypatch):
     # the tape memo keeps the kernels of every live expression, however many
-    # constraints a store cycles through: each node revises all 300, and
-    # each is compiled once
+    # constraints a store cycles through: each node prunes and identifies
+    # with all 300, and each of their kernels is compiled once
     from qine import contractor, expr
 
     compiled: list[str] = []
@@ -671,4 +794,4 @@ def test_a_cold_solve_of_300_constraints_compiles_one_kernel_per_constraint(monk
     )
     paving = solve(parse_problem(text, name="many"), SolverConfig(epsilon=0.05, max_nodes=3))
     assert paving.stats.nodes_processed == 3
-    assert compiled == ["revise"] * 300
+    assert compiled == ["prune"] * 300 + ["revise"] * 300
