@@ -36,29 +36,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Sequence
 
 from .interval import _E, EMPTY, Box, Interval, _box, _exponent, _midpoint, _unchecked
 from .expr import _BINARY, _LEAVES, _OPS, _TAPES, Expression, _compile, _forward_code, _Step, _tape
 
-__all__ = [
-    "Relation",
-    "InequalityConstraint",
-    "QuantifiedConstraint",
-    "hc4_revise",
-    "backward_project",
-]
-
-class Relation(Enum):
-    LEQ = "<="  # f(x, y) <= 0
-    GEQ = ">="  # f(x, y) >= 0
-
-
-@dataclass(frozen=True, slots=True)
-class InequalityConstraint:
-    f: Expression
-    relation: Relation = Relation.LEQ
+__all__ = ["QuantifiedConstraint", "hc4_revise", "backward_project"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -349,15 +332,15 @@ def _kernel(f: Expression, purpose: str) -> Callable:
     return kernel
 
 
-def hc4_revise(constraint: InequalityConstraint, x: Box, y: Box) -> tuple[Box, Box]:
-    """Contract variable and parameter domains against one inequality.
+def hc4_revise(qc: QuantifiedConstraint, x: Box, *, geq: bool = False) -> tuple[Box, Box]:
+    """Contract x and qc's parameter domain against qc.f <= 0, or qc.f >= 0 when geq.
 
-    Returns boxes that contain every point of (x, y) satisfying the
-    constraint; both are empty when no point does.  The result never
-    grows: each output coordinate is a subset of its input, and a box
-    none of whose coordinates was cut is returned as it came.  Emptiness
-    always shows in the variable part, which matters when y has no
-    coordinates at all.
+    Returns boxes that contain every point of (x, qc.param_domain)
+    satisfying the inequality; both are empty when no point does.  The
+    result never grows: each output coordinate is a subset of its input,
+    and a box none of whose coordinates was cut is returned as it came.
+    Emptiness always shows in the variable part, which matters when the
+    parameter domain has no coordinates at all.
 
     A visit of an add, sub, mul, neg, pow, sin or cos node stops when its
     narrowed value has the bounds of its forward value, and hands each
@@ -377,10 +360,11 @@ def hc4_revise(constraint: InequalityConstraint, x: Box, y: Box) -> tuple[Box, B
     the node's slot is assigned before it, as a full sweep would.
 
     This is the "revise" kernel of the expression's tape (see
-    ``_compile_run``) on the one-copy store of (f, y), for either relation.
+    ``_compile_run``) on the one-copy store (qc,), with the half-line
+    (-inf, 0.0) or, when geq, (0.0, inf).
     """
-    fl, fh = (-math.inf, 0.0) if constraint.relation is Relation.LEQ else (0.0, math.inf)
-    _, region, kept = _kernel(constraint.f, "revise")(x, (_qc(constraint.f, y),), 0, fl, fh, None)
+    fl, fh = (0.0, math.inf) if geq else (-math.inf, 0.0)
+    _, region, kept = _kernel(qc.f, "revise")(x, (qc,), 0, fl, fh, None)
     if region is None:
-        return Box.empty(len(x)), Box.empty(len(y))
+        return Box.empty(len(x)), Box.empty(len(qc.param_domain))
     return region, kept[0].param_domain

@@ -17,12 +17,13 @@ returns the result's (lo, hi): ``_add``, ``_mul``, ``_div``, ``_sqr``,
 ``Interval``'s operators wrap them, and the kernels that ``expr`` and
 ``contractor`` compile call them on float locals, so no rounding or case
 rule has a second copy.  Dekker's TwoProduct error is written once, as
-the text template ``_TWO_PROD``; the directed products, the square and
-the product error sign are compiled from source that holds it, so that
-on operands inside (2**-450, 2**450) in magnitude they make no Python
-call; nor do sums that do not overflow, nor exp and log of finite
-bounds, nor quotients and square roots unless the rounded product that
-checks them ties (then ``_prod_err_sign`` decides).  Products with an
+the text template ``_TWO_PROD``; the directed products, the square, the
+quotients and the square root are compiled from source that holds it,
+so that on operands inside (2**-450, 2**450) in magnitude they make no
+Python call, a tie of the rounded product that checks a quotient or a
+square root included; nor do sums that do not overflow, nor exp and log
+of finite bounds.  A tie outside that range takes its error's sign from
+``_prod_err_sign``, on integer ratios.  Products with an
 infinite or out-of-range nonzero operand, overflowing sums, integer
 powers and the steps of the integer-root walk take slower exact
 fallbacks (``_mul_edge``, ``_add_edge``, ``_pow_bound``), each one call
@@ -83,10 +84,10 @@ _EFT_HI = 2.0**450
 # Dekker's TwoProduct, written once as text: given p = fl(a*b) for locals
 # {a}, {b} inside (_EFT_LO, _EFT_HI) in magnitude, it sets e to a*b - p
 # exactly, as Veltkamp's splitter 2**27 + 1 gives 26-bit halves whose
-# partial products are exact.  The functions that run it (_prod_err_sign,
-# _mul_down, _mul_up, _sqr, and the ties of _div_down, _div_up and the
-# square root of _root) are compiled by _flat from source that holds it,
-# so it runs in their own frame.
+# partial products are exact.  The functions that run it (_mul_down,
+# _mul_up, _sqr, and the ties of _div_down, _div_up and the square root of
+# _root) are compiled by _flat from source that holds it, so it runs in
+# their own frame.
 _TWO_PROD = (
     "t = 134217729.0 * {a}; {a}h = t - (t - {a}); {a}l = {a} - {a}h",
     "t = 134217729.0 * {b}; {b}h = t - (t - {b}); {b}l = {b} - {b}h",
@@ -145,13 +146,12 @@ def _mul_edge(a: float, b: float, up: bool) -> float:
     return _round(am * bm, ad * bd, up)
 
 
-_prod_err_sign, _mul_down, _mul_up = _flat(
-    f'''
 def _prod_err_sign(a: float, b: float, p: float) -> int:
-    """Sign of a*b - p for finite a, b and p = fl(a*b)."""
-    if _EFT_LO < abs(a) < _EFT_HI and _EFT_LO < abs(b) < _EFT_HI:
-        {_two_prod("a", "b")}
-        return (e > 0.0) - (e < 0.0)
+    """Sign of a*b - p for finite a, b and p = fl(a*b), on integer ratios.
+
+    The ties of _div_down, _div_up and _root call it only where an
+    operand lies outside (_EFT_LO, _EFT_HI), so TwoProduct cannot serve.
+    """
     am, ad = a.as_integer_ratio()
     bm, bd = b.as_integer_ratio()
     pm, pd = p.as_integer_ratio()
@@ -160,6 +160,8 @@ def _prod_err_sign(a: float, b: float, p: float) -> int:
     return (lhs > rhs) - (lhs < rhs)
 
 
+_mul_down, _mul_up = _flat(
+    f'''
 def _mul_down(a: float, b: float) -> float:
     if _EFT_LO < abs(a) < _EFT_HI and _EFT_LO < abs(b) < _EFT_HI:
         p = a * b
@@ -175,7 +177,6 @@ def _mul_up(a: float, b: float) -> float:
         return _nextafter(p, _INF) if e > 0.0 else p
     return 0.0 if a == 0.0 or b == 0.0 else _mul_edge(a, b, True)
 ''',
-    "_prod_err_sign",
     "_mul_down",
     "_mul_up",
 )
@@ -884,10 +885,6 @@ class Box:
             if (w := iv.hi - iv.lo) > widest:
                 widest = w
         return widest
-
-    @property
-    def midpoint(self) -> tuple[float, ...]:
-        return tuple(iv.midpoint for iv in self.dims)
 
     def dyadic_volume(self) -> tuple[int, int]:
         """Volume as (m, k), meaning m / 2**k; requires finite bounds.

@@ -37,18 +37,17 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .interval import Box, Interval, _box, _iv
 from .expr import Expression, VarKind, VarRef, _tape, derivative_interval
-from .contractor import QuantifiedConstraint, _kernel, _qc
+from .contractor import QuantifiedConstraint, _kernel, _qc  # qine lists QuantifiedConstraint once, from contractor
 from .contractor import hc4_revise  # noqa: F401 -- bench/tracer.py wraps the name in this namespace
 
 __all__ = [
     "Problem",
-    "QuantifiedConstraint",
     "SolverConfig",
     "SolveStats",
     "Paving",
@@ -211,11 +210,6 @@ def _widest_axis(box: Box) -> int:
     return best
 
 
-def _bisectable(iv: Interval) -> bool:
-    """Whether iv's midpoint lies strictly inside, so halving shrinks it."""
-    return iv.lo < iv.midpoint < iv.hi
-
-
 def parameter_instantiation(
     store: Sequence[QuantifiedConstraint], box: Box
 ) -> list[QuantifiedConstraint]:
@@ -309,17 +303,24 @@ def parameter_domain_bisection(
     for qc in store:
         dom = qc.param_domain
         axis = _widest_axis(dom)
-        if not dom.dims or dom.dims[axis].width <= epsilon or not _bisectable(dom.dims[axis]):
-            out.append(qc)
-        else:
-            lo_half, hi_half = dom.bisect(axis)
-            out.append(_qc(qc.f, lo_half))
-            out.append(_qc(qc.f, hi_half))
+        if dom.dims and dom.dims[axis].width > epsilon:
+            try:
+                lo_half, hi_half = dom.bisect(axis)
+            except ValueError:  # too thin to halve
+                pass
+            else:
+                out += (_qc(qc.f, lo_half), _qc(qc.f, hi_half))
+                continue
+        out.append(qc)
     return out
 
 
 def branch(box: Box) -> tuple[Box, Box]:
-    """Bisect the widest variable coordinate, lowest index on ties."""
+    """Bisect the widest variable coordinate, lowest index on ties.
+
+    Raises ValueError, as ``Box.bisect`` does, when that coordinate is
+    too thin for its midpoint to lie strictly inside.
+    """
     return box.bisect(_widest_axis(box))
 
 
@@ -429,16 +430,18 @@ def solve(
                     kept_t = tuple(kept)
                     if remainder.width <= cfg.epsilon:
                         push(remainder, kept_t)
-                    elif _bisectable(remainder.dims[_widest_axis(remainder)]):
-                        left, right = branch(remainder)
-                        push(left, kept_t)
-                        push(right, kept_t)
                     else:
-                        # Wider than epsilon but at float spacing: no
-                        # split can shrink it, so it stays undecided.
-                        paving.boundary.append(remainder)
-                        vol = scaled(*remainder.dyadic_volume())
-                        boundary += vol
+                        try:
+                            left, right = branch(remainder)
+                        except ValueError:
+                            # Wider than epsilon but at float spacing: no
+                            # split can shrink it, so it stays undecided.
+                            paving.boundary.append(remainder)
+                            vol = scaled(*remainder.dyadic_volume())
+                            boundary += vol
+                        else:
+                            push(left, kept_t)
+                            push(right, kept_t)
         if progress is not None:
             record()
             stats.elapsed = time.perf_counter() - t0

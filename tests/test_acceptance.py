@@ -17,7 +17,7 @@ import numpy as np
 import oracle
 from helpers import monotone_problem, ulps_between
 from qine.cli import format_report, parse_problem
-from qine.contractor import InequalityConstraint, Relation, hc4_revise
+from qine.contractor import hc4_revise
 from qine.expr import Binary, Const, Pow, Unary, VarKind, VarRef, derivative_interval
 from qine.interval import Box, Interval
 from qine.solver import (
@@ -55,16 +55,15 @@ def _mono_qc() -> QuantifiedConstraint:
 
 def test_criterion_1_midpoint_pruning():
     qc = _mono_qc()
-    c = InequalityConstraint(qc.f)
-    x, _ = hc4_revise(c, Box.from_bounds([(0.0, 15.0)]), Box.point([0.5]))
+    at_mid = QuantifiedConstraint(qc.f, Box.point([0.5]))
+    x, _ = hc4_revise(at_mid, Box.from_bounds([(0.0, 15.0)]))
     ok = _close(x[0], 4.75, 15.0)
     _report(1, ok, f"f(x, 0.5) <= 0 contracts [0,15] to {x[0]}")
 
 
 def test_criterion_2_identification():
     qc = _mono_qc()
-    neg = InequalityConstraint(qc.f, Relation.GEQ)
-    x, y = hc4_revise(neg, Box.from_bounds([(4.75, 15.0)]), qc.param_domain)
+    x, y = hc4_revise(qc, Box.from_bounds([(4.75, 15.0)]), geq=True)
     ok = _close(x[0], 4.75, 10.0) and _close(y[0], 0.475, 1.0)
 
     kept, remainder, pieces = solution_identification(
@@ -142,10 +141,10 @@ def test_criterion_5_instantiation_beats_full_domain_contraction():
     qc = _mono_qc()
     x0 = Box.from_bounds([(0.0, 15.0)])
     # existential reading: contract f <= 0 with y kept at its full domain
-    full_x, full_y = hc4_revise(InequalityConstraint(qc.f), x0, qc.param_domain)
+    full_x, full_y = hc4_revise(qc, x0)
     no_contraction = full_x == x0 and full_y == qc.param_domain
 
-    mid_x, _ = hc4_revise(InequalityConstraint(qc.f), x0, Box.point([0.5]))
+    mid_x, _ = hc4_revise(QuantifiedConstraint(qc.f, Box.point([0.5])), x0)
     ok = no_contraction and _close(mid_x[0], 4.75, 15.0)
     _report(
         5,

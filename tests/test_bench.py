@@ -29,7 +29,7 @@ def test_bench_selftest_passes():
 sys.path.insert(0, str(ROOT / "bench"))
 try:
     from child import paving_sha256
-    from tracer import SOLVER_NAMES
+    from tracer import INTERVAL_METHODS, SOLVER_NAMES
     from workloads import WORKLOADS
 finally:
     sys.path.remove(str(ROOT / "bench"))
@@ -82,3 +82,18 @@ def test_every_name_the_tracer_wraps_is_in_the_solver_namespace():
     from qine import solver
 
     assert [name for name in SOLVER_NAMES if not hasattr(solver, name)] == []
+
+
+def test_every_name_the_benchmark_reads_outside_the_solver_still_exists(monkeypatch):
+    # the traced benchmark wraps these Interval methods and Box.exact_volume,
+    # and bench/micro.py times Interval's operators, Box.exact_volume and
+    # eval_interval; the library itself calls none of them
+    import importlib
+
+    from qine.interval import Box, Interval
+
+    assert [name for name in INTERVAL_METHODS if not hasattr(Interval, name)] == []
+    assert callable(Box.exact_volume)
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    monkeypatch.delitem(sys.modules, "micro", raising=False)
+    importlib.import_module("micro")

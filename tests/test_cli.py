@@ -552,6 +552,13 @@ def test_package_reaches_the_command_line_names():
         qine.no_such_name
 
 
+def test_the_package_exports_each_name_once_and_resolves_it():
+    import qine
+
+    assert len(qine.__all__) == len(set(qine.__all__)), sorted(qine.__all__)
+    assert [name for name in qine.__all__ if not hasattr(qine, name)] == []
+
+
 def test_a_closed_stdout_pipe_is_a_clean_error(problems_dir):
     # the read end is closed before the child writes its report, so the
     # write fails with EPIPE; no traceback follows, at the write or at exit

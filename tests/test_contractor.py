@@ -12,23 +12,19 @@ from hypothesis import strategies as st
 
 import oracle
 from helpers import assert_interval
-from qine.contractor import (
-    InequalityConstraint,
-    Relation,
-    backward_project,
-    hc4_revise,
-)
+from qine.contractor import QuantifiedConstraint, backward_project, hc4_revise
 from qine.expr import Binary, Const, Pow, Unary, VarKind, VarRef, _tape, forward_sweep, parse_expression
 from qine.interval import EMPTY, Box, Interval
 from test_expr import SYMS, X, X2, Y, boxes_and_point, deep_chain, expr_trees
 
 
-def leq(text: str) -> InequalityConstraint:
-    return InequalityConstraint(parse_expression(text, SYMS))
+def parsed(text: str):
+    return parse_expression(text, SYMS)
 
 
-def geq(text: str) -> InequalityConstraint:
-    return InequalityConstraint(parse_expression(text, SYMS), Relation.GEQ)
+def revise(f, x: Box, y: Box, geq: bool = False) -> tuple[Box, Box]:
+    """hc4_revise of f <= 0, or f >= 0 when geq, with the parameter domain y."""
+    return hc4_revise(QuantifiedConstraint(f, y), x, geq=geq)
 
 
 # ---------------------------------------------------------------------------
@@ -118,38 +114,33 @@ def test_project_empty_result():
 
 
 def test_revise_midpoint_instantiation():
-    c = leq("10*y - x - y^2")
-    x, y = hc4_revise(c, Box.from_bounds([(0.0, 15.0)]), Box.point([0.5]))
+    x, y = revise(parsed("10*y - x - y^2"), Box.from_bounds([(0.0, 15.0)]), Box.point([0.5]))
     # 4.75 - x <= 0 forces x >= 4.75
     assert x[0] == Interval(4.75, 15.0)
     assert y[0] == Interval(0.5, 0.5)
 
 
 def test_revise_negation():
-    c = geq("10*y - x - y^2")
-    x, y = hc4_revise(c, Box.from_bounds([(4.75, 15.0)]), Box.from_bounds([(0.0, 1.0)]))
+    x, y = revise(parsed("10*y - x - y^2"), Box.from_bounds([(4.75, 15.0)]), Box.from_bounds([(0.0, 1.0)]), geq=True)
     assert_interval(x[0], 4.75, 10.0)
     assert_interval(y[0], 0.475, 1.0)
 
 
 def test_revise_no_op_on_full_domain():
-    c = leq("10*y - x - y^2")
     x0 = Box.from_bounds([(0.0, 15.0)])
     y0 = Box.from_bounds([(0.0, 1.0)])
-    x, y = hc4_revise(c, x0, y0)
+    x, y = revise(parsed("10*y - x - y^2"), x0, y0)
     assert x == x0 and y == y0
 
 
 def test_revise_detects_infeasibility():
-    c = geq("x - y")
-    x, y = hc4_revise(c, Box.from_bounds([(0.0, 1.0)]), Box.from_bounds([(2.0, 3.0)]))
+    x, y = revise(parsed("x - y"), Box.from_bounds([(0.0, 1.0)]), Box.from_bounds([(2.0, 3.0)]), geq=True)
     assert x.is_empty
     assert y.is_empty
 
 
 def test_revise_without_parameters():
-    c = leq("x1^2 + x2^2 - 3")
-    x, y = hc4_revise(c, Box.from_bounds([(-2.0, 2.0), (-2.0, 2.0)]), Box(()))
+    x, y = revise(parsed("x1^2 + x2^2 - 3"), Box.from_bounds([(-2.0, 2.0), (-2.0, 2.0)]), Box(()))
     r = math.sqrt(3.0)
     assert_interval(x[0], -r, r, ulps=2)
     assert_interval(x[1], -r, r, ulps=2)
@@ -160,10 +151,9 @@ def test_revise_shared_subtree_is_sound():
     # f = (x+y)^2 + (x+y) with one shared (x+y) node; f <= 0 iff x+y in [-1,0]
     s = Binary("add", X, Y)
     f = Binary("add", Pow(s, 2), s)
-    c = InequalityConstraint(f)
     x0 = Box.from_bounds([(-2.0, 2.0)])
     y0 = Box.from_bounds([(-2.0, 2.0)])
-    x, y = hc4_revise(c, x0, y0)
+    x, y = revise(f, x0, y0)
     assert not x.is_empty and not y.is_empty
     grid = np.linspace(-2.0, 2.0, 41)
     xm, ym = np.meshgrid(grid, grid, indexing="ij")
@@ -176,8 +166,7 @@ def test_revise_shared_subtree_is_sound():
 def test_revise_multiple_occurrences_narrow_jointly():
     # x*x - 4 >= 0 over [0,5]: both occurrences share the leaf's slot
     f = Binary("sub", Binary("mul", X, X), Const(4.0))
-    c = InequalityConstraint(f, Relation.GEQ)
-    x, _ = hc4_revise(c, Box.from_bounds([(0.0, 5.0)]), Box(()))
+    x, _ = revise(f, Box.from_bounds([(0.0, 5.0)]), Box(()), geq=True)
     assert not x.is_empty
     assert x[0].subset_of(Interval(0.0, 5.0))
     # the true feasible set [2,5] must survive
@@ -185,28 +174,26 @@ def test_revise_multiple_occurrences_narrow_jointly():
 
 
 @pytest.mark.parametrize(
-    "text, rel, x0, y0, x1, y1",
+    "text, geq, x0, y0, x1, y1",
     [
-        ("(y - (x + y + x))^3 - 1", Relation.GEQ, (0.0, 1.0), (-3.0, -1.0), (0.0, 0.0), (-2.0, -2.0)),
-        ("y - x + x", Relation.LEQ, (1.0, 3.0), (1.0, 3.0), (2.0, 2.0), (1.0, 2.0)),
+        ("(y - (x + y + x))^3 - 1", True, (0.0, 1.0), (-3.0, -1.0), (0.0, 0.0), (-2.0, -2.0)),
+        ("y - x + x", False, (1.0, 3.0), (1.0, 3.0), (2.0, 2.0), (1.0, 2.0)),
     ],
 )
-def test_revise_backward_order_is_depth_first_per_path(text, rel, x0, y0, x1, y1):
+def test_revise_backward_order_is_depth_first_per_path(text, geq, x0, y0, x1, y1):
     # x and y occur more than once.  The backward sweep goes depth first,
     # left operand first, and projects a node once per path that reaches
     # it, onto its operands' values at that time.  Sweeps that visit each
     # node once in reverse topological order return other boxes: x = [0, 1]
     # in the first case if they project onto the forward values, y = [1, 1]
     # in the second if they intersect the projections of all parents.
-    c = InequalityConstraint(parse_expression(text, SYMS), rel)
-    x, y = hc4_revise(c, Box.from_bounds([x0]), Box.from_bounds([y0]))
+    x, y = revise(parsed(text), Box.from_bounds([x0]), Box.from_bounds([y0]), geq)
     assert x == Box.from_bounds([x1])
     assert y == Box.from_bounds([y1])
 
 
 def test_revise_walks_deeper_than_the_recursion_limit():
-    c = InequalityConstraint(deep_chain(5000))
-    x, y = hc4_revise(c, Box.from_bounds([(0.0, 1.0)]), Box(()))
+    x, y = revise(deep_chain(5000), Box.from_bounds([(0.0, 1.0)]), Box(()))
     assert x == Box.from_bounds([(0.0, 0.0)])
     assert len(y) == 0
 
@@ -219,19 +206,18 @@ def test_revise_walks_deeper_than_the_recursion_limit():
     expr_trees(safe=True, indices=(0,)),
     boxes_and_point(1),
     boxes_and_point(1),
-    st.sampled_from([Relation.LEQ, Relation.GEQ]),
+    st.booleans(),
 )
 @settings(max_examples=100)
-def test_revise_contracts_and_is_monotone(e, bx, by, rel):
+def test_revise_contracts_and_is_monotone(e, bx, by, geq):
     x0, _ = bx
     y0, _ = by
-    c = InequalityConstraint(e, rel)
-    x1, y1 = hc4_revise(c, x0, y0)
+    x1, y1 = revise(e, x0, y0, geq)
     if x1.is_empty:
         return
     assert all(a.subset_of(b) for a, b in zip(x1, x0))
     assert all(a.subset_of(b) for a, b in zip(y1, y0))
-    x2, y2 = hc4_revise(c, x1, y1)
+    x2, y2 = revise(e, x1, y1, geq)
     if x2.is_empty:
         return
     assert all(a.subset_of(b) for a, b in zip(x2, x1))
@@ -242,21 +228,20 @@ def test_revise_contracts_and_is_monotone(e, bx, by, rel):
     expr_trees(safe=True, indices=(0,)),
     boxes_and_point(1),
     boxes_and_point(1),
-    st.sampled_from([Relation.LEQ, Relation.GEQ]),
+    st.booleans(),
 )
 @settings(max_examples=100)
-def test_revise_keeps_all_grid_solutions(e, bx, by, rel):
+def test_revise_keeps_all_grid_solutions(e, bx, by, geq):
     x0, _ = bx
     y0, _ = by
-    c = InequalityConstraint(e, rel)
-    xb, yb = hc4_revise(c, x0, y0)
+    xb, yb = revise(e, x0, y0, geq)
 
     xs = oracle.axis_points(x0[0], 25)
     ys = oracle.axis_points(y0[0], 25)
     xm, ym = np.meshgrid(xs, ys, indexing="ij")
     vals = np.asarray(oracle.eval_grid(e, [xm], [ym]), dtype=float)
     vals = np.broadcast_to(vals, xm.shape)
-    sat = vals >= 0.0 if rel is Relation.GEQ else vals <= 0.0
+    sat = vals >= 0.0 if geq else vals <= 0.0
     sat = sat & np.isfinite(vals)
 
     for px, py in zip(xm[sat], ym[sat]):
@@ -270,7 +255,7 @@ def test_revise_keeps_all_grid_solutions(e, bx, by, rel):
         # the float grid value may misclassify a boundary point; only an
         # exactly satisfying point proves the contraction unsound
         exact = oracle.exact_value(e, [float(px)], [float(py)])
-        if rel is Relation.GEQ:
+        if geq:
             assert exact < 0, (px, py, exact)
         else:
             assert exact > 0, (px, py, exact)
@@ -292,10 +277,10 @@ _BINARY_OPS = ("add", "sub", "mul", "div")
 _LEAF_REFS = (X, X2, Y)
 
 
-def _full_sweep(c: InequalityConstraint, x: Box, y: Box) -> tuple[Box, Box]:
-    """Reference: HC4-revise that projects every step it reaches."""
-    tape, values = forward_sweep(c.f, x, y)
-    feasible = Interval(-math.inf, 0.0) if c.relation is Relation.LEQ else Interval(0.0, math.inf)
+def _full_sweep(f, geq: bool, x: Box, y: Box) -> tuple[Box, Box]:
+    """Reference: HC4-revise of f <= 0, or f >= 0 when geq, that projects every step it reaches."""
+    tape, values = forward_sweep(f, x, y)
+    feasible = Interval(0.0, math.inf) if geq else Interval(-math.inf, 0.0)
     empty = Box.empty(len(x)), Box.empty(len(y))
     vars_x, vars_y = list(x.dims), list(y.dims)
     stack = [(len(tape) - 1, values[-1].intersect(feasible))]
@@ -369,11 +354,11 @@ def test_revise_matches_the_full_sweep_bit_for_bit():
     rng = random.Random(5150)
     for case in range(3000):
         e = _random_tree(rng, 5) if case % 2 else _random_dag(rng, rng.randint(1, 8))
-        c = InequalityConstraint(e, rng.choice((Relation.LEQ, Relation.GEQ)))
+        geq = rng.choice((False, True))
         x = Box((_random_interval(rng), _random_interval(rng)))
         y = Box((_random_interval(rng),))
-        got = [iv for box in hc4_revise(c, x, y) for iv in box]
-        want = [iv for box in _full_sweep(c, x, y) for iv in box]
+        got = [iv for box in revise(e, x, y, geq) for iv in box]
+        want = [iv for box in _full_sweep(e, geq, x, y) for iv in box]
         assert _bits(got) == _bits(want), (case, e, x, y)
 
 
@@ -383,31 +368,31 @@ def test_revise_matches_the_full_sweep_on_deep_trees_and_dags():
     rng = random.Random(8086)
     for case in range(1500):
         e = _random_tree(rng, rng.randint(2, 7)) if case % 2 else _random_dag(rng, rng.randint(1, 14))
-        c = InequalityConstraint(e, Relation.GEQ if case % 4 > 1 else Relation.LEQ)
+        geq = case % 4 > 1
         x = Box((_random_interval(rng), _random_interval(rng)))
         y = Box((_random_interval(rng),))
-        got = [iv for box in hc4_revise(c, x, y) for iv in box]
-        want = [iv for box in _full_sweep(c, x, y) for iv in box]
+        got = [iv for box in revise(e, x, y, geq) for iv in box]
+        want = [iv for box in _full_sweep(e, geq, x, y) for iv in box]
         assert _bits(got) == _bits(want), (case, e, x, y)
 
 
-def _spied_revise(monkeypatch, c, x, y):
+def _spied_revise(monkeypatch, f, geq, x, y):
     """hc4_revise through a fresh kernel, and the calls it made to _add and _div.
 
     The kernel reads its bound functions from contractor._NAMESPACE when it
-    is compiled, so c's expression must not have been revised before.  Its
-    result must equal the full sweep's, which runs before the spies are in.
+    is compiled, so f must not have been revised before.  Its result must
+    equal the full sweep's, which runs before the spies are in.
     """
     from qine import contractor
 
-    want = _full_sweep(c, x, y)
+    want = _full_sweep(f, geq, x, y)
     counts = {"_add": 0, "_div": 0}
     for name in counts:
         def spy(*bounds, _name=name, _f=contractor._NAMESPACE[name]):
             counts[_name] += 1
             return _f(*bounds)
         monkeypatch.setitem(contractor._NAMESPACE, name, spy)
-    got = hc4_revise(c, x, y)
+    got = revise(f, x, y, geq)
     assert got == want
     return got, counts
 
@@ -416,47 +401,45 @@ def test_revise_stops_below_an_even_power_that_hulls_back_its_operand(monkeypatc
     # (x - y)^2 is cut to [1, 4]; its two root branches [-2, -1] and [1, 2]
     # meet x - y in parts whose hull is x - y's forward value, so the
     # difference is not projected: 2 forward and 2 root calls of _add, not 6
-    c = geq("(x - y)^2 - 1")
     x, y = Box.from_bounds([(-1.0, 1.0)]), Box.from_bounds([(-1.0, 1.0)])
-    _, counts = _spied_revise(monkeypatch, c, x, y)
+    _, counts = _spied_revise(monkeypatch, parsed("(x - y)^2 - 1"), True, x, y)
     assert counts["_add"] == 4
 
 
 def test_revise_stops_above_a_sqrt_and_still_cuts_its_operand(monkeypatch):
     # nothing is cut at the root or at the add, so neither is projected; the
     # sqrt below them still projects its forward value and cuts x to [0, 4]
-    c = leq("sqrt(x) + y - 5")
-    (x, y), counts = _spied_revise(monkeypatch, c, Box.from_bounds([(-1.0, 4.0)]), Box.from_bounds([(0.0, 1.0)]))
+    f = parsed("sqrt(x) + y - 5")
+    (x, y), counts = _spied_revise(monkeypatch, f, False, Box.from_bounds([(-1.0, 4.0)]), Box.from_bounds([(0.0, 1.0)]))
     assert (x, y) == (Box.from_bounds([(0.0, 4.0)]), Box.from_bounds([(0.0, 1.0)]))
     assert counts["_add"] == 2
 
 
 @pytest.mark.parametrize(
-    "make, rel, bounds, calls",
+    "make, geq, bounds, calls",
     [
         # s*s + sin(s) - 5 <= 0 holds everywhere: only the forward sweep adds
         (
             lambda s: Binary("sub", Binary("add", Binary("mul", s, s), Unary("sin", s)), Const(5.0)),
-            Relation.LEQ,
+            False,
             [(-1.0, 1.0), (-1.0, 1.0)],
             {"_add": 3, "_div": 0},
         ),
         # s^2 + x1*s >= 0 holds everywhere as well
         (
             lambda s: Binary("add", Pow(s, 2), Binary("mul", X, s)),
-            Relation.GEQ,
+            True,
             [(0.5, 1.0), (-1.0, 0.0)],
             {"_add": 2, "_div": 0},
         ),
     ],
 )
-def test_revise_stops_at_a_shared_node_reached_with_its_forward_value(monkeypatch, make, rel, bounds, calls):
+def test_revise_stops_at_a_shared_node_reached_with_its_forward_value(monkeypatch, make, geq, bounds, calls):
     # s = x1 - x2 has several users; each visit would hand it its forward
     # value, so neither s nor the nodes above it are projected, and the root
     # returns the boxes as they came
-    c = InequalityConstraint(make(Binary("sub", X, X2)), rel)
     x, y = Box.from_bounds(bounds), Box(())
-    got, counts = _spied_revise(monkeypatch, c, x, y)
+    got, counts = _spied_revise(monkeypatch, make(Binary("sub", X, X2)), geq, x, y)
     assert got[0] is x and got[1] is y and counts == calls
 
 
@@ -474,9 +457,9 @@ def test_revise_stops_at_a_shared_node_reached_with_its_forward_value(monkeypatc
     ],
 )
 def test_revise_pins_of_the_settled_rule(text, x0, x1):
-    x, _ = hc4_revise(leq(text), Box.from_bounds([x0]), Box(()))
+    x, _ = revise(parsed(text), Box.from_bounds([x0]), Box(()))
     assert x == Box.from_bounds([x1])
-    assert _full_sweep(leq(text), Box.from_bounds([x0]), Box(())) == (x, Box(()))
+    assert _full_sweep(parsed(text), False, Box.from_bounds([x0]), Box(())) == (x, Box(()))
 
 
 def test_revise_reprojects_a_narrowed_shared_internal_node():
@@ -485,33 +468,33 @@ def test_revise_reprojects_a_narrowed_shared_internal_node():
     # narrows x1
     s = Binary("sub", X, Pow(X, 4))
     f = Binary("add", Binary("add", Pow(X2, 4), s), Unary("sin", s))
-    x, _ = hc4_revise(InequalityConstraint(f), Box.from_bounds([(1.0, 2.0), (-2.25, -1.2)]), Box(()))
+    x, _ = revise(f, Box.from_bounds([(1.0, 2.0), (-2.25, -1.2)]), Box(()))
     assert x[0] == Interval(1.227943869237377, 2.0)
 
 
 @pytest.mark.parametrize(
-    "rel, x0, y0, x1, y1",
+    "geq, x0, y0, x1, y1",
     [
-        (Relation.LEQ, (0.5, 2.0), (-0.5, 3.0), (0.5, 1.0), (-0.5, -0.5)),
-        (Relation.GEQ, (0.5, 3.0), (-4.0, -2.0), (1.0, 1.5), (-3.0, -2.0)),
+        (False, (0.5, 2.0), (-0.5, 3.0), (0.5, 1.0), (-0.5, -0.5)),
+        (True, (0.5, 3.0), (-4.0, -2.0), (1.0, 1.5), (-3.0, -2.0)),
     ],
 )
-def test_revise_projects_onto_a_shared_leafs_current_value(rel, x0, y0, x1, y1):
+def test_revise_projects_onto_a_shared_leafs_current_value(geq, x0, y0, x1, y1):
     # x occurs twice in x + x*y: the product's projection reads the value
     # that x's first visit wrote, not x's forward value
-    c = InequalityConstraint(parse_expression("x + x*y", SYMS), rel)
-    x, y = hc4_revise(c, Box.from_bounds([x0]), Box.from_bounds([y0]))
+    f = parsed("x + x*y")
+    x, y = revise(f, Box.from_bounds([x0]), Box.from_bounds([y0]), geq)
     assert (x, y) == (Box.from_bounds([x1]), Box.from_bounds([y1]))
-    assert _full_sweep(c, Box.from_bounds([x0]), Box.from_bounds([y0])) == (x, y)
+    assert _full_sweep(f, geq, Box.from_bounds([x0]), Box.from_bounds([y0])) == (x, y)
 
 
 @pytest.mark.parametrize(
-    "text, rel, x0, y0, x1, y1",
+    "text, geq, x0, y0, x1, y1",
     [
-        ("x + (cos(x) + (x - x))", Relation.LEQ, (-0.5, 0.5), (-2.0, 0.5), None, None),
+        ("x + (cos(x) + (x - x))", False, (-0.5, 0.5), (-2.0, 0.5), None, None),
         (
             "x^3 + (0.5*x + x*y)",
-            Relation.GEQ,
+            True,
             (-3.0, -0.5),
             (-3.0, 1.0),
             (-2.0606426499042785, -0.5),
@@ -519,26 +502,26 @@ def test_revise_projects_onto_a_shared_leafs_current_value(rel, x0, y0, x1, y1):
         ),
     ],
 )
-def test_revise_stop_keeps_a_shared_leafs_current_value(text, rel, x0, y0, x1, y1):
+def test_revise_stop_keeps_a_shared_leafs_current_value(text, geq, x0, y0, x1, y1):
     # a settled node that stops leaves the subtree below it as it is; x's
     # value from an earlier path must survive for the projections after it
-    c = InequalityConstraint(parse_expression(text, SYMS), rel)
-    x, y = hc4_revise(c, Box.from_bounds([x0]), Box.from_bounds([y0]))
+    f = parsed(text)
+    x, y = revise(f, Box.from_bounds([x0]), Box.from_bounds([y0]), geq)
     if x1 is None:
         assert x.is_empty and y.is_empty
     else:
         assert (x, y) == (Box.from_bounds([x1]), Box.from_bounds([y1]))
-    assert _full_sweep(c, Box.from_bounds([x0]), Box.from_bounds([y0])) == (x, y)
+    assert _full_sweep(f, geq, Box.from_bounds([x0]), Box.from_bounds([y0])) == (x, y)
 
 
 def test_revise_checks_a_settled_node_cut_to_empty():
     # the product's projection cuts cos(y) to empty; cos hands its operand on
     # unchanged, so only the cos node's own empty check ends the sweep
-    c = leq("x + cos(y)*x")
+    f = parsed("x + cos(y)*x")
     x0, y0 = Box.from_bounds([(0.5, 2.0)]), Box.from_bounds([(-2.0, 2.0)])
-    x, y = hc4_revise(c, x0, y0)
+    x, y = revise(f, x0, y0)
     assert x.is_empty and y.is_empty
-    assert _full_sweep(c, x0, y0) == (x, y)
+    assert _full_sweep(f, False, x0, y0) == (x, y)
 
 
 def test_every_op_maps_an_empty_operand_to_an_empty_value():
@@ -557,14 +540,14 @@ def test_every_op_maps_an_empty_operand_to_an_empty_value():
 def test_one_revise_kernel_serves_both_relations():
     e = parse_expression("x - 1", SYMS)
     x = Box.from_bounds([(0.0, 2.0)])
-    assert hc4_revise(InequalityConstraint(e), x, Box(()))[0] == Box.from_bounds([(0.0, 1.0)])
+    assert revise(e, x, Box(()))[0] == Box.from_bounds([(0.0, 1.0)])
     kernels = _tape(e)[1]
-    revise = kernels["revise"]
-    assert hc4_revise(InequalityConstraint(e, Relation.GEQ), x, Box(()))[0] == Box.from_bounds([(1.0, 2.0)])
-    assert kernels["revise"] is revise and set(kernels) == {"revise"}
+    kernel = kernels["revise"]
+    assert revise(e, x, Box(()), geq=True)[0] == Box.from_bounds([(1.0, 2.0)])
+    assert kernels["revise"] is kernel and set(kernels) == {"revise"}
     # profilers tell code apart by file, line and name
     forward_sweep(e, x, Box(()))
-    assert revise.__code__.co_filename != kernels["forward"].__code__.co_filename
+    assert kernel.__code__.co_filename != kernels["forward"].__code__.co_filename
 
 
 def _subinterval(rng: random.Random, iv: Interval) -> Interval:
@@ -637,10 +620,9 @@ def test_an_empty_input_coordinate_through_the_kernels(text, slot):
     assert _bits(values) == _bits(_forward_loop(e, x, y))
     reads = ("var", slot) if slot < 2 else ("param", 0)
     assert values[-1].is_empty == any((op, a) == reads for op, a, _ in tape)
-    for rel in Relation:
-        c = InequalityConstraint(e, rel)
-        got = [iv for box in hc4_revise(c, x, y) for iv in box]
-        assert _bits(got) == _bits([iv for box in _full_sweep(c, x, y) for iv in box])
+    for geq in (False, True):
+        got = [iv for box in revise(e, x, y, geq) for iv in box]
+        assert _bits(got) == _bits([iv for box in _full_sweep(e, geq, x, y) for iv in box])
         if values[-1].is_empty:
             assert all(iv.is_empty for iv in got)
         else:
@@ -651,16 +633,15 @@ def test_a_containment_that_holds_only_because_zero_equals_minus_zero():
     # -x + -x2 over [-2, 0.0]^2 has the forward value [-0.0, 4]; it lies in
     # [0, inf) because 0.0 <= -0.0, so the settled root stops at once and
     # returns the input intervals themselves, as the full sweep's bits do
-    c = geq("-x1 + -x2")
+    f = parsed("-x1 + -x2")
     x0 = Box.from_bounds([(-2.0, 0.0), (-2.0, 0.0)])
-    assert forward_sweep(c.f, x0, Box(()))[1][-1].lo.hex() == "-0x0.0p+0"
-    x, _ = hc4_revise(c, x0, Box(()))
+    assert forward_sweep(f, x0, Box(()))[1][-1].lo.hex() == "-0x0.0p+0"
+    x, _ = revise(f, x0, Box(()), geq=True)
     assert all(a is b for a, b in zip(x, x0))
-    assert _bits(x) == _bits(_full_sweep(c, x0, Box(()))[0])
+    assert _bits(x) == _bits(_full_sweep(f, True, x0, Box(()))[0])
     # against f <= 0 the root is cut to [-0.0, 0.0], and so is each domain
-    c = leq("-x1 + -x2")
-    x, _ = hc4_revise(c, x0, Box(()))
-    assert _bits(x) == (("-0x0.0p+0", "0x0.0p+0"),) * 2 == _bits(_full_sweep(c, x0, Box(()))[0])
+    x, _ = revise(f, x0, Box(()))
+    assert _bits(x) == (("-0x0.0p+0", "0x0.0p+0"),) * 2 == _bits(_full_sweep(f, False, x0, Box(()))[0])
 
 
 _INTERVAL_CALLS = ("_iv(", "_box(", ".intersect(", ".hull(", ".sqr(", ".pow_int(", ".root_int(")
@@ -693,8 +674,8 @@ def test_kernels_build_intervals_only_in_their_returns(problems_dir, monkeypatch
         x = Box.from_bounds([(-1.0, 1.0)] * 3)
         y = Box.from_bounds([(0.0, 1.0)] * 2)
         forward_sweep(f, x, y)
-        for rel in Relation:
-            hc4_revise(InequalityConstraint(f, rel), x, y)
+        for geq in (False, True):
+            revise(f, x, y, geq)
         for j in range(params):
             derivative_interval(f, VarRef(VarKind.PARAMETER, j), x, y)
     # one forward and one revise kernel per constraint, one tangent kernel
@@ -709,12 +690,12 @@ def test_kernels_build_intervals_only_in_their_returns(problems_dir, monkeypatch
 
 def test_revise_returns_a_box_the_tape_never_reads_as_it_came():
     x, y = Box.from_bounds([(0.0, 1.0)]), Box.from_bounds([(0.0, 1.0)])
-    got = hc4_revise(leq("x - 0.5"), x, y)
+    got = revise(parsed("x - 0.5"), x, y)
     assert got[0] == Box.from_bounds([(0.0, 0.5)]) and got[1] is y
 
 
 def test_revise_returns_both_boxes_as_they_came_when_the_settled_root_stops():
     # x - 5 <= 0 holds on all of [0, 1], so nothing is cut
     x, y = Box.from_bounds([(0.0, 1.0)]), Box.from_bounds([(0.0, 1.0)])
-    got = hc4_revise(leq("x - 5"), x, y)
+    got = revise(parsed("x - 5"), x, y)
     assert got[0] is x and got[1] is y

@@ -375,12 +375,12 @@ def test_kernels_live_and_leave_with_their_tape():
     import gc
     import weakref
 
-    from qine.contractor import InequalityConstraint, Relation, hc4_revise
+    from qine.contractor import QuantifiedConstraint, hc4_revise
 
     x = Box.from_bounds([(0.0, 2.0)])
     first = Binary("sub", X, Const(1.0))
-    for rel in Relation:
-        hc4_revise(InequalityConstraint(first, rel), x, Box(()))
+    for geq in (False, True):
+        hc4_revise(QuantifiedConstraint(first, Box(())), x, geq=geq)
     forward_sweep(first, x, Box(()))
     assert derivative_interval(first, X, x, Box(())) == Interval(1.0, 1.0)
     kernels = expr._tape(first)[1]

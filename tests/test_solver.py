@@ -12,7 +12,6 @@ import pytest
 
 from helpers import assert_interval, monotone_problem
 from qine.cli import parse_problem
-from qine.contractor import InequalityConstraint, Relation
 from qine.expr import Binary, VarKind, VarRef, parse_expression
 from qine.interval import EMPTY, Box, Interval
 from qine.solver import (
@@ -189,7 +188,7 @@ def _pruned_copy_by_copy(store, box):
     cur = box
     for c in store:
         mid = Box(tuple(Interval.point(iv.midpoint) for iv in c.param_domain.dims))
-        cur = _full_sweep(InequalityConstraint(c.f), cur, mid)[0]
+        cur = _full_sweep(c.f, False, cur, mid)[0]
         if cur.is_empty:
             return cur
     return cur
@@ -198,7 +197,7 @@ def _pruned_copy_by_copy(store, box):
 def _identified_copy_by_copy(store, box):
     kept, remainder = [], None
     for c in store:
-        xi, yi = _full_sweep(InequalityConstraint(c.f, Relation.GEQ), box, c.param_domain)
+        xi, yi = _full_sweep(c.f, True, box, c.param_domain)
         if xi.is_empty:
             continue
         remainder = xi if remainder is None else remainder.hull(xi)
@@ -721,8 +720,6 @@ def test_solve_constructs_no_checked_object_per_node(path, mode, coarse, fine, p
     # constraints, intervals and boxes built inside the loop skip their
     # dataclass __init__ and __post_init__, so a solve runs them only for
     # the root store, however many nodes it processes
-    from qine.contractor import InequalityConstraint
-
     problem = parse_problem((problems_dir.parent / path).read_text())
     solve(problem, SolverConfig(epsilon=coarse, mode=mode))  # compiles the kernels
     counts: dict[str, int] = {}
@@ -730,7 +727,6 @@ def test_solve_constructs_no_checked_object_per_node(path, mode, coarse, fine, p
         (Interval, "__post_init__"),
         (Box, "__post_init__"),
         (QuantifiedConstraint, "__init__"),
-        (InequalityConstraint, "__init__"),
     ):
         def counted(self, *args, _orig=getattr(cls, attr), _key=f"{cls.__name__}.{attr}", **kwargs):
             counts[_key] = counts.get(_key, 0) + 1
