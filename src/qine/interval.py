@@ -958,29 +958,37 @@ class Box:
         return _box(tuple(dims))
 
     def bisect(self, axis: int) -> tuple[Box, Box]:
-        """Split at the midpoint of the given axis.
+        """Split at the midpoint of the given axis (``Interval.midpoint``).
 
         Raises ValueError when the axis is degenerate or so thin that the
-        midpoint is not strictly inside (a caller policy error).
+        midpoint is not strictly inside (a caller policy error).  The
+        midpoint of finite bounds whose sum is finite is inlined: lo <= hi
+        are doubles and rounding is monotone, so 0.5 * fl(lo + hi) lies in
+        [lo, hi] and ``_midpoint``, which takes every other case, would
+        return it as it is.
         """
-        iv = self.dims[axis]
-        if iv.is_empty or iv.lo >= iv.hi:
+        dims = list(self.dims)
+        lo, hi = dims[axis].lo, dims[axis].hi
+        if lo >= hi:  # an empty axis too
             raise ValueError(f"cannot bisect degenerate axis {axis}")
-        m = iv.midpoint
-        if not (iv.lo < m < iv.hi):
+        m = 0.5 * (lo + hi)
+        if m - m != 0.0:
+            m = _midpoint(lo, hi)
+        if not lo < m < hi:
             raise ValueError(f"axis {axis} too thin to bisect at {m!r}")
-        return (
-            self.replace(axis, _iv(iv.lo, m)),
-            self.replace(axis, _iv(m, iv.hi)),
-        )
+        dims[axis] = _iv(lo, m)
+        left = _box(tuple(dims))
+        dims[axis] = _iv(m, hi)
+        return left, _box(tuple(dims))
 
     def set_difference_closure(self, inner: Box) -> list[Box]:
-        """Decompose cl(self \\ inner) into at most 2n boxes.
+        """Decompose cl(self \\ inner) into at most 2n boxes, for any box inner.
 
         The returned boxes have pairwise disjoint interiors and, together
         with ``inner``, cover ``self``.  Closing the set difference sews
         shut faces shared with ``inner``, which keeps every piece a plain
-        closed box.
+        closed box.  The solver cuts its pieces with ``_cut`` straight
+        from a remainder its kernels built inside the box.
         """
         self._check_dims(inner)
         if self.is_empty:
@@ -988,6 +996,16 @@ class Box:
         inner = self.intersect(inner)
         if inner.is_empty:
             return [self]
+        return self._cut(inner)
+
+    def _cut(self, inner: Box) -> list[Box]:
+        """cl(self \\ inner) for a non-empty inner inside self, as ``intersect`` builds it.
+
+        Each coordinate of inner must be self's own Interval or have each
+        bound equal to self's bound bit for bit or strictly inside it; a
+        coordinate that is self's own is skipped.  The revise kernels build
+        their regions that way too.
+        """
         pieces: list[Box] = []
         cur = self.dims
         for k, (outer_iv, inner_iv) in enumerate(zip(self.dims, inner.dims)):

@@ -275,7 +275,9 @@ def solution_identification(
     in its domain.  Returns the surviving store (dropped constraints
     held everywhere; kept ones get their contracted parameter domain,
     reusable for the whole subtree), the hull of the negation regions,
-    and the closure of box minus that hull as inner boxes.
+    and the closure of box minus that hull as inner boxes.  The pieces
+    are cut straight from the hull (``Box._cut``), which the kernels build
+    inside box, and there are none when the hull is box itself.
     """
     if box.is_empty:
         return [], Box.empty(len(box)), []
@@ -287,7 +289,7 @@ def solution_identification(
         kept += part
     if remainder is None:
         return kept, Box.empty(len(box)), [box]
-    return kept, remainder, box.set_difference_closure(remainder)
+    return kept, remainder, [] if remainder is box else box._cut(remainder)
 
 
 def parameter_domain_bisection(
@@ -422,8 +424,11 @@ def solve(
                 # A remainder left degenerate inside the box sits on the face
                 # of an emitted inner piece; its closure is already covered,
                 # so exploring it further would only mint boundary boxes.
-                if not remainder.is_empty and not any(
-                    piece.contains_box(remainder) for piece in inner_pieces
+                # Each piece lies across a face of the remainder, so only a
+                # remainder that is a point on some axis can lie in one.
+                if not remainder.is_empty and not (
+                    any(iv.lo == iv.hi for iv in remainder.dims)
+                    and any(piece.contains_box(remainder) for piece in inner_pieces)
                 ):
                     if cfg.param_bisect:
                         kept = parameter_domain_bisection(kept, cfg.epsilon)
@@ -446,8 +451,9 @@ def solve(
             record()
             stats.elapsed = time.perf_counter() - t0
             progress(paving)
-    while heap:
-        paving.boundary.append(heapq.heappop(heap)[2])
+    # seq is unique, so the sorted heap is the order heappop would give
+    heap.sort()
+    paving.boundary += [entry[2] for entry in heap]
     boundary += queued
     queued = 0
     record()

@@ -293,10 +293,14 @@ def test_criterion_6_randomized_grid_oracles():
         mode = "2b" if index % 5 == 4 else "2b+"
         paving = solve(problem, SolverConfig(epsilon=eps, mode=mode, max_nodes=4000))
 
-        # 6a. inner soundness: sampled points of inner boxes solve the store
-        for box in paving.inner[:200]:
-            samples = _sample_box_points(box, rng, per_box=3)
-            m = oracle.margins(pairs, samples, pts=_PTS)
+        # 6a. inner soundness: sampled points of inner boxes solve the store;
+        # the samples of all boxes are checked in one call, its (points x
+        # parameters) temporaries capped as violated_mask caps its own
+        if paving.inner:
+            samples = np.concatenate(
+                [_sample_box_points(box, rng, per_box=3) for box in paving.inner[:200]], axis=1
+            )
+            m = oracle.margins(pairs, samples, pts=_PTS, chunk=max(1, oracle._TEMP_ELEMS // samples.shape[1]))
             inner_fail += int(np.sum(m > 1e-9))
 
         # 6b. covering: uncovered grid points must violate some constraint

@@ -1275,6 +1275,20 @@ def _closure_ref(outer: Box, inner: Box) -> list[Box]:
     return pieces
 
 
+def _bisect_ref(box: Box, axis: int) -> tuple[Box, Box]:
+    """Reference: Box.bisect through Interval.midpoint and two Box.replace copies."""
+    iv = box.dims[axis]
+    if iv.is_empty or iv.lo >= iv.hi:
+        raise ValueError(f"cannot bisect degenerate axis {axis}")
+    m = iv.midpoint
+    if not (iv.lo < m < iv.hi):
+        raise ValueError(f"axis {axis} too thin to bisect at {m!r}")
+    return (
+        box.replace(axis, Interval(iv.lo, m)),
+        box.replace(axis, Interval(m, iv.hi)),
+    )
+
+
 def _box_bits(box: Box) -> tuple:
     # float.hex tells -0.0 from 0.0
     return tuple((iv.lo.hex(), iv.hi.hex()) for iv in box.dims)
@@ -1351,6 +1365,63 @@ def test_box_code_matches_its_reference_bit_for_bit(pair):
         for box in regions[1:]:
             first = first.hull(box)
         assert _box_bits(first) == _box_bits(folded)
+
+
+def _bisect_outcome(box: Box, axis: int, bisect) -> object:
+    try:
+        halves = bisect(box, axis)
+    except ValueError as exc:
+        return str(exc)
+    # the halves keep every other coordinate as the box's own object
+    assert all(h.dims[i] is iv for h in halves for i, iv in enumerate(box.dims) if i != axis % len(box))
+    return [_box_bits(h) for h in halves]
+
+
+@st.composite
+def bisect_cases(draw):
+    """(box, axis): edge coordinates, one of them maybe one ulp wide, and any axis."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    dims = [draw(edge_intervals()) for _ in range(n)]
+    if draw(st.booleans()):
+        lo = draw(st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(BOX_EDGES)))
+        assume(lo < MAX)
+        dims[draw(st.integers(0, n - 1))] = Interval(lo, math.nextafter(lo, INF))
+    return Box(tuple(dims)), draw(st.integers(min_value=-n, max_value=n - 1))
+
+
+@settings(max_examples=600)
+@given(bisect_cases())
+def test_bisect_matches_its_reference_bit_for_bit(case):
+    box, axis = case
+    assert _bisect_outcome(box, axis, Box.bisect) == _bisect_outcome(box, axis, _bisect_ref)
+
+
+@pytest.mark.parametrize(
+    "bounds, outcome",
+    [
+        ((1.0, 1.0), "cannot bisect degenerate axis 0"),
+        ((-0.0, 0.0), "cannot bisect degenerate axis 0"),
+        ((INF, -INF), "cannot bisect degenerate axis 0"),
+        ((0.0, TINY), "axis 0 too thin to bisect at 0.0"),
+        ((-TINY, 0.0), "axis 0 too thin to bisect at -0.0"),
+        ((1.0, math.nextafter(1.0, INF)), "axis 0 too thin to bisect at 1.0"),
+        ((-INF, INF), (0.0,)),
+        ((-INF, 3.0), (2.0,)),
+        ((3.0, INF), (4.0,)),
+        ((MAX / 2, MAX), (0.75 * MAX,)),  # the sum overflows
+        ((-MAX, MAX), (0.0,)),
+        ((-TINY, TINY), (0.0,)),
+    ],
+)
+def test_bisect_edge_axes(bounds, outcome):
+    box = Box((Interval(-1.0, 1.0), Interval(*bounds)))
+    got = _bisect_outcome(box, 1, Box.bisect)
+    assert got == _bisect_outcome(box, 1, _bisect_ref)
+    if isinstance(outcome, str):
+        assert got == outcome.replace("axis 0", "axis 1")
+    else:
+        (m,), (left, right) = outcome, got
+        assert left[1][1] == right[1][0] == m.hex()
 
 
 def test_box_intersect_returns_self_when_no_coordinate_is_cut():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import math
 import random
 import sys
@@ -230,11 +231,12 @@ def _copies(rng, f, count):
     return copies
 
 
-def test_run_kernels_match_revising_copy_by_copy_bit_for_bit():
+def _seeded_stores():
+    """2,000 seeded (case, store, box): runs of copies of the _RUN_TEXTS and of
+    random trees and DAGs, over boxes with signed zeros, points and empties."""
     rng = random.Random(2209)
     pool = [parse_expression(text, SYMS) for text in _RUN_TEXTS]
     pool += [_random_tree(rng, 4) if k % 2 else _random_dag(rng, rng.randint(1, 8)) for k in range(40)]
-    seen = {"mid-run empty": 0, "kept whole": 0, "dropped": 0, "cut": 0}
     for case in range(2000):
         store = []
         for f in rng.sample(pool, rng.randint(1, 3)):
@@ -242,7 +244,12 @@ def test_run_kernels_match_revising_copy_by_copy_bit_for_bit():
         dims = [_random_interval(rng) for _ in range(2)]
         if rng.random() < 0.1:
             dims[rng.randrange(2)] = EMPTY
-        box = Box(tuple(dims))
+        yield case, store, Box(tuple(dims))
+
+
+def test_run_kernels_match_revising_copy_by_copy_bit_for_bit():
+    seen = {"mid-run empty": 0, "kept whole": 0, "dropped": 0, "cut": 0}
+    for case, store, box in _seeded_stores():
         got, want = global_pruning(store, box), _pruned_copy_by_copy(store, box)
         if box.is_empty:
             # an empty box is rejected whatever bounds it holds
@@ -264,6 +271,32 @@ def test_run_kernels_match_revising_copy_by_copy_bit_for_bit():
         seen["cut"] += sum(id(c) not in ids for c in kept)
         seen["dropped"] += len(store) - len(kept)
     assert min(seen.values()) >= 50, seen
+
+
+def test_identification_cuts_the_pieces_set_difference_closure_cuts_bit_for_bit():
+    # identification cuts straight from the kernels' hull, without
+    # set_difference_closure's intersect; the hull lies inside the box, each
+    # coordinate the box's own interval or one the kernel rebuilt
+    seen = {"whole": 0, "uncut": 0, "cut": 0, "empty box": 0}
+    for case, store, box in _seeded_stores():
+        _, remainder, pieces = solution_identification(store, box)
+        assert [_bits(piece) for piece in pieces] == [
+            _bits(piece) for piece in box.set_difference_closure(remainder)
+        ], (case, store, box)
+        key = "empty box" if box.is_empty else "whole" if remainder.is_empty else "uncut" if remainder is box else "cut"
+        seen[key] += 1
+    assert min(seen.values()) >= 50, seen
+
+
+def test_identification_returns_a_remainder_that_is_the_box_without_cutting(monkeypatch):
+    # x >= 0 on all of [1, 2]: the kernel hands back the box itself, and
+    # identification answers no pieces without a call of the cutting routine
+    cuts = []
+    monkeypatch.setattr(Box, "_cut", lambda self, inner: cuts.append(inner) or [])
+    box = Box.from_bounds([(1.0, 2.0), (-0.0, 0.0)])
+    kept, remainder, pieces = solution_identification([qc("x", None)], box)
+    assert remainder is box and pieces == [] and cuts == []
+    assert len(kept) == 1
 
 
 def test_a_run_stops_at_the_copy_that_empties_the_box():
@@ -739,6 +772,32 @@ def test_solve_constructs_no_checked_object_per_node(path, mode, coarse, fine, p
         nodes.append(solve(problem, SolverConfig(epsilon=eps, mode=mode)).stats.nodes_processed)
         assert counts == {"QuantifiedConstraint.__init__": len(problem.constraints)}, eps
     assert nodes[1] > 2 * nodes[0] > 20
+
+
+def test_a_ratio_solve_rederives_no_box_it_built(problems_dir, monkeypatch):
+    # deterministic work counts of one ring2d solve: identification cuts its
+    # pieces from the kernels' hull without re-intersecting it, no remainder
+    # of positive width is scanned for containment, bisection copies no box
+    # through replace, and the stop flushes the queue without popping it
+    problem = parse_problem((problems_dir / "ring2d.qcsp").read_text())
+    cfg = SolverConfig(epsilon=0.01, stop_ratio=0.99)
+    counts = dict.fromkeys(("intersect", "set_difference_closure", "replace", "contains_box", "heappop"), 0)
+
+    def counted(orig, name):
+        def call(*args):
+            counts[name] += 1
+            return orig(*args)
+
+        return call
+
+    for name in ("intersect", "set_difference_closure", "replace", "contains_box"):
+        monkeypatch.setattr(Box, name, counted(getattr(Box, name), name))
+    monkeypatch.setattr(heapq, "heappop", counted(heapq.heappop, "heappop"))
+    stats = solve(problem, cfg).stats
+    assert stats.stop_reason == "ratio"
+    heappops = counts.pop("heappop")
+    assert counts == dict.fromkeys(counts, 0)
+    assert heappops == stats.nodes_processed > 100
 
 
 # ---------------------------------------------------------------------------
