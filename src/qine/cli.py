@@ -18,7 +18,6 @@ for a given problem and flags.
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import re
@@ -201,10 +200,22 @@ def format_report(problem: Problem, cfg: SolverConfig, paving: Paving) -> str:
         f"# volume: initial={s.volume_initial!r} inner={s.volume_inner!r} boundary={s.volume_boundary!r}",
         f"# elapsed: {s.elapsed:.3f} s",
     ]
+    # Sibling boxes share most bounds, so each distinct bound's repr is
+    # taken once.  0.0 and -0.0 are equal keys, so zeros are never stored.
+    texts: dict[float, str] = {}
+    get = texts.get
     for label, boxes in (("inner", paving.inner), ("boundary", paving.boundary)):
         for box in boxes:
-            bounds = " ".join(f"{iv.lo!r} {iv.hi!r}" for iv in box.dims)
-            lines.append(f"{label} {bounds}")
+            fields = []
+            for iv in box.dims:
+                for v in (iv.lo, iv.hi):
+                    t = get(v)
+                    if t is None:
+                        t = repr(v)
+                        if v:
+                            texts[v] = t
+                    fields.append(t)
+            lines.append(f"{label} {' '.join(fields)}")
     return "\n".join(lines) + "\n"
 
 
@@ -300,12 +311,13 @@ class _CliError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # type: ignore[override]
-        raise _CliError(message)
+def _build_parser() -> argparse.ArgumentParser:
+    import argparse  # here, not at the top: parse_problem and the reports need none of it
 
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message: str) -> None:  # type: ignore[override]
+            raise _CliError(message)
 
-def _build_parser() -> _Parser:
     parser = _Parser(prog="qine", description="Paving solver for quantified inequality systems.")
     sub = parser.add_subparsers(dest="command")
     s = sub.add_parser("solve", help="solve a problem file and write the paving")

@@ -316,8 +316,47 @@ _TANGENT = {
     "sin": "_mul(*_cos(v{a}l, v{a}h), d{a}l, d{a}h)",
     "cos": "_sin(v{a}l, v{a}h); d{i}l, d{i}h = _mul(-d{i}h, -d{i}l, d{a}l, d{a}h)",
 }
+_MEMO_SIZE = 128  # entries per bound function; a full table is cleared
+_copysign = math.copysign
+
+
+def _memo(fn: Callable[..., tuple[float, float]]) -> Callable[..., tuple[float, float]]:
+    """fn behind a table of its recent operands, for the compiled kernels.
+
+    Bisection changes one coordinate per node, so sibling boxes feed the
+    same operands to the same bound functions again and again (Michie's
+    memo functions).  A key is the operands themselves, plus each one's
+    sign when one is a zero, since 0.0 and -0.0 are equal keys yet may
+    give different bounds; keys holding a NaN are equal only when they
+    hold the same NaN object.  fn is pure and each write is one dict
+    operation, so the shared tables keep the kernels safe to run
+    concurrently: a race costs at most a recomputation, or an entry past
+    the cap until the next clear.  ``memo.table`` is the table and
+    ``memo.__wrapped__`` is fn.
+    """
+    table: dict[tuple, tuple[float, float]] = {}
+    get = table.get
+
+    def memo(*args: float) -> tuple[float, float]:
+        key = args if all(args) else args + tuple([_copysign(1.0, a) for a in args])
+        hit = get(key)
+        if hit is None:
+            if len(table) >= _MEMO_SIZE:
+                table.clear()
+            hit = table[key] = fn(*args)
+        return hit
+
+    memo.table = table  # type: ignore[attr-defined]
+    memo.__wrapped__ = fn  # type: ignore[attr-defined]
+    return memo
+
+
+# The costly bound functions go through _memo.  _add (TwoSum inline) is
+# cheaper than a lookup, and memoising _sqr and _root (compiled flat) gained
+# nothing on the workloads that call them, so they and _iv are called directly.
+_MEMOIZED = ("_mul", "_div", "_pow", "_exp", "_log", "_sin", "_cos")
 _OPS = {
-    f: getattr(interval, f)
+    f: _memo(getattr(interval, f)) if f in _MEMOIZED else getattr(interval, f)
     for f in ("_add", "_mul", "_div", "_sqr", "_pow", "_root", "_exp", "_log", "_sin", "_cos", "_iv")
 }
 # a step's value as forward_sweep returns it: a leaf's own interval, or its bounds boxed

@@ -180,6 +180,53 @@ def test_report_elapsed_has_its_own_line():
     assert re.fullmatch(r"# elapsed: \d+\.\d{3} s", elapsed_line)
 
 
+def _format_ref(paving: Paving) -> str:
+    """The records as format_report wrote them with one repr call per bound."""
+    lines = []
+    for label, boxes in (("inner", paving.inner), ("boundary", paving.boundary)):
+        for box in boxes:
+            bounds = " ".join(f"{iv.lo!r} {iv.hi!r}" for iv in box.dims)
+            lines.append(f"{label} {bounds}\n")
+    return "".join(lines)
+
+
+def _records(report: str) -> str:
+    return "".join(line for line in report.splitlines(True) if not line.startswith("#"))
+
+
+PROBLEM_FILES = sorted((Path(__file__).resolve().parents[1] / "problems").glob("*.qcsp"))
+
+
+@pytest.mark.parametrize("mode", ["2b", "2b+"])
+@pytest.mark.parametrize("path", PROBLEM_FILES, ids=[p.stem for p in PROBLEM_FILES])
+def test_report_records_match_the_reference_rendering(path, mode):
+    # each distinct bound's repr is taken once; the text is the same
+    problem = parse_problem(path.read_text(), name=path.stem)
+    cfg = SolverConfig(epsilon=0.01, mode=mode)
+    paving = solve(problem, cfg)
+    assert _records(format_report(problem, cfg, paving)) == _format_ref(paving)
+
+
+def test_report_keeps_the_sign_of_each_zero_and_infinite_bounds():
+    # 0.0 and -0.0 are equal dict keys: a cached "0.0" must not print for
+    # -0.0, nor the reverse, in either order of first appearance
+    boxes = [
+        Box.from_bounds(b)
+        for b in (
+            [(-0.0, 1.0), (0.0, 2.0)],
+            [(0.0, 1.0), (-0.0, -0.0)],
+            [(-math.inf, 0.0), (-0.0, math.inf)],
+            [(0.0, 0.0), (-math.inf, -0.0)],
+            [(1.0, math.inf), (-0.0, 0.0)],
+        )
+    ]
+    problem = parse_problem("var x in [-1, 1]; var z in [-1, 1]; constraint x + z <= 0;", name="zeros")
+    paving = Paving(boxes[:3], boxes[3:], SolveStats(exact_initial=Fraction(4)), problem.variable_box)
+    records = _records(format_report(problem, SolverConfig(), paving))
+    assert records == _format_ref(paving)
+    assert records.splitlines()[:2] == ["inner -0.0 1.0 0.0 2.0", "inner 0.0 1.0 -0.0 -0.0"]
+
+
 # One value for each SolverConfig field, none of them the default.
 NON_DEFAULT_CONFIG = {
     "epsilon": 0.01,
@@ -550,6 +597,19 @@ def test_package_reaches_the_command_line_names():
     assert set(qine._CLI_NAMES) <= set(qine.__all__)
     with pytest.raises(AttributeError):
         qine.no_such_name
+
+
+def test_parsing_a_problem_does_not_import_argparse():
+    # only the command line needs argparse; it is imported when run parses argv
+    code = (
+        "import sys, qine\n"
+        "qine.parse_problem('var x in [0, 1]; constraint x <= 1;')\n"
+        "print('argparse' in sys.modules, 'qine.cli' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
 
 
 def test_the_package_exports_each_name_once_and_resolves_it():

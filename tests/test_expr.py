@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -27,6 +29,7 @@ from qine.expr import (
     parse_expression,
 )
 from qine.interval import Box, Interval
+from test_interval import edge_intervals, hexes
 
 X = VarRef(VarKind.VARIABLE, 0)
 X2 = VarRef(VarKind.VARIABLE, 1)
@@ -558,3 +561,100 @@ def test_derivative_matches_the_loop_bit_for_bit():
         wrt = rng.choice((X, X2, Y))
         got = derivative_interval(e, wrt, x, y)
         assert _bits([got]) == _bits([_derivative_loop(e, wrt, x, y)]), (case, e, wrt, x, y)
+
+
+# ---------------------------------------------------------------------------
+# the kernels' memo of the costly bound functions: the plain result, bit for
+# bit, whatever the table already holds
+
+
+def _memo_args(name: str, a: Interval, b: Interval, n: int) -> tuple:
+    if name in ("_mul", "_div"):
+        return a.lo, a.hi, b.lo, b.hi
+    return (a.lo, a.hi, n) if name == "_pow" else (a.lo, a.hi)
+
+
+def test_the_kernels_read_the_memo_of_the_seven_costly_bound_functions():
+    from qine import contractor, interval
+
+    assert expr._MEMOIZED == ("_mul", "_div", "_pow", "_exp", "_log", "_sin", "_cos")
+    for name, fn in expr._OPS.items():
+        assert contractor._NAMESPACE[name] is fn
+        plain = getattr(interval, name)
+        assert (fn.__wrapped__ is plain) if name in expr._MEMOIZED else (fn is plain)
+
+
+@given(st.sampled_from(expr._MEMOIZED), edge_intervals(), edge_intervals(), st.integers(0, 5))
+def test_a_memoized_bound_function_returns_the_plain_result_bit_for_bit(name, a, b, n):
+    memo = expr._OPS[name]
+    args = _memo_args(name, a, b, n)
+    want = hexes(*memo.__wrapped__(*args))
+    assert hexes(*memo(*args)) == want  # a miss, or a hit from an earlier example
+    assert hexes(*memo(*args)) == want  # a hit
+
+
+@pytest.mark.parametrize("name", expr._MEMOIZED)
+def test_a_zero_never_takes_the_entry_of_the_zero_of_the_other_sign(name):
+    # 0.0 == -0.0, yet a first power returns its operand's zero as it came:
+    # each of the pair, called first or second, gets its own plain result
+    memo = expr._OPS[name]
+    values = (0.0, 1.0, -1.0, 5e-324, -5e-324, math.inf, -math.inf)
+    arity = 4 if name in ("_mul", "_div") else 2
+    differ = 0
+    for rest in itertools.product(values, repeat=arity - 1):
+        for i, n in itertools.product(range(arity), range(6) if name == "_pow" else (None,)):
+            pair = [rest[:i] + (zero,) + rest[i:] + ((n,) if n is not None else ()) for zero in (0.0, -0.0)]
+            for order in (pair, pair[::-1]):
+                memo.table.clear()
+                for args in order:
+                    assert hexes(*memo(*args)) == hexes(*memo.__wrapped__(*args)), args
+            differ += hexes(*memo.__wrapped__(*pair[0])) != hexes(*memo.__wrapped__(*pair[1]))
+    assert differ > 0 or name != "_pow"
+
+
+@pytest.mark.parametrize("name", expr._MEMOIZED)
+def test_a_memo_table_is_cleared_when_full(name):
+    memo = expr._OPS[name]
+    memo.table.clear()
+    for k in range(expr._MEMO_SIZE + 10):
+        memo(*_memo_args(name, Interval(1.0, 2.0 + k), Interval(3.0, 4.0), 3))
+        assert len(memo.table) <= expr._MEMO_SIZE
+    assert len(memo.table) == 10
+
+
+def test_threads_sharing_the_memo_tables_get_the_plain_results():
+    # the tables are shared: under a short switch interval, threads calling
+    # the memoized functions on overlapping operands each get the plain
+    # result, and a table outgrows its cap by at most one entry per thread
+    import threading
+
+    rng = random.Random(25)
+    operands = [
+        (name, _memo_args(name, Interval(-rng.randint(0, 99) / 8, rng.randint(0, 99) / 8), Interval(0.5, 2.0), 3))
+        for name in expr._MEMOIZED
+        for _ in range(2 * expr._MEMO_SIZE)  # so the tables fill and are cleared
+    ]
+    threads_n, errors, sizes = 6, [], []
+
+    def work(seed):
+        order = random.Random(seed)
+        for _ in range(3000):
+            name, args = order.choice(operands)
+            memo = expr._OPS[name]
+            if hexes(*memo(*args)) != hexes(*memo.__wrapped__(*args)):
+                errors.append((name, args))
+            sizes.append(len(memo.table))
+
+    interval_before = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(threads_n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval_before)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and len(sizes) == threads_n * 3000
+    assert max(sizes) <= expr._MEMO_SIZE + threads_n
