@@ -47,7 +47,6 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from operator import is_
 from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = ["Interval", "Box", "EMPTY"]
@@ -685,17 +684,13 @@ class Interval:
     # -- set operations ------------------------------------------------------
 
     def intersect(self, other: Interval) -> Interval:
-        slo, shi, olo, ohi = self.lo, self.hi, other.lo, other.hi
-        if slo > shi or olo > ohi:
-            return EMPTY
-        # max/min below would pick both of self's own bounds, signed zeros too
-        if olo <= slo and shi <= ohi:
-            return self
-        lo = max(slo, olo)
-        hi = min(shi, ohi)
-        if lo > hi:
-            return EMPTY
-        return _iv(lo, hi)
+        """self ∩ other; on ties max and min keep self's bound, signed zeros included.
+
+        An empty operand's (inf, -inf) makes lo > hi, so it needs no test of its own.
+        """
+        lo = max(self.lo, other.lo)
+        hi = min(self.hi, other.hi)
+        return EMPTY if lo > hi else _iv(lo, hi)
 
     def hull(self, other: Interval) -> Interval:
         """Smallest interval containing both operands."""
@@ -785,9 +780,14 @@ class Interval:
 def _midpoint(lo: float, hi: float) -> float:
     """The midpoint of [lo, hi], inside it; lo + 1 or hi - 1 past an infinite bound.
 
-    The pruning kernels inline the case of a finite 0.5 * (lo + hi),
-    which the clamp leaves as it is, and call this for the rest.
+    The one midpoint rule: ``Interval.midpoint``, ``Box.bisect`` and the
+    pruning kernels all call it.  A finite m = 0.5 * (lo + hi) with
+    lo <= hi is returned at once: rounding is monotone, so m lies in
+    [lo, hi] and the clamp at the end would leave it as it is.
     """
+    m = 0.5 * (lo + hi)
+    if m - m == 0.0 and lo <= hi:
+        return m
     if lo > hi:
         raise ValueError("midpoint of the empty interval")
     if lo == -_INF and hi == _INF:
@@ -796,7 +796,6 @@ def _midpoint(lo: float, hi: float) -> float:
         return hi - 1.0
     if hi == _INF:
         return lo + 1.0
-    m = 0.5 * (lo + hi)
     if not math.isfinite(m):
         m = 0.5 * lo + 0.5 * hi
     return min(max(m, lo), hi)
@@ -938,10 +937,9 @@ class Box:
     # -- set operations ---------------------------------------------------------
 
     def intersect(self, other: Box) -> Box:
-        """self ∩ other; self itself when each coordinate's intersect returned self's."""
+        """self ∩ other, coordinate by coordinate (``Interval.intersect``)."""
         self._check_dims(other)
-        dims = tuple(map(Interval.intersect, self.dims, other.dims))
-        return self if all(map(is_, dims, self.dims)) else _box(dims)
+        return _box(tuple(map(Interval.intersect, self.dims, other.dims)))
 
     def hull(self, other: Box) -> Box:
         """Smallest box containing both; the empty box is the identity."""
@@ -958,22 +956,16 @@ class Box:
         return _box(tuple(dims))
 
     def bisect(self, axis: int) -> tuple[Box, Box]:
-        """Split at the midpoint of the given axis (``Interval.midpoint``).
+        """Split at the midpoint of the given axis (``_midpoint``).
 
         Raises ValueError when the axis is degenerate or so thin that the
-        midpoint is not strictly inside (a caller policy error).  The
-        midpoint of finite bounds whose sum is finite is inlined: lo <= hi
-        are doubles and rounding is monotone, so 0.5 * fl(lo + hi) lies in
-        [lo, hi] and ``_midpoint``, which takes every other case, would
-        return it as it is.
+        midpoint is not strictly inside (a caller policy error).
         """
         dims = list(self.dims)
         lo, hi = dims[axis].lo, dims[axis].hi
         if lo >= hi:  # an empty axis too
             raise ValueError(f"cannot bisect degenerate axis {axis}")
-        m = 0.5 * (lo + hi)
-        if m - m != 0.0:
-            m = _midpoint(lo, hi)
+        m = _midpoint(lo, hi)
         if not lo < m < hi:
             raise ValueError(f"axis {axis} too thin to bisect at {m!r}")
         dims[axis] = _iv(lo, m)
@@ -1001,15 +993,14 @@ class Box:
     def _cut(self, inner: Box) -> list[Box]:
         """cl(self \\ inner) for a non-empty inner inside self, as ``intersect`` builds it.
 
-        Each coordinate of inner must be self's own Interval or have each
-        bound equal to self's bound bit for bit or strictly inside it; a
-        coordinate that is self's own is skipped.  The revise kernels build
-        their regions that way too.
+        Each bound of inner must equal self's bound bit for bit or lie
+        strictly inside it; the revise kernels build their regions that way
+        too.  A coordinate whose two bounds equal self's is not cut.
         """
         pieces: list[Box] = []
         cur = self.dims
         for k, (outer_iv, inner_iv) in enumerate(zip(self.dims, inner.dims)):
-            if inner_iv is outer_iv:
+            if inner_iv.lo == outer_iv.lo and inner_iv.hi == outer_iv.hi:
                 continue
             head, tail = cur[:k], cur[k + 1:]
             if inner_iv.lo > outer_iv.lo:

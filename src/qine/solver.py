@@ -239,14 +239,13 @@ def parameter_instantiation(
 
 
 def local_pruning(qc: QuantifiedConstraint, box: Box) -> Box:
-    """Contract box against f(x, mid(domain)) <= 0.
+    """Contract box against f(x, mid(domain)) <= 0: ``global_pruning`` of the store (qc,).
 
     Sound because a solution must satisfy the constraint at every
     parameter point, the midpoint included.  With no parameters the
     midpoint is the empty tuple and the constraint is contracted as is.
     """
-    contracted = _kernel(qc.f, "prune")(box, (qc,), 0)[1]
-    return Box.empty(len(box)) if contracted is None else contracted
+    return global_pruning((qc,), box)
 
 
 def global_pruning(store: Sequence[QuantifiedConstraint], box: Box) -> Box:

@@ -84,6 +84,41 @@ def test_every_name_the_tracer_wraps_is_in_the_solver_namespace():
     assert [name for name in SOLVER_NAMES if not hasattr(solver, name)] == []
 
 
+PHASES = {"parameter_instantiation", "global_pruning", "solution_identification", "parameter_domain_bisection", "branch"}
+
+
+@pytest.mark.parametrize(
+    "name, called",
+    [
+        ("ring2d-ratio", PHASES),
+        ("lens-2b", PHASES - {"parameter_instantiation"}),
+        ("mixed3d", PHASES | {"derivative_interval"}),
+    ],
+)
+def test_a_cold_solve_calls_the_traced_names_it_is_expected_to(name, called, monkeypatch):
+    # the traced benchmark times each of these names only when solve calls
+    # it; no workload calls hc4_revise, local_pruning or classified_ratio,
+    # so their traced metrics read 0, and a phase that stops being called
+    # fails here rather than reading 0 unnoticed
+    from qine import solver
+
+    counts = dict.fromkeys(SOLVER_NAMES, 0)
+
+    def counted(attr, fn):
+        def wrapper(*args, **kwargs):
+            counts[attr] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for attr in SOLVER_NAMES:
+        monkeypatch.setattr(solver, attr, counted(attr, getattr(solver, attr)))
+    w = WORKLOADS[name]
+    problem = qine.parse_problem(w.problem.read_text(), name=w.problem_name)
+    qine.solve(problem, qine.SolverConfig(**w.flags))
+    assert {attr for attr, n in counts.items() if n} == called, counts
+
+
 def test_every_name_the_benchmark_reads_outside_the_solver_still_exists(monkeypatch):
     # the traced benchmark wraps these Interval methods and Box.exact_volume,
     # and bench/micro.py times Interval's operators, Box.exact_volume and

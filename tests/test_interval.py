@@ -1424,13 +1424,75 @@ def test_bisect_edge_axes(bounds, outcome):
         assert left[1][1] == right[1][0] == m.hex()
 
 
-def test_box_intersect_returns_self_when_no_coordinate_is_cut():
+def test_box_intersect_keeps_its_own_bounds_on_ties():
     a = Box.from_bounds([(0.0, 1.0), (-0.0, 2.0)])
     # b holds a with its zeros signed the other way: a's own zeros come back
-    assert a.intersect(Box.from_bounds([(-0.0, 1.0), (0.0, 2.0)])) is a
+    assert _box_bits(a.intersect(Box.from_bounds([(-0.0, 1.0), (0.0, 2.0)]))) == _box_bits(a)
     cut = a.intersect(Box.from_bounds([(-1.0, 1.0), (0.0, 1.0)]))
-    assert cut is not a and cut.dims[0] is a.dims[0]
     assert _box_bits(cut) == ((0.0.hex(), 1.0.hex()), ((-0.0).hex(), 1.0.hex()))
+
+
+@settings(max_examples=300)
+@given(box_pairs())
+def test_cut_decides_each_coordinate_from_its_bounds_alone(pair):
+    # inner's uncut coordinates are fresh Intervals with the box's own bits,
+    # not the box's objects: _cut must cut what the reference cuts
+    a, b = pair
+    inner = _intersect_ref(a, b)
+    assume(not a.is_empty and not inner.is_empty)
+    fresh = Box(tuple(Interval(o.lo, o.hi) if (i.lo, i.hi) == (o.lo, o.hi) else i for o, i in zip(a.dims, inner.dims)))
+    assert not any(i is o for i, o in zip(fresh.dims, a.dims))
+    assert [_box_bits(p) for p in a._cut(fresh)] == [_box_bits(p) for p in _closure_ref(a, fresh)]
+
+
+def _midpoint_ref(lo: float, hi: float) -> float:
+    """Reference: the midpoint rule case by case, the finite sum clamped last."""
+    if lo > hi:
+        raise ValueError("midpoint of the empty interval")
+    if lo == -INF and hi == INF:
+        return 0.0
+    if lo == -INF:
+        return hi - 1.0
+    if hi == INF:
+        return lo + 1.0
+    m = 0.5 * (lo + hi)
+    if not math.isfinite(m):
+        m = 0.5 * lo + 0.5 * hi
+    return min(max(m, lo), hi)
+
+
+# (lo, hi) pairs at the midpoint rule's edges: signed zeros, subnormals,
+# sums that overflow, infinite bounds on either side, and points
+MIDPOINT_EDGES = [
+    (0.0, 0.0), (-0.0, -0.0), (-0.0, 0.0), (0.0, 1.0), (-0.0, 1.0), (-1.0, 0.0), (-1.0, -0.0),
+    (TINY, TINY), (0.0, TINY), (-TINY, 0.0), (-TINY, TINY), (TINY, 3 * TINY), (-3 * TINY, -TINY),
+    (sys.float_info.min, 1.0), (1e308, MAX), (-MAX, -1e308), (-MAX, MAX), (MAX / 2, MAX), (1.0, MAX),
+    (-INF, INF), (-INF, 3.0), (-INF, -0.0), (-INF, -MAX), (3.0, INF), (0.0, INF), (MAX, INF),
+    (5.0, 5.0), (-MAX, -MAX), (0.1, 0.1), (1.0, math.nextafter(1.0, INF)), (-3.0, 2.0**-1070),
+]
+
+
+def _midpoint_outcome(midpoint, lo: float, hi: float) -> str:
+    try:
+        return midpoint(lo, hi).hex()
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("lo, hi", MIDPOINT_EDGES + [(hi, lo) for lo, hi in MIDPOINT_EDGES if lo < hi])
+def test_midpoint_matches_its_reference_bit_for_bit_at_the_edges(lo, hi):
+    got = _midpoint_outcome(interval._midpoint, lo, hi)
+    assert got == _midpoint_outcome(_midpoint_ref, lo, hi)
+    if lo > hi:
+        assert got == "midpoint of the empty interval"
+    else:
+        assert lo <= float.fromhex(got) <= hi
+
+
+@settings(max_examples=500)
+@given(st.floats(allow_nan=False), st.floats(allow_nan=False))
+def test_midpoint_matches_its_reference_bit_for_bit(lo, hi):
+    assert _midpoint_outcome(interval._midpoint, lo, hi) == _midpoint_outcome(_midpoint_ref, lo, hi)
 
 
 def test_dyadic_volume_falls_back_where_the_width_is_inexact():

@@ -34,6 +34,7 @@ from qine.solver import (
 )
 from test_contractor import _bits, _full_sweep, _random_dag, _random_interval, _random_tree
 from test_expr import SYMS
+from test_interval import MIDPOINT_EDGES, _midpoint_ref
 
 
 def qc(text: str, bounds) -> QuantifiedConstraint:
@@ -108,6 +109,23 @@ def test_local_pruning_uses_domain_midpoint():
     # f(x, 0.5) = 4.75 - x <= 0 cuts everything below 4.75
     out = local_pruning(MONO, X_BOX)
     assert out[0] == Interval(4.75, 15.0)
+
+
+@pytest.mark.parametrize("lo, hi", [(lo, hi) for lo, hi in MIDPOINT_EDGES if _midpoint_ref(lo, hi) != 0.0])
+def test_each_prune_kernel_prunes_at_the_midpoint_of_its_copy(lo, hi):
+    # x - y <= 0 at y = m leaves x <= 0.0 + m, which rounds to m itself
+    # unless m is a zero; one copy per store, since a run threads x on
+    x = Box.from_bounds([(-math.inf, math.inf)])
+    m = _midpoint_ref(lo, hi).hex()
+    for text, dom in (("x - y", [(lo, hi)]), ("x - y2", [(-1.0, 7.0), (lo, hi)])):
+        pruned = global_pruning([qc(text, dom)], x)
+        assert pruned[0].lo == -math.inf and pruned[0].hi.hex() == m, (text, dom)
+
+
+def test_local_pruning_is_global_pruning_of_the_one_copy_store_bit_for_bit():
+    for case, store, box in _seeded_stores():
+        for c in store:
+            assert _bits(local_pruning(c, box)) == _bits(global_pruning((c,), box)), (case, c, box)
 
 
 def test_global_pruning_applies_constraints_sequentially():
