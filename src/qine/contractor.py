@@ -12,7 +12,8 @@ of the expression's parameter copies in a solver store (see
 midpoint, threading the variable bounds through the run, and "revise"
 revises f against a half-line given as an argument over each copy's
 whole domain and hulls the regions.  The loop body is the forward code
-of ``expr.forward_sweep``, then one block per visit of the backward
+of ``expr.forward_sweep``, its leaves read from the kernel's own
+templates (``_LEAF_SOURCES``), then one block per visit of the backward
 sweep, in the order of a depth-first walk (left operand first, a node
 reached along several paths visited once per path).  The body has no
 loop and no dispatch on ops, and, like the tape, no depth limit.  Its
@@ -166,6 +167,12 @@ def _rebuilt(dims: str, read: Sequence[int], new: str, old: Callable[[int], tupl
     return " and ".join(same.values()), f"_box(({', '.join(items)}, *{dims}[{top}:]))"
 
 
+# a leaf reads the threaded bounds x{j} or the midpoint m{j} when pruning,
+# the input bounds p{j} or the domain ys[j] when revising
+_LEAF_SOURCES = {
+    "prune": {"var": "x{a}l, x{a}h", "param": "m{a}, m{a}"},
+    "revise": {"var": "p{a}l, p{a}h", "param": "ys[{a}].lo, ys[{a}].hi"},
+}
 # the ops whose projection of their own forward value changes nothing (see hc4_revise)
 _SETTLED_OPS = frozenset(_LEAVES + ("add", "sub", "mul", "neg", "pow", "sin", "cos"))
 
@@ -193,13 +200,14 @@ def _compile_run(steps: Sequence[_Step], purpose: str) -> Callable:
     v{i} is step i's forward value, c{i} the current value of a step
     reached along several paths (a single-path step's operands are read
     before its only visit, so they still hold their forward values),
-    n{w} the narrowed value handed to visit w, x{j}, y{j} the contracted
-    domains, p{j} the input bounds of x, m{j} a parameter's midpoint and
-    h{j} the hull.  Boxes and Intervals are built only in the return: a
-    box none of whose read coordinates moved is returned as it came, so
-    is a copy whose parameter domain was not cut, and each rebuilt box
-    keeps every interval that was not cut.  A region holds x's own
-    interval wherever the tape does not read x.
+    n{w} the narrowed value handed to visit w (visits numbered as the
+    walk meets them), x{j}, y{j} the contracted domains, p{j} the input
+    bounds of x, m{j} a parameter's midpoint and h{j} the hull.  Boxes
+    and Intervals are built only in the return: a box none of whose read
+    coordinates moved is returned as it came, so is a copy whose
+    parameter domain was not cut, and each rebuilt box keeps every
+    interval that was not cut.  A region holds x's own interval wherever
+    the tape does not read x.
 
     Every op maps an empty operand to an empty result, so once the root
     passes its empty check every forward value is non-empty, and a visit
@@ -208,11 +216,8 @@ def _compile_run(steps: Sequence[_Step], purpose: str) -> Callable:
     projection, so the code needs no jumps or nesting at any depth.
     """
     prune = purpose == "prune"
-    lines, namespace = _forward_code(steps)
+    lines, namespace = _forward_code(steps, _LEAF_SOURCES[purpose])
     namespace.update(_NAMESPACE)
-    size: list[int] = []  # visits in a step's subtree
-    for op, a, b in steps:
-        size.append(1 if op in _LEAVES else 1 + size[a] + (size[b] if op in _BINARY else 0))
     paths = [0] * len(steps)
     paths[-1] = 1
     for i in reversed(range(len(steps))):
@@ -225,31 +230,19 @@ def _compile_run(steps: Sequence[_Step], purpose: str) -> Callable:
     # when every step is a leaf or an op that stops, a stop at the root is
     # followed by stops alone, shared steps included, so the copy is done
     settled = all(op in _SETTLED_OPS for op, _, _ in steps)
-    first: dict[str, dict[int, int]] = {"var": {}, "param": {}}  # an input's first slot
+    first: dict[str, dict[int, int]] = {"var": {}, "param": {}}  # an input's first step
     for i, (op, a, _) in enumerate(steps):
         if op in first:
             first[op].setdefault(a, i)
     xr, yr = sorted(first["var"]), sorted(first["param"])
-    # a leaf reads the threaded bounds x{j} or the midpoint m{j} when
-    # pruning, the input bounds p{j} or the domain ys[j] otherwise; chained
-    # assignments start c{i}, and x{j} (for revise) and y{j}, at the
-    # forward value.  Step i's line is lines[i + 1].
-    for i, (op, a, _) in enumerate(steps):
-        if op == "var":
-            source = f"x{a}l, x{a}h" if prune else f"p{a}l, p{a}h"
-            targets = [] if prune or first["var"][a] != i else [f"x{a}"]
-        elif op == "param":
-            source = f"m{a}, m{a}" if prune else f"ys[{a}].lo, ys[{a}].hi"
-            targets = [f"y{a}"] if first["param"][a] == i else []
-        else:
-            source, targets = lines[i + 1].split(" = ", 1)[1], []
-        targets += [f"c{i}"] if paths[i] > 1 else []
-        lines[i + 1] = " = ".join([f"{t}l, {t}h" for t in targets + [f"v{i}"]] + [source])
-    body = lines[1:]
-    if yr:
-        body.insert(0, "ys = qc.param_domain.dims")
+    # y{j}, x{j} when revising (pruning threads it from copy to copy) and the
+    # current value c{i} of a shared step start at their forward values
+    starts = [f"y{j}l, y{j}h = v{i}l, v{i}h" for j, i in first["param"].items()]
+    starts += [] if prune else [f"x{j}l, x{j}h = v{i}l, v{i}h" for j, i in first["var"].items()]
+    starts += [f"c{i}l, c{i}h = v{i}l, v{i}h" for i, n in enumerate(paths) if n > 1]
+    body = ["ys = qc.param_domain.dims"] if yr else []
     if prune:
-        body[1:1] = [f"m{j} = _midpoint(ys[{j}].lo, ys[{j}].hi)" for j in yr]
+        body += [f"m{j} = _midpoint(ys[{j}].lo, ys[{j}].hi)" for j in yr]
         fail, keep = "return k, None", []
     else:
         # hull the region as Interval.hull does, min and max picking the
@@ -260,8 +253,8 @@ def _compile_run(steps: Sequence[_Step], purpose: str) -> Callable:
         keep.append(f"kept.append((qc, ys{names}))" if yr else "kept.append(qc)")
         fail = "continue"  # no point of the box violates this copy
     root = len(steps) - 1
-    body += [_meet("n0", f"v{root}", "f"), f"if n0l > n0h: {fail}"]
-    stack = [(root, 0)]
+    body += [*lines, _meet("n0", f"v{root}", "f"), f"if n0l > n0h: {fail}", *starts]
+    stack, visits = [(root, 0)], 1
     while stack:
         i, w = stack.pop()
         op, a, b = steps[i]
@@ -276,8 +269,8 @@ def _compile_run(steps: Sequence[_Step], purpose: str) -> Callable:
             if w:
                 body.append(f"if {n}l > {n}h: {fail}")
         else:
-            wa = w + 1
-            children = [(a, wa), (b, wa + size[a])] if op in _BINARY else [(a, wa)]
+            children = [(a, visits), (b, visits + 1)] if op in _BINARY else [(a, visits)]
+            visits += len(children)
             targets = [f"n{v}" for _, v in children]
             operands = [cur[j] for j, _ in children]
             project = _projection(_rule(op, b), n, operands, b, targets)

@@ -8,8 +8,8 @@ straight-line code on float bounds, which calls interval.py's functions
 on bounds and builds Intervals only in its return: the natural extension
 once per tape, and its partial derivatives once per tape too, the input
 differentiated by being an argument of the compiled function.
-Tapes are built on an explicit stack, so no evaluator has a depth limit;
-only the parser recurses.
+The parser and the tapes work on explicit stacks, so nothing here
+recurses and nesting depth is no limit.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ class ParseError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer and recursive-descent parser for the grammar
+# Tokenizer and operator-precedence parser for the grammar
 #
 #   expr   := term (("+" | "-") term)*
 #   term   := factor (("*" | "/") factor)*
@@ -121,13 +121,20 @@ class ParseError(ValueError):
 #   atom   := number | identifier | function "(" expr ")" | "(" expr ")"
 #
 # "^" binds tighter than unary minus and takes a non-negative integer
-# literal exponent of at most MAX_EXPONENT.
+# literal exponent of at most MAX_EXPONENT.  The parser reads it in one
+# loop over the tokens, with its operands and pending operators on explicit
+# stacks (Dijkstra's shunting-yard, with Pratt's binding powers), so
+# nesting depth has no limit.
 
 _TOKEN_RE = re.compile(
     rf"(?P<num>{_NUMBER})|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()])|(?P<ws>\s+)|(?P<bad>.)"
 )
 
 _INT_RE = re.compile(rf"{_DIGITS}\Z")
+
+# infix operators and their precedences; unary minus binds tighter, at 3,
+# and "(" and a function name wait on the stack as markers at 0
+_INFIX = {"+": ("add", 1), "-": ("sub", 1), "*": ("mul", 2), "/": ("div", 2)}
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -143,105 +150,72 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str, symbols: Mapping[str, VarRef]):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.symbols = symbols
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op: str) -> None:
-        kind, text, at = self.peek()
-        if kind != "op" or text != op:
-            raise ParseError(f"expected {op!r}", at)
-        self.advance()
-
-    def parse(self) -> Expression:
-        e = self.expr()
-        kind, text, at = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected token {text!r}", at)
-        return e
-
-    def expr(self) -> Expression:
-        node = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                rhs = self.term()
-                node = Binary("add" if text == "+" else "sub", node, rhs)
-            else:
-                return node
-
-    def term(self) -> Expression:
-        node = self.factor()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                rhs = self.factor()
-                node = Binary("mul" if text == "*" else "div", node, rhs)
-            else:
-                return node
-
-    def factor(self) -> Expression:
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "-":
-            self.advance()
-            return Unary("neg", self.factor())
-        node = self.atom()
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "^":
-            self.advance()
-            nkind, ntext, nat = self.peek()
-            if nkind != "num" or not _INT_RE.match(ntext):
-                raise ParseError("exponent must be a non-negative integer", nat)
-            # the digit count first: int() refuses strings past 4300 digits
-            if len(ntext.lstrip("0")) > len(str(MAX_EXPONENT)) or int(ntext) > MAX_EXPONENT:
-                raise ParseError(f"exponent exceeds {MAX_EXPONENT}", nat)
-            self.advance()
-            return Pow(node, int(ntext))
-        return node
-
-    def atom(self) -> Expression:
-        kind, text, at = self.advance()
-        if kind == "num":
-            try:
-                return _literal(text)
-            except OverflowError as exc:
-                raise ParseError(str(exc), at) from None
-        if kind == "name":
-            if text in FUNCTIONS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return Unary(text, arg)
-            ref = self.symbols.get(text)
-            if ref is None:
-                raise ParseError(f"unknown identifier {text!r}", at)
-            return ref
-        if kind == "op" and text == "(":
-            e = self.expr()
-            self.expect_op(")")
-            return e
-        raise ParseError(f"unexpected token {text!r}" if text else "unexpected end of input", at)
-
-
 def parse_expression(text: str, symbols: Mapping[str, VarRef]) -> Expression:
     """Parse an infix expression; identifiers resolve through ``symbols``."""
-    parser = _Parser(text, symbols)
-    try:
-        return parser.parse()
-    except RecursionError:
-        raise ParseError("expression nested too deeply", parser.peek()[2]) from None
+    tokens = _tokenize(text)
+    operands: list[Expression] = []
+    pending: list[tuple[str, int]] = []  # (op, precedence)
+    depth = pos = 0  # depth: the markers on pending
+
+    def reduce(least: int) -> None:
+        while pending and pending[-1][1] >= least:
+            op = pending.pop()[0]
+            right = operands.pop()
+            operands.append(Unary(op, right) if op == "neg" else Binary(op, operands.pop(), right))
+
+    while True:
+        # a factor: its unary minuses and opening markers, then an atom
+        kind, tok, at = tokens[pos]
+        pos += 1
+        if tok == "-" or tok == "(" or tok in FUNCTIONS:
+            if tok in FUNCTIONS:
+                if tokens[pos][1] != "(":
+                    raise ParseError("expected '('", tokens[pos][2])
+                pos += 1
+            pending.append(("neg", 3) if tok == "-" else (tok, 0))
+            depth += tok != "-"
+            continue
+        if kind == "num":
+            try:
+                operands.append(_literal(tok))
+            except OverflowError as exc:
+                raise ParseError(str(exc), at) from None
+        elif kind == "name":
+            ref = symbols.get(tok)
+            if ref is None:
+                raise ParseError(f"unknown identifier {tok!r}", at)
+            operands.append(ref)
+        else:
+            raise ParseError(f"unexpected token {tok!r}" if tok else "unexpected end of input", at)
+        # the atom's exponent, then each closing parenthesis with its own
+        while True:
+            kind, tok, at = tokens[pos]
+            if tok == "^":
+                kind, tok, at = tokens[pos + 1]
+                if kind != "num" or not _INT_RE.match(tok):
+                    raise ParseError("exponent must be a non-negative integer", at)
+                # the digit count first: int() refuses strings past 4300 digits
+                if len(tok.lstrip("0")) > len(str(MAX_EXPONENT)) or int(tok) > MAX_EXPONENT:
+                    raise ParseError(f"exponent exceeds {MAX_EXPONENT}", at)
+                operands.append(Pow(operands.pop(), int(tok)))
+                pos += 2
+                kind, tok, at = tokens[pos]
+            pos += 1
+            if tok != ")" or not depth:
+                break
+            reduce(1)
+            marker = pending.pop()[0]
+            depth -= 1
+            if marker != "(":
+                operands.append(Unary(marker, operands.pop()))
+        # then an infix operator, or the end
+        if tok not in _INFIX:
+            if depth or kind != "end":
+                raise ParseError("expected ')'" if depth else f"unexpected token {tok!r}", at)
+            reduce(1)
+            return operands[0]
+        reduce(_INFIX[tok][1])
+        pending.append(_INFIX[tok])
 
 
 # ---------------------------------------------------------------------------
@@ -272,15 +246,13 @@ _UNARY = ("neg",) + FUNCTIONS
 
 # The natural extension, one Python expression per op, written once: each
 # gives the step's (lo, hi) from float locals, v{a}l, v{a}h and v{b}l,
-# v{b}h for the operands, and the input boxes' intervals xs and ys, which
-# the kernel's first line reads off its arguments x and y.  The
-# ops are interval.py's functions on bounds; k{i} is a constant's
-# enclosure, which reaches the kernel through its namespace.  The source
-# of a kernel holds only these op templates, slot numbers and integers,
-# never text taken from an expression.
+# v{b}h for the operands.  The ops are interval.py's functions on bounds;
+# k{i} is a constant's enclosure, which reaches the kernel through its
+# namespace.  The bounds of the leaf "var" or "param" {a} come from the
+# kernel's own leaf templates, such as _INPUTS.  The source of a kernel
+# holds only these op templates, slot numbers and integers, never text
+# taken from an expression.
 _FORWARD = {
-    "var": "xs[{a}].lo, xs[{a}].hi",
-    "param": "ys[{a}].lo, ys[{a}].hi",
     "const": "k{i}.lo, k{i}.hi",
     "add": "_add(v{a}l, v{a}h, v{b}l, v{b}h)",
     "sub": "_add(v{a}l, v{a}h, -v{b}h, -v{b}l)",
@@ -359,13 +331,17 @@ _OPS = {
     f: _memo(getattr(interval, f)) if f in _MEMOIZED else getattr(interval, f)
     for f in ("_add", "_mul", "_div", "_sqr", "_pow", "_root", "_exp", "_log", "_sin", "_cos", "_iv")
 }
+# the leaves of forward_sweep and derivative_interval read the intervals xs
+# and ys, which their kernel's first line reads off its arguments x and y
+_INPUTS = {"var": "xs[{a}].lo, xs[{a}].hi", "param": "ys[{a}].lo, ys[{a}].hi"}
+_READ_INPUTS = "xs, ys = x.dims, y.dims"
 # a step's value as forward_sweep returns it: a leaf's own interval, or its bounds boxed
 _BOXED = {"var": "xs[{a}]", "param": "ys[{a}]", "const": "k{i}"}
 
 
 def _index(n: object) -> int:
-    # the integers a kernel's source may hold
-    if not isinstance(n, int) or n < 0:
+    # the integers a kernel's source may hold: a bool would print as True or False
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"variable or parameter index {n!r} is not a non-negative integer")
     return n
 
@@ -410,19 +386,20 @@ def _tape(e: Expression) -> _Tape:
     return entry
 
 
-def _forward_code(steps: Sequence[_Step]) -> tuple[list[str], dict[str, object]]:
+def _forward_code(steps: Sequence[_Step], leaves: Mapping[str, str]) -> tuple[list[str], dict[str, object]]:
     """The forward sweep, and the namespace it reads.
 
-    Line 0 reads the intervals xs, ys off the boxes x, y; line i + 1 is
-    step i's ``v{i}l, v{i}h = ...``.
+    Line i is step i's ``v{i}l, v{i}h = ...``; ``leaves`` gives the
+    templates of the "var" and "param" leaves.
     """
-    lines = ["xs, ys = x.dims, y.dims"]
+    templates = {**_FORWARD, **leaves}
+    lines: list[str] = []
     namespace: dict[str, object] = dict(_OPS)
     for i, (op, a, b) in enumerate(steps):
         if op == "const":
             namespace[f"k{i}"] = a
         key = "sqr" if op == "pow" and b == 2 else op
-        lines.append(f"v{i}l, v{i}h = " + _FORWARD[key].format(i=i, a=a, b=b))
+        lines.append(f"v{i}l, v{i}h = " + templates[key].format(i=i, a=a, b=b))
     return lines, namespace
 
 
@@ -448,9 +425,9 @@ def forward_sweep(e: Expression, x: Box, y: Box) -> tuple[tuple[_Step, ...], lis
     steps, kernels = _tape(e)
     kernel = kernels.get("forward")
     if kernel is None:
-        lines, namespace = _forward_code(steps)
+        lines, namespace = _forward_code(steps, _INPUTS)
         boxed = [_BOXED.get(op, "_iv(v{i}l, v{i}h)").format(i=i, a=a) for i, (op, a, _) in enumerate(steps)]
-        lines.append("return [%s]" % ", ".join(boxed))
+        lines = [_READ_INPUTS, *lines, "return [%s]" % ", ".join(boxed)]
         kernel = kernels["forward"] = _compile("forward", "x, y", lines, namespace)
     return steps, kernel(x, y)
 
@@ -474,7 +451,8 @@ def derivative_interval(e: Expression, wrt: VarRef, x: Box, y: Box) -> Interval:
     w = _index(wrt.index)
     kernel = kernels.get("tangent")
     if kernel is None:
-        lines, namespace = _forward_code(steps)
+        lines, namespace = _forward_code(steps, _INPUTS)
+        lines.insert(0, _READ_INPUTS)
         for i, (op, a, b) in enumerate(steps):
             rule = "zero" if op == "const" or (op, b) == ("pow", 0) else op
             lines.append(f"d{i}l, d{i}h = " + _TANGENT[rule].format(i=i, a=a, b=b))

@@ -300,8 +300,8 @@ MAX_EXPONENT = 1024
 
 
 def _exponent(n: object, least: int) -> int:
-    """n if it is an int from least (0 for powers, 1 for roots) to MAX_EXPONENT."""
-    if not isinstance(n, int) or n < least:
+    """n if it is an int, not a bool, from least (0 for powers, 1 for roots) to MAX_EXPONENT."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < least:
         raise ValueError(f"exponent {n!r} is not an integer >= {least}")
     if n > MAX_EXPONENT:
         raise ValueError(f"exponent {n} exceeds {MAX_EXPONENT}")

@@ -22,9 +22,10 @@ from qine.cli import (
     parse_problem,
     parse_report,
 )
-from qine.expr import Binary, Const, ParseError, Pow, VarKind, VarRef, parse_expression
+from qine.expr import Binary, Const, Pow, VarKind, VarRef, parse_expression
 from qine.interval import Box, Interval
 from qine.solver import Paving, SolveStats, SolverConfig, solve
+from test_expr import preorder
 
 EX1 = """\
 # one variable, one parameter
@@ -489,18 +490,49 @@ def test_cli_solves_a_sum_deeper_than_the_recursion_limit(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "expression",
-    ["(" * 3000 + "x" + ")" * 3000, "-" * 3000 + "x"],
+    "expression, nodes",
+    [("(" * 3000 + "x" + ")" * 3000, []), ("-" * 3000 + "x", [("unary", "neg")] * 3000)],
     ids=["parentheses", "unary-minus"],
 )
-def test_cli_deep_nesting_is_a_parse_error(expression, tmp_path, capsys):
+def test_cli_solves_nesting_deeper_than_the_recursion_limit(expression, nodes, tmp_path, capsys):
+    # the parser keeps open parentheses and pending minuses on a stack of
+    # its own; an even number of minuses leaves x <= 0, whose only solution
+    # in [0, 1] is the point 0
+    x = VarRef(VarKind.VARIABLE, 0)
+    assert preorder(parse_expression(expression, {"x": x})) == nodes + [x]
     problem = tmp_path / "deep.qcsp"
     problem.write_text(f"var x in [0, 1];\nconstraint {expression} <= 0;\n")
-    assert cli.run(["solve", str(problem)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "nested too deeply" in err
-    with pytest.raises(ParseError, match="nested too deeply"):
-        parse_expression(expression, {"x": VarRef(VarKind.VARIABLE, 0)})
+    out = tmp_path / "paving.txt"
+    assert cli.run(["solve", str(problem), "--out", str(out)]) == 0, capsys.readouterr().err
+    meta, inner, boundary = parse_report(out.read_text())
+    assert meta["stop"] == "complete" and meta["volume"] == "initial=1.0 inner=0.0 boundary=0.0"
+    assert inner == [] and boundary == [Box.from_bounds([(0.0, 0.0)])]
+
+
+def test_nesting_depth_needs_no_recursion(tmp_path):
+    # parse, solve in 2b and 2b+ (the tangent kernels included) and format a
+    # problem 3000 levels deep in a process whose recursion limit is 120; an
+    # even number of minuses is exact, so the reports are those of the flat form
+    code = (
+        "import sys\n"
+        "from qine.cli import format_report, parse_problem\n"
+        "from qine.solver import SolverConfig, solve\n"
+        "sys.setrecursionlimit(120)\n"
+        "for f in sys.argv[1:]:\n"
+        "    problem = parse_problem(f'var x in [-1, 1];\\nparam y in [0, 1];\\nconstraint {f} <= 0.5;\\n')\n"
+        "    for mode in ('2b', '2b+'):\n"
+        "        cfg = SolverConfig(mode=mode, epsilon=0.05)\n"
+        "        print(format_report(problem, cfg, solve(problem, cfg)), end='')\n"
+    )
+    deep = "-" * 3000 + "(x - y) + " + "(" * 3000 + "x" + ")" * 3000
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, deep, "(x - y) + x"], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    reports = re.split(r"(?m)^(?=# problem: )", re.sub(r"(?m)^# elapsed: .*\n", "", proc.stdout))[1:]
+    assert len(reports) == 4 and reports[:2] == reports[2:]
+    assert [parse_report(r)[0]["flags"].split()[1] for r in reports[:2]] == ["2b", "2b+"]
 
 
 @pytest.mark.parametrize("constraint", ["x + 1e999 <= 0", "x <= 1e999"], ids=["lhs", "rhs"])

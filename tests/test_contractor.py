@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracle
 from helpers import assert_interval
-from qine.contractor import QuantifiedConstraint, backward_project, hc4_revise
+from qine.contractor import QuantifiedConstraint, _kernel, backward_project, hc4_revise
 from qine.expr import Binary, Const, Pow, Unary, VarKind, VarRef, _tape, forward_sweep, parse_expression
 from qine.interval import EMPTY, Box, Interval
 from test_expr import SYMS, X, X2, Y, boxes_and_point, deep_chain, expr_trees
@@ -97,6 +97,12 @@ def test_project_power_refuses_an_exponent_out_of_range(exponent):
     # ended in a TypeError and 100000 in a walk of seconds
     with pytest.raises(ValueError, match="exponent"):
         backward_project("pow", Interval(4.0, 9.0), (Interval(-5.0, 5.0),), exponent=exponent)
+
+
+@pytest.mark.parametrize("exponent", [True, False])
+def test_project_power_refuses_a_bool_exponent(exponent):
+    with pytest.raises(ValueError, match=f"exponent {exponent} is not an integer"):
+        backward_project("pow", Interval(0.0, 4.0), (Interval(-3.0, 3.0),), exponent=exponent)
 
 
 def test_project_trig_passes_child_through():
@@ -320,10 +326,10 @@ def _random_interval(rng: random.Random) -> Interval:
     return Interval(min(a, b), max(a, b))
 
 
-def _random_leaf(rng: random.Random):
+def _random_leaf(rng: random.Random, refs=_LEAF_REFS):
     if rng.random() < 0.2:
         return Const(_random_bound(rng))
-    return rng.choice(_LEAF_REFS)
+    return rng.choice(refs)
 
 
 def _random_node(rng: random.Random, operand):
@@ -335,16 +341,16 @@ def _random_node(rng: random.Random, operand):
     return Pow(operand(), rng.randint(0, 4))
 
 
-def _random_tree(rng: random.Random, depth: int):
+def _random_tree(rng: random.Random, depth: int, refs=_LEAF_REFS):
     if depth == 0 or rng.random() < 0.25:
-        return _random_leaf(rng)
-    return _random_node(rng, lambda: _random_tree(rng, depth - 1))
+        return _random_leaf(rng, refs)
+    return _random_node(rng, lambda: _random_tree(rng, depth - 1, refs))
 
 
-def _random_dag(rng: random.Random, size: int):
+def _random_dag(rng: random.Random, size: int, refs=_LEAF_REFS):
     # operands are drawn from every node built so far, so internal nodes
     # are reused by several users
-    pool = [_random_leaf(rng) for _ in range(3)]
+    pool = [_random_leaf(rng, refs) for _ in range(3)]
     for _ in range(size):
         pool.append(_random_node(rng, lambda: rng.choice(pool)))
     return pool[-1]
@@ -374,6 +380,33 @@ def test_revise_matches_the_full_sweep_on_deep_trees_and_dags():
         got = [iv for box in revise(e, x, y, geq) for iv in box]
         want = [iv for box in _full_sweep(e, geq, x, y) for iv in box]
         assert _bits(got) == _bits(want), (case, e, x, y)
+
+
+def test_kernels_narrow_one_domain_for_an_input_read_through_two_leaves():
+    # the parser shares one VarRef per name, so a parsed tape has one step
+    # per input; here x and y reach the tape through two distinct objects
+    # each, two steps per input, and the kernels start x0 and y0 at the
+    # first: both steps must narrow that one domain
+    refs = (X, X2, Y, VarRef(VarKind.VARIABLE, 0), VarRef(VarKind.PARAMETER, 0))
+    rng = random.Random(4711)
+    checked = 0
+    for case in range(4000):
+        e = _random_tree(rng, 5, refs) if case % 2 else _random_dag(rng, rng.randint(1, 10), refs)
+        geq = rng.choice((False, True))
+        x = Box((_random_interval(rng), _random_interval(rng)))
+        y = Box((_random_interval(rng),))
+        leaves = [step for step in _tape(e)[0] if step[0] in ("var", "param") and step[1] == 0]
+        if len(leaves) == len(set(leaves)):
+            continue  # one step per input, as the tests above cover
+        checked += 1
+        got = [iv for box in revise(e, x, y, geq) for iv in box]
+        want = [iv for box in _full_sweep(e, geq, x, y) for iv in box]
+        assert _bits(got) == _bits(want), (case, e, x, y)
+        # pruning revises f <= 0 with the parameter domain collapsed at its midpoint
+        _, pruned = _kernel(e, "prune")(x, (QuantifiedConstraint(e, y),), 0)
+        want = _full_sweep(e, False, x, Box((Interval.point(y[0].midpoint),)))[0]
+        assert (want.is_empty if pruned is None else _bits(pruned) == _bits(want)), (case, e, x, y)
+    assert checked > 400, checked
 
 
 def _spied_revise(monkeypatch, f, geq, x, y):

@@ -5,8 +5,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 import sys
 from fractions import Fraction
+from typing import Mapping
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,19 +18,24 @@ import oracle
 from helpers import contains_fraction
 from qine import expr
 from qine.expr import (
+    _INT_RE,
+    FUNCTIONS,
     Binary,
     Const,
+    Expression,
     ParseError,
     Pow,
     Unary,
     VarKind,
     VarRef,
+    _literal,
+    _tokenize,
     derivative_interval,
     eval_interval,
     forward_sweep,
     parse_expression,
 )
-from qine.interval import Box, Interval
+from qine.interval import MAX_EXPONENT, Box, Interval
 from test_interval import edge_intervals, hexes
 
 X = VarRef(VarKind.VARIABLE, 0)
@@ -187,6 +194,190 @@ def test_parse_builds_a_sum_deeper_than_the_recursion_limit():
     # a flat sum parses in a loop, into a left-leaning chain 1500 deep
     expected = [("binary", "add")] * 1499 + [("binary", "mul"), Const(0.001), X] * 1500
     assert preorder(parse_expression(" + ".join(["0.001*x"] * 1500), SYMS)) == expected
+
+
+def test_parse_nests_deeper_than_the_recursion_limit():
+    # parentheses, function calls and unary minuses wait on the parser's
+    # own stack, so depth costs what length does
+    text = "-" * 3000 + "sin(" * 3000 + "(" * 3000 + "x^2" + ")" * 6000 + "^3 * y"
+    expected = [("binary", "mul")] + [("unary", "neg")] * 3000 + [("pow", 3)]
+    expected += [("unary", "sin")] * 3000 + [("pow", 2), X, Y]
+    assert preorder(parse_expression(text, SYMS)) == expected
+
+
+# The recursive-descent parser the operator-precedence loop replaced, kept
+# verbatim as the reference: the loop must build the same trees and report
+# the same (message, position) for every error.
+class _Parser:
+    def __init__(self, text: str, symbols: Mapping[str, VarRef]):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.symbols = symbols
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.pos]
+
+    def advance(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect_op(self, op: str) -> None:
+        kind, text, at = self.peek()
+        if kind != "op" or text != op:
+            raise ParseError(f"expected {op!r}", at)
+        self.advance()
+
+    def parse(self) -> Expression:
+        e = self.expr()
+        kind, text, at = self.peek()
+        if kind != "end":
+            raise ParseError(f"unexpected token {text!r}", at)
+        return e
+
+    def expr(self) -> Expression:
+        node = self.term()
+        while True:
+            kind, text, _ = self.peek()
+            if kind == "op" and text in "+-":
+                self.advance()
+                rhs = self.term()
+                node = Binary("add" if text == "+" else "sub", node, rhs)
+            else:
+                return node
+
+    def term(self) -> Expression:
+        node = self.factor()
+        while True:
+            kind, text, _ = self.peek()
+            if kind == "op" and text in "*/":
+                self.advance()
+                rhs = self.factor()
+                node = Binary("mul" if text == "*" else "div", node, rhs)
+            else:
+                return node
+
+    def factor(self) -> Expression:
+        kind, text, _ = self.peek()
+        if kind == "op" and text == "-":
+            self.advance()
+            return Unary("neg", self.factor())
+        node = self.atom()
+        kind, text, _ = self.peek()
+        if kind == "op" and text == "^":
+            self.advance()
+            nkind, ntext, nat = self.peek()
+            if nkind != "num" or not _INT_RE.match(ntext):
+                raise ParseError("exponent must be a non-negative integer", nat)
+            # the digit count first: int() refuses strings past 4300 digits
+            if len(ntext.lstrip("0")) > len(str(MAX_EXPONENT)) or int(ntext) > MAX_EXPONENT:
+                raise ParseError(f"exponent exceeds {MAX_EXPONENT}", nat)
+            self.advance()
+            return Pow(node, int(ntext))
+        return node
+
+    def atom(self) -> Expression:
+        kind, text, at = self.advance()
+        if kind == "num":
+            try:
+                return _literal(text)
+            except OverflowError as exc:
+                raise ParseError(str(exc), at) from None
+        if kind == "name":
+            if text in FUNCTIONS:
+                self.expect_op("(")
+                arg = self.expr()
+                self.expect_op(")")
+                return Unary(text, arg)
+            ref = self.symbols.get(text)
+            if ref is None:
+                raise ParseError(f"unknown identifier {text!r}", at)
+            return ref
+        if kind == "op" and text == "(":
+            e = self.expr()
+            self.expect_op(")")
+            return e
+        raise ParseError(f"unexpected token {text!r}" if text else "unexpected end of input", at)
+
+
+def _parse_ref(text: str, symbols: Mapping[str, VarRef]) -> Expression:
+    """Parse an infix expression; identifiers resolve through ``symbols``."""
+    parser = _Parser(text, symbols)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", parser.peek()[2]) from None
+
+
+# every token kind, the literals and exponents each check refuses, and a
+# bad character; "x2" and "x" run together when joined without a space
+_VOCABULARY = ("x", "x2", "y", "z", "sin", "sqrt", "log", "tan", "(", ")", "(", ")", "+", "-", "-", "*", "/", "^")
+_VOCABULARY += ("2", "0", "0.1", "3.5", "1e999", "01024", "1025", "9" * 5000, "$", "^")
+
+
+def _random_text(rng: random.Random, depth: int) -> str:
+    """A string of the grammar, at most depth levels of operands deep."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(("x", "y", "x2", "2", "0.1", "1e-3", ".5"))
+    pick = rng.random()
+    if pick < 0.4:
+        op = rng.choice("+-*/")
+        return f"{_random_text(rng, depth - 1)} {op} {_random_text(rng, depth - 1)}"
+    if pick < 0.55:
+        return "-" + _random_text(rng, depth - 1)
+    if pick < 0.7:
+        return f"{rng.choice(FUNCTIONS)}({_random_text(rng, depth - 1)})"
+    if pick < 0.85:
+        return f"({_random_text(rng, depth - 1)})"
+    return f"({_random_text(rng, depth - 1)})^{rng.choice(('0', '2', '3', '007'))}"
+
+
+def _outcome(parse, text: str):
+    try:
+        tree = parse(text, SYMS)
+    except ParseError as err:
+        return err.message, err.position
+    # preorder compares constants by value; the enclosure tells 0.1 apart
+    return [(node, node.enclosure) if isinstance(node, Const) else node for node in preorder(tree)]
+
+
+def test_parse_agrees_with_the_recursive_descent_reference():
+    rng = random.Random(1973)
+    parsed, messages = 0, set()
+    for case in range(15000):
+        if case % 3 == 0:
+            # a random token string, mostly an error somewhere
+            tokens = [rng.choice(_VOCABULARY) for _ in range(rng.randint(0, 12))]
+        else:
+            # a string of the grammar with a few tokens inserted, dropped or
+            # replaced, so that errors fall at every depth
+            tokens = [tok for _, tok, _ in expr._tokenize(_random_text(rng, 4))][:-1]
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                k = rng.randint(0, len(tokens))
+                if rng.random() < 0.5 or k == len(tokens):
+                    tokens.insert(k, rng.choice(_VOCABULARY))
+                else:
+                    tokens[k : k + 1] = [] if rng.random() < 0.5 else [rng.choice(_VOCABULARY)]
+        text = (" " if rng.random() < 0.7 else "").join(tokens)
+        want = _outcome(_parse_ref, text)
+        assert _outcome(parse_expression, text) == want, (case, text)
+        if isinstance(want, list):
+            parsed += 1
+        else:
+            messages.add(re.sub(r"'[^()']+'", "''", want[0]))
+    assert 3000 < parsed < 9000, parsed
+    assert messages >= {
+        "unexpected character ''",
+        "unexpected token ''",
+        "unexpected token ')'",
+        "unexpected end of input",
+        "unknown identifier ''",
+        "expected '('",
+        "expected ')'",
+        "number '' overflows to infinity",
+        "exponent must be a non-negative integer",
+        "exponent exceeds 1024",
+    }, messages
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +629,16 @@ def test_derivative_wrt_absent_parameter_is_zero():
         f, Y, Box.from_bounds([(0.0, 1.0)]), Box.from_bounds([(0.0, 1.0)])
     )
     assert d == Interval(0.0, 0.0)
+
+
+@pytest.mark.parametrize("kind", list(VarKind))
+@pytest.mark.parametrize("index", [True, False])
+def test_derivative_refuses_a_bool_index(kind, index):
+    # a bool is an int, but the tangent kernel's w would be True or False
+    f = parse_expression("x * y", SYMS)
+    x, y = Box.from_bounds([(0.0, 1.0)]), Box.from_bounds([(0.0, 1.0)])
+    with pytest.raises(ValueError, match=f"index {index} is not a non-negative integer"):
+        derivative_interval(f, VarRef(kind, index), x, y)
 
 
 @given(expr_trees(safe=True), boxes_and_point(2), boxes_and_point(2))

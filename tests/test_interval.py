@@ -156,6 +156,13 @@ def test_an_exponent_out_of_range_is_refused_before_any_arithmetic(method, n, mo
         getattr(Interval(0.5, 2.0), method)(n)
 
 
+@pytest.mark.parametrize("method, n", [("pow_int", True), ("pow_int", False), ("root_int", True), ("root_int", False)])
+def test_a_bool_exponent_is_refused(method, n):
+    # a bool is an int, but the kernels' sources would hold it as True or False
+    with pytest.raises(ValueError, match=f"exponent {n} is not an integer"):
+        getattr(Interval(0.5, 2.0), method)(n)
+
+
 @pytest.mark.parametrize("v", [0.1, 1e-300])
 def test_a_power_bound_stuck_at_zero_or_the_least_subnormal_stops_multiplying(v, monkeypatch):
     # v's exponent alone puts v**400 and v**1024 below the least subnormal,

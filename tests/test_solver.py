@@ -14,7 +14,7 @@ import pytest
 
 from helpers import assert_interval, monotone_problem
 from qine.cli import parse_problem
-from qine.expr import Binary, VarKind, VarRef, parse_expression
+from qine.expr import Binary, Pow, VarKind, VarRef, parse_expression
 from qine.interval import EMPTY, Box, Interval
 from qine.solver import (
     Paving,
@@ -713,6 +713,23 @@ def test_problem_rejects_a_reference_outside_its_boxes(ref, message):
     # solve used to end in an IndexError from inside a compiled kernel
     with pytest.raises(ValueError, match=message):
         Problem(("x",), Box.from_bounds([(0.0, 1.0)]), (), Box(()), (Binary("add", VarRef(VarKind.VARIABLE, 0), ref),))
+
+
+@pytest.mark.parametrize(
+    "f, message",
+    [
+        (Pow(VarRef(VarKind.VARIABLE, 0), True), "exponent True is not an integer >= 0"),
+        (Pow(VarRef(VarKind.VARIABLE, 0), False), "exponent False is not an integer >= 0"),
+        (VarRef(VarKind.VARIABLE, False), "variable or parameter index False"),
+        (VarRef(VarKind.PARAMETER, True), "variable or parameter index True"),
+    ],
+)
+def test_problem_rejects_a_bool_exponent_or_index(f, message):
+    # a bool is an int, and its text True or False in a kernel's source
+    # made solve end in a SyntaxError: 2b+'s tangent rule wrote {b}.0 as True.0
+    x, y = Box.from_bounds([(-1.0, 2.0)]), Box.from_bounds([(0.0, 1.0)])
+    with pytest.raises(ValueError, match=message):
+        Problem(("x",), x, ("y",), y, (Binary("add", f, VarRef(VarKind.PARAMETER, 0)),))
 
 
 @pytest.mark.parametrize("name", ["a\nb", "a\r\nb", "a\u2028b", "a\x0cb", "ab\n"])
