@@ -6,17 +6,20 @@ the feasible half-line of the relation, and one backward sweep projects
 each node interval onto its operands.  There is no internal fixpoint
 iteration: callers that want more contraction call again.
 
-Each expression is compiled into two functions, each a loop over a run
-of the expression's parameter copies in a solver store (see
-``_compile_run``): "prune" revises f <= 0 at each copy's parameter
-midpoint, threading the variable bounds through the run, and "revise"
-revises f against a half-line given as an argument over each copy's
-whole domain and hulls the regions.  The loop body is the forward code
-of ``expr.forward_sweep``, its leaves read from the kernel's own
-templates (``_LEAF_SOURCES``), then one block per visit of the backward
-sweep, in the order of a depth-first walk (left operand first, a node
-reached along several paths visited once per path).  The body has no
-loop and no dispatch on ops, and, like the tape, no depth limit.  Its
+Each expression is compiled into three functions, each a loop over a run
+of the expression's parameter copies in a solver store: "prune" revises
+f <= 0 at each copy's parameter midpoint, threading the variable bounds
+through the run, and "revise" revises f against a half-line given as an
+argument over each copy's whole domain and hulls the regions (both
+``_compile_run``), while "pin" collapses each parameter coordinate on
+which f is proven monotone over the box to its worst endpoint, from the
+tangent code of the steps that coordinate reaches (``_compile_pin``).
+The loop body of the first two is the forward code of
+``expr.forward_sweep``, its leaves read from the kernel's own templates
+(``_LEAF_SOURCES``), then one block per visit of the backward sweep, in
+the order of a depth-first walk (left operand first, a node reached
+along several paths visited once per path).  The body has no loop and
+no dispatch on ops, and, like the tape, no depth limit.  Its
 size is the number of visits, which is the tape's length when only
 leaves are shared, as in every parsed expression.  It works on float
 bounds: the arithmetic and the midpoints call interval.py's functions,
@@ -40,7 +43,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .interval import _E, EMPTY, Box, Interval, _box, _exponent, _midpoint, _unchecked
-from .expr import _BINARY, _LEAVES, _OPS, _TAPES, Expression, _compile, _forward_code, _Step, _tape
+from .expr import _BINARY, _LEAVES, _OPS, _PARTIAL, _TAPES, Expression, _compile, _forward_code, _Step, _tape
+from .expr import _tangent_code
 
 __all__ = ["QuantifiedConstraint", "hc4_revise", "backward_project"]
 
@@ -168,10 +172,12 @@ def _rebuilt(dims: str, read: Sequence[int], new: str, old: Callable[[int], tupl
 
 
 # a leaf reads the threaded bounds x{j} or the midpoint m{j} when pruning,
-# the input bounds p{j} or the domain ys[j] when revising
+# the input bounds p{j} or the domain ys[j] when revising, and the input
+# bounds p{j} or the domain y{j} as pinned so far when pinning
 _LEAF_SOURCES = {
     "prune": {"var": "x{a}l, x{a}h", "param": "m{a}, m{a}"},
     "revise": {"var": "p{a}l, p{a}h", "param": "ys[{a}].lo, ys[{a}].hi"},
+    "pin": {"var": "p{a}l, p{a}h", "param": "y{a}l, y{a}h"},
 }
 # the ops whose projection of their own forward value changes nothing (see hc4_revise)
 _SETTLED_OPS = frozenset(_LEAVES + ("add", "sub", "mul", "neg", "pow", "sin", "cos"))
@@ -307,12 +313,62 @@ def _compile_run(steps: Sequence[_Step], purpose: str) -> Callable:
     return _compile("revise", "x, store, k, fl, fh, r", [*head, *loop, f"return k, {region}, {kept}"], namespace)
 
 
+def _compile_pin(steps: Sequence[_Step]) -> Callable:
+    """2B+ pinning of one tape over a run of its copies, as one function.
+
+    ``pin(x, store, k)`` returns (k, copies): each copy of the run with
+    every parameter coordinate j that the tape reads and that is not a
+    point collapsed to its upper endpoint when the partial derivative of
+    f in y_j over x and the domain is non-negative, to its lower one when
+    it is non-positive, and left whole when the enclosure is empty or
+    unbounded or the endpoint is infinite.  The coordinates go in index
+    order, each seeing the pins before it in the locals y{j}.
+
+    Coordinate j's block is the tangent code of ``expr._tangent_code``
+    seeded on y_j over the steps active for it, those whose subtree reads
+    y_j or holds a div, sqrt or log, behind the forward lines that code
+    reads.  A copy that did not move is returned as it came; the others
+    are rebuilt in the return, keeping each interval that was not pinned.
+    """
+    lines, namespace = _forward_code(steps, _LEAF_SOURCES["pin"])
+    namespace.update(_NAMESPACE)
+    yr = sorted({a for op, a, _ in steps if op == "param"})
+    d, loads = f"d{len(steps) - 1}", set()  # the root's tangent
+    body = ["ys = qc.param_domain.dims", *(f"y{j}l, y{j}h = ys[{j}].lo, ys[{j}].hi" for j in yr)]
+    for j in yr:
+        active: set[int] = set()
+        for i, (op, a, b) in enumerate(steps):
+            if (op, a) == ("param", j) or op in _PARTIAL or op not in _LEAVES and (
+                a in active or op in _BINARY and b in active
+            ):
+                active.add(i)
+        tangent, reads = _tangent_code(steps, {"param": "1.0, 1.0"}, active)
+        for i in reversed(range(len(steps))):  # and the forward lines those lines read
+            op, a, b = steps[i]
+            if i in reads and op not in _LEAVES:
+                reads.update((a, b) if op in _BINARY else (a,))
+        loads.update(a for i, (op, a, _) in enumerate(steps) if i in reads and op == "var")
+        block = [*(lines[i] for i in sorted(reads)), *tangent, f"if -_INF < {d}l <= {d}h < _INF:"]
+        block.append(f" if {d}l >= 0.0 and -_INF < y{j}h < _INF: y{j}l = y{j}h")
+        block.append(f" elif {d}h <= 0.0 and -_INF < y{j}l < _INF: y{j}h = y{j}l")
+        body += [f"if y{j}l != y{j}h:", *(" " + line for line in block)]
+    names = "".join(f", y{j}l, y{j}h" for j in yr)
+    body.append(f"kept.append((qc, ys{names}))")
+    head = ["xs = x.dims"] if loads else []
+    head += [f"p{j}l, p{j}h = xs[{j}].lo, xs[{j}].hi" for j in sorted(loads)]
+    head += ["f, end = store[k].f, len(store)", "kept = []"]
+    loop = ["while k < end and (qc := store[k]).f is f:", " k += 1", *(" " + line for line in body)]
+    same, box = _rebuilt("ys", yr, "y", lambda j: (f"ys[{j}].lo", f"ys[{j}].hi")) if yr else ("True", "ys")
+    kept = f"[qc if {same} else _qc(qc.f, {box}) for qc, ys{names} in kept]"
+    return _compile("pin", "x, store, k", [*head, *loop, f"return k, {kept}"], namespace)
+
+
 def _kernel(f: Expression, purpose: str) -> Callable:
-    """f's run kernel for purpose "prune" or "revise", compiled on first use."""
+    """f's run kernel for purpose "prune", "revise" or "pin", compiled on first use."""
     steps, kernels = _TAPES.get(id(f)) or _tape(f)  # the memo read inline: a call per run saved
     kernel = kernels.get(purpose)
     if kernel is None:
-        kernel = kernels[purpose] = _compile_run(steps, purpose)
+        kernel = kernels[purpose] = _compile_pin(steps) if purpose == "pin" else _compile_run(steps, purpose)
     return kernel
 
 

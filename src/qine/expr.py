@@ -19,7 +19,7 @@ import re
 import weakref
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Container, Mapping, Sequence, Union
 
 from . import interval
 from .interval import _DIGITS, _NUMBER, MAX_EXPONENT, Box, Interval, _exponent, _literal_bounds
@@ -232,10 +232,11 @@ def parse_expression(text: str, symbols: Mapping[str, VarRef]) -> Expression:
 # Beside the tape the memo keeps the kernels compiled from it, at most one
 # per purpose: "forward" for ``forward_sweep``, "prune" for the solver's
 # pruning, "revise" for its identification and ``hc4_revise`` (the
-# relation is an argument) and "tangent" for ``derivative_interval`` (the
-# input differentiated by is an argument), each built on first use and
-# freed with the entry.  Neither the steps nor the kernels hold a node,
-# so the memo keeps no expression alive.
+# relation is an argument), "pin" for its 2B+ pinning (tangent code for
+# each parameter the tape reads) and "tangent" for ``derivative_interval``
+# alone (the input differentiated by is an argument), each built on first
+# use and freed with the entry.  Neither the steps nor the kernels hold a
+# node, so the memo keeps no expression alive.
 
 _Step = tuple[str, object, object]
 _Tape = tuple[tuple[_Step, ...], dict[str, Callable]]
@@ -270,7 +271,8 @@ _FORWARD = {
 # Interval arithmetic it stands for; a difference parks its negated pair in
 # d{i} first.  The kernel's argument w codes the input differentiated by,
 # variable j as j and parameter j as -1 - j (~j), so only that input's leaves
-# get the tangent 1.  Constants and 0th powers take "zero".
+# get the tangent 1; a kernel may pass leaf templates of its own.  Constants
+# and 0th powers take "zero".
 _TANGENT = {
     "zero": "0.0, 0.0",
     "var": "(1.0, 1.0) if w == {a} else (0.0, 0.0)",
@@ -288,6 +290,15 @@ _TANGENT = {
     "sin": "_mul(*_cos(v{a}l, v{a}h), d{a}l, d{a}h)",
     "cos": "_sin(v{a}l, v{a}h); d{i}l, d{i}h = _mul(-d{i}h, -d{i}l, d{a}l, d{a}h)",
 }
+# The sum, difference and product rules when only the left or only the
+# right operand has a nonzero tangent: the zero term dropped (see _tangent_code).
+_ONE_SIDED = {
+    "add": ("d{a}l, d{a}h", "d{b}l, d{b}h"),
+    "sub": ("d{a}l, d{a}h", "-d{b}h, -d{b}l"),
+    "mul": ("_mul(d{a}l, d{a}h, v{b}l, v{b}h)", "_mul(v{a}l, v{a}h, d{b}l, d{b}h)"),
+}
+# the ops that can empty a non-empty operand, or turn a zero tangent into a nonzero one
+_PARTIAL = ("div", "sqrt", "log")
 _MEMO_SIZE = 128  # entries per bound function; a full table is cleared
 _copysign = math.copysign
 
@@ -403,6 +414,44 @@ def _forward_code(steps: Sequence[_Step], leaves: Mapping[str, str]) -> tuple[li
     return lines, namespace
 
 
+def _tangent_code(
+    steps: Sequence[_Step], leaves: Mapping[str, str], active: Container[int]
+) -> tuple[list[str], set[int]]:
+    """The chain rule over the active steps, and the steps whose forward values it reads.
+
+    Each step i in ``active`` gets the line ``d{i}l, d{i}h = ...``, the
+    "var" and "param" leaves from ``leaves`` where it gives them.  Every
+    other step's tangent is zero, which is exact when ``active`` holds each
+    step whose subtree reads the input differentiated by or holds a div,
+    sqrt or log: the full sweep gives such an inactive step a pair of
+    signed zeros, since its forward value is non-empty on non-empty inputs.
+    A sum, difference or product with one active operand drops the zero
+    term (``_ONE_SIDED``), a change of zero signs only, unless that
+    operand's subtree holds a div, sqrt or log, whose forward value may be
+    empty under a non-empty tangent: the dropped term alone carries that
+    empty.  Any other rule reads an inactive operand from a zero line.
+    """
+    templates = {**_TANGENT, **leaves}
+    lines: list[str] = []
+    reads: set[int] = set()
+    partial: list[bool] = []  # the step's subtree holds a div, sqrt or log
+    for i, (op, a, b) in enumerate(steps):
+        operands = (a, b) if op in _BINARY else () if op in _LEAVES else (a,)
+        partial.append(op in _PARTIAL or any(partial[o] for o in operands))
+        if i not in active:
+            continue
+        rule = "zero" if op == "const" or (op, b) == ("pow", 0) else op
+        template = templates[rule]
+        idle = [o for o in operands if o not in active and rule != "zero"]
+        if op in _ONE_SIDED and len(idle) == 1 and not partial[b if idle[0] == a else a]:
+            template = _ONE_SIDED[op][idle[0] == a]
+        else:
+            lines += [f"d{o}l, d{o}h = 0.0, 0.0" for o in dict.fromkeys(idle)]
+        lines.append(f"d{i}l, d{i}h = " + template.format(i=i, a=a, b=b))
+        reads.update({"a": a, "b": b, "i": i}[key] for key in re.findall(r"v\{(\w)\}", template))
+    return lines, reads
+
+
 def _compile(name: str, params: str, lines: list[str], namespace: dict[str, object]) -> Callable:
     """The function ``name(params)`` whose body is ``lines``, with namespace as its globals."""
     source = f"def {name}({params}):\n " + "\n ".join(lines)
@@ -452,10 +501,7 @@ def derivative_interval(e: Expression, wrt: VarRef, x: Box, y: Box) -> Interval:
     kernel = kernels.get("tangent")
     if kernel is None:
         lines, namespace = _forward_code(steps, _INPUTS)
-        lines.insert(0, _READ_INPUTS)
-        for i, (op, a, b) in enumerate(steps):
-            rule = "zero" if op == "const" or (op, b) == ("pow", 0) else op
-            lines.append(f"d{i}l, d{i}h = " + _TANGENT[rule].format(i=i, a=a, b=b))
-        lines.append(f"return _iv(d{len(steps) - 1}l, d{len(steps) - 1}h)")
+        tangent = _tangent_code(steps, {}, range(len(steps)))[0]
+        lines = [_READ_INPUTS, *lines, *tangent, f"return _iv(d{len(steps) - 1}l, d{len(steps) - 1}h)"]
         kernel = kernels["tangent"] = _compile("tangent", "x, y, w", lines, namespace)
     return kernel(x, y, w if wrt.kind is VarKind.VARIABLE else ~w)

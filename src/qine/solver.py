@@ -6,18 +6,20 @@ Each constraint carries its own copy of the parameter domain, so the
 domains can shrink or split independently as the search proceeds.
 
 A node is (box, store).  Processing a node optionally pins parameters
-proven monotone (2B+ mode), prunes the box with each constraint
-instantiated at its parameter midpoint, identifies an inner region by
-contracting the negated constraints, then bisects parameter domains and
-branches on the widest variable coordinate.  A store keeps the copies of
+proven monotone (2B+ mode, until every parameter coordinate of the store
+is a point), prunes the box with each constraint instantiated at its
+parameter midpoint, identifies an inner region by contracting the
+negated constraints, then bisects parameter domains and branches on the
+widest variable coordinate.  A store keeps the copies of
 one constraint next to each other: the root store is in constraint
 order, parameter bisection splits a copy in place and pinning and
-identification keep the order.  Pruning and identification therefore
-revise each such run of copies in one call of a compiled kernel
-(``contractor._compile_run``), on float bounds.  The loop builds its
-constraints, boxes and pinned points from valid operands, with the
-unchecked builders of ``interval`` (``_unchecked``, ``_box``); a solve
-runs the dataclass checks only for the root store.
+identification keep the order.  Pinning, pruning and identification
+therefore handle each such run of copies in one call of a compiled kernel
+(``contractor._compile_pin`` and ``contractor._compile_run``), on float
+bounds.  The loop builds its constraints, boxes and pinned points from
+valid operands, with the unchecked builders of ``interval``
+(``_unchecked``, ``_box``); a solve runs the dataclass checks only for
+the root store.
 
 The volume ledger is exact.  Box bounds are doubles, so every volume is
 a dyadic rational m / 2**k (``Box.dyadic_volume``); each box is measured
@@ -42,7 +44,8 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .interval import Box, Interval, _box, _iv
-from .expr import Expression, VarKind, VarRef, _tape, derivative_interval
+from .expr import Expression, _tape
+from .expr import derivative_interval  # noqa: F401 -- bench/tracer.py wraps the name in this namespace
 from .contractor import QuantifiedConstraint, _kernel, _qc  # qine lists QuantifiedConstraint once, from contractor
 from .contractor import hc4_revise  # noqa: F401 -- bench/tracer.py wraps the name in this namespace
 
@@ -219,22 +222,26 @@ def parameter_instantiation(
     the upper endpoint, so the domain coordinate collapses to it (lower
     endpoint for non-positive).  Derivative enclosures that are empty or
     not finite leave the coordinate unchanged.  Pinning goes coordinate
-    by coordinate, each step seeing the domains already pinned.
+    by coordinate, each step seeing the domains already pinned.  Each run
+    of one constraint's copies is pinned by one kernel call
+    (``contractor._compile_pin``), as in ``global_pruning``; a copy with
+    no parameter coordinates comes back as it is, without one.
+
+    Only the coordinates that f reads are pinned; the others are left as
+    they are, since f does not depend on them and ``solve``'s root store
+    already collapses them at the upper endpoint.  Pins over an empty box
+    are unspecified; ``solve`` never asks for them.
     """
     out: list[QuantifiedConstraint] = []
-    for qc in store:
-        dom = qc.param_domain
-        for j, iv in enumerate(dom.dims):
-            if iv.is_degenerate:
-                continue
-            d = derivative_interval(qc.f, VarRef(VarKind.PARAMETER, j), box, dom)
-            if d.is_empty or math.isinf(d.lo) or math.isinf(d.hi):
-                continue
-            if d.lo >= 0.0 and math.isfinite(iv.hi):
-                dom = dom.replace(j, _iv(iv.hi, iv.hi))
-            elif d.hi <= 0.0 and math.isfinite(iv.lo):
-                dom = dom.replace(j, _iv(iv.lo, iv.lo))
-        out.append(qc if dom is qc.param_domain else _qc(qc.f, dom))
+    k, end = 0, len(store)
+    while k < end:
+        qc = store[k]
+        if qc.param_domain.dims:
+            k, part = _kernel(qc.f, "pin")(box, store, k)
+            out += part
+        else:  # no parameter coordinate to pin
+            out.append(qc)
+            k += 1
     return out
 
 
@@ -355,9 +362,9 @@ def solve(
     # The ledger: initial, inner, boundary and queued volume as integers
     # over one denominator 2**K.  Every box volume is m / 2**k
     # (Box.dyadic_volume); a box finer than 2**-K raises K and shifts the
-    # totals left.  Heap entries are (-width, seq, box, store, m, k); seq
-    # is unique, so comparisons never reach the box.
-    heap: list[tuple[float, int, Box, tuple[QuantifiedConstraint, ...], int, int]] = []
+    # totals left.  Heap entries are (-width, seq, box, store, m, k,
+    # settled); seq is unique, so comparisons never reach the box.
+    heap: list[tuple[float, int, Box, tuple[QuantifiedConstraint, ...], int, int, bool]] = []
     seq = K = initial = inner = boundary = queued = 0
 
     def scaled(m: int, k: int) -> int:
@@ -374,10 +381,10 @@ def solve(
             K = k
         return m << (K - k)
 
-    def push(box: Box, store: tuple[QuantifiedConstraint, ...]) -> None:
+    def push(box: Box, store: tuple[QuantifiedConstraint, ...], settled: bool) -> None:
         nonlocal seq, queued
         m, k = box.dyadic_volume()
-        heapq.heappush(heap, (-box.width, seq, box, store, m, k))
+        heapq.heappush(heap, (-box.width, seq, box, store, m, k, settled))
         vol = scaled(m, k)
         queued += vol
         seq += 1
@@ -388,7 +395,7 @@ def solve(
         stats.exact_boundary = Fraction(boundary, den)
         stats.exact_queued = Fraction(queued, den)
 
-    push(problem.variable_box, root_store)
+    push(problem.variable_box, root_store, False)
     initial = queued
     stats.exact_initial = Fraction(initial, 1 << K)
     t0 = time.perf_counter()
@@ -403,7 +410,7 @@ def solve(
         if cfg.time_limit is not None and time.perf_counter() - t0 > cfg.time_limit:
             stop = "time"
             break
-        neg_width, _, box, store, m, k = heapq.heappop(heap)
+        neg_width, _, box, store, m, k, settled = heapq.heappop(heap)
         vol = m << (K - k)
         queued -= vol
         stats.nodes_processed += 1
@@ -411,8 +418,13 @@ def solve(
             paving.boundary.append(box)
             boundary += vol
         else:
-            if cfg.mode == "2b+":
+            if cfg.mode == "2b+" and not settled:
                 store = tuple(parameter_instantiation(store, box))
+                # pinning leaves a store whose every parameter coordinate is a
+                # point as it is, and so the store of every node below: the
+                # identification keeps a point or drops its copy, and
+                # parameter bisection never splits a point
+                settled = all(iv.lo == iv.hi for qc in store for iv in qc.param_domain.dims)
             pruned = global_pruning(store, box)
             if not pruned.is_empty:
                 kept, remainder, inner_pieces = solution_identification(store, pruned)
@@ -433,7 +445,7 @@ def solve(
                         kept = parameter_domain_bisection(kept, cfg.epsilon)
                     kept_t = tuple(kept)
                     if remainder.width <= cfg.epsilon:
-                        push(remainder, kept_t)
+                        push(remainder, kept_t, settled)
                     else:
                         try:
                             left, right = branch(remainder)
@@ -444,8 +456,8 @@ def solve(
                             vol = scaled(*remainder.dyadic_volume())
                             boundary += vol
                         else:
-                            push(left, kept_t)
-                            push(right, kept_t)
+                            push(left, kept_t, settled)
+                            push(right, kept_t, settled)
         if progress is not None:
             record()
             stats.elapsed = time.perf_counter() - t0

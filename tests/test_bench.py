@@ -53,11 +53,11 @@ def test_workload_report_matches_the_reference_hash(name):
 )
 def test_a_cold_solve_compiles_one_kernel_per_tape_and_purpose(name, kernels, monkeypatch):
     # one revise kernel per constraint serves both relations and all its
-    # copies, one tangent kernel per constraint serves every parameter it
-    # pins, and one prune kernel stands beside each revise kernel: ring2d
-    # has 2 constraints and no parameter, lens 1 solved in 2b (no pinning),
-    # mixed3d 3 with parameters solved in 2b+; `kernels` counts the revise
-    # and tangent kernels
+    # copies, one pin kernel per constraint serves every parameter it pins,
+    # and one prune kernel stands beside each revise kernel: ring2d has 2
+    # constraints and no parameter (nothing to pin), lens 1 solved in 2b (no
+    # pinning), mixed3d 3 with parameters solved in 2b+, so 3 revise and 3
+    # pin kernels; `kernels` counts the revise and pin kernels
     from qine import contractor, expr
 
     compiled: list[str] = []
@@ -74,6 +74,7 @@ def test_a_cold_solve_compiles_one_kernel_per_tape_and_purpose(name, kernels, mo
     qine.solve(problem, qine.SolverConfig(**w.flags))
     assert len([k for k in compiled if k != "prune"]) == kernels, compiled
     assert compiled.count("prune") == compiled.count("revise"), compiled
+    assert compiled.count("pin") == (3 if name == "mixed3d" else 0), compiled
 
 
 def test_every_name_the_tracer_wraps_is_in_the_solver_namespace():
@@ -92,7 +93,7 @@ PHASES = {"parameter_instantiation", "global_pruning", "solution_identification"
     [
         ("ring2d-ratio", PHASES),
         ("lens-2b", PHASES - {"parameter_instantiation"}),
-        ("mixed3d", PHASES | {"derivative_interval"}),
+        ("mixed3d", PHASES),
     ],
 )
 def test_a_cold_solve_calls_the_traced_names_it_is_expected_to(name, called, monkeypatch):

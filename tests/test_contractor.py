@@ -683,8 +683,9 @@ _INTERVAL_CALLS += (".exp(", ".log(", ".sin(", ".cos(")
 
 def test_kernels_build_intervals_only_in_their_returns(problems_dir, monkeypatch):
     # the bench problems' constraints compile to kernels that work on float
-    # locals, the tangent kernel of each parameter included: outside a
-    # return statement no line builds an Interval or calls an Interval method
+    # locals, the tangent kernel of each parameter and the pin kernel of each
+    # constraint included: outside a return statement no line builds an
+    # Interval or calls an Interval method
     from qine import contractor, expr
     from qine.cli import parse_problem
     from qine.expr import derivative_interval
@@ -711,9 +712,10 @@ def test_kernels_build_intervals_only_in_their_returns(problems_dir, monkeypatch
             revise(f, x, y, geq)
         for j in range(params):
             derivative_interval(f, VarRef(VarKind.PARAMETER, j), x, y)
-    # one forward and one revise kernel per constraint, one tangent kernel
-    # per constraint that reads a parameter
-    assert len(sources) == 2 * len(constraints) + 4
+        _kernel(f, "pin")(x, (QuantifiedConstraint(f, y),), 0)
+    # one forward, one revise and one pin kernel per constraint, one tangent
+    # kernel per constraint that reads a parameter
+    assert len(sources) == 3 * len(constraints) + 4
     for lines in sources:
         for line in lines:
             body = line.split("return", 1)[0]

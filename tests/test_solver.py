@@ -14,7 +14,7 @@ import pytest
 
 from helpers import assert_interval, monotone_problem
 from qine.cli import parse_problem
-from qine.expr import Binary, Pow, VarKind, VarRef, parse_expression
+from qine.expr import Binary, Pow, VarKind, VarRef, _tape, derivative_interval, parse_expression
 from qine.interval import EMPTY, Box, Interval
 from qine.solver import (
     Paving,
@@ -33,7 +33,7 @@ from qine.solver import (
     _ratio_met,
 )
 from test_contractor import _bits, _full_sweep, _random_dag, _random_interval, _random_tree
-from test_expr import SYMS
+from test_expr import SYMS, X, X2, Y, Y2
 from test_interval import MIDPOINT_EDGES, _midpoint_ref
 
 
@@ -99,6 +99,24 @@ def test_instantiation_later_coordinates_see_earlier_pins():
     (out,) = parameter_instantiation([c], Box.from_bounds([(0.0, 1.0)]))
     assert out.param_domain[0] == Interval(2.0, 2.0)
     assert out.param_domain[1] == Interval(1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "text, bounds",
+    [
+        ("1/x + y", [(-1.0, 1.0)]),  # d(1/x)/dy is 0 / [0, 1], every real
+        ("sqrt(x) + y", [(0.0, 1.0)]),  # 0 / (2 sqrt [0, 1]), every real too
+        ("(y + log(x))^0 * x2 + y", [(-2.0, -1.0), (1.0, 2.0)]),  # log(x) is empty, so the partial is
+        ("(y + 1)/0 * x2 + y", [(-2.0, -1.0), (0.0, 0.0)]),  # (y + 1)/0 is empty, so the partial is
+    ],
+)
+def test_instantiation_keeps_the_tangents_of_steps_below_a_div_sqrt_or_log(text, bounds):
+    # the pin kernel drops the tangent code of steps that do not read the
+    # parameter, but not of a div, sqrt or log, nor of a sum or product
+    # whose other operand holds one: dropping them would read df/dy = 1
+    c = qc(text, [(0.0, 1.0)])
+    (out,) = parameter_instantiation([c], Box.from_bounds(bounds))
+    assert out is c
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +268,22 @@ def _copies(rng, f, count):
     return copies
 
 
+def _reads(f):
+    return {a for op, a, _ in _tape(f)[0] if op == "param"}
+
+
 def _seeded_stores():
     """2,000 seeded (case, store, box): runs of copies of the _RUN_TEXTS and of
-    random trees and DAGs, over boxes with signed zeros, points and empties."""
+    random trees and DAGs, 12 of them reading both parameters, over boxes
+    with signed zeros, points and empties."""
     rng = random.Random(2209)
     pool = [parse_expression(text, SYMS) for text in _RUN_TEXTS]
     pool += [_random_tree(rng, 4) if k % 2 else _random_dag(rng, rng.randint(1, 8)) for k in range(40)]
+    while len(pool) < len(_RUN_TEXTS) + 52:
+        refs = (X, X2, Y, Y2)
+        f = _random_tree(rng, 4, refs) if len(pool) % 2 else _random_dag(rng, rng.randint(2, 8), refs)
+        if _reads(f) == {0, 1}:
+            pool.append(f)
     for case in range(2000):
         store = []
         for f in rng.sample(pool, rng.randint(1, 3)):
@@ -289,6 +317,53 @@ def test_run_kernels_match_revising_copy_by_copy_bit_for_bit():
         seen["kept whole"] += sum(id(c) in ids for c in kept)
         seen["cut"] += sum(id(c) not in ids for c in kept)
         seen["dropped"] += len(store) - len(kept)
+    assert min(seen.values()) >= 50, seen
+
+
+def _pinned_copy_by_copy(store, box, seen):
+    """Reference: 2B+ pinning one copy and one coordinate at a time, through
+    derivative_interval; ``seen`` tallies each coordinate's outcome."""
+    out = []
+    for qc in store:
+        dom = qc.param_domain
+        for j, iv in enumerate(dom.dims):
+            if iv.is_degenerate:
+                continue
+            d = derivative_interval(qc.f, VarRef(VarKind.PARAMETER, j), box, dom)
+            if d.is_empty or math.isinf(d.lo) or math.isinf(d.hi):
+                seen["empty or unbounded"] += 1
+                continue
+            if d.lo >= 0.0 and math.isfinite(iv.hi):
+                dom = dom.replace(j, Interval(iv.hi, iv.hi))
+                seen["up"] += 1
+            elif d.hi <= 0.0 and math.isfinite(iv.lo):
+                dom = dom.replace(j, Interval(iv.lo, iv.lo))
+                seen["down"] += 1
+            else:
+                seen["not sign-definite"] += 1
+        out.append(qc if dom is qc.param_domain else QuantifiedConstraint(qc.f, dom))
+    return out
+
+
+def test_pin_kernels_match_pinning_copy_by_copy_bit_for_bit():
+    """Each copy's unread coordinates are collapsed at their upper endpoint
+    first, as solve's root store has them; the kernels leave those alone.
+    Pins on an empty box are unspecified, since solve never pins one, and
+    pinning copy by copy already pins some copies there, such as y - x's."""
+    seen = dict.fromkeys(("up", "down", "not sign-definite", "empty or unbounded"), 0)
+    for case, store, box in _seeded_stores():
+        if box.is_empty:
+            continue
+        store = [
+            QuantifiedConstraint(c.f, Box(tuple(
+                iv if j in _reads(c.f) else Interval(iv.hi, iv.hi) for j, iv in enumerate(c.param_domain.dims)
+            )))
+            for c in store
+        ]
+        got, want = parameter_instantiation(store, box), _pinned_copy_by_copy(store, box, seen)
+        assert [c.f for c in got] == [c.f for c in want], (case, store, box)
+        assert [_bits(c.param_domain) for c in got] == [_bits(c.param_domain) for c in want], (case, store, box)
+        assert [c is s for c, s in zip(got, store)] == [c is s for c, s in zip(want, store)], (case, store, box)
     assert min(seen.values()) >= 50, seen
 
 
@@ -836,11 +911,56 @@ def test_a_ratio_solve_rederives_no_box_it_built(problems_dir, monkeypatch):
     assert heappops == stats.nodes_processed > 100
 
 
+def test_a_2b_plus_solve_pins_each_run_in_one_kernel_call(monkeypatch):
+    # deterministic work counts of one cold mixed3d solve at eps 0.15 in 2b+:
+    # pinning calls no derivative_interval and compiles no tangent kernel,
+    # but one pin kernel per constraint, called once per run of one
+    # constraint's copies at every node that pins; of the 1,835 nodes, only
+    # the 155 whose store has a parameter coordinate that is not a point pin
+    from qine import contractor, expr, solver
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "problems" / "mixed3d.qcsp"
+    calls = {"pin": 0, "derivative_interval": 0}
+    compiled: list[str] = []
+    runs: list[int] = []
+    compile_kernel, derivative, instantiate = expr._compile, expr.derivative_interval, solver.parameter_instantiation
+
+    def spy(name, params, lines, namespace):
+        compiled.append(name)
+        kernel = compile_kernel(name, params, lines, namespace)
+        if name != "pin":
+            return kernel
+
+        def pin(*args):
+            calls["pin"] += 1
+            return kernel(*args)
+
+        return pin
+
+    def derivative_interval(*args):
+        calls["derivative_interval"] += 1
+        return derivative(*args)
+
+    def parameter_instantiation(store, box):
+        runs.append(sum(k == 0 or store[k].f is not store[k - 1].f for k in range(len(store))))
+        return instantiate(store, box)
+
+    monkeypatch.setattr(expr, "_compile", spy)
+    monkeypatch.setattr(contractor, "_compile", spy)
+    monkeypatch.setattr(expr, "derivative_interval", derivative_interval)
+    monkeypatch.setattr(solver, "derivative_interval", derivative_interval)
+    monkeypatch.setattr(solver, "parameter_instantiation", parameter_instantiation)
+    solve(parse_problem(path.read_text()), SolverConfig(epsilon=0.15, mode="2b+"))
+    assert calls == {"pin": sum(runs), "derivative_interval": 0}
+    assert "tangent" not in compiled and compiled.count("pin") == 3
+    assert (len(runs), sum(runs)) == (155, 313)
+
+
 def test_the_memo_evaluates_few_of_the_kernels_costly_bound_calls(monkeypatch):
     # deterministic work counts of one mixed3d solve at eps 0.15 in 2b+ from
     # empty tables: the kernels make the same calls to the seven memoized
     # bound functions with the memo as without it, and get the same paving,
-    # while sin and the products are evaluated on about 1% and 20% of theirs
+    # while sin and the products are evaluated on about 2% and 21% of theirs
     from qine import contractor, expr, interval
 
     path = Path(__file__).resolve().parents[1] / "bench" / "problems" / "mixed3d.qcsp"
@@ -866,8 +986,8 @@ def test_the_memo_evaluates_few_of_the_kernels_costly_bound_calls(monkeypatch):
 
     calls, evaluated, bits = run(memoize=True)
     assert run(memoize=False) == (calls, calls, bits)
-    assert (calls["_sin"], calls["_mul"]) == (6129, 11866)
-    assert (evaluated["_sin"], evaluated["_mul"]) == (87, 2333)
+    assert (calls["_sin"], calls["_mul"]) == (5008, 8492)
+    assert (evaluated["_sin"], evaluated["_mul"]) == (86, 1761)
 
 
 # ---------------------------------------------------------------------------
