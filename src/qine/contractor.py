@@ -6,27 +6,27 @@ the feasible half-line of the relation, and one backward sweep projects
 each node interval onto its operands.  There is no internal fixpoint
 iteration: callers that want more contraction call again.
 
-Each expression is compiled into three functions, each a loop over a run
-of the expression's parameter copies in a solver store: "prune" revises
-f <= 0 at each copy's parameter midpoint, threading the variable bounds
-through the run, and "revise" revises f against a half-line given as an
-argument over each copy's whole domain and hulls the regions (both
-``_compile_run``), while "pin" collapses each parameter coordinate on
-which f is proven monotone over the box to its worst endpoint, from the
-tangent code of the steps that coordinate reaches (``_compile_pin``).
-The loop body of the first two is the forward code of
-``expr.forward_sweep``, its leaves read from the kernel's own templates
-(``_LEAF_SOURCES``), then one block per visit of the backward sweep, in
-the order of a depth-first walk (left operand first, a node reached
-along several paths visited once per path).  The body has no loop and
-no dispatch on ops, and, like the tape, no depth limit.  Its
+One generator, ``_compile_run``, compiles each expression into three
+functions, each a loop over a run of the expression's parameter copies
+in a solver store: "prune" revises f <= 0 at each copy's parameter
+midpoint, threading the variable bounds through the run, "revise"
+revises f against a half-line given as an argument over each copy's
+whole domain and hulls the regions, and "pin" collapses each parameter
+coordinate on which f is proven monotone over the box to its worst
+endpoint.  They share the loads, the loop and the return, and their
+leaves read the same per-copy locals.  The body of the first two is the
+forward code of ``expr.forward_sweep``, then one block per visit of the
+backward sweep, in the order of a depth-first walk (left operand first,
+a node reached along several paths visited once per path); that of
+"pin" is one block of tangent code per parameter.  The body has no loop
+and no dispatch on ops, and, like the tape, no depth limit.  A sweep's
 size is the number of visits, which is the tape's length when only
-leaves are shared, as in every parsed expression.  It works on float
-bounds: the arithmetic and the midpoints call interval.py's functions,
-intersections, hulls and empty checks are float comparisons, and
-Intervals are built only in the return, while a box or interval that
-was not cut is returned as it came.  ``hc4_revise`` is the "revise"
-function on a store of one copy.
+leaves are shared, as in every parsed expression.  The kernels work on
+float bounds: the arithmetic and the midpoints call interval.py's
+functions, intersections, hulls and empty checks are float comparisons,
+and Intervals are built only in the return, while a box or interval
+that was not cut is returned as it came.  ``hc4_revise`` is the
+"revise" function on a store of one copy.
 
 A visit skips its projection when the narrowing left the node's forward
 value as it was and the projection could not cut it (see ``hc4_revise``).
@@ -86,8 +86,7 @@ _PROJECT = {
     "pow_odd": ("_root({c}l, {c}h, {n})",),
     "pow_even": ("_root({c}l, {c}h, {n})",),
 }
-_NAMESPACE = {**_OPS, "_E": _E, "_INF": math.inf, "EMPTY": EMPTY, "_box": _box, "_qc": _qc}
-_NAMESPACE["_midpoint"] = _midpoint
+_NAMESPACE = {**_OPS, "_E": _E, "_INF": math.inf, "EMPTY": EMPTY, "_box": _box, "_qc": _qc, "_midpoint": _midpoint}
 
 
 def _rule(op: str, n: object) -> str:
@@ -153,67 +152,43 @@ def backward_project(
     return project(node_interval, *child_intervals, n=exponent)
 
 
-def _rebuilt(dims: str, read: Sequence[int], new: str, old: Callable[[int], tuple[str, str]]) -> tuple[str, str]:
-    """Source of (same, box) for the box whose intervals are ``dims``.
+def _rebuilt(whole: str, dims: str, read: Sequence[int], new: str, old: tuple[str, str], build: str = "{}") -> str:
+    """Source of ``whole``, or of it rebuilt when a read coordinate moved.
 
-    Each read coordinate j now has the bounds {new}{j}l, {new}{j}h, and
-    came in with the bounds old(j).  ``same`` tests that no read
-    coordinate moved: a cut moves a bound strictly inward, so equal bounds
-    mean none.  ``box`` rebuilds the moved ones and keeps every other
-    interval as it came, which saves an allocation per uncut coordinate.
+    ``whole`` has a box with the intervals ``dims``.  Each read coordinate
+    j now has the bounds {new}{j}l, {new}{j}h and came in with those that
+    the templates ``old`` give.  A cut moves a bound strictly inward, so
+    equal bounds mean none.  A rebuilt box keeps every interval that was
+    not cut, which saves an allocation per uncut coordinate, and ``build``
+    makes the object from it.
     """
-    same = {j: f"{new}{j}l == {old(j)[0]} and {new}{j}h == {old(j)[1]}" for j in read}
+    if not read:
+        return whole
+    same = {j: f"{new}{j}l == {old[0].format(j=j)} and {new}{j}h == {old[1].format(j=j)}" for j in read}
     top = max(read) + 1
     items = [
         f"{dims}[{j}] if {same[j]} else _iv({new}{j}l, {new}{j}h)" if j in same else f"{dims}[{j}]"
         for j in range(top)
     ]
-    return " and ".join(same.values()), f"_box(({', '.join(items)}, *{dims}[{top}:]))"
+    box = build.format(f"_box(({', '.join(items)}, *{dims}[{top}:]))")
+    return f"({whole} if {' and '.join(same.values())} else {box})"
 
 
-# a leaf reads the threaded bounds x{j} or the midpoint m{j} when pruning,
-# the input bounds p{j} or the domain ys[j] when revising, and the input
-# bounds p{j} or the domain y{j} as pinned so far when pinning
-_LEAF_SOURCES = {
-    "prune": {"var": "x{a}l, x{a}h", "param": "m{a}, m{a}"},
-    "revise": {"var": "p{a}l, p{a}h", "param": "ys[{a}].lo, ys[{a}].hi"},
-    "pin": {"var": "p{a}l, p{a}h", "param": "y{a}l, y{a}h"},
-}
 # the ops whose projection of their own forward value changes nothing (see hc4_revise)
 _SETTLED_OPS = frozenset(_LEAVES + ("add", "sub", "mul", "neg", "pow", "sin", "cos"))
 
 
-def _compile_run(steps: Sequence[_Step], purpose: str) -> Callable:
-    """HC4-revise of one tape over a run of its copies, as one function.
+def _sweep(steps: Sequence[_Step], forward: Sequence[str], fail: str, keep: Sequence[str]) -> list[str]:
+    """One copy's forward code, root check and HC4 backward sweep.
 
-    A run is the stretch of ``store`` from index k on whose copies share
-    the tape's expression f; each kernel returns the index after it.
-
-    ``prune(x, store, k)`` revises f <= 0 for each copy in turn at its
-    parameter midpoint (``interval._midpoint``), each on the variable
-    bounds the previous copy left, and returns (k, x'), x' None as soon
-    as one copy empties the box.
-
-    ``revise(x, store, k, fl, fh, r)`` revises f against the half-line
-    (fl, fh), (-inf, 0.0) for f <= 0 or (0.0, inf) for f >= 0, for each
-    copy over its whole parameter domain, each from the bounds of x.  It
-    returns (k, r', kept): r' is the hull of the hull r (None for no
-    region yet) and each non-empty region in store order, r itself when
-    every copy came out empty, and kept the copies with a non-empty
-    region, each with its contracted parameter domain.
-
-    Every value is a pair of float locals, named by a prefix and l or h:
-    v{i} is step i's forward value, c{i} the current value of a step
-    reached along several paths (a single-path step's operands are read
-    before its only visit, so they still hold their forward values),
-    n{w} the narrowed value handed to visit w (visits numbered as the
-    walk meets them), x{j}, y{j} the contracted domains, p{j} the input
-    bounds of x, m{j} a parameter's midpoint and h{j} the hull.  Boxes
-    and Intervals are built only in the return: a box none of whose read
-    coordinates moved is returned as it came, so is a copy whose
-    parameter domain was not cut, and each rebuilt box keeps every
-    interval that was not cut.  A region holds x's own interval wherever
-    the tape does not read x.
+    ``fail`` is the statement that ends a copy whose value came out
+    empty, and ``keep`` the lines that end one that came through, which
+    the whole-tape settled shortcut runs before its ``continue``.  v{i}
+    is step i's forward value, c{i} the current value of a step reached
+    along several paths (a single-path step's operands are read before
+    its only visit, so they still hold their forward values), and n{w}
+    the narrowed value handed to visit w (visits numbered as the walk
+    meets them).
 
     Every op maps an empty operand to an empty result, so once the root
     passes its empty check every forward value is non-empty, and a visit
@@ -221,9 +196,6 @@ def _compile_run(steps: Sequence[_Step], purpose: str) -> Callable:
     current values, and their visits run as they would after the
     projection, so the code needs no jumps or nesting at any depth.
     """
-    prune = purpose == "prune"
-    lines, namespace = _forward_code(steps, _LEAF_SOURCES[purpose])
-    namespace.update(_NAMESPACE)
     paths = [0] * len(steps)
     paths[-1] = 1
     for i in reversed(range(len(steps))):
@@ -236,30 +208,10 @@ def _compile_run(steps: Sequence[_Step], purpose: str) -> Callable:
     # when every step is a leaf or an op that stops, a stop at the root is
     # followed by stops alone, shared steps included, so the copy is done
     settled = all(op in _SETTLED_OPS for op, _, _ in steps)
-    first: dict[str, dict[int, int]] = {"var": {}, "param": {}}  # an input's first step
-    for i, (op, a, _) in enumerate(steps):
-        if op in first:
-            first[op].setdefault(a, i)
-    xr, yr = sorted(first["var"]), sorted(first["param"])
-    # y{j}, x{j} when revising (pruning threads it from copy to copy) and the
-    # current value c{i} of a shared step start at their forward values
-    starts = [f"y{j}l, y{j}h = v{i}l, v{i}h" for j, i in first["param"].items()]
-    starts += [] if prune else [f"x{j}l, x{j}h = v{i}l, v{i}h" for j, i in first["var"].items()]
-    starts += [f"c{i}l, c{i}h = v{i}l, v{i}h" for i, n in enumerate(paths) if n > 1]
-    body = ["ys = qc.param_domain.dims"] if yr else []
-    if prune:
-        body += [f"m{j} = _midpoint(ys[{j}].lo, ys[{j}].hi)" for j in yr]
-        fail, keep = "return k, None", []
-    else:
-        # hull the region as Interval.hull does, min and max picking the
-        # accumulated bound on ties, and keep the copy
-        keep = [f"h{j}l, h{j}h = x{j}l if x{j}l < h{j}l else h{j}l, x{j}h if x{j}h > h{j}h else h{j}h"
-                for j in xr]
-        names = "".join(f", y{j}l, y{j}h" for j in yr)
-        keep.append(f"kept.append((qc, ys{names}))" if yr else "kept.append(qc)")
-        fail = "continue"  # no point of the box violates this copy
     root = len(steps) - 1
-    body += [*lines, _meet("n0", f"v{root}", "f"), f"if n0l > n0h: {fail}", *starts]
+    body = [*forward, _meet("n0", f"v{root}", "f"), f"if n0l > n0h: {fail}"]
+    # the current value c{i} of a shared step starts at its forward value
+    body += [f"c{i}l, c{i}h = v{i}l, v{i}h" for i, n in enumerate(paths) if n > 1]
     stack, visits = [(root, 0)], 1
     while stack:
         i, w = stack.pop()
@@ -282,7 +234,7 @@ def _compile_run(steps: Sequence[_Step], purpose: str) -> Callable:
             project = _projection(_rule(op, b), n, operands, b, targets)
             check = [f"if {n}l > {n}h: {fail}"] if w else []  # the root was checked above
             if op in _SETTLED_OPS:
-                stop = "; ".join(keep + ["continue"]) if settled and not w else "; ".join(
+                stop = "; ".join([*keep, "continue"]) if settled and not w else "; ".join(
                     f"{t}l, {t}h = {o}l, {o}h" for t, o in zip(targets, operands)
                 )
                 body += [f"if {n}l == v{i}l and {n}h == v{i}h: {stop}", *("el" + line for line in check)]
@@ -290,51 +242,19 @@ def _compile_run(steps: Sequence[_Step], purpose: str) -> Callable:
             else:
                 body += [*check, *project]
             stack.extend(reversed(children))
-    body += keep
-    load = "x{j}l, x{j}h = " if prune else ""  # pruning threads x{j} from copy to copy
-    head = ["xs = x.dims", *((load + "p{j}l, p{j}h = xs[{j}].lo, xs[{j}].hi").format(j=j) for j in xr)]
-    head.append("f, end = store[k].f, len(store)")
-    loop = ["while k < end and (qc := store[k]).f is f:", " k += 1", *(" " + line for line in body)]
-    if prune:
-        head.append("fl, fh = -_INF, 0.0")
-        same, box = _rebuilt("xs", xr, "x", lambda j: (f"p{j}l", f"p{j}h")) if xr else ("True", "x")
-        return _compile("prune", "x, store, k", [*head, *loop, f"return k, (x if {same} else {box})"], namespace)
-    if xr:
-        hull = ", ".join(f"h{j}l, h{j}h" for j in xr)
-        head.append(f"{hull} = " + ", ".join(["_INF, -_INF"] * len(xr)))
-        head.append(f"if r is not None: rs = r.dims; {hull} = " + ", ".join(f"rs[{j}].lo, rs[{j}].hi" for j in xr))
-    head.append("kept = []")
-    same, box = _rebuilt("xs", xr, "h", lambda j: (f"p{j}l", f"p{j}h")) if xr else ("True", "x")
-    region = f"(x if {same} else {box}) if kept else r"
-    kept = "kept"
-    if yr:
-        same, box = _rebuilt("ys", yr, "y", lambda j: (f"ys[{j}].lo", f"ys[{j}].hi"))
-        kept = f"[qc if {same} else _qc(qc.f, {box}) for qc, ys{names} in kept]"
-    return _compile("revise", "x, store, k, fl, fh, r", [*head, *loop, f"return k, {region}, {kept}"], namespace)
+    return body
 
 
-def _compile_pin(steps: Sequence[_Step]) -> Callable:
-    """2B+ pinning of one tape over a run of its copies, as one function.
+def _pins(steps: Sequence[_Step], forward: Sequence[str], yr: Sequence[int]) -> list[str]:
+    """The 2B+ pin blocks of one copy, one per parameter coordinate j in yr.
 
-    ``pin(x, store, k)`` returns (k, copies): each copy of the run with
-    every parameter coordinate j that the tape reads and that is not a
-    point collapsed to its upper endpoint when the partial derivative of
-    f in y_j over x and the domain is non-negative, to its lower one when
-    it is non-positive, and left whole when the enclosure is empty or
-    unbounded or the endpoint is infinite.  The coordinates go in index
-    order, each seeing the pins before it in the locals y{j}.
-
-    Coordinate j's block is the tangent code of ``expr._tangent_code``
-    seeded on y_j over the steps active for it, those whose subtree reads
-    y_j or holds a div, sqrt or log, behind the forward lines that code
-    reads.  A copy that did not move is returned as it came; the others
-    are rebuilt in the return, keeping each interval that was not pinned.
+    Coordinate j's block runs, when y{j} is not a point, the tangent code
+    of ``expr._tangent_code`` seeded on y_j over the steps active for it,
+    those whose subtree reads y_j or holds a div, sqrt or log, behind the
+    forward lines that code reads, and collapses y{j} to its worst
+    endpoint when the root's tangent has a sign.
     """
-    lines, namespace = _forward_code(steps, _LEAF_SOURCES["pin"])
-    namespace.update(_NAMESPACE)
-    yr = sorted({a for op, a, _ in steps if op == "param"})
-    d, loads = f"d{len(steps) - 1}", set()  # the root's tangent
-    body = ["ys = qc.param_domain.dims", *(f"y{j}l, y{j}h = ys[{j}].lo, ys[{j}].hi" for j in yr)]
+    d, body = f"d{len(steps) - 1}", []  # the root's tangent
     for j in yr:
         active: set[int] = set()
         for i, (op, a, b) in enumerate(steps):
@@ -347,20 +267,85 @@ def _compile_pin(steps: Sequence[_Step]) -> Callable:
             op, a, b = steps[i]
             if i in reads and op not in _LEAVES:
                 reads.update((a, b) if op in _BINARY else (a,))
-        loads.update(a for i, (op, a, _) in enumerate(steps) if i in reads and op == "var")
-        block = [*(lines[i] for i in sorted(reads)), *tangent, f"if -_INF < {d}l <= {d}h < _INF:"]
+        block = [*(forward[i] for i in sorted(reads)), *tangent, f"if -_INF < {d}l <= {d}h < _INF:"]
         block.append(f" if {d}l >= 0.0 and -_INF < y{j}h < _INF: y{j}l = y{j}h")
         block.append(f" elif {d}h <= 0.0 and -_INF < y{j}l < _INF: y{j}h = y{j}l")
         body += [f"if y{j}l != y{j}h:", *(" " + line for line in block)]
+    return body
+
+
+def _compile_run(steps: Sequence[_Step], purpose: str) -> Callable:
+    """One tape's kernel over a run of its copies, for purpose "prune", "revise" or "pin".
+
+    A run is the stretch of ``store`` from index k on whose copies share
+    the tape's expression f; each kernel returns the index after it.
+
+    ``prune(x, store, k)`` revises f <= 0 for each copy in turn at its
+    parameter midpoint (``interval._midpoint``), each on the variable
+    bounds the previous copy left, and returns (k, x'), x' None as soon
+    as one copy empties the box.
+
+    ``revise(x, store, k, fl, fh, r)`` revises f against the half-line
+    (fl, fh), (-inf, 0.0) for f <= 0 or (0.0, inf) for f >= 0, for each
+    copy over its whole parameter domain, each from the bounds of x.  It
+    returns (k, r', kept): r' is the hull of the hull r (None for no
+    region yet) and each non-empty region in store order, r itself when
+    every copy came out empty, and kept the copies with a non-empty
+    region, each with its contracted parameter domain.
+
+    ``pin(x, store, k)`` returns (k, copies): each copy of the run with
+    every parameter coordinate j that the tape reads and that is not a
+    point collapsed to its upper endpoint when the partial derivative of
+    f in y_j over x and the domain is non-negative, to its lower one when
+    it is non-positive, and left whole when the enclosure is empty or
+    unbounded or the endpoint is infinite (``_pins``).  The coordinates
+    go in index order, each seeing the pins before it.
+
+    The three share the input loads, the loop over the run and the
+    return; the body after the copy's inputs is ``_sweep``'s or
+    ``_pins``'s.  Every value is a pair of float locals, named by a prefix
+    and l or h.  Each leaf reads the copy's x{j} or y{j}: x{j} holds the
+    bounds threaded from copy to copy when pruning and x's own otherwise,
+    y{j} the midpoint when pruning, the domain when revising and the
+    domain as pinned so far when pinning.  p{j} holds x's bounds, h{j}
+    the hull.  Boxes and Intervals are built only in the return
+    (``_rebuilt``), and a region holds x's own interval wherever the tape
+    does not read x.
+    """
+    forward, namespace = _forward_code(steps, {"var": "x{a}l, x{a}h", "param": "y{a}l, y{a}h"})
+    namespace.update(_NAMESPACE)
+    xr, yr = (sorted({a for op, a, _ in steps if op == leaf}) for leaf in ("var", "param"))
     names = "".join(f", y{j}l, y{j}h" for j in yr)
-    body.append(f"kept.append((qc, ys{names}))")
-    head = ["xs = x.dims"] if loads else []
-    head += [f"p{j}l, p{j}h = xs[{j}].lo, xs[{j}].hi" for j in sorted(loads)]
-    head += ["f, end = store[k].f, len(store)", "kept = []"]
-    loop = ["while k < end and (qc := store[k]).f is f:", " k += 1", *(" " + line for line in body)]
-    same, box = _rebuilt("ys", yr, "y", lambda j: (f"ys[{j}].lo", f"ys[{j}].hi")) if yr else ("True", "ys")
-    kept = f"[qc if {same} else _qc(qc.f, {box}) for qc, ys{names} in kept]"
-    return _compile("pin", "x, store, k", [*head, *loop, f"return k, {kept}"], namespace)
+    x_in = [f"x{j}l, x{j}h = p{j}l, p{j}h" for j in xr]
+    head = ["xs = x.dims", *(f"p{j}l, p{j}h = xs[{j}].lo, xs[{j}].hi" for j in xr), "f, end = store[k].f, len(store)"]
+    params, start = "x, store, k", [f"y{j}l, y{j}h = ys[{j}].lo, ys[{j}].hi" for j in yr]
+    keep = [f"kept.append((qc, ys{names}))" if yr else "kept.append(qc)"]
+    copies = _rebuilt("qc", "ys", yr, "y", ("ys[{j}].lo", "ys[{j}].hi"), "_qc(qc.f, {})")
+    copies = f"[{copies} for qc, ys{names} in kept]" if yr else "kept"
+    if purpose == "prune":  # x{j} threads the bounds from copy to copy, and no copy is kept
+        head += [*x_in, "fl, fh = -_INF, 0.0"]
+        start, keep = [f"y{j}l = y{j}h = _midpoint(ys[{j}].lo, ys[{j}].hi)" for j in yr], []
+        body = _sweep(steps, forward, "return k, None", keep)
+        result = _rebuilt("x", "xs", xr, "x", ("p{j}l", "p{j}h"))
+    elif purpose == "revise":
+        if xr:
+            hull = ", ".join(f"h{j}l, h{j}h" for j in xr)
+            head.append(f"{hull} = " + ", ".join(["_INF, -_INF"] * len(xr)))
+            head.append(f"if r is not None: rs = r.dims; {hull} = " + ", ".join(f"rs[{j}].lo, rs[{j}].hi" for j in xr))
+        params, start = params + ", fl, fh, r", [*x_in, *start]
+        # hull the region as Interval.hull does, min and max picking the
+        # accumulated bound on ties, and keep the copy
+        hulls = [f"h{j}l, h{j}h = x{j}l if x{j}l < h{j}l else h{j}l, x{j}h if x{j}h > h{j}h else h{j}h" for j in xr]
+        keep = [*hulls, *keep]
+        head.append("kept = []")
+        body = _sweep(steps, forward, "continue", keep)  # no point of the box violates the copy
+        result = _rebuilt("x", "xs", xr, "h", ("p{j}l", "p{j}h")) + f" if kept else r, {copies}"
+    else:
+        head += [*x_in, "kept = []"]
+        body, result = _pins(steps, forward, yr), copies
+    copy = [*(["ys = qc.param_domain.dims"] if yr else []), *start, *body, *keep]
+    loop = ["while k < end and (qc := store[k]).f is f:", " k += 1", *(" " + line for line in copy)]
+    return _compile(purpose, params, [*head, *loop, f"return k, {result}"], namespace)
 
 
 def _kernel(f: Expression, purpose: str) -> Callable:
@@ -368,7 +353,7 @@ def _kernel(f: Expression, purpose: str) -> Callable:
     steps, kernels = _TAPES.get(id(f)) or _tape(f)  # the memo read inline: a call per run saved
     kernel = kernels.get(purpose)
     if kernel is None:
-        kernel = kernels[purpose] = _compile_pin(steps) if purpose == "pin" else _compile_run(steps, purpose)
+        kernel = kernels[purpose] = _compile_run(steps, purpose)
     return kernel
 
 

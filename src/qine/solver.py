@@ -14,9 +14,9 @@ widest variable coordinate.  A store keeps the copies of
 one constraint next to each other: the root store is in constraint
 order, parameter bisection splits a copy in place and pinning and
 identification keep the order.  Pinning, pruning and identification
-therefore handle each such run of copies in one call of a compiled kernel
-(``contractor._compile_pin`` and ``contractor._compile_run``), on float
-bounds.  The loop builds its constraints, boxes and pinned points from
+therefore handle each such run of copies in one call of a compiled kernel,
+the "pin", "prune" or "revise" kernel of ``contractor._compile_run``, on
+float bounds.  The loop builds its constraints, boxes and pinned points from
 valid operands, with the unchecked builders of ``interval``
 (``_unchecked``, ``_box``); a solve runs the dataclass checks only for
 the root store.
@@ -38,6 +38,8 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
+import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -124,9 +126,21 @@ class SolverConfig:
     time_limit: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mode", self.mode.lower())
-        if self.mode not in ("2b", "2b+"):
+        # each number is stored as the type its command-line flag parses to,
+        # so the report's "# flags:" line, which prints it, replays the run
+        kinds = {"epsilon": float, "stop_ratio": float, "max_nodes": operator.index, "time_limit": float}
+        for name, kind in kinds.items():
+            if (value := getattr(self, name)) is None and name != "epsilon":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, not {value!r}")
+            try:
+                object.__setattr__(self, name, kind(value))
+            except (TypeError, OverflowError):  # a fraction for max_nodes, or an int past the largest double
+                raise ValueError(f"{name} cannot be {value!r}") from None
+        if not isinstance(self.mode, str) or self.mode.lower() not in ("2b", "2b+"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        object.__setattr__(self, "mode", self.mode.lower())
         if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
             raise ValueError("epsilon must be positive and finite")
         if self.stop_ratio is not None and not 0.0 < self.stop_ratio <= 1.0:
@@ -223,8 +237,8 @@ def parameter_instantiation(
     endpoint for non-positive).  Derivative enclosures that are empty or
     not finite leave the coordinate unchanged.  Pinning goes coordinate
     by coordinate, each step seeing the domains already pinned.  Each run
-    of one constraint's copies is pinned by one kernel call
-    (``contractor._compile_pin``), as in ``global_pruning``; a copy with
+    of one constraint's copies is pinned by one call of its "pin" kernel
+    (``contractor._compile_run``), as in ``global_pruning``; a copy with
     no parameter coordinates comes back as it is, without one.
 
     Only the coordinates that f reads are pinned; the others are left as

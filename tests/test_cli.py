@@ -12,6 +12,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qine import cli
@@ -256,6 +257,37 @@ def test_every_config_field_is_a_flag_in_the_report(problems_dir, tmp_path, caps
         # the CLI reads the printed flags back into the same configuration
         meta, _, _ = parse_report(solve_to_text([ex1, *flags.split()], tmp_path, capsys))
         assert meta["flags"] == flags, name
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {},
+        NON_DEFAULT_CONFIG,
+        {"epsilon": 1, "stop_ratio": 1, "max_nodes": 10**30, "time_limit": 600},
+        {"epsilon": Fraction(1, 3), "stop_ratio": Fraction(99, 100), "time_limit": math.inf},
+        {"epsilon": np.float64(0.01), "stop_ratio": np.float32(0.9), "max_nodes": np.int64(40), "mode": "2B+"},
+        {"epsilon": 5e-324, "time_limit": np.int32(3), "max_nodes": np.uint8(1), "param_bisect": False},
+    ],
+    ids=["defaults", "non-default", "ints", "fractions", "numpy", "edges"],
+)
+def test_the_flags_line_parses_back_into_an_equal_config(fields):
+    # the report's "# flags:" line, read by the CLI's own parser, gives the
+    # config back, each field of the same type: numbers are stored as the
+    # float or int their flag parses to, so the line never prints a repr
+    # such as True or np.float64(0.01) that the parser rejects
+    cfg = SolverConfig(**fields)
+    args = cli._build_parser().parse_args(["solve", "problem.qcsp", *cli._flags_text(cfg).split()])
+    again = SolverConfig(
+        epsilon=args.eps,
+        stop_ratio=args.ratio,
+        mode=args.mode,
+        param_bisect=args.param_bisect == "on",
+        max_nodes=args.max_nodes,
+        time_limit=args.time_limit,
+    )
+    assert again == cfg
+    assert [type(v) for v in dataclasses.astuple(again)] == [type(v) for v in dataclasses.astuple(cfg)]
 
 
 @pytest.mark.parametrize(

@@ -367,6 +367,64 @@ def test_pin_kernels_match_pinning_copy_by_copy_bit_for_bit():
     assert min(seen.values()) >= 50, seen
 
 
+def _split_run_stores():
+    """1,000 seeded (case, store, box) whose store holds copies of f, then of
+    g, then of f again, so that f's copies form two runs that do not touch;
+    f and g are _RUN_TEXTS or random trees and DAGs."""
+    rng = random.Random(2910)
+    pool = [parse_expression(text, SYMS) for text in _RUN_TEXTS]
+    pool += [_random_tree(rng, 4) if k % 2 else _random_dag(rng, rng.randint(1, 8)) for k in range(20)]
+    for case in range(1000):
+        f, g = rng.sample(pool, 2)
+        store = [*_copies(rng, f, rng.randint(1, 4)), *_copies(rng, g, rng.randint(1, 4))]
+        store += _copies(rng, f, rng.randint(1, 4))
+        dims = [_random_interval(rng) for _ in range(2)]
+        if rng.random() < 0.1:
+            dims[rng.randrange(2)] = EMPTY
+        yield case, store, Box(tuple(dims))
+
+
+def test_a_constraint_split_into_two_runs_matches_copy_by_copy_bit_for_bit():
+    # each run ends where the expression changes, and f's second run is
+    # revised and pinned by the same kernels as its first, from where the
+    # run before it left off: pruning, identification and pinning give what
+    # the copy-by-copy references give, bit for bit and box identity included
+    seen = {"second run cuts": 0, "dropped": 0, "kept whole": 0, "cut": 0}
+    pins = dict.fromkeys(("up", "down", "not sign-definite", "empty or unbounded"), 0)
+    for case, store, box in _split_run_stores():
+        runs = sum(k == 0 or store[k].f is not store[k - 1].f for k in range(len(store)))
+        assert runs == 3, case
+        got, want = global_pruning(store, box), _pruned_copy_by_copy(store, box)
+        if box.is_empty:
+            assert got.is_empty and want.is_empty, (case, store, box)
+            continue
+        assert _bits(got) == _bits(want), (case, store, box)
+        last = max(k for k in range(len(store)) if store[k].f is not store[-1].f) + 1  # f's second run
+        seen["second run cuts"] += _bits(_pruned_copy_by_copy(store[:last], box)) != _bits(got)
+        kept, remainder, pieces = solution_identification(store, box)
+        want_kept, want_remainder, want_pieces = _identified_copy_by_copy(store, box)
+        assert [c.f for c in kept] == [c.f for c in want_kept], (case, store, box)
+        assert [_bits(c.param_domain) for c in kept] == [_bits(c.param_domain) for c in want_kept], (case, store, box)
+        assert _bits(remainder) == _bits(want_remainder), (case, store, box)
+        assert [_bits(piece) for piece in pieces] == [_bits(piece) for piece in want_pieces], (case, store, box)
+        ids = {id(c) for c in store}
+        seen["kept whole"] += sum(id(c) in ids for c in kept)
+        seen["cut"] += sum(id(c) not in ids for c in kept)
+        seen["dropped"] += len(store) - len(kept)
+        # unread coordinates collapsed at their upper endpoint, as solve's root store has them
+        store = [
+            QuantifiedConstraint(c.f, Box(tuple(
+                iv if j in _reads(c.f) else Interval(iv.hi, iv.hi) for j, iv in enumerate(c.param_domain.dims)
+            )))
+            for c in store
+        ]
+        got, want = parameter_instantiation(store, box), _pinned_copy_by_copy(store, box, pins)
+        assert [c.f for c in got] == [c.f for c in want], (case, store, box)
+        assert [_bits(c.param_domain) for c in got] == [_bits(c.param_domain) for c in want], (case, store, box)
+        assert [c is s for c, s in zip(got, store)] == [c is s for c, s in zip(want, store)], (case, store, box)
+    assert min(seen.values()) >= 30 and min(pins.values()) >= 30, (seen, pins)
+
+
 def test_identification_cuts_the_pieces_set_difference_closure_cuts_bit_for_bit():
     # identification cuts straight from the kernels' hull, without
     # set_difference_closure's intersect; the hull lies inside the box, each
@@ -739,6 +797,29 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(time_limit=0.0)
     assert SolverConfig(mode="2B+").mode == "2b+"
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("epsilon", True),
+        ("stop_ratio", False),
+        ("time_limit", True),
+        ("max_nodes", True),
+        ("max_nodes", 2.5),
+        ("max_nodes", 3.0),
+        ("epsilon", "0.01"),
+        ("epsilon", None),
+        ("time_limit", 10**400),
+        ("mode", 3),
+        ("mode", None),
+    ],
+)
+def test_solver_config_refuses_what_its_flags_line_cannot_replay(field, value):
+    # the report prints each field as a command-line flag: a bool would read
+    # True, a float node limit 2.5, and neither parses back
+    with pytest.raises(ValueError):
+        SolverConfig(**{field: value})
 
 
 def test_problem_rejects_a_zero_width_variable_domain():
