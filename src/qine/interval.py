@@ -16,18 +16,22 @@ returns the result's (lo, hi): ``_add``, ``_mul``, ``_div``, ``_sqr``,
 ``_pow``, ``_root``, ``_exp``, ``_log``, ``_sin`` and ``_cos``.
 ``Interval``'s operators wrap them, and the kernels that ``expr`` and
 ``contractor`` compile call them on float locals, so no rounding or case
-rule has a second copy.  Dekker's TwoProduct error is written once, as
-the text template ``_TWO_PROD``; the directed products, the square, the
-quotients and the square root are compiled from source that holds it,
-so that on operands inside (2**-450, 2**450) in magnitude they make no
-Python call, a tie of the rounded product that checks a quotient or a
-square root included; nor do sums that do not overflow, nor exp and log
-of finite bounds.  A tie outside that range takes its error's sign from
-``_prod_err_sign``, on integer ratios.  Products with an
-infinite or out-of-range nonzero operand, overflowing sums, integer
-powers and the steps of the integer-root walk take slower exact
-fallbacks (``_mul_edge``, ``_add_edge``, ``_pow_bound``), each one call
-of ``_round`` on integer ratios.
+rule has a second copy, nor a copy per rounding direction: each helper
+that rounds one bound (``_round``, ``_add_edge``, ``_mul_edge``,
+``_mul_bound``, ``_div_bound``, ``_pow_bound``, ``_root_walk``) takes
+the direction as its ``up`` flag.  Dekker's TwoProduct error is written
+once, as the text template ``_TWO_PROD``; the directed product
+``_mul_bound``, the directed quotient ``_div_bound``, the square and the
+square root are compiled from source that holds it, so that on operands
+inside (2**-450, 2**450) in magnitude they make no Python call, a tie of
+the rounded product that checks a quotient or a square root included;
+nor do sums that do not overflow, nor exp and log of finite bounds.  A
+tie outside that range takes its error's sign from ``_prod_err_sign``,
+on integer ratios.  Products with an infinite or out-of-range nonzero
+operand, overflowing sums, integer powers and the steps of the
+integer-root walk take slower exact fallbacks (``_mul_edge``,
+``_add_edge``, ``_pow_bound``), each one call of ``_round`` on integer
+ratios.
 
 All values are immutable and operations are pure; the FPU rounding mode
 is never touched, so concurrent use is safe.
@@ -83,10 +87,10 @@ _EFT_HI = 2.0**450
 # Dekker's TwoProduct, written once as text: given p = fl(a*b) for locals
 # {a}, {b} inside (_EFT_LO, _EFT_HI) in magnitude, it sets e to a*b - p
 # exactly, as Veltkamp's splitter 2**27 + 1 gives 26-bit halves whose
-# partial products are exact.  The functions that run it (_mul_down,
-# _mul_up, _sqr, and the ties of _div_down, _div_up and the square root of
-# _root) are compiled by _flat from source that holds it, so it runs in
-# their own frame.
+# partial products are exact.  The functions that run it (_mul_bound,
+# _sqr, and the ties of _div_bound and the square root of _root) are
+# compiled by _flat from source that holds it, so it runs in their own
+# frame.
 _TWO_PROD = (
     "t = 134217729.0 * {a}; {a}h = t - (t - {a}); {a}l = {a} - {a}h",
     "t = 134217729.0 * {b}; {b}h = t - (t - {b}); {b}l = {b} - {b}h",
@@ -148,7 +152,7 @@ def _mul_edge(a: float, b: float, up: bool) -> float:
 def _prod_err_sign(a: float, b: float, p: float) -> int:
     """Sign of a*b - p for finite a, b and p = fl(a*b), on integer ratios.
 
-    The ties of _div_down, _div_up and _root call it only where an
+    The ties of _div_bound and _root call it only where an
     operand lies outside (_EFT_LO, _EFT_HI), so TwoProduct cannot serve.
     """
     am, ad = a.as_integer_ratio()
@@ -159,31 +163,19 @@ def _prod_err_sign(a: float, b: float, p: float) -> int:
     return (lhs > rhs) - (lhs < rhs)
 
 
-_mul_down, _mul_up = _flat(
+_mul_bound, _div_bound = _flat(
     f'''
-def _mul_down(a: float, b: float) -> float:
+def _mul_bound(a: float, b: float, up: bool) -> float:
     if _EFT_LO < abs(a) < _EFT_HI and _EFT_LO < abs(b) < _EFT_HI:
         p = a * b
         {_two_prod("a", "b")}
+        if up:
+            return _nextafter(p, _INF) if e > 0.0 else p
         return _nextafter(p, -_INF) if e < 0.0 else p
-    return 0.0 if a == 0.0 or b == 0.0 else _mul_edge(a, b, False)
+    return 0.0 if a == 0.0 or b == 0.0 else _mul_edge(a, b, up)
 
 
-def _mul_up(a: float, b: float) -> float:
-    if _EFT_LO < abs(a) < _EFT_HI and _EFT_LO < abs(b) < _EFT_HI:
-        p = a * b
-        {_two_prod("a", "b")}
-        return _nextafter(p, _INF) if e > 0.0 else p
-    return 0.0 if a == 0.0 or b == 0.0 else _mul_edge(a, b, True)
-''',
-    "_mul_down",
-    "_mul_up",
-)
-
-
-_div_down, _div_up = _flat(
-    f'''
-def _div_down(a: float, b: float) -> float:
+def _div_bound(a: float, b: float, up: bool) -> float:
     if a == 0.0:
         return 0.0
     if math.isinf(a):
@@ -192,39 +184,27 @@ def _div_down(a: float, b: float) -> float:
         return 0.0
     q = a / b
     if math.isinf(q):
+        if up:
+            return q if q > 0 else -_MAX
         return _MAX if q > 0 else q
-    # a/b - q = (a - q*b) / b, so a/b < q exactly when q*b - a has b's sign
+    # a/b - q = (a - q*b) / b: e takes the sign of q*b - a as _root's square
+    # root does (p - a off a tie, the exact q*b - p on one), and b < 0
+    # negates it, so a/b < q exactly when e > 0
     p = q * b
     if p != a:
-        return _nextafter(q, -_INF) if (p > a) == (b > 0.0) else q
-    if _EFT_LO < abs(q) < _EFT_HI and _EFT_LO < abs(b) < _EFT_HI:
+        e = p - a
+    elif _EFT_LO < abs(q) < _EFT_HI and _EFT_LO < abs(b) < _EFT_HI:
         {_two_prod("q", "b")}
     else:
         e = _prod_err_sign(q, b, p)
-    return _nextafter(q, -_INF) if (e > 0.0 if b > 0.0 else e < 0.0) else q
-
-
-def _div_up(a: float, b: float) -> float:
-    if a == 0.0:
-        return 0.0
-    if math.isinf(a):
-        return _INF if (a > 0) == (b > 0) else -_INF
-    if math.isinf(b):
-        return 0.0
-    q = a / b
-    if math.isinf(q):
-        return q if q > 0 else -_MAX
-    p = q * b
-    if p != a:
-        return _nextafter(q, _INF) if (p > a) != (b > 0.0) else q
-    if _EFT_LO < abs(q) < _EFT_HI and _EFT_LO < abs(b) < _EFT_HI:
-        {_two_prod("q", "b")}
-    else:
-        e = _prod_err_sign(q, b, p)
-    return _nextafter(q, _INF) if (e < 0.0 if b > 0.0 else e > 0.0) else q
+    if b < 0.0:
+        e = -e
+    if up:
+        return _nextafter(q, _INF) if e < 0.0 else q
+    return _nextafter(q, -_INF) if e > 0.0 else q
 ''',
-    "_div_down",
-    "_div_up",
+    "_mul_bound",
+    "_div_bound",
 )
 
 
@@ -345,28 +325,29 @@ def _mul(xl: float, xh: float, yl: float, yh: float) -> tuple[float, float]:
     if xl > xh or yl > yh:
         return _E
     if yl >= 0.0:
-        lo = _mul_down(xl, yl if xl >= 0.0 else yh)
-        hi = _mul_up(xh, yh if xh >= 0.0 else yl)
+        lo = _mul_bound(xl, yl if xl >= 0.0 else yh, False)
+        hi = _mul_bound(xh, yh if xh >= 0.0 else yl, True)
     elif yh <= 0.0:
-        lo = _mul_down(xh, yl if xh >= 0.0 else yh)
-        hi = _mul_up(xl, yh if xl >= 0.0 else yl)
+        lo = _mul_bound(xh, yl if xh >= 0.0 else yh, False)
+        hi = _mul_bound(xl, yh if xl >= 0.0 else yl, True)
     elif xl >= 0.0:
-        lo, hi = _mul_down(xh, yl), _mul_up(xh, yh)
+        lo, hi = _mul_bound(xh, yl, False), _mul_bound(xh, yh, True)
     elif xh <= 0.0:
-        lo, hi = _mul_down(xl, yh), _mul_up(xl, yl)
+        lo, hi = _mul_bound(xl, yh, False), _mul_bound(xl, yl, True)
     else:
-        lo = min(_mul_down(xl, yh), _mul_down(xh, yl))
-        hi = max(_mul_up(xl, yl), _mul_up(xh, yh))
+        lo = min(_mul_bound(xl, yh, False), _mul_bound(xh, yl, False))
+        hi = max(_mul_bound(xl, yl, True), _mul_bound(xh, yh, True))
     if hi == 0.0 and (
         0.0 < abs(xl) <= _EFT_LO or 0.0 < abs(xh) <= _EFT_LO
         or 0.0 < abs(yl) <= _EFT_LO or 0.0 < abs(yh) <= _EFT_LO
     ):
-        # _mul_up rounds an underflowing negative product to -0.0; the
+        # _mul_bound rounds an underflowing negative product up to -0.0; the
         # sign of a zero bound is that of the first zero among the four
         # candidates in this order.  Only a product with a nonzero operand
         # at most _EFT_LO in magnitude can underflow; every other zero
         # candidate is +0.0, and so is the bound already.
-        hi = max(_mul_up(xl, yl), _mul_up(xl, yh), _mul_up(xh, yl), _mul_up(xh, yh))
+        hi = max(_mul_bound(xl, yl, True), _mul_bound(xl, yh, True),
+                 _mul_bound(xh, yl, True), _mul_bound(xh, yh, True))
     return lo, hi
 
 
@@ -382,13 +363,14 @@ def _div(xl: float, xh: float, yl: float, yh: float) -> tuple[float, float]:
     if yl > 0.0 or yh < 0.0:
         # Moore's sign table; a zero upper bound takes its sign as in _mul
         if yl > 0.0:
-            lo = _div_down(xl, yh if xl >= 0.0 else yl)
-            hi = _div_up(xh, yl if xh >= 0.0 else yh)
+            lo = _div_bound(xl, yh if xl >= 0.0 else yl, False)
+            hi = _div_bound(xh, yl if xh >= 0.0 else yh, True)
         else:
-            lo = _div_down(xh, yh if xh >= 0.0 else yl)
-            hi = _div_up(xl, yl if xl >= 0.0 else yh)
+            lo = _div_bound(xh, yh if xh >= 0.0 else yl, False)
+            hi = _div_bound(xl, yl if xl >= 0.0 else yh, True)
         if hi == 0.0:
-            hi = max(_div_up(xl, yl), _div_up(xl, yh), _div_up(xh, yl), _div_up(xh, yh))
+            hi = max(_div_bound(xl, yl, True), _div_bound(xl, yh, True),
+                     _div_bound(xh, yl, True), _div_bound(xh, yh, True))
         return lo, hi
     if xl <= 0.0 <= xh:
         return -_INF, _INF
@@ -396,14 +378,14 @@ def _div(xl: float, xh: float, yl: float, yh: float) -> tuple[float, float]:
         return _E
     if xl > 0.0:
         if yh == 0.0:
-            return -_INF, _div_up(xl, yl)
+            return -_INF, _div_bound(xl, yl, True)
         if yl == 0.0:
-            return _div_down(xl, yh), _INF
+            return _div_bound(xl, yh, False), _INF
         return -_INF, _INF
     if yh == 0.0:
-        return _div_down(xh, yl), _INF
+        return _div_bound(xh, yl, False), _INF
     if yl == 0.0:
-        return -_INF, _div_up(xh, yh)
+        return -_INF, _div_bound(xh, yh, True)
     return -_INF, _INF
 
 

@@ -141,6 +141,8 @@ class SolverConfig:
         if not isinstance(self.mode, str) or self.mode.lower() not in ("2b", "2b+"):
             raise ValueError(f"unknown mode {self.mode!r}")
         object.__setattr__(self, "mode", self.mode.lower())
+        if not isinstance(self.param_bisect, bool):  # as its flag parses to; "off" is truthy
+            raise ValueError(f"param_bisect must be a bool, not {self.param_bisect!r}")
         if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
             raise ValueError("epsilon must be positive and finite")
         if self.stop_ratio is not None and not 0.0 < self.stop_ratio <= 1.0:

@@ -19,10 +19,8 @@ from qine.interval import (
     Box,
     Interval,
     _add,
-    _div_down,
-    _div_up,
-    _mul_down,
-    _mul_up,
+    _div_bound,
+    _mul_bound,
     _prod_err_sign,
     _root,
     _root_walk,
@@ -648,8 +646,8 @@ def kernel_floats():
 
 def check_div(a: float, b: float) -> None:
     exact = Fraction(a) / Fraction(b)
-    assert _div_down(a, b) == floor_float(exact), (a, b)
-    assert _div_up(a, b) == ceil_float(exact), (a, b)
+    assert _div_bound(a, b, False) == floor_float(exact), (a, b)
+    assert _div_bound(a, b, True) == ceil_float(exact), (a, b)
 
 
 @given(kernel_floats(), kernel_floats().filter(lambda b: b != 0.0))
@@ -687,8 +685,8 @@ def test_div_kernels_at_the_edges(a, b):
 
 def check_mul(a: float, b: float) -> None:
     exact = Fraction(a) * Fraction(b)
-    assert _mul_down(a, b) == floor_float(exact), (a, b)
-    assert _mul_up(a, b) == ceil_float(exact), (a, b)
+    assert _mul_bound(a, b, False) == floor_float(exact), (a, b)
+    assert _mul_bound(a, b, True) == ceil_float(exact), (a, b)
 
 
 @given(kernel_floats(), kernel_floats())
@@ -769,15 +767,18 @@ def test_round_gives_the_tightest_double_on_each_side(exact):
 
 def test_round_keeps_the_sign_of_a_negative_ratio_that_underflows():
     # -0.0, as the float product -2**-600 * 2**-600 gives it: _mul's zero
-    # fix-up takes a zero bound's sign from _mul_up
+    # fix-up takes a zero bound's sign from _mul_bound rounding up
     assert math.copysign(1.0, interval._round(-1, 1 << 1100, True)) == -1.0
-    assert math.copysign(1.0, _mul_up(-(2.0**-600), 2.0**-600)) == -1.0
+    assert math.copysign(1.0, _mul_bound(-(2.0**-600), 2.0**-600, True)) == -1.0
+    # rounding down, the same product is the least negative subnormal
+    assert interval._round(-1, 1 << 1100, False) == -TINY
+    assert _mul_bound(-(2.0**-600), 2.0**-600, False) == -TINY
 
 
 def check_tie(x: float, y: float) -> None:
     """_prod_err_sign on the tie of the product comparison, p = fl(x*y).
 
-    ``_div_down``, ``_div_up`` and ``_root`` compare fl(x*y) with a
+    ``_div_bound`` and ``_root`` compare fl(x*y) with a
     double v inline and call _prod_err_sign only when they are equal;
     ``check_div`` and the square-root bit-for-bit tests cover the other
     side.
@@ -942,11 +943,12 @@ def test_add_kernels_when_the_error_term_overflows(sign):
 # directed candidates, signed zeros included
 
 
-def four_candidate_hull(x: Interval, y: Interval, down, up) -> tuple[float, float]:
-    """min of the rounded-down and max of the rounded-up candidates, in this
-    order; min and max keep the first of tied zeros."""
+def four_candidate_hull(x: Interval, y: Interval, bound) -> tuple[float, float]:
+    """min of the rounded-down and max of the rounded-up candidates of the
+    directed bound(a, b, up), in this order; min and max keep the first of
+    tied zeros."""
     pairs = ((x.lo, y.lo), (x.lo, y.hi), (x.hi, y.lo), (x.hi, y.hi))
-    return min(down(a, b) for a, b in pairs), max(up(a, b) for a, b in pairs)
+    return min(bound(a, b, False) for a, b in pairs), max(bound(a, b, True) for a, b in pairs)
 
 
 HULL_EDGES = [0.0, -0.0, INF, -INF, 1e-170, -1e-170, 1e-300, -1e-300, *SPECIAL]
@@ -977,10 +979,10 @@ def test_mul_and_div_match_the_four_candidate_hull_bit_for_bit():
     for _ in range(20_000):
         x, y = edge_interval(rng), edge_interval(rng)
         r = x * y
-        assert hexes(r.lo, r.hi) == hexes(*four_candidate_hull(x, y, _mul_down, _mul_up)), (x, y)
+        assert hexes(r.lo, r.hi) == hexes(*four_candidate_hull(x, y, _mul_bound)), (x, y)
         if y.lo > 0.0 or y.hi < 0.0:
             r = x / y
-            assert hexes(r.lo, r.hi) == hexes(*four_candidate_hull(x, y, _div_down, _div_up)), (x, y)
+            assert hexes(r.lo, r.hi) == hexes(*four_candidate_hull(x, y, _div_bound)), (x, y)
 
 
 def test_mul_keeps_the_sign_of_an_underflowed_zero_upper_bound():
@@ -993,23 +995,29 @@ def test_mul_keeps_the_sign_of_an_underflowed_zero_upper_bound():
 def mul_refixing_every_zero(xl, xh, yl, yh):
     """_mul as it was before its zero-sign fix-up was guarded: every zero
     upper bound re-rounds the four candidates."""
+    def down(a, b):
+        return _mul_bound(a, b, False)
+
+    def up(a, b):
+        return _mul_bound(a, b, True)
+
     if xl > xh or yl > yh:
         return INF, -INF
     if yl >= 0.0:
-        lo = _mul_down(xl, yl if xl >= 0.0 else yh)
-        hi = _mul_up(xh, yh if xh >= 0.0 else yl)
+        lo = down(xl, yl if xl >= 0.0 else yh)
+        hi = up(xh, yh if xh >= 0.0 else yl)
     elif yh <= 0.0:
-        lo = _mul_down(xh, yl if xh >= 0.0 else yh)
-        hi = _mul_up(xl, yh if xl >= 0.0 else yl)
+        lo = down(xh, yl if xh >= 0.0 else yh)
+        hi = up(xl, yh if xl >= 0.0 else yl)
     elif xl >= 0.0:
-        lo, hi = _mul_down(xh, yl), _mul_up(xh, yh)
+        lo, hi = down(xh, yl), up(xh, yh)
     elif xh <= 0.0:
-        lo, hi = _mul_down(xl, yh), _mul_up(xl, yl)
+        lo, hi = down(xl, yh), up(xl, yl)
     else:
-        lo = min(_mul_down(xl, yh), _mul_down(xh, yl))
-        hi = max(_mul_up(xl, yl), _mul_up(xh, yh))
+        lo = min(down(xl, yh), down(xh, yl))
+        hi = max(up(xl, yl), up(xh, yh))
     if hi == 0.0:
-        hi = max(_mul_up(xl, yl), _mul_up(xl, yh), _mul_up(xh, yl), _mul_up(xh, yh))
+        hi = max(up(xl, yl), up(xl, yh), up(xh, yl), up(xh, yh))
     return lo, hi
 
 
@@ -1132,10 +1140,10 @@ def python_calls(fn, *args) -> list[str]:
         ("_sqr", (-1.7, -0.3)),
         ("_sqr", (-0.3, 1.7)),  # across 0
         ("_sqr", (-1.7, 0.3)),
-        ("_mul_down", (0.1, -3.0)),
-        ("_mul_up", (0.1, -3.0)),
-        ("_div_down", (1.0, 49.0)),
-        ("_div_up", (-1.0, 49.0)),
+        ("_mul_bound", (0.1, -3.0, False)),
+        ("_mul_bound", (0.1, -3.0, True)),
+        ("_div_bound", (1.0, 49.0, False)),
+        ("_div_bound", (-1.0, 49.0, True)),
         ("_root", (2.0, 3.0, 2)),
         ("_add", (0.1, 0.3, 0.2, 0.7)),  # both bounds inexact
         ("_exp", (-0.5, 1.5)),
@@ -1156,23 +1164,25 @@ def test_the_common_path_of_a_bound_makes_no_python_call(name, args):
 @pytest.mark.parametrize(
     "name, a, b",
     [
-        ("_div_down", 1.0, 3.0),  # (1/3)*3 rounds to 1: an inexact tie
-        ("_div_up", -1.0, 3.0),
-        ("_div_down", 6.0, -3.0),  # an exact quotient
-        ("_div_up", 7.5, 2.5),
+        ("_div_bound", 1.0, 3.0),  # (1/3)*3 rounds to 1: an inexact tie
+        ("_div_bound", -1.0, 3.0),
+        ("_div_bound", 6.0, -3.0),  # an exact quotient
+        ("_div_bound", 7.5, 2.5),
         ("_root", 4.0, 9.0),  # perfect squares
         ("_root", (1.0 + 2.0**-30) ** 2, (3.0 + 2.0**-40) ** 2),  # inexact ties
     ],
 )
 def test_a_tie_of_the_rounded_product_makes_no_python_call(name, a, b):
     # the sign of the product's error on a tie comes from TwoProduct inline
-    # while both operands lie in (2**-450, 2**450)
+    # while both operands lie in (2**-450, 2**450); a quotient is checked
+    # rounding down and rounding up
     if name == "_root":
         assert all(math.sqrt(v) * math.sqrt(v) == v for v in (a, b))
         assert python_calls(interval._root, a, b, 2) == ["_root"]
     else:
         assert (a / b) * b == a
-        assert python_calls(getattr(interval, name), a, b) == [name]
+        for up in (False, True):
+            assert python_calls(getattr(interval, name), a, b, up) == [name]
 
 
 def fraction_volume(box: Box) -> Fraction:

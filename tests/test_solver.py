@@ -813,11 +813,15 @@ def test_solver_config_validation():
         ("time_limit", 10**400),
         ("mode", 3),
         ("mode", None),
+        ("param_bisect", "off"),
+        ("param_bisect", 0),
+        ("param_bisect", None),
     ],
 )
 def test_solver_config_refuses_what_its_flags_line_cannot_replay(field, value):
     # the report prints each field as a command-line flag: a bool would read
-    # True, a float node limit 2.5, and neither parses back
+    # True, a float node limit 2.5, and neither parses back; param_bisect
+    # prints from its truth, so "off" would solve and print as on
     with pytest.raises(ValueError):
         SolverConfig(**{field: value})
 
