@@ -6,27 +6,30 @@ the feasible half-line of the relation, and one backward sweep projects
 each node interval onto its operands.  There is no internal fixpoint
 iteration: callers that want more contraction call again.
 
-One generator, ``_compile_run``, compiles each expression into three
-functions, each a loop over a run of the expression's parameter copies
-in a solver store: "prune" revises f <= 0 at each copy's parameter
-midpoint, threading the variable bounds through the run, "revise"
-revises f against a half-line given as an argument over each copy's
-whole domain and hulls the regions, and "pin" collapses each parameter
-coordinate on which f is proven monotone over the box to its worst
-endpoint.  They share the loads, the loop and the return, and their
-leaves read the same per-copy locals.  The body of the first two is the
-forward code of ``expr.forward_sweep``, then one block per visit of the
-backward sweep, in the order of a depth-first walk (left operand first,
-a node reached along several paths visited once per path); that of
-"pin" is one block of tangent code per parameter.  The body has no loop
-and no dispatch on ops, and, like the tape, no depth limit.  A sweep's
-size is the number of visits, which is the tape's length when only
-leaves are shared, as in every parsed expression.  The kernels work on
-float bounds: the arithmetic and the midpoints call interval.py's
-functions, intersections, hulls and empty checks are float comparisons,
-and Intervals are built only in the return, while a box or interval
-that was not cut is returned as it came.  ``hc4_revise`` is the
-"revise" function on a store of one copy.
+One generator, ``_compile_run``, compiles each expression into the
+functions that the solver's node loop calls, each a loop over a run of
+the expression's parameter copies in a solver store: "prune" revises
+f <= 0 at each copy's parameter midpoint, threading the variable bounds
+through the run, "revise" revises f against a half-line given as an
+argument over each copy's whole domain and hulls the regions,
+"identify" is "revise" that keeps whole a copy on which f may be
+undefined, and "pin" collapses each parameter coordinate on which f is
+proven monotone over the box to its worst endpoint.  They share the
+loads, the loop and the return, and their leaves read the same per-copy
+locals.  The body of the sweeps is the forward code of
+``expr.forward_sweep``, then one block per visit of the backward sweep,
+in the order of a depth-first walk (left operand first, a node reached
+along several paths visited once per path); that of "pin" is one block
+of tangent code per parameter.  The body has no loop and no dispatch on
+ops, and, like the tape, no depth limit.  A sweep's size is the number
+of visits, which is the tape's length when only leaves are shared, as
+in every parsed expression.  The kernels work on float bounds end to
+end: a box is a flat tuple (lo0, hi0, lo1, hi1, ...), a copy a pair
+(f, ys) with ys such a tuple, the arithmetic and the midpoints call
+interval.py's functions, and intersections, hulls and empty checks are
+float comparisons; a box or copy that was not cut is returned as it
+came.  ``hc4_revise`` is the "revise" function on a store of one copy,
+between Boxes.
 
 A visit skips its projection when the narrowing left the node's forward
 value as it was and the projection could not cut it (see ``hc4_revise``).
@@ -42,7 +45,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .interval import _E, EMPTY, Box, Interval, _box, _exponent, _midpoint, _unchecked
+from .interval import _E, EMPTY, Box, Interval, _bounds, _exponent, _midpoint, _rebox, _unchecked
 from .expr import _BINARY, _LEAVES, _OPS, _PARTIAL, _TAPES, Expression, _compile, _forward_code, _Step, _tape
 from .expr import _tangent_code
 
@@ -86,7 +89,7 @@ _PROJECT = {
     "pow_odd": ("_root({c}l, {c}h, {n})",),
     "pow_even": ("_root({c}l, {c}h, {n})",),
 }
-_NAMESPACE = {**_OPS, "_E": _E, "_INF": math.inf, "EMPTY": EMPTY, "_box": _box, "_qc": _qc, "_midpoint": _midpoint}
+_NAMESPACE = {**_OPS, "_E": _E, "_INF": math.inf, "EMPTY": EMPTY, "_midpoint": _midpoint}
 
 
 def _rule(op: str, n: object) -> str:
@@ -152,38 +155,56 @@ def backward_project(
     return project(node_interval, *child_intervals, n=exponent)
 
 
-def _rebuilt(whole: str, dims: str, read: Sequence[int], new: str, old: tuple[str, str], build: str = "{}") -> str:
+def _rebuilt(whole: str, flat: str, read: Sequence[int], new: str, old: str | None, build: str = "{}") -> str:
     """Source of ``whole``, or of it rebuilt when a read coordinate moved.
 
-    ``whole`` has a box with the intervals ``dims``.  Each read coordinate
-    j now has the bounds {new}{j}l, {new}{j}h and came in with those that
-    the templates ``old`` give.  A cut moves a bound strictly inward, so
-    equal bounds mean none.  A rebuilt box keeps every interval that was
-    not cut, which saves an allocation per uncut coordinate, and ``build``
-    makes the object from it.
+    ``whole`` has the flat bounds ``flat``, (lo0, hi0, lo1, hi1, ...).
+    Each read coordinate j now has the bounds {new}{j}l, {new}{j}h and
+    came in with {old}{j}l, {old}{j}h, or with its bounds in ``flat`` when
+    old is None.  A cut moves a bound strictly inward and a meet keeps its
+    own bound on a tie, so equal bounds mean the same bits.  A rebuilt
+    tuple takes every other bound from ``flat``, and ``build`` makes the
+    object from it.
     """
     if not read:
         return whole
-    same = {j: f"{new}{j}l == {old[0].format(j=j)} and {new}{j}h == {old[1].format(j=j)}" for j in read}
-    top = max(read) + 1
-    items = [
-        f"{dims}[{j}] if {same[j]} else _iv({new}{j}l, {new}{j}h)" if j in same else f"{dims}[{j}]"
-        for j in range(top)
-    ]
-    box = build.format(f"_box(({', '.join(items)}, *{dims}[{top}:]))")
-    return f"({whole} if {' and '.join(same.values())} else {box})"
+    bounds = {j: (f"{flat}[{2 * j}]", f"{flat}[{2 * j + 1}]") for j in range(max(read) + 1)}
+    same = " and ".join(
+        f"{new}{j}l == {lo} and {new}{j}h == {hi}"
+        for j, (lo, hi) in ((j, bounds[j] if old is None else (f"{old}{j}l", f"{old}{j}h")) for j in read)
+    )
+    items = ", ".join(f"{new}{j}l, {new}{j}h" if j in read else ", ".join(pair) for j, pair in bounds.items())
+    return f"({whole} if {same} else {build.format(f'({items}) + {flat}[{2 * len(bounds)}:]')})"
+
+
+def _undefined(steps: Sequence[_Step]) -> str | None:
+    """The test that f may be undefined on the box, from its forward values; None for a total tape.
+
+    A quotient is undefined where its divisor holds 0, a square root where
+    its operand is negative and a logarithm where its operand is not
+    positive.  Like IEEE 1788's ``dac`` decoration, a copy whose test is
+    false is defined and continuous on the whole box.
+    """
+    tests = {"div": "v{b}l <= 0.0 <= v{b}h", "sqrt": "v{a}l < 0.0", "log": "v{a}l <= 0.0"}
+    found = [tests[op].format(a=a, b=b) for op, a, b in steps if op in tests]
+    return " or ".join(found) or None
 
 
 # the ops whose projection of their own forward value changes nothing (see hc4_revise)
 _SETTLED_OPS = frozenset(_LEAVES + ("add", "sub", "mul", "neg", "pow", "sin", "cos"))
 
 
-def _sweep(steps: Sequence[_Step], forward: Sequence[str], fail: str, keep: Sequence[str]) -> list[str]:
+def _sweep(
+    steps: Sequence[_Step], forward: Sequence[str], fail: str, keep: Sequence[str], undefined: str | None = None
+) -> list[str]:
     """One copy's forward code, root check and HC4 backward sweep.
 
     ``fail`` is the statement that ends a copy whose value came out
     empty, and ``keep`` the lines that end one that came through, which
-    the whole-tape settled shortcut runs before its ``continue``.  v{i}
+    the whole-tape settled shortcut runs before its ``continue``.  A copy
+    for which the test ``undefined`` holds runs ``keep`` uncut, before
+    the root check: an empty root value there means undefined, not
+    violated.  v{i}
     is step i's forward value, c{i} the current value of a step reached
     along several paths (a single-path step's operands are read before
     its only visit, so they still hold their forward values), and n{w}
@@ -209,7 +230,8 @@ def _sweep(steps: Sequence[_Step], forward: Sequence[str], fail: str, keep: Sequ
     # followed by stops alone, shared steps included, so the copy is done
     settled = all(op in _SETTLED_OPS for op, _, _ in steps)
     root = len(steps) - 1
-    body = [*forward, _meet("n0", f"v{root}", "f"), f"if n0l > n0h: {fail}"]
+    body = [*forward, *([f"if {undefined}: " + "; ".join([*keep, "continue"])] if undefined else [])]
+    body += [_meet("n0", f"v{root}", "f"), f"if n0l > n0h: {fail}"]
     # the current value c{i} of a shared step starts at its forward value
     body += [f"c{i}l, c{i}h = v{i}l, v{i}h" for i, n in enumerate(paths) if n > 1]
     stack, visits = [(root, 0)], 1
@@ -245,14 +267,16 @@ def _sweep(steps: Sequence[_Step], forward: Sequence[str], fail: str, keep: Sequ
     return body
 
 
-def _pins(steps: Sequence[_Step], forward: Sequence[str], yr: Sequence[int]) -> list[str]:
+def _pins(steps: Sequence[_Step], forward: Sequence[str], yr: Sequence[int], undefined: str | None) -> list[str]:
     """The 2B+ pin blocks of one copy, one per parameter coordinate j in yr.
 
     Coordinate j's block runs, when y{j} is not a point, the tangent code
     of ``expr._tangent_code`` seeded on y_j over the steps active for it,
     those whose subtree reads y_j or holds a div, sqrt or log, behind the
     forward lines that code reads, and collapses y{j} to its worst
-    endpoint when the root's tangent has a sign.
+    endpoint when the root's tangent has a sign and the test ``undefined``
+    does not hold.  Partial steps are always active, so the block already
+    computes the forward values that test reads.
     """
     d, body = f"d{len(steps) - 1}", []  # the root's tangent
     for j in yr:
@@ -267,7 +291,8 @@ def _pins(steps: Sequence[_Step], forward: Sequence[str], yr: Sequence[int]) -> 
             op, a, b = steps[i]
             if i in reads and op not in _LEAVES:
                 reads.update((a, b) if op in _BINARY else (a,))
-        block = [*(forward[i] for i in sorted(reads)), *tangent, f"if -_INF < {d}l <= {d}h < _INF:"]
+        defined = f" and not ({undefined})" if undefined else ""
+        block = [*(forward[i] for i in sorted(reads)), *tangent, f"if -_INF < {d}l <= {d}h < _INF{defined}:"]
         block.append(f" if {d}l >= 0.0 and -_INF < y{j}h < _INF: y{j}l = y{j}h")
         block.append(f" elif {d}h <= 0.0 and -_INF < y{j}l < _INF: y{j}h = y{j}l")
         body += [f"if y{j}l != y{j}h:", *(" " + line for line in block)]
@@ -275,10 +300,13 @@ def _pins(steps: Sequence[_Step], forward: Sequence[str], yr: Sequence[int]) -> 
 
 
 def _compile_run(steps: Sequence[_Step], purpose: str) -> Callable:
-    """One tape's kernel over a run of its copies, for purpose "prune", "revise" or "pin".
+    """One tape's kernel over a run of its copies, for purpose "prune", "revise", "identify" or "pin".
 
-    A run is the stretch of ``store`` from index k on whose copies share
-    the tape's expression f; each kernel returns the index after it.
+    Boxes are flat tuples of float bounds (lo0, hi0, lo1, hi1, ...), and
+    a store is a sequence of copies (f, ys), ys the copy's parameter
+    domain as such a tuple.  A run is the stretch of ``store`` from index
+    k on whose copies share the tape's expression f; each kernel returns
+    the index after it.
 
     ``prune(x, store, k)`` revises f <= 0 for each copy in turn at its
     parameter midpoint (``interval._midpoint``), each on the variable
@@ -291,69 +319,83 @@ def _compile_run(steps: Sequence[_Step], purpose: str) -> Callable:
     returns (k, r', kept): r' is the hull of the hull r (None for no
     region yet) and each non-empty region in store order, r itself when
     every copy came out empty, and kept the copies with a non-empty
-    region, each with its contracted parameter domain.
+    region, each with its contracted parameter domain.  "identify" is
+    "revise" except that a copy on which f may be undefined
+    (``_undefined``) keeps its whole domain and the whole box as its
+    region; a tape with no div, sqrt or log compiles no such kernel of
+    its own (``_kernel``).
 
     ``pin(x, store, k)`` returns (k, copies): each copy of the run with
     every parameter coordinate j that the tape reads and that is not a
     point collapsed to its upper endpoint when the partial derivative of
     f in y_j over x and the domain is non-negative, to its lower one when
     it is non-positive, and left whole when the enclosure is empty or
-    unbounded or the endpoint is infinite (``_pins``).  The coordinates
-    go in index order, each seeing the pins before it.
+    unbounded, the endpoint is infinite or f may be undefined (``_pins``).
+    The coordinates go in index order, each seeing the pins before it.
 
-    The three share the input loads, the loop over the run and the
+    The kernels share the input loads, the loop over the run and the
     return; the body after the copy's inputs is ``_sweep``'s or
     ``_pins``'s.  Every value is a pair of float locals, named by a prefix
     and l or h.  Each leaf reads the copy's x{j} or y{j}: x{j} holds the
     bounds threaded from copy to copy when pruning and x's own otherwise,
     y{j} the midpoint when pruning, the domain when revising and the
     domain as pinned so far when pinning.  p{j} holds x's bounds, h{j}
-    the hull.  Boxes and Intervals are built only in the return
-    (``_rebuilt``), and a region holds x's own interval wherever the tape
-    does not read x.
+    the hull.  A box or copy none of whose read bounds moved is returned
+    as it came, and a rebuilt one takes x's own bounds, or the copy's,
+    wherever the tape does not read them (``_rebuilt``).
     """
     forward, namespace = _forward_code(steps, {"var": "x{a}l, x{a}h", "param": "y{a}l, y{a}h"})
     namespace.update(_NAMESPACE)
     xr, yr = (sorted({a for op, a, _ in steps if op == leaf}) for leaf in ("var", "param"))
     names = "".join(f", y{j}l, y{j}h" for j in yr)
+    undefined = _undefined(steps)
     x_in = [f"x{j}l, x{j}h = p{j}l, p{j}h" for j in xr]
-    head = ["xs = x.dims", *(f"p{j}l, p{j}h = xs[{j}].lo, xs[{j}].hi" for j in xr), "f, end = store[k].f, len(store)"]
-    params, start = "x, store, k", [f"y{j}l, y{j}h = ys[{j}].lo, ys[{j}].hi" for j in yr]
-    keep = [f"kept.append((qc, ys{names}))" if yr else "kept.append(qc)"]
-    copies = _rebuilt("qc", "ys", yr, "y", ("ys[{j}].lo", "ys[{j}].hi"), "_qc(qc.f, {})")
-    copies = f"[{copies} for qc, ys{names} in kept]" if yr else "kept"
+    head = [*(f"p{j}l, p{j}h = x[{2 * j}], x[{2 * j + 1}]" for j in xr), "f, end = store[k][0], len(store)"]
+    params, start = "x, store, k", [f"y{j}l, y{j}h = ys[{2 * j}], ys[{2 * j + 1}]" for j in yr]
+    keep = [f"kept.append((c, ys{names}))" if yr else "kept.append(c)"]
+    copies = _rebuilt("c", "ys", yr, "y", None, "(c[0], {})")
+    copies = f"[{copies} for c, ys{names} in kept]" if yr else "kept"
     if purpose == "prune":  # x{j} threads the bounds from copy to copy, and no copy is kept
         head += [*x_in, "fl, fh = -_INF, 0.0"]
-        start, keep = [f"y{j}l = y{j}h = _midpoint(ys[{j}].lo, ys[{j}].hi)" for j in yr], []
+        start, keep = [f"y{j}l = y{j}h = _midpoint(ys[{2 * j}], ys[{2 * j + 1}])" for j in yr], []
         body = _sweep(steps, forward, "return k, None", keep)
-        result = _rebuilt("x", "xs", xr, "x", ("p{j}l", "p{j}h"))
-    elif purpose == "revise":
+        result = _rebuilt("x", "x", xr, "x", "p")
+    elif purpose in ("revise", "identify"):
         if xr:
             hull = ", ".join(f"h{j}l, h{j}h" for j in xr)
             head.append(f"{hull} = " + ", ".join(["_INF, -_INF"] * len(xr)))
-            head.append(f"if r is not None: rs = r.dims; {hull} = " + ", ".join(f"rs[{j}].lo, rs[{j}].hi" for j in xr))
+            head.append(f"if r is not None: {hull} = " + ", ".join(f"r[{2 * j}], r[{2 * j + 1}]" for j in xr))
         params, start = params + ", fl, fh, r", [*x_in, *start]
         # hull the region as Interval.hull does, min and max picking the
         # accumulated bound on ties, and keep the copy
         hulls = [f"h{j}l, h{j}h = x{j}l if x{j}l < h{j}l else h{j}l, x{j}h if x{j}h > h{j}h else h{j}h" for j in xr]
         keep = [*hulls, *keep]
         head.append("kept = []")
-        body = _sweep(steps, forward, "continue", keep)  # no point of the box violates the copy
-        result = _rebuilt("x", "xs", xr, "h", ("p{j}l", "p{j}h")) + f" if kept else r, {copies}"
+        # no point of the box violates a copy that is dropped
+        body = _sweep(steps, forward, "continue", keep, undefined if purpose == "identify" else None)
+        result = _rebuilt("x", "x", xr, "h", "p") + f" if kept else r, {copies}"
     else:
         head += [*x_in, "kept = []"]
-        body, result = _pins(steps, forward, yr), copies
-    copy = [*(["ys = qc.param_domain.dims"] if yr else []), *start, *body, *keep]
-    loop = ["while k < end and (qc := store[k]).f is f:", " k += 1", *(" " + line for line in copy)]
+        body, result = _pins(steps, forward, yr, undefined), copies
+    copy = [*(["ys = c[1]"] if yr else []), *start, *body, *keep]
+    loop = ["while k < end and (c := store[k])[0] is f:", " k += 1", *(" " + line for line in copy)]
     return _compile(purpose, params, [*head, *loop, f"return k, {result}"], namespace)
 
 
 def _kernel(f: Expression, purpose: str) -> Callable:
-    """f's run kernel for purpose "prune", "revise" or "pin", compiled on first use."""
+    """f's run kernel for purpose "prune", "revise", "identify" or "pin", compiled on first use.
+
+    A tape on which f is defined wherever its operands are identifies with
+    its "revise" kernel.
+    """
     steps, kernels = _TAPES.get(id(f)) or _tape(f)  # the memo read inline: a call per run saved
     kernel = kernels.get(purpose)
     if kernel is None:
-        kernel = kernels[purpose] = _compile_run(steps, purpose)
+        if purpose == "identify" and _undefined(steps) is None:
+            kernel = _kernel(f, "revise")
+        else:
+            kernel = _compile_run(steps, purpose)
+        kernels[purpose] = kernel
     return kernel
 
 
@@ -389,7 +431,8 @@ def hc4_revise(qc: QuantifiedConstraint, x: Box, *, geq: bool = False) -> tuple[
     (-inf, 0.0) or, when geq, (0.0, inf).
     """
     fl, fh = (0.0, math.inf) if geq else (-math.inf, 0.0)
-    _, region, kept = _kernel(qc.f, "revise")(x, (qc,), 0, fl, fh, None)
+    store = ((qc.f, _bounds(qc.param_domain)),)
+    _, region, kept = _kernel(qc.f, "revise")(_bounds(x), store, 0, fl, fh, None)
     if region is None:
         return Box.empty(len(x)), Box.empty(len(qc.param_domain))
-    return region, kept[0].param_domain
+    return _rebox(x, region), _rebox(qc.param_domain, kept[0][1])

@@ -1004,3 +1004,20 @@ def _box(dims: tuple[Interval, ...]) -> Box:
     box = _new(Box)
     _set_dims(box, dims)
     return box
+
+
+def _bounds(box: Box) -> tuple[float, ...]:
+    """The bounds of box as one flat tuple (lo0, hi0, lo1, hi1, ...), the solver's form of a box."""
+    return tuple([b for iv in box.dims for b in (iv.lo, iv.hi)])
+
+
+def _rebox(box: Box, x: tuple[float, ...]) -> Box:
+    """The Box of the flat bounds x, computed from box's own: box itself when x repeats its bounds.
+
+    A coordinate whose bounds x repeats keeps box's interval.  Equal
+    bounds are the same bits wherever x moved each bound of box strictly
+    inward or kept it, as a meet or a hull of such bounds does.
+    """
+    dims = box.dims
+    new = tuple([iv if (iv.lo, iv.hi) == x[2 * i:2 * i + 2] else _iv(*x[2 * i:2 * i + 2]) for i, iv in enumerate(dims)])
+    return box if all(a is b for a, b in zip(new, dims)) else _box(new)

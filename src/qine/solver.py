@@ -10,19 +10,33 @@ proven monotone (2B+ mode, until every parameter coordinate of the store
 is a point), prunes the box with each constraint instantiated at its
 parameter midpoint, identifies an inner region by contracting the
 negated constraints, then bisects parameter domains and branches on the
-widest variable coordinate.  A store keeps the copies of
-one constraint next to each other: the root store is in constraint
-order, parameter bisection splits a copy in place and pinning and
+widest variable coordinate.  A point is a solution only where every
+constraint is defined for every parameter value: a copy on which its
+constraint may be undefined (a divisor that holds 0, the square root of
+a negative or the logarithm of a non-positive number) proves no part of
+the box inner and pins nothing.  A store keeps the copies of one
+constraint next to each other: the root store is in constraint order,
+parameter bisection splits a copy in place and pinning and
 identification keep the order.  Pinning, pruning and identification
-therefore handle each such run of copies in one call of a compiled kernel,
-the "pin", "prune" or "revise" kernel of ``contractor._compile_run``, on
-float bounds.  The loop builds its constraints, boxes and pinned points from
-valid operands, with the unchecked builders of ``interval``
-(``_unchecked``, ``_box``); a solve runs the dataclass checks only for
-the root store.
+therefore handle each such run of copies in one call of a compiled
+kernel, the "pin", "prune" or "identify" kernel of
+``contractor._compile_run``.
+
+The loop runs on float bounds end to end.  Inside ``solve`` a box is a
+flat tuple (lo0, hi0, lo1, hi1, ...) and a store a list of copies
+(f, ys), ys the copy's parameter domain as such a tuple; the kernels
+take and return them, and report an empty box as None, so the loop
+tests no box for emptiness.  The loop measures, halves and cuts these
+tuples with helpers compiled once per dimension count (``_shape``,
+``_halves``, ``_cut``), and builds a Box, with the unchecked builders
+of ``interval``, only for a box that leaves it: an inner piece, a
+boundary box or the queue's flush.  The public phase functions
+(``global_pruning`` and the rest) are thin wrappers that take and give
+Boxes and QuantifiedConstraints around the same flat-level code.
 
 The volume ledger is exact.  Box bounds are doubles, so every volume is
-a dyadic rational m / 2**k (``Box.dyadic_volume``); each box is measured
+a dyadic rational m / 2**k (``Box.dyadic_volume``, which the loop's
+``volume`` computes on flat bounds); each box is measured
 once, when it is queued (or emitted as inner), and its (m, k) travels
 with it through the queue to the boundary list.  ``solve`` keeps the
 initial, inner, boundary and queued totals as integers over one shared
@@ -45,8 +59,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .interval import Box, Interval, _box, _iv
-from .expr import Expression, _tape
+from .interval import Box, Interval, _box, _bounds, _iv, _midpoint, _rebox
+from .expr import Expression, _compile, _tape
 from .expr import derivative_interval  # noqa: F401 -- bench/tracer.py wraps the name in this namespace
 from .contractor import QuantifiedConstraint, _kernel, _qc  # qine lists QuantifiedConstraint once, from contractor
 from .contractor import hc4_revise  # noqa: F401 -- bench/tracer.py wraps the name in this namespace
@@ -220,13 +234,158 @@ def _ratio_met(unclassified: int, initial: int, stop_ratio: float) -> bool:
     return (initial - unclassified) / initial >= stop_ratio
 
 
-def _widest_axis(box: Box) -> int:
-    # an empty coordinate's hi - lo is negative, below its width 0.0
-    best, widest = 0, 0.0
-    for i, iv in enumerate(box.dims):
-        if (w := iv.hi - iv.lo) > widest:
-            best, widest = i, w
-    return best
+# ---------------------------------------------------------------------------
+# The loop's level: a box is a flat tuple of float bounds (lo0, hi0, lo1,
+# hi1, ...), and a store a list of copies (f, ys), ys the copy's parameter
+# domain as such a tuple.  The phase functions below it are thin wrappers
+# that take and give Boxes and QuantifiedConstraints.
+
+
+def _exact_width(lo: float, hi: float) -> tuple[int, int]:
+    """hi - lo as (m, d), meaning m / d, over the bounds' ratios."""
+    hm, hd = hi.as_integer_ratio()
+    lm, ld = lo.as_integer_ratio()
+    return hm * ld - lm * hd, hd * ld
+
+
+_SHAPES: dict[int, tuple[Callable, ...]] = {}
+
+
+def _shape(n: int) -> tuple[Callable, ...]:
+    """The loop's measures of n-dimensional flat bounds, compiled once per n.
+
+    ``widest(x)`` is (axis, width) of the widest coordinate, the lowest
+    index on ties, an empty coordinate's negative hi - lo below any width,
+    as ``Box.width`` and branching read it; ``volume(x)`` is
+    ``Box.dyadic_volume``'s (m, k) of a non-empty x with finite bounds,
+    each width the double hi - lo when TwoSum shows it exact;
+    ``box(x)`` is the Box of x; and ``thin(x)`` tells whether some
+    coordinate is a point.  Each is one line per coordinate, with no loop.
+    """
+    shape = _SHAPES.get(n)
+    if shape is None:
+        js = range(n)
+        widest = ["a, w = 0, 0.0", *(f"if (v := x[{2 * j + 1}] - x[{2 * j}]) > w: a, w = {j}, v" for j in js)]
+        volume = [f"{', '.join(f'l{j}, h{j}' for j in js)}, = x"] if n else []
+        for j in js:
+            volume += [
+                f"w = h{j} - l{j}; t = w - h{j}",
+                f"if t - t == 0.0 and h{j} - (w - t) == l{j} + t: m{j}, d{j} = w.as_integer_ratio()",
+                f"else: m{j}, d{j} = _exact_width(l{j}, h{j})",
+            ]
+        m, d = ("*".join([f"{v}{j}" for j in js] or ["1"]) for v in "md")
+        volume.append(f"return {m}, ({d}).bit_length() - 1")
+        namespace = {"_box": _box, "_iv": _iv, "_exact_width": _exact_width}
+        shape = _SHAPES[n] = (
+            _compile("widest", "x", [*widest, "return a, w"], namespace),
+            _compile("volume", "x", volume, namespace),
+            _compile("box", "x", ["return _box((%s))" % "".join(f"_iv(x[{2 * j}], x[{2 * j + 1}]), " for j in js)], namespace),
+            _compile("thin", "x", ["return " + " or ".join([f"x[{2 * j}] == x[{2 * j + 1}]" for j in js] or ["False"])], namespace),
+        )
+    return shape
+
+
+def _halves(x: tuple[float, ...], i: int) -> tuple[tuple[float, ...], tuple[float, ...]] | None:
+    """x split at the midpoint of the bounds x[i], x[i + 1], as ``Box.bisect`` splits; None when too thin."""
+    lo, hi = x[i], x[i + 1]
+    m = _midpoint(lo, hi)
+    if not lo < m < hi:
+        return None
+    y = list(x)
+    y[i + 1] = m
+    left = tuple(y)
+    y[i], y[i + 1] = m, hi
+    return left, tuple(y)
+
+
+def _cut(x: tuple[float, ...], r: tuple[float, ...]) -> list[tuple[float, ...]]:
+    """cl(x \\ r) for a non-empty r inside x, as ``Box._cut`` cuts it.
+
+    Each bound of r equals x's or lies strictly inside it, as the
+    identification kernels build their hulls.
+    """
+    pieces, cur = [], list(x)
+    for i in range(0, len(x), 2):
+        lo, hi, rl, rh = x[i], x[i + 1], r[i], r[i + 1]
+        if rl == lo and rh == hi:
+            continue
+        if rl > lo:
+            cur[i + 1] = rl
+            pieces.append(tuple(cur))
+        if rh < hi:
+            cur[i], cur[i + 1] = rh, hi
+            pieces.append(tuple(cur))
+        cur[i], cur[i + 1] = rl, rh
+    return pieces
+
+
+def _pin(store: Sequence[tuple], x: tuple[float, ...]) -> list[tuple]:
+    """The store with 2B+ pins over x: one "pin" kernel call per run of one constraint's copies.
+
+    A copy with no parameter coordinates comes back as it is, without one.
+    """
+    out: list[tuple] = []
+    k, end = 0, len(store)
+    while k < end:
+        c = store[k]
+        if c[1]:
+            k, part = _kernel(c[0], "pin")(x, store, k)
+            out += part
+        else:  # no parameter coordinate to pin
+            out.append(c)
+            k += 1
+    return out
+
+
+def _prune(store: Sequence[tuple], x: tuple[float, ...]) -> tuple[float, ...] | None:
+    """x pruned by each copy at its parameter midpoint, one "prune" kernel call per run; None when emptied."""
+    k, end = 0, len(store)
+    while k < end:
+        k, x = _kernel(store[k][0], "prune")(x, store, k)
+        if x is None:
+            return None
+    return x
+
+
+def _identify(store: Sequence[tuple], x: tuple[float, ...]) -> tuple[list[tuple], tuple[float, ...] | None]:
+    """The copies kept by identification over x, and the hull of their regions (None for none).
+
+    One "identify" kernel call per run contracts x against the negation
+    f >= 0 of each copy; the points of x outside the hull satisfy every
+    copy for every parameter value in its domain.
+    """
+    kept: list[tuple] = []
+    r, k, end = None, 0, len(store)
+    while k < end:
+        k, r, part = _kernel(store[k][0], "identify")(x, store, k, 0.0, math.inf, r)
+        kept += part
+    return kept, r
+
+
+def _bisect_params(store: Sequence[tuple], epsilon: float) -> list[tuple]:
+    """Each copy halved along its widest parameter coordinate when that is wider than epsilon and not too thin."""
+    out: list[tuple] = []
+    for c in store:
+        ys = c[1]
+        a, w = 0, 0.0
+        for i in range(0, len(ys), 2):
+            if (v := ys[i + 1] - ys[i]) > w:
+                a, w = i, v
+        if w > epsilon and (halves := _halves(ys, a)) is not None:
+            out += ((c[0], halves[0]), (c[0], halves[1]))
+        else:
+            out.append(c)
+    return out
+
+
+def _flat_store(store: Sequence[QuantifiedConstraint]) -> list[tuple]:
+    return [(qc.f, _bounds(qc.param_domain)) for qc in store]
+
+
+def _boxed_store(flat: Sequence[tuple], store: Sequence[QuantifiedConstraint], out: Sequence[tuple]) -> list[QuantifiedConstraint]:
+    """The copies out as QuantifiedConstraints; a copy of flat, store's flat form, is its own qc."""
+    own = {id(c): qc for c, qc in zip(flat, store)}
+    return [own.get(id(c)) or _qc(c[0], _shape(len(c[1]) // 2)[2](c[1])) for c in out]
 
 
 def parameter_instantiation(
@@ -237,28 +396,20 @@ def parameter_instantiation(
     If df/dy_j is non-negative everywhere, the constraint is hardest at
     the upper endpoint, so the domain coordinate collapses to it (lower
     endpoint for non-positive).  Derivative enclosures that are empty or
-    not finite leave the coordinate unchanged.  Pinning goes coordinate
-    by coordinate, each step seeing the domains already pinned.  Each run
-    of one constraint's copies is pinned by one call of its "pin" kernel
-    (``contractor._compile_run``), as in ``global_pruning``; a copy with
-    no parameter coordinates comes back as it is, without one.
+    not finite leave the coordinate unchanged, and so does a copy on
+    which f may be undefined.  Pinning goes coordinate by coordinate,
+    each step seeing the domains already pinned.  Each run of one
+    constraint's copies is pinned by one call of its "pin" kernel
+    (``contractor._compile_run``); a copy with no parameter coordinates
+    comes back as it is, without one.
 
     Only the coordinates that f reads are pinned; the others are left as
     they are, since f does not depend on them and ``solve``'s root store
     already collapses them at the upper endpoint.  Pins over an empty box
     are unspecified; ``solve`` never asks for them.
     """
-    out: list[QuantifiedConstraint] = []
-    k, end = 0, len(store)
-    while k < end:
-        qc = store[k]
-        if qc.param_domain.dims:
-            k, part = _kernel(qc.f, "pin")(box, store, k)
-            out += part
-        else:  # no parameter coordinate to pin
-            out.append(qc)
-            k += 1
-    return out
+    flat = _flat_store(store)
+    return _boxed_store(flat, store, _pin(flat, _bounds(box)))
 
 
 def local_pruning(qc: QuantifiedConstraint, box: Box) -> Box:
@@ -279,12 +430,8 @@ def global_pruning(store: Sequence[QuantifiedConstraint], box: Box) -> Box:
     result is the empty box as soon as one copy empties it; a box that
     comes in empty comes out empty.
     """
-    cur, k, end = box, 0, len(store)
-    while k < end:
-        k, cur = _kernel(store[k].f, "prune")(cur, store, k)
-        if cur is None:
-            return Box.empty(len(box))
-    return cur
+    x = _prune(_flat_store(store), _bounds(box))
+    return Box.empty(len(box)) if x is None else _rebox(box, x)
 
 
 def solution_identification(
@@ -294,24 +441,24 @@ def solution_identification(
 
     Contracts box against each negation f >= 0: points outside the
     contracted region satisfy that constraint for every parameter value
-    in its domain.  Returns the surviving store (dropped constraints
-    held everywhere; kept ones get their contracted parameter domain,
-    reusable for the whole subtree), the hull of the negation regions,
-    and the closure of box minus that hull as inner boxes.  The pieces
-    are cut straight from the hull (``Box._cut``), which the kernels build
-    inside box, and there are none when the hull is box itself.
+    in its domain.  A copy on which f may be undefined (a divisor that
+    holds 0, the square root of a negative or the logarithm of a
+    non-positive number) proves nothing: its region is the whole box.
+    Returns the surviving store (dropped constraints held everywhere;
+    kept ones get their contracted parameter domain, reusable for the
+    whole subtree), the hull of the negation regions, and the closure of
+    box minus that hull as inner boxes, cut straight from the hull
+    (``_cut``); there are none when the hull is box itself.
     """
     if box.is_empty:
         return [], Box.empty(len(box)), []
-    kept: list[QuantifiedConstraint] = []
-    remainder, k, end = None, 0, len(store)
-    while k < end:
-        # one kernel call per run of one constraint's copies, as in global_pruning
-        k, remainder, part = _kernel(store[k].f, "revise")(box, store, k, 0.0, math.inf, remainder)
-        kept += part
-    if remainder is None:
+    flat, x = _flat_store(store), _bounds(box)
+    kept, r = _identify(flat, x)
+    kept = _boxed_store(flat, store, kept)
+    if r is None:
         return kept, Box.empty(len(box)), [box]
-    return kept, remainder, [] if remainder is box else box._cut(remainder)
+    box_of = _shape(len(box))[2]
+    return kept, _rebox(box, r), [box_of(piece) for piece in _cut(x, r)]
 
 
 def parameter_domain_bisection(
@@ -323,20 +470,8 @@ def parameter_domain_bisection(
     most epsilon wide or too thin to halve, stays whole; otherwise it is
     replaced by two copies, lower half first.
     """
-    out: list[QuantifiedConstraint] = []
-    for qc in store:
-        dom = qc.param_domain
-        axis = _widest_axis(dom)
-        if dom.dims and dom.dims[axis].width > epsilon:
-            try:
-                lo_half, hi_half = dom.bisect(axis)
-            except ValueError:  # too thin to halve
-                pass
-            else:
-                out += (_qc(qc.f, lo_half), _qc(qc.f, hi_half))
-                continue
-        out.append(qc)
-    return out
+    flat = _flat_store(store)
+    return _boxed_store(flat, store, _bisect_params(flat, epsilon))
 
 
 def branch(box: Box) -> tuple[Box, Box]:
@@ -345,7 +480,7 @@ def branch(box: Box) -> tuple[Box, Box]:
     Raises ValueError, as ``Box.bisect`` does, when that coordinate is
     too thin for its midpoint to lie strictly inside.
     """
-    return box.bisect(_widest_axis(box))
+    return box.bisect(_shape(len(box))[0](_bounds(box))[0])
 
 
 def solve(
@@ -360,10 +495,18 @@ def solve(
     limit) the remaining queue is flushed into the boundary list and the
     stop reason is recorded in the stats.  ``progress`` is invoked with
     the live paving after each processed node.
+
+    The loop runs on flat bounds (see ``_shape``) and calls the phases'
+    flat level, ``_pin``, ``_prune``, ``_identify``, ``_cut`` and
+    ``_bisect_params``, looked up when the solve starts; a Box is built
+    only for a box that leaves the loop, inner or boundary.
     """
     cfg = config if config is not None else SolverConfig()
     stats = SolveStats()
     paving = Paving([], [], stats, problem.variable_box)
+    widest, volume, box_of, thin = _shape(len(problem.variable_box))
+    pin, prune, identify, cut, bisect_params = _pin, _prune, _identify, _cut, _bisect_params
+    pins, eps = cfg.mode == "2b+", cfg.epsilon
     # f does not depend on a parameter coordinate that its tape never reads,
     # so its copy starts collapsed there, at the upper endpoint that 2B+
     # pinning picks; parameter bisection then never splits that coordinate
@@ -371,16 +514,14 @@ def solve(
     root_store = []
     for f in problem.constraints:
         read = {a for op, a, _ in _tape(f)[0] if op == "param"}
-        dims = tuple(iv if j in read else _iv(iv.hi, iv.hi) for j, iv in enumerate(params))
-        root_store.append(QuantifiedConstraint(f, _box(dims)))
-    root_store = tuple(root_store)
+        root_store.append((f, tuple([b for j, iv in enumerate(params) for b in (iv.lo if j in read else iv.hi, iv.hi)])))
 
     # The ledger: initial, inner, boundary and queued volume as integers
     # over one denominator 2**K.  Every box volume is m / 2**k
     # (Box.dyadic_volume); a box finer than 2**-K raises K and shifts the
     # totals left.  Heap entries are (-width, seq, box, store, m, k,
     # settled); seq is unique, so comparisons never reach the box.
-    heap: list[tuple[float, int, Box, tuple[QuantifiedConstraint, ...], int, int, bool]] = []
+    heap: list[tuple[float, int, tuple[float, ...], list[tuple], int, int, bool]] = []
     seq = K = initial = inner = boundary = queued = 0
 
     def scaled(m: int, k: int) -> int:
@@ -397,10 +538,10 @@ def solve(
             K = k
         return m << (K - k)
 
-    def push(box: Box, store: tuple[QuantifiedConstraint, ...], settled: bool) -> None:
+    def push(x: tuple[float, ...], w: float, store: list[tuple], settled: bool) -> None:
         nonlocal seq, queued
-        m, k = box.dyadic_volume()
-        heapq.heappush(heap, (-box.width, seq, box, store, m, k, settled))
+        m, k = volume(x)
+        heapq.heappush(heap, (-w, seq, x, store, m, k, settled))
         vol = scaled(m, k)
         queued += vol
         seq += 1
@@ -411,7 +552,8 @@ def solve(
         stats.exact_boundary = Fraction(boundary, den)
         stats.exact_queued = Fraction(queued, den)
 
-    push(problem.variable_box, root_store, False)
+    root = _bounds(problem.variable_box)
+    push(root, widest(root)[1], root_store, False)
     initial = queued
     stats.exact_initial = Fraction(initial, 1 << K)
     t0 = time.perf_counter()
@@ -426,64 +568,66 @@ def solve(
         if cfg.time_limit is not None and time.perf_counter() - t0 > cfg.time_limit:
             stop = "time"
             break
-        neg_width, _, box, store, m, k, settled = heapq.heappop(heap)
+        neg_width, _, x, store, m, k, settled = heapq.heappop(heap)
         vol = m << (K - k)
         queued -= vol
         stats.nodes_processed += 1
-        if -neg_width <= cfg.epsilon:
-            paving.boundary.append(box)
+        if -neg_width <= eps:
+            paving.boundary.append(box_of(x))
             boundary += vol
         else:
-            if cfg.mode == "2b+" and not settled:
-                store = tuple(parameter_instantiation(store, box))
+            if pins and not settled:
+                store = pin(store, x)
                 # pinning leaves a store whose every parameter coordinate is a
                 # point as it is, and so the store of every node below: the
                 # identification keeps a point or drops its copy, and
                 # parameter bisection never splits a point
-                settled = all(iv.lo == iv.hi for qc in store for iv in qc.param_domain.dims)
-            pruned = global_pruning(store, box)
-            if not pruned.is_empty:
-                kept, remainder, inner_pieces = solution_identification(store, pruned)
-                for piece in inner_pieces:
-                    paving.inner.append(piece)
-                    vol = scaled(*piece.dyadic_volume())
+                settled = all(ys[::2] == ys[1::2] for _, ys in store)
+            x = prune(store, x)
+            if x is not None:
+                kept, r = identify(store, x)
+                pieces = [x] if r is None else cut(x, r)
+                for piece in pieces:
+                    paving.inner.append(box_of(piece))
+                    vol = scaled(*volume(piece))
                     inner += vol
                 # A remainder left degenerate inside the box sits on the face
                 # of an emitted inner piece; its closure is already covered,
                 # so exploring it further would only mint boundary boxes.
                 # Each piece lies across a face of the remainder, so only a
                 # remainder that is a point on some axis can lie in one.
-                if not remainder.is_empty and not (
-                    any(iv.lo == iv.hi for iv in remainder.dims)
-                    and any(piece.contains_box(remainder) for piece in inner_pieces)
+                if r is not None and not (
+                    pieces and thin(r) and any(_contains(piece, r) for piece in pieces)
                 ):
                     if cfg.param_bisect:
-                        kept = parameter_domain_bisection(kept, cfg.epsilon)
-                    kept_t = tuple(kept)
-                    if remainder.width <= cfg.epsilon:
-                        push(remainder, kept_t, settled)
+                        kept = bisect_params(kept, eps)
+                    a, w = widest(r)
+                    if w <= eps:
+                        push(r, w, kept, settled)
+                    elif (halves := _halves(r, 2 * a)) is None:
+                        # Wider than epsilon but at float spacing: no
+                        # split can shrink it, so it stays undecided.
+                        paving.boundary.append(box_of(r))
+                        vol = scaled(*volume(r))
+                        boundary += vol
                     else:
-                        try:
-                            left, right = branch(remainder)
-                        except ValueError:
-                            # Wider than epsilon but at float spacing: no
-                            # split can shrink it, so it stays undecided.
-                            paving.boundary.append(remainder)
-                            vol = scaled(*remainder.dyadic_volume())
-                            boundary += vol
-                        else:
-                            push(left, kept_t, settled)
-                            push(right, kept_t, settled)
+                        for half in halves:
+                            push(half, widest(half)[1], kept, settled)
         if progress is not None:
             record()
             stats.elapsed = time.perf_counter() - t0
             progress(paving)
     # seq is unique, so the sorted heap is the order heappop would give
     heap.sort()
-    paving.boundary += [entry[2] for entry in heap]
+    paving.boundary += [box_of(entry[2]) for entry in heap]
     boundary += queued
     queued = 0
     record()
     stats.stop_reason = stop
     stats.elapsed = time.perf_counter() - t0
     return paving
+
+
+def _contains(p: tuple[float, ...], r: tuple[float, ...]) -> bool:
+    """Whether the flat box p contains the non-empty flat box r."""
+    return all(p[i] <= r[i] and r[i + 1] <= p[i + 1] for i in range(0, len(r), 2))

@@ -85,22 +85,14 @@ def test_every_name_the_tracer_wraps_is_in_the_solver_namespace():
     assert [name for name in SOLVER_NAMES if not hasattr(solver, name)] == []
 
 
-PHASES = {"parameter_instantiation", "global_pruning", "solution_identification", "parameter_domain_bisection", "branch"}
-
-
-@pytest.mark.parametrize(
-    "name, called",
-    [
-        ("ring2d-ratio", PHASES),
-        ("lens-2b", PHASES - {"parameter_instantiation"}),
-        ("mixed3d", PHASES),
-    ],
-)
+@pytest.mark.parametrize("name, called", [("ring2d-ratio", set()), ("lens-2b", set()), ("mixed3d", set())])
 def test_a_cold_solve_calls_the_traced_names_it_is_expected_to(name, called, monkeypatch):
     # the traced benchmark times each of these names only when solve calls
-    # it; no workload calls hc4_revise, local_pruning or classified_ratio,
-    # so their traced metrics read 0, and a phase that stops being called
-    # fails here rather than reading 0 unnoticed
+    # it.  solve runs its node loop on flat bounds and calls the phases'
+    # flat level (solver._pin, _prune, _identify, _cut, _bisect_params), not
+    # the Box-level public phase functions, so no traced name is called and
+    # the solver.* phase spans read 0; a name that solve comes to call
+    # again fails here rather than being timed unnoticed
     from qine import solver
 
     counts = dict.fromkeys(SOLVER_NAMES, 0)

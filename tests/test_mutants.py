@@ -19,8 +19,8 @@ import pytest
 import oracle
 from qine import contractor, solver
 from qine.cli import parse_problem
-from qine.interval import Box, Interval
-from qine.solver import QuantifiedConstraint, SolverConfig, solve
+from qine.interval import Interval
+from qine.solver import SolverConfig, solve
 
 ROOT = Path(__file__).resolve().parents[1]
 PROBLEMS = {
@@ -47,26 +47,35 @@ def _flagged(name: str, mode: str, eps: float) -> dict[str, int]:
     }
 
 
-def _bad_cut(self: Box, inner: Box) -> list[Box]:
-    # Box._cut with each upper piece starting at inner's lower bound, so
-    # the piece covers the remainder it should leave out
-    pieces, cur = [], list(self.dims)
-    for k, (outer_iv, inner_iv) in enumerate(zip(self.dims, inner.dims)):
-        if inner_iv.lo > outer_iv.lo:
-            pieces.append(Box((*cur[:k], Interval(outer_iv.lo, inner_iv.lo), *cur[k + 1:])))
-        if inner_iv.hi < outer_iv.hi:
-            pieces.append(Box((*cur[:k], Interval(inner_iv.lo, outer_iv.hi), *cur[k + 1:])))
-        cur[k] = inner_iv
+# The mutants break the flat level that solve's node loop calls: a box is a
+# flat tuple of bounds (lo0, hi0, lo1, hi1, ...) and a store a list of
+# copies (f, ys), ys the parameter domain as such a tuple.
+
+
+def _bad_cut(x, r):
+    # solver._cut with each upper piece starting at r's lower bound, so the
+    # piece covers the remainder it should leave out
+    pieces, cur = [], list(x)
+    for i in range(0, len(x), 2):
+        if r[i] > x[i]:
+            pieces.append(tuple(cur[:i] + [x[i], r[i]] + cur[i + 2:]))
+        if r[i + 1] < x[i + 1]:
+            pieces.append(tuple(cur[:i] + [r[i], x[i + 1]] + cur[i + 2:]))
+        cur[i:i + 2] = r[i:i + 2]
     return pieces
 
 
 def _trimmed(pruning):
     # pruning that also trims 0.5% of each coordinate's width off both faces
-    def prune(store, box):
-        out = pruning(store, box)
-        if out.is_empty:
+    def prune(store, x):
+        out = pruning(store, x)
+        if out is None:
             return out
-        return Box(tuple(Interval(iv.lo + (w := 0.005 * (iv.hi - iv.lo)), iv.hi - w) for iv in out.dims))
+        trimmed = []
+        for lo, hi in zip(out[::2], out[1::2]):
+            w = 0.005 * (hi - lo)
+            trimmed += (lo + w, hi - w)
+        return tuple(trimmed)
 
     return prune
 
@@ -74,24 +83,27 @@ def _trimmed(pruning):
 def _at_midpoint(identification):
     # identification that tests each copy at its parameter midpoint only,
     # and keeps every copy
-    def identify(store, box):
-        points = [QuantifiedConstraint(c.f, Box.point([iv.midpoint for iv in c.param_domain])) for c in store]
-        _, remainder, pieces = identification(points, box)
-        return list(store), remainder, pieces
+    def identify(store, x):
+        points = []
+        for f, ys in store:
+            mids = [Interval(lo, hi).midpoint for lo, hi in zip(ys[::2], ys[1::2])]
+            points.append((f, tuple(b for m in mids for b in (m, m))))
+        _, remainder = identification(points, x)
+        return list(store), remainder
 
     return identify
 
 
 def _wrong_endpoint(instantiation):
     # pinning that collapses each proven-monotone coordinate to the other endpoint
-    def pin(store, box):
+    def pin(store, x):
         out = []
-        for old, new in zip(store, instantiation(store, box)):
-            dims = [
-                Interval.point(o.lo if n.lo == o.hi else o.hi) if n.is_degenerate and not o.is_degenerate else n
-                for o, n in zip(old.param_domain, new.param_domain)
-            ]
-            out.append(QuantifiedConstraint(new.f, Box(tuple(dims))))
+        for (_, old), (f, new) in zip(store, instantiation(store, x)):
+            ys = list(new)
+            for i in range(0, len(ys), 2):
+                if new[i] == new[i + 1] and old[i] != old[i + 1]:
+                    ys[i] = ys[i + 1] = old[i] if new[i] == old[i + 1] else old[i + 1]
+            out.append((f, tuple(ys)))
         return out
 
     return pin
@@ -109,27 +121,27 @@ MUTANTS = {
     "upper piece of the cut starts at inner.lo": (
         ("disc2d", "2b+", 0.1),
         "violated inner points",
-        lambda mp: mp.setattr(Box, "_cut", _bad_cut),
+        lambda mp: mp.setattr(solver, "_cut", _bad_cut),
     ),
     "identification accepts every box": (
         ("disc2d", "2b+", 0.1),
         "violated inner points",
-        lambda mp: mp.setattr(solver, "solution_identification", lambda store, box: ([], Box.empty(len(box)), [box])),
+        lambda mp: mp.setattr(solver, "_identify", lambda store, x: ([], None)),
     ),
     "pruning trims 0.5% off each face": (
         ("disc2d", "2b+", 0.1),
         "uncovered solutions",
-        lambda mp: mp.setattr(solver, "global_pruning", _trimmed(solver.global_pruning)),
+        lambda mp: mp.setattr(solver, "_prune", _trimmed(solver._prune)),
     ),
     "identification at the parameter midpoint only": (
         ("lens", "2b", 0.1),
         "violated inner points",
-        lambda mp: mp.setattr(solver, "solution_identification", _at_midpoint(solver.solution_identification)),
+        lambda mp: mp.setattr(solver, "_identify", _at_midpoint(solver._identify)),
     ),
     "pinning to the wrong endpoint": (
         ("ex1", "2b+", 0.5),
         "violated inner points",
-        lambda mp: mp.setattr(solver, "parameter_instantiation", _wrong_endpoint(solver.parameter_instantiation)),
+        lambda mp: mp.setattr(solver, "_pin", _wrong_endpoint(solver._pin)),
     ),
 }
 
