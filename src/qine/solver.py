@@ -265,23 +265,22 @@ def _shape(n: int) -> tuple[Callable, ...]:
     shape = _SHAPES.get(n)
     if shape is None:
         js = range(n)
-        widest = ["a, w = 0, 0.0", *(f"if (v := x[{2 * j + 1}] - x[{2 * j}]) > w: a, w = {j}, v" for j in js)]
-        volume = [f"{', '.join(f'l{j}, h{j}' for j in js)}, = x"] if n else []
+        lo, hi = [f"x[{2 * j}]" for j in js], [f"x[{2 * j + 1}]" for j in js]
+        widest = ["a, w = 0, 0.0", *(f"if (v := {hi[j]} - {lo[j]}) > w: a, w = {j}, v" for j in js), "return a, w"]
+        volume = []
         for j in js:
             volume += [
-                f"w = h{j} - l{j}; t = w - h{j}",
-                f"if t - t == 0.0 and h{j} - (w - t) == l{j} + t: m{j}, d{j} = w.as_integer_ratio()",
-                f"else: m{j}, d{j} = _exact_width(l{j}, h{j})",
+                f"l, h = {lo[j]}, {hi[j]}; w = h - l; t = w - h",
+                f"if t - t == 0.0 and h - (w - t) == l + t: m{j}, d{j} = w.as_integer_ratio()",
+                f"else: m{j}, d{j} = _exact_width(l, h)",
             ]
         m, d = ("*".join([f"{v}{j}" for j in js] or ["1"]) for v in "md")
         volume.append(f"return {m}, ({d}).bit_length() - 1")
+        box = ["return _box((%s))" % "".join(f"_iv({lo[j]}, {hi[j]}), " for j in js)]
+        thin = ["return " + (" or ".join(f"{lo[j]} == {hi[j]}" for j in js) or "False")]
         namespace = {"_box": _box, "_iv": _iv, "_exact_width": _exact_width}
-        shape = _SHAPES[n] = (
-            _compile("widest", "x", [*widest, "return a, w"], namespace),
-            _compile("volume", "x", volume, namespace),
-            _compile("box", "x", ["return _box((%s))" % "".join(f"_iv(x[{2 * j}], x[{2 * j + 1}]), " for j in js)], namespace),
-            _compile("thin", "x", ["return " + " or ".join([f"x[{2 * j}] == x[{2 * j + 1}]" for j in js] or ["False"])], namespace),
-        )
+        helpers = {"widest": widest, "volume": volume, "box": box, "thin": thin}
+        shape = _SHAPES[n] = tuple(_compile(name, "x", lines, namespace) for name, lines in helpers.items())
     return shape
 
 
@@ -317,6 +316,11 @@ def _cut(x: tuple[float, ...], r: tuple[float, ...]) -> list[tuple[float, ...]]:
             pieces.append(tuple(cur))
         cur[i], cur[i + 1] = rl, rh
     return pieces
+
+
+def _contains(p: tuple[float, ...], r: tuple[float, ...]) -> bool:
+    """Whether the flat box p contains the non-empty flat box r."""
+    return all(p[i] <= r[i] and r[i + 1] <= p[i + 1] for i in range(0, len(r), 2))
 
 
 def _pin(store: Sequence[tuple], x: tuple[float, ...]) -> list[tuple]:
@@ -382,7 +386,9 @@ def _flat_store(store: Sequence[QuantifiedConstraint]) -> list[tuple]:
     return [(qc.f, _bounds(qc.param_domain)) for qc in store]
 
 
-def _boxed_store(flat: Sequence[tuple], store: Sequence[QuantifiedConstraint], out: Sequence[tuple]) -> list[QuantifiedConstraint]:
+def _boxed_store(
+    flat: Sequence[tuple], store: Sequence[QuantifiedConstraint], out: Sequence[tuple]
+) -> list[QuantifiedConstraint]:
     """The copies out as QuantifiedConstraints; a copy of flat, store's flat form, is its own qc."""
     own = {id(c): qc for c, qc in zip(flat, store)}
     return [own.get(id(c)) or _qc(c[0], _shape(len(c[1]) // 2)[2](c[1])) for c in out]
@@ -514,13 +520,15 @@ def solve(
     root_store = []
     for f in problem.constraints:
         read = {a for op, a, _ in _tape(f)[0] if op == "param"}
-        root_store.append((f, tuple([b for j, iv in enumerate(params) for b in (iv.lo if j in read else iv.hi, iv.hi)])))
+        ys = [b for j, iv in enumerate(params) for b in (iv.lo if j in read else iv.hi, iv.hi)]
+        root_store.append((f, tuple(ys)))
 
     # The ledger: initial, inner, boundary and queued volume as integers
     # over one denominator 2**K.  Every box volume is m / 2**k
     # (Box.dyadic_volume); a box finer than 2**-K raises K and shifts the
-    # totals left.  Heap entries are (-width, seq, box, store, m, k,
-    # settled); seq is unique, so comparisons never reach the box.
+    # totals left.  Heap entries are (-width, seq, x, store, m, k,
+    # settled), x the flat bounds; seq is unique, so comparisons never
+    # reach x.
     heap: list[tuple[float, int, tuple[float, ...], list[tuple], int, int, bool]] = []
     seq = K = initial = inner = boundary = queued = 0
 
@@ -626,8 +634,3 @@ def solve(
     stats.stop_reason = stop
     stats.elapsed = time.perf_counter() - t0
     return paving
-
-
-def _contains(p: tuple[float, ...], r: tuple[float, ...]) -> bool:
-    """Whether the flat box p contains the non-empty flat box r."""
-    return all(p[i] <= r[i] and r[i + 1] <= p[i + 1] for i in range(0, len(r), 2))

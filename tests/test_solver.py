@@ -1050,7 +1050,7 @@ def test_the_loop_helpers_on_flat_bounds_match_the_box_methods_bit_for_bit():
         seen["thin"] += thin(x)
         seen["signed zero"] += any(b == 0.0 and math.copysign(1.0, b) < 0 for b in x)
         seen["inexact width"] += any(
-            Fraction(iv.hi) - Fraction(iv.lo) != Fraction(iv.hi - iv.lo) for iv in box.dims if math.isfinite(iv.hi - iv.lo)
+            math.isfinite(w := iv.hi - iv.lo) and Fraction(iv.hi) - Fraction(iv.lo) != Fraction(w) for iv in box.dims
         )
     assert min(seen.values()) >= 100, seen
 
