@@ -371,11 +371,8 @@ def _bisect_params(store: Sequence[tuple], epsilon: float) -> list[tuple]:
     out: list[tuple] = []
     for c in store:
         ys = c[1]
-        a, w = 0, 0.0
-        for i in range(0, len(ys), 2):
-            if (v := ys[i + 1] - ys[i]) > w:
-                a, w = i, v
-        if w > epsilon and (halves := _halves(ys, a)) is not None:
+        a, w = _shape(len(ys) // 2)[0](ys)
+        if w > epsilon and (halves := _halves(ys, 2 * a)) is not None:
             out += ((c[0], halves[0]), (c[0], halves[1]))
         else:
             out.append(c)
