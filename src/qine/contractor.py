@@ -427,8 +427,11 @@ def hc4_revise(qc: QuantifiedConstraint, x: Box, *, geq: bool = False) -> tuple[
     the node's slot is assigned before it, as a full sweep would.
 
     This is the "revise" kernel of the expression's tape (see
-    ``_compile_run``) on the one-copy store (qc,), with the half-line
-    (-inf, 0.0) or, when geq, (0.0, inf).
+    ``_compile_run``) on the one-copy store of qc in flat bounds, with the
+    half-line (-inf, 0.0) or, when geq, (0.0, inf); the result is boxed
+    keeping every interval whose bounds were not cut.  It takes no part
+    of identification's rule for partial functions: it contracts to the
+    points that satisfy the inequality.
     """
     fl, fh = (0.0, math.inf) if geq else (-math.inf, 0.0)
     store = ((qc.f, _bounds(qc.param_domain)),)
