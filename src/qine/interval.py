@@ -762,8 +762,8 @@ class Interval:
 def _midpoint(lo: float, hi: float) -> float:
     """The midpoint of [lo, hi], inside it; lo + 1 or hi - 1 past an infinite bound.
 
-    The one midpoint rule: ``Interval.midpoint``, ``Box.bisect`` and the
-    pruning kernels all call it.  A finite m = 0.5 * (lo + hi) with
+    The one midpoint rule: ``Interval.midpoint``, ``_halves`` (and so
+    ``Box.bisect``) and the pruning kernels all call it.  A finite m = 0.5 * (lo + hi) with
     lo <= hi is returned at once: rounding is monotone, so m lies in
     [lo, hi] and the clamp at the end would leave it as it is.
     """
@@ -859,40 +859,16 @@ class Box:
     @property
     def width(self) -> float:
         """Largest coordinate width (0.0 for empty or 0-d boxes)."""
-        widest = 0.0
-        for iv in self.dims:
-            if iv.lo > iv.hi:
-                return 0.0
-            if (w := iv.hi - iv.lo) > widest:
-                widest = w
-        return widest
+        return 0.0 if self.is_empty else _shape(len(self.dims))[0](_bounds(self))[1]
 
     def dyadic_volume(self) -> tuple[int, int]:
-        """Volume as (m, k), meaning m / 2**k; requires finite bounds.
-
-        Bounds are doubles, so every denominator is a power of two and
-        the product is formed on integers alone, never normalised.  A
-        width that TwoSum shows to be exact is a double and gives its
-        ratio at once; any other is hi - lo over the bounds' ratios.
-        """
+        """Volume as (m, k), meaning m / 2**k; requires finite bounds (``_shape``'s volume)."""
         if self.is_empty:
             return 0, 0
-        num = den = 1
-        for iv in self.dims:
-            lo, hi = iv.lo, iv.hi
-            if lo == -_INF or hi == _INF:
-                raise ValueError("exact volume of an unbounded box")
-            w = hi - lo
-            t = w - hi
-            if t - t == 0.0 and hi - (w - t) == lo + t:
-                wm, wd = w.as_integer_ratio()
-            else:
-                hm, hd = hi.as_integer_ratio()
-                lm, ld = lo.as_integer_ratio()
-                wm, wd = hm * ld - lm * hd, hd * ld
-            num *= wm
-            den *= wd
-        return num, den.bit_length() - 1
+        x = _bounds(self)
+        if -_INF in x or _INF in x:
+            raise ValueError("exact volume of an unbounded box")
+        return _shape(len(self.dims))[1](x)
 
     def exact_volume(self) -> Fraction:
         """Volume as an exact rational; requires finite bounds."""
@@ -906,9 +882,7 @@ class Box:
 
     def contains_box(self, other: Box) -> bool:
         self._check_dims(other)
-        if other.is_empty:
-            return True
-        return all(o.subset_of(s) for s, o in zip(self.dims, other.dims))
+        return other.is_empty or _contains(_bounds(self), _bounds(other))
 
     def _check_dims(self, other: Box) -> None:
         if len(self.dims) != len(other.dims):
@@ -938,22 +912,19 @@ class Box:
         return _box(tuple(dims))
 
     def bisect(self, axis: int) -> tuple[Box, Box]:
-        """Split at the midpoint of the given axis (``_midpoint``).
+        """Split at the midpoint of the given axis (``_halves``).
 
         Raises ValueError when the axis is degenerate or so thin that the
-        midpoint is not strictly inside (a caller policy error).
+        midpoint is not strictly inside (a caller policy error).  The
+        halves keep every other coordinate as this box's own object.
         """
-        dims = list(self.dims)
-        lo, hi = dims[axis].lo, dims[axis].hi
+        lo, hi = self.dims[axis].lo, self.dims[axis].hi
         if lo >= hi:  # an empty axis too
             raise ValueError(f"cannot bisect degenerate axis {axis}")
-        m = _midpoint(lo, hi)
-        if not lo < m < hi:
-            raise ValueError(f"axis {axis} too thin to bisect at {m!r}")
-        dims[axis] = _iv(lo, m)
-        left = _box(tuple(dims))
-        dims[axis] = _iv(m, hi)
-        return left, _box(tuple(dims))
+        halves = _halves(_bounds(self), 2 * (axis % len(self.dims)))
+        if halves is None:
+            raise ValueError(f"axis {axis} too thin to bisect at {_midpoint(lo, hi)!r}")
+        return _rebox(self, halves[0]), _rebox(self, halves[1])
 
     def set_difference_closure(self, inner: Box) -> list[Box]:
         """Decompose cl(self \\ inner) into at most 2n boxes, for any box inner.
@@ -961,8 +932,7 @@ class Box:
         The returned boxes have pairwise disjoint interiors and, together
         with ``inner``, cover ``self``.  Closing the set difference sews
         shut faces shared with ``inner``, which keeps every piece a plain
-        closed box.  The solver cuts its pieces with ``_cut`` straight
-        from a remainder its kernels built inside the box.
+        closed box.
         """
         self._check_dims(inner)
         if self.is_empty:
@@ -973,24 +943,9 @@ class Box:
         return self._cut(inner)
 
     def _cut(self, inner: Box) -> list[Box]:
-        """cl(self \\ inner) for a non-empty inner inside self, as ``intersect`` builds it.
-
-        Each bound of inner must equal self's bound bit for bit or lie
-        strictly inside it; the revise kernels build their regions that way
-        too.  A coordinate whose two bounds equal self's is not cut.
-        """
-        pieces: list[Box] = []
-        cur = self.dims
-        for k, (outer_iv, inner_iv) in enumerate(zip(self.dims, inner.dims)):
-            if inner_iv.lo == outer_iv.lo and inner_iv.hi == outer_iv.hi:
-                continue
-            head, tail = cur[:k], cur[k + 1:]
-            if inner_iv.lo > outer_iv.lo:
-                pieces.append(_box(head + (_iv(outer_iv.lo, inner_iv.lo),) + tail))
-            if inner_iv.hi < outer_iv.hi:
-                pieces.append(_box(head + (_iv(inner_iv.hi, outer_iv.hi),) + tail))
-            cur = head + (inner_iv,) + tail
-        return pieces
+        """cl(self \\ inner) for a non-empty inner inside self: the pieces of the flat ``_cut``."""
+        box_of = _shape(len(self.dims))[2]
+        return [box_of(piece) for piece in _cut(_bounds(self), _bounds(inner))]
 
     def __str__(self) -> str:
         return "x".join(str(iv) for iv in self.dims) if self.dims else "()"
@@ -1021,3 +976,86 @@ def _rebox(box: Box, x: tuple[float, ...]) -> Box:
     dims = box.dims
     new = tuple([iv if (iv.lo, iv.hi) == x[2 * i:2 * i + 2] else _iv(*x[2 * i:2 * i + 2]) for i, iv in enumerate(dims)])
     return box if all(a is b for a, b in zip(new, dims)) else _box(new)
+
+
+def _exact_width(lo: float, hi: float) -> tuple[int, int]:
+    """hi - lo as (m, d), meaning m / d, over the bounds' ratios."""
+    hm, hd = hi.as_integer_ratio()
+    lm, ld = lo.as_integer_ratio()
+    return hm * ld - lm * hd, hd * ld
+
+
+_SHAPES: dict[int, tuple[Callable, ...]] = {}
+
+
+def _shape(n: int) -> tuple[Callable, ...]:
+    """The measures of n-dimensional flat bounds x, compiled once per n, one line per coordinate.
+
+    ``widest(x)`` is (axis, width) of the widest coordinate, the lowest
+    index on ties, an empty coordinate's negative hi - lo below any width;
+    ``volume(x)`` is the (m, k), meaning m / 2**k, of a non-empty x with
+    finite bounds: bounds are doubles, so every denominator is a power of
+    two, and each width is the double hi - lo when TwoSum shows it exact,
+    else hi - lo over the bounds' ratios; ``box(x)`` is the Box of x; and
+    ``thin(x)`` tells whether some coordinate is a point.
+    """
+    shape = _SHAPES.get(n)
+    if shape is None:
+        js = range(n)
+        lo, hi = [f"x[{2 * j}]" for j in js], [f"x[{2 * j + 1}]" for j in js]
+        widest = ["a, w = 0, 0.0", *(f"if (v := {hi[j]} - {lo[j]}) > w: a, w = {j}, v" for j in js), "return a, w"]
+        volume = []
+        for j in js:
+            volume += [
+                f"l, h = {lo[j]}, {hi[j]}; w = h - l; t = w - h",
+                f"if t - t == 0.0 and h - (w - t) == l + t: m{j}, d{j} = w.as_integer_ratio()",
+                f"else: m{j}, d{j} = _exact_width(l, h)",
+            ]
+        m, d = ("*".join([f"{v}{j}" for j in js] or ["1"]) for v in "md")
+        volume.append(f"return {m}, ({d}).bit_length() - 1")
+        box = ["return _box((%s))" % "".join(f"_iv({lo[j]}, {hi[j]}), " for j in js)]
+        thin = ["return " + (" or ".join(f"{lo[j]} == {hi[j]}" for j in js) or "False")]
+        helpers = {"widest": widest, "volume": volume, "box": box, "thin": thin}
+        source = "".join(f"def {name}(x):\n " + "\n ".join(lines) + "\n" for name, lines in helpers.items())
+        shape = _SHAPES[n] = _flat(source, *helpers)
+    return shape
+
+
+def _halves(x: tuple[float, ...], i: int) -> tuple[tuple[float, ...], tuple[float, ...]] | None:
+    """x split at the midpoint (``_midpoint``) of the bounds x[i], x[i + 1] of a non-empty x; None when too thin."""
+    lo, hi = x[i], x[i + 1]
+    m = _midpoint(lo, hi)
+    if not lo < m < hi:
+        return None
+    y = list(x)
+    y[i + 1] = m
+    left = tuple(y)
+    y[i], y[i + 1] = m, hi
+    return left, tuple(y)
+
+
+def _cut(x: tuple[float, ...], r: tuple[float, ...]) -> list[tuple[float, ...]]:
+    """cl(x \\ r) in at most 2n pieces, for a non-empty r inside x.
+
+    Each bound of r must equal x's bound bit for bit or lie strictly
+    inside it, as ``Box.intersect`` and the identification kernels build
+    it.  A coordinate whose two bounds equal x's is not cut.
+    """
+    pieces, cur = [], list(x)
+    for i in range(0, len(x), 2):
+        lo, hi, rl, rh = x[i], x[i + 1], r[i], r[i + 1]
+        if rl == lo and rh == hi:
+            continue
+        if rl > lo:
+            cur[i + 1] = rl
+            pieces.append(tuple(cur))
+        if rh < hi:
+            cur[i], cur[i + 1] = rh, hi
+            pieces.append(tuple(cur))
+        cur[i], cur[i + 1] = rl, rh
+    return pieces
+
+
+def _contains(p: tuple[float, ...], r: tuple[float, ...]) -> bool:
+    """Whether the flat box p contains the non-empty flat box r."""
+    return all(p[i] <= r[i] and r[i + 1] <= p[i + 1] for i in range(0, len(r), 2))

@@ -27,18 +27,18 @@ flat tuple (lo0, hi0, lo1, hi1, ...) and a store a list of copies
 (f, ys), ys the copy's parameter domain as such a tuple; the kernels
 take and return them, and report an empty box as None, so the loop
 tests no box for emptiness.  The loop measures, halves and cuts these
-tuples with helpers compiled once per dimension count (``_shape``,
-``_halves``, ``_cut``), and builds a Box, with the unchecked builders
-of ``interval``, only for a box that leaves it: an inner piece, a
-boundary box or the queue's flush.  The public phase functions
+tuples with ``interval``'s flat-bound helpers (``_shape``, compiled once
+per dimension count, ``_halves``, ``_cut``, ``_contains``), which the
+Box methods wrap, and builds a Box only for a box that leaves it: an
+inner piece, a boundary box or the queue's flush.  The public phase functions
 (``global_pruning`` and the rest) are thin wrappers that take and give
 Boxes and QuantifiedConstraints around the same flat-level code.
 
 The volume ledger is exact.  Box bounds are doubles, so every volume is
-a dyadic rational m / 2**k (``Box.dyadic_volume``, which the loop's
-``volume`` computes on flat bounds); each box is measured
-once, when it is queued (or emitted as inner), and its (m, k) travels
-with it through the queue to the boundary list.  ``solve`` keeps the
+a dyadic rational m / 2**k (``Box.dyadic_volume``, which wraps the
+loop's ``volume`` of flat bounds); each box is measured once, when it
+is queued (or emitted as inner), and its (m, k) travels with it through
+the queue to the boundary list.  ``solve`` keeps the
 initial, inner, boundary and queued totals as integers over one shared
 2**K, raising K when a finer box arrives, and stops on ``classified_ratio``
 itself by dividing those integers.  The rational ``exact_*`` fields are
@@ -59,8 +59,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .interval import Box, Interval, _box, _bounds, _iv, _midpoint, _rebox
-from .expr import Expression, _compile, _tape
+from .interval import Box, Interval, _bounds, _contains, _cut, _halves, _rebox, _shape
+from .expr import Expression, _tape
 from .expr import derivative_interval  # noqa: F401 -- bench/tracer.py wraps the name in this namespace
 from .contractor import QuantifiedConstraint, _kernel, _qc  # qine lists QuantifiedConstraint once, from contractor
 from .contractor import hc4_revise  # noqa: F401 -- bench/tracer.py wraps the name in this namespace
@@ -241,88 +241,6 @@ def _ratio_met(unclassified: int, initial: int, stop_ratio: float) -> bool:
 # that take and give Boxes and QuantifiedConstraints.
 
 
-def _exact_width(lo: float, hi: float) -> tuple[int, int]:
-    """hi - lo as (m, d), meaning m / d, over the bounds' ratios."""
-    hm, hd = hi.as_integer_ratio()
-    lm, ld = lo.as_integer_ratio()
-    return hm * ld - lm * hd, hd * ld
-
-
-_SHAPES: dict[int, tuple[Callable, ...]] = {}
-
-
-def _shape(n: int) -> tuple[Callable, ...]:
-    """The loop's measures of n-dimensional flat bounds, compiled once per n.
-
-    ``widest(x)`` is (axis, width) of the widest coordinate, the lowest
-    index on ties, an empty coordinate's negative hi - lo below any width,
-    as ``Box.width`` and branching read it; ``volume(x)`` is
-    ``Box.dyadic_volume``'s (m, k) of a non-empty x with finite bounds,
-    each width the double hi - lo when TwoSum shows it exact;
-    ``box(x)`` is the Box of x; and ``thin(x)`` tells whether some
-    coordinate is a point.  Each is one line per coordinate, with no loop.
-    """
-    shape = _SHAPES.get(n)
-    if shape is None:
-        js = range(n)
-        lo, hi = [f"x[{2 * j}]" for j in js], [f"x[{2 * j + 1}]" for j in js]
-        widest = ["a, w = 0, 0.0", *(f"if (v := {hi[j]} - {lo[j]}) > w: a, w = {j}, v" for j in js), "return a, w"]
-        volume = []
-        for j in js:
-            volume += [
-                f"l, h = {lo[j]}, {hi[j]}; w = h - l; t = w - h",
-                f"if t - t == 0.0 and h - (w - t) == l + t: m{j}, d{j} = w.as_integer_ratio()",
-                f"else: m{j}, d{j} = _exact_width(l, h)",
-            ]
-        m, d = ("*".join([f"{v}{j}" for j in js] or ["1"]) for v in "md")
-        volume.append(f"return {m}, ({d}).bit_length() - 1")
-        box = ["return _box((%s))" % "".join(f"_iv({lo[j]}, {hi[j]}), " for j in js)]
-        thin = ["return " + (" or ".join(f"{lo[j]} == {hi[j]}" for j in js) or "False")]
-        namespace = {"_box": _box, "_iv": _iv, "_exact_width": _exact_width}
-        helpers = {"widest": widest, "volume": volume, "box": box, "thin": thin}
-        shape = _SHAPES[n] = tuple(_compile(name, "x", lines, namespace) for name, lines in helpers.items())
-    return shape
-
-
-def _halves(x: tuple[float, ...], i: int) -> tuple[tuple[float, ...], tuple[float, ...]] | None:
-    """x split at the midpoint of the bounds x[i], x[i + 1], as ``Box.bisect`` splits; None when too thin."""
-    lo, hi = x[i], x[i + 1]
-    m = _midpoint(lo, hi)
-    if not lo < m < hi:
-        return None
-    y = list(x)
-    y[i + 1] = m
-    left = tuple(y)
-    y[i], y[i + 1] = m, hi
-    return left, tuple(y)
-
-
-def _cut(x: tuple[float, ...], r: tuple[float, ...]) -> list[tuple[float, ...]]:
-    """cl(x \\ r) for a non-empty r inside x, as ``Box._cut`` cuts it.
-
-    Each bound of r equals x's or lies strictly inside it, as the
-    identification kernels build their hulls.
-    """
-    pieces, cur = [], list(x)
-    for i in range(0, len(x), 2):
-        lo, hi, rl, rh = x[i], x[i + 1], r[i], r[i + 1]
-        if rl == lo and rh == hi:
-            continue
-        if rl > lo:
-            cur[i + 1] = rl
-            pieces.append(tuple(cur))
-        if rh < hi:
-            cur[i], cur[i + 1] = rh, hi
-            pieces.append(tuple(cur))
-        cur[i], cur[i + 1] = rl, rh
-    return pieces
-
-
-def _contains(p: tuple[float, ...], r: tuple[float, ...]) -> bool:
-    """Whether the flat box p contains the non-empty flat box r."""
-    return all(p[i] <= r[i] and r[i + 1] <= p[i + 1] for i in range(0, len(r), 2))
-
-
 def _pin(store: Sequence[tuple], x: tuple[float, ...]) -> list[tuple]:
     """The store with 2B+ pins over x: one "pin" kernel call per run of one constraint's copies.
 
@@ -461,7 +379,7 @@ def solution_identification(
     if r is None:
         return kept, Box.empty(len(box)), [box]
     box_of = _shape(len(box))[2]
-    return kept, _rebox(box, r), [box_of(piece) for piece in _cut(x, r)]
+    return kept, _rebox(box, r), [] if r is x else [box_of(piece) for piece in _cut(x, r)]
 
 
 def parameter_domain_bisection(
@@ -499,16 +417,17 @@ def solve(
     stop reason is recorded in the stats.  ``progress`` is invoked with
     the live paving after each processed node.
 
-    The loop runs on flat bounds (see ``_shape``) and calls the phases'
-    flat level, ``_pin``, ``_prune``, ``_identify``, ``_cut`` and
-    ``_bisect_params``, looked up when the solve starts; a Box is built
+    The loop runs on flat bounds (see ``interval._shape``) and calls the
+    phases' flat level, ``_pin``, ``_prune``, ``_identify``, ``_cut``,
+    ``_contains`` and ``_bisect_params``, looked up in this module when
+    the solve starts; a Box is built
     only for a box that leaves the loop, inner or boundary.
     """
     cfg = config if config is not None else SolverConfig()
     stats = SolveStats()
     paving = Paving([], [], stats, problem.variable_box)
     widest, volume, box_of, thin = _shape(len(problem.variable_box))
-    pin, prune, identify, cut, bisect_params = _pin, _prune, _identify, _cut, _bisect_params
+    pin, prune, identify, cut, contains, bisect_params = _pin, _prune, _identify, _cut, _contains, _bisect_params
     pins, eps = cfg.mode == "2b+", cfg.epsilon
     # f does not depend on a parameter coordinate that its tape never reads,
     # so its copy starts collapsed there, at the upper endpoint that 2B+
@@ -591,7 +510,8 @@ def solve(
             x = prune(store, x)
             if x is not None:
                 kept, r = identify(store, x)
-                pieces = [x] if r is None else cut(x, r)
+                # the kernels hand back x itself for a hull that is all of x
+                pieces = [x] if r is None else [] if r is x else cut(x, r)
                 for piece in pieces:
                     paving.inner.append(box_of(piece))
                     vol = scaled(*volume(piece))
@@ -602,7 +522,7 @@ def solve(
                 # Each piece lies across a face of the remainder, so only a
                 # remainder that is a point on some axis can lie in one.
                 if r is not None and not (
-                    pieces and thin(r) and any(_contains(piece, r) for piece in pieces)
+                    pieces and thin(r) and any(contains(piece, r) for piece in pieces)
                 ):
                     if cfg.param_bisect:
                         kept = bisect_params(kept, eps)

@@ -1357,13 +1357,12 @@ def _outcome(fn, *args):
 @settings(max_examples=400)
 @given(box_pairs())
 def test_box_code_matches_its_reference_bit_for_bit(pair):
-    from qine.interval import _bounds
-    from qine.solver import _shape
+    from qine.interval import _bounds, _shape
 
     a, b = pair
     for box in pair:
         assert box.width.hex() == _width_ref(box).hex()
-        widest = _shape(len(box))[0]  # the solver's widest axis, on flat bounds
+        widest = _shape(len(box))[0]  # the solver loop's widest axis, on flat bounds
         assert widest(_bounds(box))[0] == _widest_axis_ref(box)
         got, ref = _outcome(Box.dyadic_volume, box), _outcome(_dyadic_volume_ref, box)
         if isinstance(ref, str):
@@ -1462,6 +1461,59 @@ def test_cut_decides_each_coordinate_from_its_bounds_alone(pair):
     fresh = Box(tuple(Interval(o.lo, o.hi) if (i.lo, i.hi) == (o.lo, o.hi) else i for o, i in zip(a.dims, inner.dims)))
     assert not any(i is o for i, o in zip(fresh.dims, a.dims))
     assert [_box_bits(p) for p in a._cut(fresh)] == [_box_bits(p) for p in _closure_ref(a, fresh)]
+
+
+def _flat_cases():
+    """3,000 seeded boxes of 1 to 3 dimensions, and for each a sub-box whose
+    every bound is the box's own or lies strictly inside it, as the
+    identification kernels build their hulls: bounds at signed zeros,
+    subnormals, huge and inexact values, and axes too thin to halve."""
+    rng = random.Random(3011)
+    edges = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-308, 0.1, -1 / 3, 1.0, math.nextafter(1.0, 2.0), 1e300, -1e300)
+    for case in range(3000):
+        dims, inner = [], []
+        for _ in range(1 + case % 3):
+            lo, hi = sorted((rng.choice(edges + (rng.uniform(-5.0, 5.0),)) for _ in "ab"), key=float)
+            dims.append((lo, hi))
+            cut = [b for b in (lo, rng.uniform(lo, hi), hi) if lo <= b <= hi]
+            a, b = sorted((rng.choice(cut) for _ in "ab"), key=float)
+            inner.append((lo if a == lo else a, hi if b == hi else b))
+        yield case, Box.from_bounds(dims), Box.from_bounds(inner)
+
+
+def test_the_flat_bound_helpers_match_their_references_bit_for_bit():
+    # the node loop measures, halves, cuts and boxes flat bounds with these
+    # helpers, and the Box methods wrap them; each gives what the Box-level
+    # references above give, bit for bit
+    from qine.interval import _bounds, _cut, _halves, _shape
+
+    def hexes(x):
+        return [b.hex() for b in x]
+
+    seen = {"inexact width": 0, "signed zero": 0, "too thin": 0, "cut": 0, "thin": 0}
+    for case, box, inner in _flat_cases():
+        widest, volume, box_of, thin = _shape(len(box))
+        x, r = _bounds(box), _bounds(inner)
+        assert _box_bits(box_of(x)) == _box_bits(box) and hexes(_bounds(box_of(x))) == hexes(x), case
+        (m, k), (rm, rk) = volume(x), _dyadic_volume_ref(box)
+        assert Fraction(m, 1 << k) == Fraction(rm, 1 << rk), case
+        axis, width = widest(x)  # +0.0 for a box of points, as Box.width gives it, where [0.0, -0.0] is -0.0 wide
+        assert width.hex() == max(0.0, _width_ref(box)).hex() and axis == _widest_axis_ref(box), case
+        assert thin(x) == any(iv.is_degenerate for iv in box.dims), case
+        for i in range(len(box)):
+            want = _bisect_outcome(box, i, _bisect_ref)
+            got = _halves(x, 2 * i)
+            assert isinstance(want, str) if got is None else [_box_bits(box_of(h)) for h in got] == want, (case, i)
+            seen["too thin"] += got is None and not box.dims[i].is_degenerate
+        pieces = _cut(x, r)
+        assert [_box_bits(box_of(p)) for p in pieces] == [_box_bits(p) for p in _closure_ref(box, inner)], case
+        seen["cut"] += bool(pieces)
+        seen["thin"] += thin(x)
+        seen["signed zero"] += any(b == 0.0 and math.copysign(1.0, b) < 0 for b in x)
+        seen["inexact width"] += any(
+            math.isfinite(w := iv.hi - iv.lo) and Fraction(iv.hi) - Fraction(iv.lo) != Fraction(w) for iv in box.dims
+        )
+    assert min(seen.values()) >= 100, seen
 
 
 def _midpoint_ref(lo: float, hi: float) -> float:

@@ -469,10 +469,12 @@ def test_identification_cuts_the_pieces_set_difference_closure_cuts_bit_for_bit(
 
 
 def test_identification_returns_a_remainder_that_is_the_box_without_cutting(monkeypatch):
-    # x >= 0 on all of [1, 2]: the kernel hands back the box itself, and
-    # identification answers no pieces without a call of the cutting routine
+    # x >= 0 on all of [1, 2]: the kernel hands back the box's own bounds,
+    # and identification answers no pieces without a call of the flat cut
+    from qine import solver
+
     cuts = []
-    monkeypatch.setattr(Box, "_cut", lambda self, inner: cuts.append(inner) or [])
+    monkeypatch.setattr(solver, "_cut", lambda x, r: cuts.append(r) or [])
     box = Box.from_bounds([(1.0, 2.0), (-0.0, 0.0)])
     kept, remainder, pieces = solution_identification([qc("x", None)], box)
     assert remainder is box and pieces == [] and cuts == []
@@ -998,63 +1000,6 @@ def test_solve_constructs_no_checked_object_per_node(path, mode, coarse, fine, p
     assert nodes[1] > 2 * nodes[0] > 20
 
 
-def _flat_cases():
-    """3,000 seeded boxes of 1 to 3 dimensions, and for each a sub-box whose
-    every bound is the box's own or lies strictly inside it, as the
-    identification kernels build their hulls: bounds at signed zeros,
-    subnormals, huge and inexact values, and axes too thin to halve."""
-    rng = random.Random(3011)
-    edges = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-308, 0.1, -1 / 3, 1.0, math.nextafter(1.0, 2.0), 1e300, -1e300)
-    for case in range(3000):
-        dims, inner = [], []
-        for _ in range(1 + case % 3):
-            lo, hi = sorted((rng.choice(edges + (rng.uniform(-5.0, 5.0),)) for _ in "ab"), key=float)
-            dims.append((lo, hi))
-            cut = [b for b in (lo, rng.uniform(lo, hi), hi) if lo <= b <= hi]
-            a, b = sorted((rng.choice(cut) for _ in "ab"), key=float)
-            inner.append((lo if a == lo else a, hi if b == hi else b))
-        yield case, Box.from_bounds(dims), Box.from_bounds(inner)
-
-
-def test_the_loop_helpers_on_flat_bounds_match_the_box_methods_bit_for_bit():
-    # the node loop measures, halves, cuts and boxes flat bounds with
-    # solver's helpers, in place of the Box methods; each gives what the
-    # method gives, bit for bit
-    from qine.interval import _bounds
-    from qine.solver import _cut, _halves, _shape
-
-    def hexes(x):
-        return [b.hex() for b in x]
-
-    seen = {"inexact width": 0, "signed zero": 0, "too thin": 0, "cut": 0, "thin": 0}
-    for case, box, inner in _flat_cases():
-        widest, volume, box_of, thin = _shape(len(box))
-        x, r = _bounds(box), _bounds(inner)
-        assert _bits(box_of(x)) == _bits(box) and hexes(_bounds(box_of(x))) == hexes(x), case
-        assert volume(x) == box.dyadic_volume(), case
-        axis, width = widest(x)
-        assert width.hex() == box.width.hex() and box.dims[axis].width == width, case
-        assert all(iv.width < width for iv in box.dims[:axis]), case
-        assert thin(x) == any(iv.is_degenerate for iv in box.dims), case
-        for i in range(len(box)):
-            try:
-                want = [_bits(half) for half in box.bisect(i)]
-            except ValueError:
-                want = None
-            got = _halves(x, 2 * i)
-            assert (got if got is None else [_bits(box_of(half)) for half in got]) == want, (case, i)
-            seen["too thin"] += want is None and not box.dims[i].is_degenerate
-        pieces = _cut(x, r)
-        assert [_bits(box_of(p)) for p in pieces] == [_bits(p) for p in box._cut(inner)], case
-        seen["cut"] += bool(pieces)
-        seen["thin"] += thin(x)
-        seen["signed zero"] += any(b == 0.0 and math.copysign(1.0, b) < 0 for b in x)
-        seen["inexact width"] += any(
-            math.isfinite(w := iv.hi - iv.lo) and Fraction(iv.hi) - Fraction(iv.lo) != Fraction(w) for iv in box.dims
-        )
-    assert min(seen.values()) >= 100, seen
-
-
 @pytest.mark.parametrize("name", ["ring2d-ratio", "mixed3d"])
 def test_a_solve_builds_a_box_only_for_each_box_of_its_paving(name, monkeypatch):
     # deterministic work counts of one bench solve: the node loop runs on
@@ -1086,24 +1031,33 @@ def test_a_solve_builds_a_box_only_for_each_box_of_its_paving(name, monkeypatch)
 
 
 def test_a_ratio_solve_rederives_no_box_it_built(problems_dir, monkeypatch):
-    # deterministic work counts of one ring2d solve: identification cuts its
-    # pieces from the kernels' hull without re-intersecting it, no remainder
-    # of positive width is scanned for containment, bisection copies no box
-    # through replace, and the stop flushes the queue without popping it
+    # deterministic work counts of one ring2d solve: the loop cuts only a
+    # hull that is not the whole box, no remainder of positive width is
+    # scanned for containment, and the stop flushes the queue without
+    # popping it
+    from qine import solver
+
     problem = parse_problem((problems_dir / "ring2d.qcsp").read_text())
     cfg = SolverConfig(epsilon=0.01, stop_ratio=0.99)
-    counts = dict.fromkeys(("intersect", "set_difference_closure", "replace", "contains_box", "heappop"), 0)
+    counts = dict.fromkeys(("uncut", "contains", "heappop"), 0)
+    cut, contains, heappop = solver._cut, solver._contains, heapq.heappop
 
-    def counted(orig, name):
-        def call(*args):
-            counts[name] += 1
-            return orig(*args)
+    def counted_cut(x, r):
+        pieces = cut(x, r)
+        counts["uncut"] += not pieces
+        return pieces
 
-        return call
+    def counted_contains(p, r):
+        counts["contains"] += 1
+        return contains(p, r)
 
-    for name in ("intersect", "set_difference_closure", "replace", "contains_box"):
-        monkeypatch.setattr(Box, name, counted(getattr(Box, name), name))
-    monkeypatch.setattr(heapq, "heappop", counted(heapq.heappop, "heappop"))
+    def counted_heappop(heap):
+        counts["heappop"] += 1
+        return heappop(heap)
+
+    monkeypatch.setattr(solver, "_cut", counted_cut)
+    monkeypatch.setattr(solver, "_contains", counted_contains)
+    monkeypatch.setattr(heapq, "heappop", counted_heappop)
     stats = solve(problem, cfg).stats
     assert stats.stop_reason == "ratio"
     heappops = counts.pop("heappop")
