@@ -996,27 +996,59 @@ def _shape(n: int) -> tuple[Callable, ...]:
     ``volume(x)`` is the (m, k), meaning m / 2**k, of a non-empty x with
     finite bounds: bounds are doubles, so every denominator is a power of
     two, and each width is the double hi - lo when TwoSum shows it exact,
-    else hi - lo over the bounds' ratios; ``box(x)`` is the Box of x; and
-    ``thin(x)`` tells whether some coordinate is a point.
+    else hi - lo over the bounds' ratios; ``box(x)`` is the Box of x;
+    ``thin(x)`` tells whether some coordinate is a point; and
+    ``split(x, a)`` is ``_halves(x, 2 * a)`` with each half's widest
+    width and volume, as ``(w0, x0, m0, k0, w1, x1, m1, k1)``, or None
+    where ``_halves`` gives None: it measures each unsplit coordinate
+    once, for both halves, and raises IndexError past the last axis.
     """
     shape = _SHAPES.get(n)
     if shape is None:
         js = range(n)
         lo, hi = [f"x[{2 * j}]" for j in js], [f"x[{2 * j + 1}]" for j in js]
-        widest = ["a, w = 0, 0.0", *(f"if (v := {hi[j]} - {lo[j]}) > w: a, w = {j}, v" for j in js), "return a, w"]
-        volume = []
-        for j in js:
-            volume += [
-                f"l, h = {lo[j]}, {hi[j]}; w = h - l; t = w - h",
-                f"if t - t == 0.0 and h - (w - t) == l + t: m{j}, d{j} = w.as_integer_ratio()",
-                f"else: m{j}, d{j} = _exact_width(l, h)",
+
+        def ratio(j: object, l: str, h: str) -> list[str]:
+            # w{j} = h - l, and (m{j}, d{j}) its ratio m / d
+            return [
+                f"w{j} = {h} - {l}; t = w{j} - {h}",
+                f"if t - t == 0.0 and {h} - (w{j} - t) == {l} + t: m{j}, d{j} = w{j}.as_integer_ratio()",
+                f"else: m{j}, d{j} = _exact_width({l}, {h})",
             ]
-        m, d = ("*".join([f"{v}{j}" for j in js] or ["1"]) for v in "md")
-        volume.append(f"return {m}, ({d}).bit_length() - 1")
+
+        def product(v: str, axes: Sequence[object]) -> str:
+            return "*".join([f"{v}{j}" for j in axes] or ["1"])
+
+        widest = ["a, w = 0, 0.0", *(f"if (v := {hi[j]} - {lo[j]}) > w: a, w = {j}, v" for j in js), "return a, w"]
+        volume = [line for j in js for line in [f"l, h = {lo[j]}, {hi[j]}", *ratio(j, "l", "h")]]
+        volume.append(f"return {product('m', js)}, ({product('d', js)}).bit_length() - 1")
         box = ["return _box((%s))" % "".join(f"_iv({lo[j]}, {hi[j]}), " for j in js)]
         thin = ["return " + (" or ".join(f"{lo[j]} == {hi[j]}" for j in js) or "False")]
-        helpers = {"widest": widest, "volume": volume, "box": box, "thin": thin}
-        source = "".join(f"def {name}(x):\n " + "\n ".join(lines) + "\n" for name, lines in helpers.items())
+        # split: the unsplit coordinates' widest width w and volume factors
+        # are shared by both halves; each half adds its own split coordinate
+        split = [", ".join(f"l{j}, h{j}" for j in js) + " = x"] if n else []
+        for a in js:
+            rest = [j for j in js if j != a]
+            left = ", ".join(f"l{j}, m" if j == a else f"l{j}, h{j}" for j in js)
+            right = ", ".join(f"m, h{j}" if j == a else f"l{j}, h{j}" for j in js)
+            split += [
+                f"if a == {a}:",
+                f" m = _midpoint(l{a}, h{a})",
+                f" if not l{a} < m < h{a}: return None",
+                *(" " + line for j in rest for line in ratio(j, f"l{j}", f"h{j}")),
+                " w = 0.0",
+                *(f" if w{j} > w: w = w{j}" for j in rest),
+                *(" " + line for line in [*ratio("L", f"l{a}", "m"), *ratio("R", "m", f"h{a}")]),
+                f" pm, pd = {product('m', rest)}, {product('d', rest)}",
+                f" return (wL if wL > w else w), ({left}), mL * pm, (dL * pd).bit_length() - 1,"
+                f" (wR if wR > w else w), ({right}), mR * pm, (dR * pd).bit_length() - 1",
+            ]
+        split.append("raise IndexError(a)")
+        helpers = {"widest": widest, "volume": volume, "box": box, "thin": thin, "split": split}
+        source = "".join(
+            f"def {name}(x{', a' if name == 'split' else ''}):\n " + "\n ".join(lines) + "\n"
+            for name, lines in helpers.items()
+        )
         shape = _SHAPES[n] = _flat(source, *helpers)
     return shape
 

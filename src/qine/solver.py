@@ -28,24 +28,28 @@ flat tuple (lo0, hi0, lo1, hi1, ...) and a store a list of copies
 take and return them, and report an empty box as None, so the loop
 tests no box for emptiness.  The loop measures, halves and cuts these
 tuples with ``interval``'s flat-bound helpers (``_shape``, compiled once
-per dimension count, ``_halves``, ``_cut``, ``_contains``), which the
-Box methods wrap, and builds a Box only for a box that leaves it: an
-inner piece, a boundary box or the queue's flush.  The public phase functions
-(``global_pruning`` and the rest) are thin wrappers that take and give
-Boxes and QuantifiedConstraints around the same flat-level code.
+per dimension count, ``_cut``, ``_contains``), which the Box methods
+wrap: a branching node takes its widest axis from ``_shape``'s
+``widest`` and both halves, each with its widest width and its volume,
+from one call of its ``split``.  The loop builds a Box only for a box
+that leaves it: an inner piece, a boundary box or the queue's flush.
+The public phase functions (``global_pruning`` and the rest) are thin
+wrappers that take and give Boxes and QuantifiedConstraints around the
+same flat-level code.
 
 The volume ledger is exact.  Box bounds are doubles, so every volume is
 a dyadic rational m / 2**k (``Box.dyadic_volume``, which wraps the
-loop's ``volume`` of flat bounds); each box is measured once, when it
-is queued (or emitted as inner), and its (m, k) travels with it through
-the queue to the boundary list.  ``solve`` keeps the
-initial, inner, boundary and queued totals as integers over one shared
-2**K, raising K when a finer box arrives, and stops on ``classified_ratio``
-itself by dividing those integers.  The rational ``exact_*`` fields are
-written from the totals before each progress call and when the run
-ends; the float ``volume_*`` figures are derived from them on read.
-This makes the classified-volume ratio monotone and exactly 1.0 on
-complete runs.
+loop's ``volume`` of flat bounds); each box is measured once, and its
+(m, k) travels with it through the queue to the boundary list: the two
+halves of a branching node by the ``split`` that makes them, and the
+root, an inner piece and a remainder that is not halved by ``volume``.
+``solve`` keeps the initial, inner, boundary and queued totals as
+integers over one shared 2**K, raising K when a finer box arrives, and
+stops on ``classified_ratio`` itself by dividing those integers.  The
+rational ``exact_*`` fields are written from the totals before each
+progress call and when the run ends; the float ``volume_*`` figures are
+derived from them on read.  This makes the classified-volume ratio
+monotone and exactly 1.0 on complete runs.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .interval import Box, Interval, _bounds, _contains, _cut, _halves, _rebox, _shape
-from .expr import Expression, _tape
+from .expr import _TAPES, Expression, _tape
 from .expr import derivative_interval  # noqa: F401 -- bench/tracer.py wraps the name in this namespace
 from .contractor import QuantifiedConstraint, _kernel, _qc  # qine lists QuantifiedConstraint once, from contractor
 from .contractor import hc4_revise  # noqa: F401 -- bench/tracer.py wraps the name in this namespace
@@ -241,6 +245,12 @@ def _ratio_met(unclassified: int, initial: int, stop_ratio: float) -> bool:
 # that take and give Boxes and QuantifiedConstraints.
 
 
+# The run kernels below are read straight from the tape memo's kernel
+# table, and ``_kernel`` is called only on a miss, to compile one; an
+# expression with no tape yet reads this empty table.
+_UNTAPED = ((), {})
+
+
 def _pin(store: Sequence[tuple], x: tuple[float, ...]) -> list[tuple]:
     """The store with 2B+ pins over x: one "pin" kernel call per run of one constraint's copies.
 
@@ -251,7 +261,8 @@ def _pin(store: Sequence[tuple], x: tuple[float, ...]) -> list[tuple]:
     while k < end:
         c = store[k]
         if c[1]:
-            k, part = _kernel(c[0], "pin")(x, store, k)
+            f = c[0]
+            k, part = (_TAPES.get(id(f), _UNTAPED)[1].get("pin") or _kernel(f, "pin"))(x, store, k)
             out += part
         else:  # no parameter coordinate to pin
             out.append(c)
@@ -263,7 +274,8 @@ def _prune(store: Sequence[tuple], x: tuple[float, ...]) -> tuple[float, ...] | 
     """x pruned by each copy at its parameter midpoint, one "prune" kernel call per run; None when emptied."""
     k, end = 0, len(store)
     while k < end:
-        k, x = _kernel(store[k][0], "prune")(x, store, k)
+        f = store[k][0]
+        k, x = (_TAPES.get(id(f), _UNTAPED)[1].get("prune") or _kernel(f, "prune"))(x, store, k)
         if x is None:
             return None
     return x
@@ -279,7 +291,9 @@ def _identify(store: Sequence[tuple], x: tuple[float, ...]) -> tuple[list[tuple]
     kept: list[tuple] = []
     r, k, end = None, 0, len(store)
     while k < end:
-        k, r, part = _kernel(store[k][0], "identify")(x, store, k, 0.0, math.inf, r)
+        f = store[k][0]
+        kernel = _TAPES.get(id(f), _UNTAPED)[1].get("identify") or _kernel(f, "identify")
+        k, r, part = kernel(x, store, k, 0.0, math.inf, r)
         kept += part
     return kept, r
 
@@ -287,9 +301,13 @@ def _identify(store: Sequence[tuple], x: tuple[float, ...]) -> tuple[list[tuple]
 def _bisect_params(store: Sequence[tuple], epsilon: float) -> list[tuple]:
     """Each copy halved along its widest parameter coordinate when that is wider than epsilon and not too thin."""
     out: list[tuple] = []
+    n = -1
     for c in store:
         ys = c[1]
-        a, w = _shape(len(ys) // 2)[0](ys)
+        if len(ys) != n:  # once per call on every store solve builds, whose copies share one parameter box
+            n = len(ys)
+            widest = _shape(n // 2)[0]
+        a, w = widest(ys)
         if w > epsilon and (halves := _halves(ys, 2 * a)) is not None:
             out += ((c[0], halves[0]), (c[0], halves[1]))
         else:
@@ -420,15 +438,23 @@ def solve(
     The loop runs on flat bounds (see ``interval._shape``) and calls the
     phases' flat level, ``_pin``, ``_prune``, ``_identify``, ``_cut``,
     ``_contains`` and ``_bisect_params``, looked up in this module when
-    the solve starts; a Box is built
+    the solve starts, the last only when the problem has parameters.  A
+    node branches with ``widest`` and one ``split`` call, which measures
+    both halves, and pushes the two heap entries itself.  A Box is built
     only for a box that leaves the loop, inner or boundary.
     """
     cfg = config if config is not None else SolverConfig()
     stats = SolveStats()
     paving = Paving([], [], stats, problem.variable_box)
-    widest, volume, box_of, thin = _shape(len(problem.variable_box))
+    widest, volume, box_of, thin, split = _shape(len(problem.variable_box))
     pin, prune, identify, cut, contains, bisect_params = _pin, _prune, _identify, _cut, _contains, _bisect_params
-    pins, eps = cfg.mode == "2b+", cfg.epsilon
+    heappop, heappush = heapq.heappop, heapq.heappush
+    inner_append, boundary_append = paving.inner.append, paving.boundary.append
+    pins, eps, stop_ratio, max_nodes, time_limit = (
+        cfg.mode == "2b+", cfg.epsilon, cfg.stop_ratio, cfg.max_nodes, cfg.time_limit
+    )
+    # a problem without parameters has no copy for parameter bisection to split
+    param_bisect = cfg.param_bisect and len(problem.parameter_box) > 0
     # f does not depend on a parameter coordinate that its tape never reads,
     # so its copy starts collapsed there, at the upper endpoint that 2B+
     # pinning picks; parameter bisection then never splits that coordinate
@@ -448,24 +474,28 @@ def solve(
     heap: list[tuple[float, int, tuple[float, ...], list[tuple], int, int, bool]] = []
     seq = K = initial = inner = boundary = queued = 0
 
+    def deepen(k: int) -> None:
+        """Raise K to k > K, shifting the totals so that they keep their values."""
+        nonlocal K, initial, inner, boundary, queued
+        initial <<= k - K
+        inner <<= k - K
+        boundary <<= k - K
+        queued <<= k - K
+        K = k
+
     def scaled(m: int, k: int) -> int:
         """m / 2**k as a numerator over 2**K, raising K to k if k is larger.
 
         Raising K shifts the totals, so a caller reads them only after it.
         """
-        nonlocal K, initial, inner, boundary, queued
         if k > K:
-            initial <<= k - K
-            inner <<= k - K
-            boundary <<= k - K
-            queued <<= k - K
-            K = k
+            deepen(k)
         return m << (K - k)
 
     def push(x: tuple[float, ...], w: float, store: list[tuple], settled: bool) -> None:
         nonlocal seq, queued
         m, k = volume(x)
-        heapq.heappush(heap, (-w, seq, x, store, m, k, settled))
+        heappush(heap, (-w, seq, x, store, m, k, settled))
         vol = scaled(m, k)
         queued += vol
         seq += 1
@@ -480,24 +510,25 @@ def solve(
     push(root, widest(root)[1], root_store, False)
     initial = queued
     stats.exact_initial = Fraction(initial, 1 << K)
+    nodes = 0  # stats.nodes_processed, written back before each progress call and at the end
     t0 = time.perf_counter()
     stop = "complete"
     while heap:
-        if cfg.stop_ratio is not None and _ratio_met(boundary + queued, initial, cfg.stop_ratio):
+        if stop_ratio is not None and _ratio_met(boundary + queued, initial, stop_ratio):
             stop = "ratio"
             break
-        if cfg.max_nodes is not None and stats.nodes_processed >= cfg.max_nodes:
+        if max_nodes is not None and nodes >= max_nodes:
             stop = "nodes"
             break
-        if cfg.time_limit is not None and time.perf_counter() - t0 > cfg.time_limit:
+        if time_limit is not None and time.perf_counter() - t0 > time_limit:
             stop = "time"
             break
-        neg_width, _, x, store, m, k, settled = heapq.heappop(heap)
+        neg_width, _, x, store, m, k, settled = heappop(heap)
         vol = m << (K - k)
         queued -= vol
-        stats.nodes_processed += 1
+        nodes += 1
         if -neg_width <= eps:
-            paving.boundary.append(box_of(x))
+            boundary_append(box_of(x))
             boundary += vol
         else:
             if pins and not settled:
@@ -513,7 +544,7 @@ def solve(
                 # the kernels hand back x itself for a hull that is all of x
                 pieces = [x] if r is None else [] if r is x else cut(x, r)
                 for piece in pieces:
-                    paving.inner.append(box_of(piece))
+                    inner_append(box_of(piece))
                     vol = scaled(*volume(piece))
                     inner += vol
                 # A remainder left degenerate inside the box sits on the face
@@ -524,21 +555,29 @@ def solve(
                 if r is not None and not (
                     pieces and thin(r) and any(contains(piece, r) for piece in pieces)
                 ):
-                    if cfg.param_bisect:
+                    if param_bisect:
                         kept = bisect_params(kept, eps)
                     a, w = widest(r)
                     if w <= eps:
                         push(r, w, kept, settled)
-                    elif (halves := _halves(r, 2 * a)) is None:
+                    elif (halves := split(r, a)) is None:
                         # Wider than epsilon but at float spacing: no
                         # split can shrink it, so it stays undecided.
-                        paving.boundary.append(box_of(r))
+                        boundary_append(box_of(r))
                         vol = scaled(*volume(r))
                         boundary += vol
                     else:
-                        for half in halves:
-                            push(half, widest(half)[1], kept, settled)
+                        # both halves, measured by the split: queued as two
+                        # pushes would queue them, lower half first
+                        wl, left, ml, kl, wr, right, mr, kr = halves
+                        if kl > K or kr > K:
+                            deepen(kl if kl > kr else kr)
+                        heappush(heap, (-wl, seq, left, kept, ml, kl, settled))
+                        heappush(heap, (-wr, seq + 1, right, kept, mr, kr, settled))
+                        queued += (ml << (K - kl)) + (mr << (K - kr))
+                        seq += 2
         if progress is not None:
+            stats.nodes_processed = nodes
             record()
             stats.elapsed = time.perf_counter() - t0
             progress(paving)
@@ -547,6 +586,7 @@ def solve(
     paving.boundary += [box_of(entry[2]) for entry in heap]
     boundary += queued
     queued = 0
+    stats.nodes_processed = nodes
     record()
     stats.stop_reason = stop
     stats.elapsed = time.perf_counter() - t0

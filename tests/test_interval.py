@@ -1490,9 +1490,9 @@ def test_the_flat_bound_helpers_match_their_references_bit_for_bit():
     def hexes(x):
         return [b.hex() for b in x]
 
-    seen = {"inexact width": 0, "signed zero": 0, "too thin": 0, "cut": 0, "thin": 0}
+    seen = {"inexact width": 0, "signed zero": 0, "too thin": 0, "cut": 0, "thin": 0, "split": 0}
     for case, box, inner in _flat_cases():
-        widest, volume, box_of, thin = _shape(len(box))
+        widest, volume, box_of, thin, split = _shape(len(box))
         x, r = _bounds(box), _bounds(inner)
         assert _box_bits(box_of(x)) == _box_bits(box) and hexes(_bounds(box_of(x))) == hexes(x), case
         (m, k), (rm, rk) = volume(x), _dyadic_volume_ref(box)
@@ -1505,6 +1505,20 @@ def test_the_flat_bound_helpers_match_their_references_bit_for_bit():
             got = _halves(x, 2 * i)
             assert isinstance(want, str) if got is None else [_box_bits(box_of(h)) for h in got] == want, (case, i)
             seen["too thin"] += got is None and not box.dims[i].is_degenerate
+            # the node loop's split: _halves, each half with its widest width
+            # and its volume, which volume and the references give too
+            both = split(x, i)
+            assert (both is None) == (got is None), (case, i)
+            if both is not None:
+                for (w, h, m, k), ref in zip((both[:4], both[4:]), got):
+                    half = box_of(h)
+                    assert hexes(h) == hexes(ref) and (m, k) == volume(h) and w.hex() == widest(h)[1].hex(), (case, i)
+                    assert w.hex() == max(0.0, _width_ref(half)).hex(), (case, i)
+                    rm, rk = _dyadic_volume_ref(half)
+                    assert Fraction(m, 1 << k) == Fraction(rm, 1 << rk), (case, i)
+                seen["split"] += 1
+        with pytest.raises(IndexError):
+            split(x, len(box))
         pieces = _cut(x, r)
         assert [_box_bits(box_of(p)) for p in pieces] == [_box_bits(p) for p in _closure_ref(box, inner)], case
         seen["cut"] += bool(pieces)
@@ -1514,6 +1528,12 @@ def test_the_flat_bound_helpers_match_their_references_bit_for_bit():
             math.isfinite(w := iv.hi - iv.lo) and Fraction(iv.hi) - Fraction(iv.lo) != Fraction(w) for iv in box.dims
         )
     assert min(seen.values()) >= 100, seen
+    # the zero-dimensional helpers: the empty product, and no axis to split
+    widest, volume, box_of, thin, split = _shape(0)
+    assert (widest(()), volume(()), box_of(()), thin(())) == ((0, 0.0), (1, 0), Box(()), False)
+    with pytest.raises(IndexError):
+        split((), 0)
+    assert (Box(()).width, Box(()).exact_volume()) == (0.0, 1)
 
 
 def _midpoint_ref(lo: float, hi: float) -> float:

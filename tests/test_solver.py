@@ -1065,6 +1065,75 @@ def test_a_ratio_solve_rederives_no_box_it_built(problems_dir, monkeypatch):
     assert heappops == stats.nodes_processed > 100
 
 
+def _bench_solve_args(name: str) -> tuple[Problem, SolverConfig]:
+    """A fresh parse of a bench workload's problem, and its config."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        from workloads import WORKLOADS
+    finally:
+        sys.path.pop(0)
+    w = WORKLOADS[name]
+    return parse_problem(w.problem.read_text(), name=w.problem_name), SolverConfig(**w.flags)
+
+
+@pytest.mark.parametrize("name, calls", [("ring2d-ratio", 0), ("lens-2b", 1615)])
+def test_a_solve_bisects_parameters_once_per_branching_node_and_only_with_parameters(name, calls, monkeypatch):
+    # deterministic work counts of one bench solve: ring2d-ratio has no
+    # parameters, so it runs no parameter pass at all; lens-2b runs one per
+    # node that branches, that is, per identification that leaves a
+    # remainder not inside one of its inner pieces
+    from qine import solver
+
+    problem, cfg = _bench_solve_args(name)
+    counts = dict.fromkeys(("bisect_params", "remainders", "contained"), 0)
+    bisect_params, identify, contains = solver._bisect_params, solver._identify, solver._contains
+
+    def counted_bisect_params(store, epsilon):
+        counts["bisect_params"] += 1
+        return bisect_params(store, epsilon)
+
+    def counted_identify(store, x):
+        kept, r = identify(store, x)
+        counts["remainders"] += r is not None
+        return kept, r
+
+    def counted_contains(p, r):
+        inside = contains(p, r)  # the loop stops at the first piece holding r
+        counts["contained"] += inside
+        return inside
+
+    monkeypatch.setattr(solver, "_bisect_params", counted_bisect_params)
+    monkeypatch.setattr(solver, "_identify", counted_identify)
+    monkeypatch.setattr(solver, "_contains", counted_contains)
+    solve(problem, cfg)
+    branching = counts["remainders"] - counts["contained"]
+    assert counts["bisect_params"] == (branching if problem.parameter_names else 0) == calls, counts
+    assert branching > 1000
+
+
+@pytest.mark.parametrize("name", ["ring2d-ratio", "lens-2b", "mixed3d"])
+def test_a_solve_looks_each_kernel_up_in_the_memo_after_its_compile(name, monkeypatch):
+    # a cold bench solve calls contractor._kernel, which compiles a kernel
+    # on a miss, at most once per tape and purpose: every later run reads
+    # the kernel straight from its tape's kernel table
+    from qine import contractor, solver
+
+    problem, cfg = _bench_solve_args(name)
+    calls: dict[tuple[int, str], int] = {}
+    kernel = contractor._kernel
+
+    def counted_kernel(f, purpose):
+        calls[id(f), purpose] = calls.get((id(f), purpose), 0) + 1
+        return kernel(f, purpose)
+
+    monkeypatch.setattr(contractor, "_kernel", counted_kernel)
+    monkeypatch.setattr(solver, "_kernel", counted_kernel)
+    paving = solve(problem, cfg)
+    assert paving.stats.nodes_processed > 1000
+    assert {purpose for _, purpose in calls} >= {"prune", "identify"}
+    assert max(calls.values()) == 1, calls
+
+
 def test_a_2b_plus_solve_pins_each_run_in_one_kernel_call(monkeypatch):
     # deterministic work counts of one cold mixed3d solve at eps 0.15 in 2b+:
     # pinning calls no derivative_interval and compiles no tangent kernel,
