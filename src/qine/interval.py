@@ -1002,6 +1002,7 @@ def _shape(n: int) -> tuple[Callable, ...]:
     width and volume, as ``(w0, x0, m0, k0, w1, x1, m1, k1)``, or None
     where ``_halves`` gives None: it measures each unsplit coordinate
     once, for both halves, and raises IndexError past the last axis.
+    ``split`` holds those lines once per axis, so its source grows as n**2.
     """
     shape = _SHAPES.get(n)
     if shape is None:
