@@ -207,14 +207,13 @@ def format_report(problem: Problem, cfg: SolverConfig, paving: Paving) -> str:
     for label, boxes in (("inner", paving.inner), ("boundary", paving.boundary)):
         for box in boxes:
             fields = []
-            for iv in box.dims:
-                for v in (iv.lo, iv.hi):
-                    t = get(v)
-                    if t is None:
-                        t = repr(v)
-                        if v:
-                            texts[v] = t
-                    fields.append(t)
+            for v in box.bounds:
+                t = get(v)
+                if t is None:
+                    t = repr(v)
+                    if v:
+                        texts[v] = t
+                fields.append(t)
             lines.append(f"{label} {' '.join(fields)}")
     return "\n".join(lines) + "\n"
 
@@ -258,7 +257,7 @@ def _check_axes(box: Box, var_i: int, var_j: int) -> None:
     if var_i == var_j or not (0 <= var_i < n and 0 <= var_j < n):
         raise ValueError(f"bad axes ({var_i}, {var_j}) for {n} variables")
     for k in (var_i, var_j):
-        if not math.isfinite(box.dims[k].width):
+        if not math.isfinite(box[k].width):
             raise ValueError(f"the span of axis {k} is past the largest double")
 
 
@@ -276,8 +275,7 @@ def emit_svg(
     """
     init = paving.initial_box
     _check_axes(init, var_i, var_j)
-    dom_x = init.dims[var_i]
-    dom_y = init.dims[var_j]
+    dom_x, dom_y = init[var_i], init[var_j]
     span_x = dom_x.width
     span_y = dom_y.width
     px_w = 640
@@ -288,13 +286,14 @@ def emit_svg(
         f'viewBox="{dom_x.lo!r} {dom_y.lo!r} {span_x!r} {span_y!r}">',
     ]
     flip = dom_y.lo + dom_y.hi
+    i, j = 2 * var_i, 2 * var_j
     for fill, boxes in (("#d3d3d3", paving.inner), ("#696969", paving.boundary)):
         for box in boxes:
-            bx = box.dims[var_i]
-            by = box.dims[var_j]
+            x = box.bounds
+            # an empty coordinate is 0.0 wide, as Interval.width gives it
             parts.append(
-                f'<rect x="{bx.lo!r}" y="{flip - by.hi!r}" '
-                f'width="{bx.width!r}" height="{by.width!r}" fill="{fill}"/>'
+                f'<rect x="{x[i]!r}" y="{flip - x[j + 1]!r}" '
+                f'width="{max(x[i + 1] - x[i], 0.0)!r}" height="{max(x[j + 1] - x[j], 0.0)!r}" fill="{fill}"/>'
             )
     parts.append("</svg>")
     text = "\n".join(parts) + "\n"

@@ -45,7 +45,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .interval import _E, EMPTY, Box, Interval, _bounds, _exponent, _midpoint, _rebox, _unchecked
+from .interval import _E, EMPTY, Box, Interval, _exponent, _midpoint, _rebox, _unchecked
 from .expr import _BINARY, _LEAVES, _OPS, _PARTIAL, _TAPES, Expression, _compile, _forward_code, _Step, _tape
 from .expr import _tangent_code
 
@@ -434,8 +434,8 @@ def hc4_revise(qc: QuantifiedConstraint, x: Box, *, geq: bool = False) -> tuple[
     points that satisfy the inequality.
     """
     fl, fh = (0.0, math.inf) if geq else (-math.inf, 0.0)
-    store = ((qc.f, _bounds(qc.param_domain)),)
-    _, region, kept = _kernel(qc.f, "revise")(_bounds(x), store, 0, fl, fh, None)
+    store = ((qc.f, qc.param_domain.bounds),)
+    _, region, kept = _kernel(qc.f, "revise")(x.bounds, store, 0, fl, fh, None)
     if region is None:
         return Box.empty(len(x)), Box.empty(len(qc.param_domain))
     return _rebox(x, region), _rebox(qc.param_domain, kept[0][1])

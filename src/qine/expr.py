@@ -342,12 +342,12 @@ _OPS = {
     f: _memo(getattr(interval, f)) if f in _MEMOIZED else getattr(interval, f)
     for f in ("_add", "_mul", "_div", "_sqr", "_pow", "_root", "_exp", "_log", "_sin", "_cos", "_iv")
 }
-# the leaves of forward_sweep and derivative_interval read the intervals xs
-# and ys, which their kernel's first line reads off its arguments x and y
-_INPUTS = {"var": "xs[{a}].lo, xs[{a}].hi", "param": "ys[{a}].lo, ys[{a}].hi"}
-_READ_INPUTS = "xs, ys = x.dims, y.dims"
-# a step's value as forward_sweep returns it: a leaf's own interval, or its bounds boxed
-_BOXED = {"var": "xs[{a}]", "param": "ys[{a}]", "const": "k{i}"}
+# the leaves of forward_sweep and derivative_interval read the flat bounds xs
+# and ys, which their kernel's first line reads off its argument Boxes x and y
+_INPUTS = {"var": "xs[2 * {a}], xs[2 * {a} + 1]", "param": "ys[2 * {a}], ys[2 * {a} + 1]"}
+_READ_INPUTS = "xs, ys = x.bounds, y.bounds"
+# a step's value as forward_sweep returns it: a constant's own interval, or its bounds boxed
+_BOXED = {"const": "k{i}"}
 
 
 def _index(n: object) -> int:
@@ -466,8 +466,8 @@ def forward_sweep(e: Expression, x: Box, y: Box) -> tuple[tuple[_Step, ...], lis
     The one interval evaluator: ``eval_interval`` returns the root value,
     and ``derivative_interval`` and the HC4-revise kernels inline the same code.
     The tape is compiled once into straight-line code, one line per step,
-    on float bounds; the values are boxed only in its return, where a
-    leaf gives back its input or constant interval.
+    on the Boxes' flat bounds; the values are boxed only in its return,
+    where a constant gives back its own interval.
     Empty results propagate; sqrt and log keep only the part of their
     operand inside their natural domain.
     """

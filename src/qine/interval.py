@@ -39,8 +39,10 @@ is never touched, so concurrent use is safe.
 Bounds are validated where they come in: the ``Interval`` constructor,
 ``Interval.point``, ``Interval.parse`` and ``Box.from_bounds`` reject
 NaN, inverted and collapsed-at-infinity bounds.  The arithmetic and set
-operations build their results with the unchecked ``_iv``, because
-bounds computed from valid operands are valid by construction.
+operations build their results with the unchecked ``_iv`` and ``_box``,
+because bounds computed from valid operands are valid by construction.
+A ``Box`` is the flat bounds (lo0, hi0, lo1, hi1, ...) that the node
+loop and the kernels work on, and its methods wrap the flat helpers.
 """
 
 from __future__ import annotations
@@ -809,18 +811,20 @@ _iv = _unchecked(Interval)  # an Interval from bounds valid by construction
 EMPTY = Interval(_INF, -_INF)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Box:
-    """An interval vector; empty as a set iff any coordinate is empty.
+    """An interval vector, held as its flat bounds (lo0, hi0, lo1, hi1, ...).
 
-    The zero-dimensional box is the empty product and denotes a single
-    (trivial) point, so it is never empty.
+    ``bounds`` is the node loop's own tuple, not a copy; ``dims``, ``box[i]``
+    and iteration build Intervals when read.  ``==`` and ``hash`` are those
+    of ``bounds`` (0.0 == -0.0, as for Intervals).  Empty iff a coordinate
+    is; the 0-d box is the empty product, a point, so it is never empty.
     """
 
-    dims: tuple[Interval, ...]
+    bounds: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dims", tuple(self.dims))
+    def __init__(self, dims: Iterable[Interval]) -> None:
+        _set_bounds(self, tuple([b for iv in dims for b in (iv.lo, iv.hi)]))
 
     # -- constructors --------------------------------------------------------
 
@@ -834,12 +838,17 @@ class Box:
 
     @classmethod
     def empty(cls, n: int) -> Box:
-        return _box((EMPTY,) * n)
+        return _box((_INF, -_INF) * n)
 
     # -- container protocol ---------------------------------------------------
 
+    @property
+    def dims(self) -> tuple[Interval, ...]:
+        x = self.bounds
+        return tuple(map(_iv, x[::2], x[1::2]))
+
     def __len__(self) -> int:
-        return len(self.dims)
+        return len(self.bounds) // 2
 
     def __getitem__(self, i: int) -> Interval:
         return self.dims[i]
@@ -851,24 +860,24 @@ class Box:
 
     @property
     def is_empty(self) -> bool:
-        for iv in self.dims:
-            if iv.lo > iv.hi:
+        x = self.bounds
+        for i in range(0, len(x), 2):
+            if x[i] > x[i + 1]:
                 return True
         return False
 
     @property
     def width(self) -> float:
         """Largest coordinate width (0.0 for empty or 0-d boxes)."""
-        return 0.0 if self.is_empty else _shape(len(self.dims))[0](_bounds(self))[1]
+        return 0.0 if self.is_empty else _shape(len(self))[0](self.bounds)[1]
 
     def dyadic_volume(self) -> tuple[int, int]:
         """Volume as (m, k), meaning m / 2**k; requires finite bounds (``_shape``'s volume)."""
         if self.is_empty:
             return 0, 0
-        x = _bounds(self)
-        if -_INF in x or _INF in x:
+        if -_INF in (x := self.bounds) or _INF in x:
             raise ValueError("exact volume of an unbounded box")
-        return _shape(len(self.dims))[1](x)
+        return _shape(len(self))[1](x)
 
     def exact_volume(self) -> Fraction:
         """Volume as an exact rational; requires finite bounds."""
@@ -876,26 +885,28 @@ class Box:
         return Fraction(m, 1 << k)
 
     def contains(self, point: Sequence[float]) -> bool:
-        if len(point) != len(self.dims):
+        if 2 * len(point) != len(x := self.bounds):
             raise ValueError("dimension mismatch")
-        return all(iv.contains(p) for iv, p in zip(self.dims, point))
+        return all(lo <= p <= hi for lo, hi, p in zip(x[::2], x[1::2], point))
 
     def contains_box(self, other: Box) -> bool:
         self._check_dims(other)
-        return other.is_empty or _contains(_bounds(self), _bounds(other))
+        return other.is_empty or _contains(self.bounds, other.bounds)
 
     def _check_dims(self, other: Box) -> None:
-        if len(self.dims) != len(other.dims):
-            raise ValueError(
-                f"dimension mismatch: {len(self.dims)} vs {len(other.dims)}"
-            )
+        if len(self.bounds) != len(other.bounds):
+            raise ValueError(f"dimension mismatch: {len(self)} vs {len(other)}")
 
     # -- set operations ---------------------------------------------------------
 
     def intersect(self, other: Box) -> Box:
-        """self ∩ other, coordinate by coordinate (``Interval.intersect``)."""
+        """self ∩ other, coordinate by coordinate as ``Interval.intersect`` picks the bounds."""
         self._check_dims(other)
-        return _box(tuple(map(Interval.intersect, self.dims, other.dims)))
+        x, y, out = self.bounds, other.bounds, []
+        for i in range(0, len(x), 2):
+            lo, hi = max(x[i], y[i]), min(x[i + 1], y[i + 1])
+            out += (lo, hi) if lo <= hi else (_INF, -_INF)
+        return _box(tuple(out))
 
     def hull(self, other: Box) -> Box:
         """Smallest box containing both; the empty box is the identity."""
@@ -904,27 +915,28 @@ class Box:
             return other
         if other.is_empty:
             return self
-        return _box(tuple(map(Interval.hull, self.dims, other.dims)))
+        return _box(tuple([(max if i & 1 else min)(a, b) for i, (a, b) in enumerate(zip(self.bounds, other.bounds))]))
 
     def replace(self, axis: int, iv: Interval) -> Box:
-        dims = list(self.dims)
-        dims[axis] = iv
-        return _box(tuple(dims))
+        x = list(self.bounds)
+        x[2 * axis], x[2 * axis + 1] = iv.lo, iv.hi
+        return _box(tuple(x))
 
     def bisect(self, axis: int) -> tuple[Box, Box]:
         """Split at the midpoint of the given axis (``_halves``).
 
         Raises ValueError when the axis is degenerate or so thin that the
         midpoint is not strictly inside (a caller policy error).  The
-        halves keep every other coordinate as this box's own object.
+        halves keep every other coordinate's bounds as they are.
         """
-        lo, hi = self.dims[axis].lo, self.dims[axis].hi
+        x = self.bounds
+        lo, hi = x[2 * axis], x[2 * axis + 1]
         if lo >= hi:  # an empty axis too
             raise ValueError(f"cannot bisect degenerate axis {axis}")
-        halves = _halves(_bounds(self), 2 * (axis % len(self.dims)))
+        halves = _halves(x, 2 * (axis % len(self)))
         if halves is None:
             raise ValueError(f"axis {axis} too thin to bisect at {_midpoint(lo, hi)!r}")
-        return _rebox(self, halves[0]), _rebox(self, halves[1])
+        return _box(halves[0]), _box(halves[1])
 
     def set_difference_closure(self, inner: Box) -> list[Box]:
         """Decompose cl(self \\ inner) into at most 2n boxes, for any box inner.
@@ -944,38 +956,28 @@ class Box:
 
     def _cut(self, inner: Box) -> list[Box]:
         """cl(self \\ inner) for a non-empty inner inside self: the pieces of the flat ``_cut``."""
-        box_of = _shape(len(self.dims))[2]
-        return [box_of(piece) for piece in _cut(_bounds(self), _bounds(inner))]
+        return [_box(piece) for piece in _cut(self.bounds, inner.bounds)]
 
     def __str__(self) -> str:
-        return "x".join(str(iv) for iv in self.dims) if self.dims else "()"
+        return "x".join(map(str, self)) if self.bounds else "()"
+
+    def __repr__(self) -> str:
+        return f"Box(dims={self.dims!r})"
 
 
-_set_dims = Box.dims.__set__
+_set_bounds = Box.bounds.__set__
 
 
-def _box(dims: tuple[Interval, ...]) -> Box:
-    """Build a Box from a tuple of Intervals, skipping ``__post_init__``."""
+def _box(x: tuple[float, ...]) -> Box:
+    """The Box of the flat bounds x, valid by construction: one allocation that keeps x itself."""
     box = _new(Box)
-    _set_dims(box, dims)
+    _set_bounds(box, x)
     return box
 
 
-def _bounds(box: Box) -> tuple[float, ...]:
-    """The bounds of box as one flat tuple (lo0, hi0, lo1, hi1, ...), the solver's form of a box."""
-    return tuple([b for iv in box.dims for b in (iv.lo, iv.hi)])
-
-
 def _rebox(box: Box, x: tuple[float, ...]) -> Box:
-    """The Box of the flat bounds x, computed from box's own: box itself when x repeats its bounds.
-
-    A coordinate whose bounds x repeats keeps box's interval.  Equal
-    bounds are the same bits wherever x moved each bound of box strictly
-    inward or kept it, as a meet or a hull of such bounds does.
-    """
-    dims = box.dims
-    new = tuple([iv if (iv.lo, iv.hi) == x[2 * i:2 * i + 2] else _iv(*x[2 * i:2 * i + 2]) for i, iv in enumerate(dims)])
-    return box if all(a is b for a, b in zip(new, dims)) else _box(new)
+    """box itself when the flat bounds x equal its own, else the Box of x."""
+    return box if x == box.bounds else _box(x)
 
 
 def _exact_width(lo: float, hi: float) -> tuple[int, int]:
@@ -996,12 +998,12 @@ def _shape(n: int) -> tuple[Callable, ...]:
     ``volume(x)`` is the (m, k), meaning m / 2**k, of a non-empty x with
     finite bounds: bounds are doubles, so every denominator is a power of
     two, and each width is the double hi - lo when TwoSum shows it exact,
-    else hi - lo over the bounds' ratios; ``box(x)`` is the Box of x;
-    ``thin(x)`` tells whether some coordinate is a point; and
-    ``split(x, a)`` is ``_halves(x, 2 * a)`` with each half's widest
-    width and volume, as ``(w0, x0, m0, k0, w1, x1, m1, k1)``, or None
-    where ``_halves`` gives None: it measures each unsplit coordinate
-    once, for both halves, and raises IndexError past the last axis.
+    else hi - lo over the bounds' ratios; ``thin(x)`` tells whether some
+    coordinate is a point; and ``split(x, a)`` is ``_halves(x, 2 * a)``
+    with each half's widest width and volume, as ``(w0, x0, m0, k0, w1,
+    x1, m1, k1)``, or None where ``_halves`` gives None: it measures each
+    unsplit coordinate once, for both halves, and raises IndexError past
+    the last axis.
     ``split`` holds those lines once per axis, so its source grows as n**2.
     """
     shape = _SHAPES.get(n)
@@ -1023,7 +1025,6 @@ def _shape(n: int) -> tuple[Callable, ...]:
         widest = ["a, w = 0, 0.0", *(f"if (v := {hi[j]} - {lo[j]}) > w: a, w = {j}, v" for j in js), "return a, w"]
         volume = [line for j in js for line in [f"l, h = {lo[j]}, {hi[j]}", *ratio(j, "l", "h")]]
         volume.append(f"return {product('m', js)}, ({product('d', js)}).bit_length() - 1")
-        box = ["return _box((%s))" % "".join(f"_iv({lo[j]}, {hi[j]}), " for j in js)]
         thin = ["return " + (" or ".join(f"{lo[j]} == {hi[j]}" for j in js) or "False")]
         # split: the unsplit coordinates' widest width w and volume factors
         # are shared by both halves; each half adds its own split coordinate
@@ -1045,7 +1046,7 @@ def _shape(n: int) -> tuple[Callable, ...]:
                 f" (wR if wR > w else w), ({right}), mR * pm, (dR * pd).bit_length() - 1",
             ]
         split.append("raise IndexError(a)")
-        helpers = {"widest": widest, "volume": volume, "box": box, "thin": thin, "split": split}
+        helpers = {"widest": widest, "volume": volume, "thin": thin, "split": split}
         source = "".join(
             f"def {name}(x{', a' if name == 'split' else ''}):\n " + "\n ".join(lines) + "\n"
             for name, lines in helpers.items()

@@ -32,10 +32,11 @@ per dimension count, ``_cut``, ``_contains``), which the Box methods
 wrap: a branching node takes its widest axis from ``_shape``'s
 ``widest`` and both halves, each with its widest width and its volume,
 from one call of its ``split``.  The loop builds a Box only for a box
-that leaves it: an inner piece, a boundary box or the queue's flush.
-The public phase functions (``global_pruning`` and the rest) are thin
-wrappers that take and give Boxes and QuantifiedConstraints around the
-same flat-level code.
+that leaves it (an inner piece, a boundary box or the queue's flush),
+and that Box holds the loop's tuple itself, so no solve builds an
+Interval.  The public phase functions (``global_pruning`` and the rest)
+are thin wrappers that take and give Boxes and QuantifiedConstraints
+around the same flat-level code.
 
 The volume ledger is exact.  Box bounds are doubles, so every volume is
 a dyadic rational m / 2**k (``Box.dyadic_volume``, which wraps the
@@ -63,7 +64,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .interval import Box, Interval, _bounds, _contains, _cut, _halves, _rebox, _shape
+from .interval import Box, Interval, _box, _contains, _cut, _halves, _rebox, _shape
 from .expr import _TAPES, Expression, _tape
 from .expr import derivative_interval  # noqa: F401 -- bench/tracer.py wraps the name in this namespace
 from .contractor import QuantifiedConstraint, _kernel, _qc  # qine lists QuantifiedConstraint once, from contractor
@@ -316,7 +317,7 @@ def _bisect_params(store: Sequence[tuple], epsilon: float) -> list[tuple]:
 
 
 def _flat_store(store: Sequence[QuantifiedConstraint]) -> list[tuple]:
-    return [(qc.f, _bounds(qc.param_domain)) for qc in store]
+    return [(qc.f, qc.param_domain.bounds) for qc in store]
 
 
 def _boxed_store(
@@ -324,7 +325,7 @@ def _boxed_store(
 ) -> list[QuantifiedConstraint]:
     """The copies out as QuantifiedConstraints; a copy of flat, store's flat form, is its own qc."""
     own = {id(c): qc for c, qc in zip(flat, store)}
-    return [own.get(id(c)) or _qc(c[0], _shape(len(c[1]) // 2)[2](c[1])) for c in out]
+    return [own.get(id(c)) or _qc(c[0], _box(c[1])) for c in out]
 
 
 def parameter_instantiation(
@@ -348,7 +349,7 @@ def parameter_instantiation(
     are unspecified; ``solve`` never asks for them.
     """
     flat = _flat_store(store)
-    return _boxed_store(flat, store, _pin(flat, _bounds(box)))
+    return _boxed_store(flat, store, _pin(flat, box.bounds))
 
 
 def local_pruning(qc: QuantifiedConstraint, box: Box) -> Box:
@@ -369,7 +370,7 @@ def global_pruning(store: Sequence[QuantifiedConstraint], box: Box) -> Box:
     result is the empty box as soon as one copy empties it; a box that
     comes in empty comes out empty.
     """
-    x = _prune(_flat_store(store), _bounds(box))
+    x = _prune(_flat_store(store), box.bounds)
     return Box.empty(len(box)) if x is None else _rebox(box, x)
 
 
@@ -391,13 +392,12 @@ def solution_identification(
     """
     if box.is_empty:
         return [], Box.empty(len(box)), []
-    flat, x = _flat_store(store), _bounds(box)
+    flat, x = _flat_store(store), box.bounds
     kept, r = _identify(flat, x)
     kept = _boxed_store(flat, store, kept)
     if r is None:
         return kept, Box.empty(len(box)), [box]
-    box_of = _shape(len(box))[2]
-    return kept, _rebox(box, r), [] if r is x else [box_of(piece) for piece in _cut(x, r)]
+    return kept, _rebox(box, r), [] if r is x else [_box(piece) for piece in _cut(x, r)]
 
 
 def parameter_domain_bisection(
@@ -419,7 +419,7 @@ def branch(box: Box) -> tuple[Box, Box]:
     Raises ValueError, as ``Box.bisect`` does, when that coordinate is
     too thin for its midpoint to lie strictly inside.
     """
-    return box.bisect(_shape(len(box))[0](_bounds(box))[0])
+    return box.bisect(_shape(len(box))[0](box.bounds)[0])
 
 
 def solve(
@@ -446,7 +446,7 @@ def solve(
     cfg = config if config is not None else SolverConfig()
     stats = SolveStats()
     paving = Paving([], [], stats, problem.variable_box)
-    widest, volume, box_of, thin, split = _shape(len(problem.variable_box))
+    widest, volume, thin, split = _shape(len(problem.variable_box))
     pin, prune, identify, cut, contains, bisect_params = _pin, _prune, _identify, _cut, _contains, _bisect_params
     heappop, heappush = heapq.heappop, heapq.heappush
     inner_append, boundary_append = paving.inner.append, paving.boundary.append
@@ -458,11 +458,11 @@ def solve(
     # f does not depend on a parameter coordinate that its tape never reads,
     # so its copy starts collapsed there, at the upper endpoint that 2B+
     # pinning picks; parameter bisection then never splits that coordinate
-    params = problem.parameter_box.dims
+    params = problem.parameter_box.bounds
     root_store = []
     for f in problem.constraints:
-        read = {a for op, a, _ in _tape(f)[0] if op == "param"}
-        ys = [b for j, iv in enumerate(params) for b in (iv.lo if j in read else iv.hi, iv.hi)]
+        read = {2 * a for op, a, _ in _tape(f)[0] if op == "param"}
+        ys = [b for j in range(0, len(params), 2) for b in (params[j] if j in read else params[j + 1], params[j + 1])]
         root_store.append((f, tuple(ys)))
 
     # The ledger: initial, inner, boundary and queued volume as integers
@@ -506,7 +506,7 @@ def solve(
         stats.exact_boundary = Fraction(boundary, den)
         stats.exact_queued = Fraction(queued, den)
 
-    root = _bounds(problem.variable_box)
+    root = problem.variable_box.bounds
     push(root, widest(root)[1], root_store, False)
     initial = queued
     stats.exact_initial = Fraction(initial, 1 << K)
@@ -528,7 +528,7 @@ def solve(
         queued -= vol
         nodes += 1
         if -neg_width <= eps:
-            boundary_append(box_of(x))
+            boundary_append(_box(x))
             boundary += vol
         else:
             if pins and not settled:
@@ -544,7 +544,7 @@ def solve(
                 # the kernels hand back x itself for a hull that is all of x
                 pieces = [x] if r is None else [] if r is x else cut(x, r)
                 for piece in pieces:
-                    inner_append(box_of(piece))
+                    inner_append(_box(piece))
                     vol = scaled(*volume(piece))
                     inner += vol
                 # A remainder left degenerate inside the box sits on the face
@@ -563,7 +563,7 @@ def solve(
                     elif (halves := split(r, a)) is None:
                         # Wider than epsilon but at float spacing: no
                         # split can shrink it, so it stays undecided.
-                        boundary_append(box_of(r))
+                        boundary_append(_box(r))
                         vol = scaled(*volume(r))
                         boundary += vol
                     else:
@@ -583,7 +583,7 @@ def solve(
             progress(paving)
     # seq is unique, so the sorted heap is the order heappop would give
     heap.sort()
-    paving.boundary += [box_of(entry[2]) for entry in heap]
+    paving.boundary += [_box(entry[2]) for entry in heap]
     boundary += queued
     queued = 0
     stats.nodes_processed = nodes

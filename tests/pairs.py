@@ -1,10 +1,11 @@
 """Alternating fresh-process benchmark pairs of a parent checkout and this one.
 
-Run as ``python tests/pairs.py PARENT_DIR [--workload W] [--pairs N]``.
-Each pair runs ``bench/child.py sample W`` once in PARENT_DIR and once in
-this checkout, each in a fresh single-threaded process that imports qine
-from its own ``src``; the parent goes first on even pairs and second on
-odd ones.  For each workload and each end-to-end metric a sample
+Run as ``python tests/pairs.py PARENT_DIR [--workload W] [--pairs N]
+[--samples K]``.  Each pair runs ``bench/child.py sample W`` K times
+(default 1) in PARENT_DIR and K times in this checkout, each in a fresh
+single-threaded process that imports qine from its own ``src``, and
+takes each side's median of every number those K samples report; the
+parent goes first on even pairs and second on odd ones.  For each workload and each end-to-end metric a sample
 reports, it prints both sides' median and quartiles, the change in the
 median, and the pairs the change wins (ties count for neither side), and
 calls a gain only where the change wins at least nine tenths of the
@@ -32,18 +33,28 @@ from workloads import WORKLOADS  # noqa: E402
 SINGLE_THREAD = {k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
-def sample(root: Path, workload: str) -> tuple[dict, str]:
-    """One ``bench/child.py sample`` of the checkout at root: its measurements and its report's hash."""
+def sample(root: Path, workload: str, samples: int = 1) -> tuple[dict, str]:
+    """``samples`` fresh ``bench/child.py sample`` runs of the checkout at root, as one.
+
+    Returns the median of each number they report, and their reports'
+    hash, or "differ" when the runs' reports do not hash the same.
+    """
     env = dict(os.environ, **SINGLE_THREAD)
     env.pop("PYTHONPATH", None)
-    proc = subprocess.run(
-        [sys.executable, str(root / "bench" / "child.py"), "sample", workload],
-        capture_output=True, text=True, timeout=300, env=env, cwd=root, check=True,
-    )
-    head, _, report = proc.stdout.partition("\n")
-    out = json.loads(head)
-    out["us_per_node"] = out["solve_s"] * 1e6 / out["nodes"]
-    return out, paving_sha256(report)
+    runs, hashes = [], set()
+    for _ in range(samples):
+        proc = subprocess.run(
+            [sys.executable, str(root / "bench" / "child.py"), "sample", workload],
+            capture_output=True, text=True, timeout=300, env=env, cwd=root, check=True,
+        )
+        head, _, report = proc.stdout.partition("\n")
+        out = json.loads(head)
+        out["us_per_node"] = out["solve_s"] * 1e6 / out["nodes"]
+        runs.append(out)
+        hashes.add(paving_sha256(report))
+    numbers = [key for key, v in runs[0].items() if isinstance(v, (int, float)) and not isinstance(v, bool)]
+    merged = {**runs[0], **{key: statistics.median(r[key] for r in runs) for key in numbers}}
+    return merged, hashes.pop() if len(hashes) == 1 else "differ"
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -56,7 +67,10 @@ def main(argv: list[str]) -> int:
     ap.add_argument("parent", type=Path, help="a checkout of the parent commit")
     ap.add_argument("--workload", default="all", choices=[*WORKLOADS, "all"])
     ap.add_argument("--pairs", type=int, default=21)
+    ap.add_argument("--samples", type=int, default=1, help="fresh-process samples per side of a pair, medianed")
     args = ap.parse_args(argv)
+    if args.pairs < 1 or args.samples < 1:
+        ap.error("--pairs and --samples must be at least 1")
     names = list(WORKLOADS) if args.workload == "all" else [args.workload]
     spec = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     runs: dict[str, dict[str, list[dict]]] = {name: {"parent": [], "change": []} for name in names}
@@ -64,14 +78,14 @@ def main(argv: list[str]) -> int:
     for i in range(args.pairs):
         for name in names:
             sides = [("parent", args.parent.resolve()), ("change", ROOT)]
-            got = dict((side, sample(root, name)) for side, root in (sides if i % 2 == 0 else sides[::-1]))
-            mismatched[name] += got["parent"][1] != got["change"][1]
+            got = {side: sample(root, name, args.samples) for side, root in (sides if i % 2 == 0 else sides[::-1])}
+            mismatched[name] += got["parent"][1] != got["change"][1] or got["change"][1] == "differ"
             for side in runs[name]:
                 runs[name][side].append(got[side][0])
             print(f"pair {i + 1}/{args.pairs} {name}: solve_s {got['parent'][0]['solve_s']:.4f} -> "
                   f"{got['change'][0]['solve_s']:.4f}", file=sys.stderr)
     for name in names:
-        print(f"== {name}: {args.pairs} pairs, reports differ in {mismatched[name]}")
+        print(f"== {name}: {args.pairs} pairs of {args.samples} sample(s) a side, reports differ in {mismatched[name]}")
         print(f"  {'metric':18s} {'parent median (q1-q3)':>30s} {'change median (q1-q3)':>30s} {'change':>8s} "
               f"{'wins':>7s}  verdict")
         for metric in (m for m in spec if m in runs[name]["parent"][0]):

@@ -125,3 +125,32 @@ def test_every_name_the_benchmark_reads_outside_the_solver_still_exists(monkeypa
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     monkeypatch.delitem(sys.modules, "micro", raising=False)
     importlib.import_module("micro")
+
+
+def test_pairs_takes_each_sides_median_of_its_samples():
+    # tests/pairs.py --samples K: one side of a pair is K fresh samples,
+    # each number their median; run in a child so that neither the import
+    # of pairs nor the stand-in for subprocess.run touches this process
+    code = """
+import json, subprocess, sys
+sys.path.insert(0, "tests")
+import pairs
+
+def fake(reports):
+    runs = iter(reports)
+    def run(*args, **kwargs):
+        solve_s, report = next(runs)
+        out = {"solve_s": solve_s, "nodes": 10, "ledger": "x", "flag": True}
+        return subprocess.CompletedProcess(args, 0, json.dumps(out) + "\\n" + report, "")
+    return run
+
+subprocess.run = fake([(0.3, "inner 0.0 1.0\\n"), (0.1, "inner 0.0 1.0\\n"), (0.2, "inner 0.0 1.0\\n")])
+got, digest = pairs.sample(pairs.ROOT, "ring2d-ratio", 3)
+subprocess.run = fake([(0.3, "inner 0.0 1.0\\n"), (0.1, "inner 0.0 2.0\\n")])
+print(json.dumps([got, len(digest), pairs.sample(pairs.ROOT, "ring2d-ratio", 2)[1]]))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    got, digest_len, differ = json.loads(proc.stdout)
+    assert got == {"solve_s": 0.2, "nodes": 10, "ledger": "x", "flag": True, "us_per_node": 20000.0}
+    assert (digest_len, differ) == (64, "differ")

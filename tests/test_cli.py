@@ -389,6 +389,45 @@ def test_svg_height_of_extreme_spans_is_clamped():
     assert 'width="640" height="1"' in emit_svg(Paving([flat], [], SolveStats(), flat))
 
 
+# The sha256 of emit_svg's text before it came to read Box.bounds in place
+# of each box's Intervals: ring2d at eps 0.05, and hand_paving with the
+# records of _signed_zero_records added.
+SVG_GOLDEN = {
+    "ring2d": "1e1ff693104ea228f511c56103e99849822c04ed0c7273a0f4db4ca66da720c3",
+    "hand": "627d606832d91979d37615ae051396bb03952e985499c3f7fb4ff9004331c249",
+}
+
+
+def _signed_zero_records(paving: Paving) -> Paving:
+    # -0.0 and subnormal bounds, and a coordinate [0.0, -0.0] whose width is -0.0
+    paving.inner.append(Box.from_bounds([(-0.0, 5e-324), (0.0, -0.0)]))
+    paving.boundary.append(Box.from_bounds([(2.5e-310, 1.0), (-5e-324, -0.0)]))
+    return paving
+
+
+def test_svg_is_byte_identical_to_its_golden_and_builds_no_interval_per_rect(problems_dir, monkeypatch):
+    import hashlib
+
+    from qine import interval
+
+    problem = parse_problem((problems_dir / "ring2d.qcsp").read_text(), name="ring2d")
+    pavings = {"ring2d": solve(problem, SolverConfig(epsilon=0.05)), "hand": _signed_zero_records(hand_paving())}
+    built: list[type] = []
+    new = interval._new
+    monkeypatch.setattr(interval, "_new", lambda cls: built.append(cls) or new(cls))
+    for name, paving in pavings.items():
+        built.clear()
+        text = emit_svg(paving)
+        assert hashlib.sha256(text.encode()).hexdigest() == SVG_GOLDEN[name], name
+        per_paving = built.count(Interval)
+        # the Intervals built are those of the initial box's axes, as many
+        # as for a paving without records
+        built.clear()
+        emit_svg(Paving([], [], paving.stats, paving.initial_box))
+        assert per_paving == built.count(Interval), name
+    assert len(pavings["ring2d"].inner) + len(pavings["ring2d"].boundary) == 752
+
+
 def test_svg_rejects_an_axis_whose_span_overflows():
     # 1e308 - -1e308 rounds to inf, and the aspect ratio would be NaN
     wide = Box.from_bounds([(-1e308, 1e308), (0.0, 1.0)])
@@ -674,6 +713,19 @@ def test_parsing_a_problem_does_not_import_argparse():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True"]
+
+
+def test_the_readme_library_snippet_runs_and_prints_its_paving():
+    # the "Library" block of README.md, run from the repository root: it
+    # prints the inner Boxes' reprs, so a change to the public surface or
+    # to the repr of a Box or an Interval shows here
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    snippet = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "-c", snippet], capture_output=True, text=True, timeout=60, env=env, cwd=root)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[Box(dims=(Interval(lo=9.0, hi=15.0),))] 1.0\n"
 
 
 def test_the_package_exports_each_name_once_and_resolves_it():

@@ -524,6 +524,79 @@ def test_box_contains():
         b.contains((0.5,))
 
 
+def _value_cases(rng: random.Random):
+    """(box, ref) pairs: a Box and the tuple of Intervals it is built from, 0 to 3 of them.
+
+    The coordinates take signed zeros, subnormals, infinities, the largest
+    double and the empty interval; every other case is the previous one with
+    the sign of each zero flipped, which an Interval compares equal.
+    """
+    edges = (0.0, -0.0, TINY, -TINY, 2.5e-310, -1e-310, 1.0, -1.5, INF, -INF, MAX, -MAX)
+    ref: tuple[Interval, ...] = ()
+    for case in range(3000):
+        if case % 2:
+            ref = tuple(iv if iv.is_empty else Interval(-iv.lo if iv.lo == 0.0 else iv.lo,
+                                                        -iv.hi if iv.hi == 0.0 else iv.hi) for iv in ref)
+        else:
+            dims = []
+            while len(dims) < case // 2 % 4:
+                lo, hi = sorted((rng.choice(edges + (rng.uniform(-3.0, 3.0),)) for _ in "ab"))
+                if rng.random() < 0.1:
+                    dims.append(EMPTY)
+                elif not (lo == hi and math.isinf(lo)):
+                    dims.append(Interval(lo, hi))
+            ref = tuple(dims)
+        yield Box(ref), ref
+
+
+def test_box_value_semantics_match_a_tuple_of_intervals():
+    # a Box holds one flat tuple of bounds; read through dims, [i],
+    # iteration, len, ==, hash, str, repr and contains it behaves as the
+    # tuple of Intervals it was built from, bit for bit
+    import dataclasses
+
+    def bits(intervals):
+        return [(iv.lo.hex(), iv.hi.hex()) for iv in intervals]
+
+    rng = random.Random(3301)
+    seen = {"signed zero": 0, "subnormal": 0, "infinite": 0, "empty": 0, "equal twins": 0, "0-d": 0}
+    prev_box, prev_ref = Box(()), ()
+    for box, ref in _value_cases(rng):
+        n = len(ref)
+        assert bits(box.dims) == bits(ref) and [b.hex() for b in box.bounds] == [b for p in bits(ref) for b in p]
+        assert len(box) == n and bits(box) == bits(ref)
+        assert all(bits([box[i]]) == bits([ref[i]]) for i in range(-n, n))
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                box[i]
+        # equality and hashing against the reference's relation
+        assert (box == prev_box) == (ref == prev_ref) and (box != prev_box) == (ref != prev_ref)
+        if box == prev_box:
+            assert hash(box) == hash(prev_box)
+            seen["equal twins"] += box.bounds != () and [b.hex() for b in box.bounds] != [b.hex() for b in prev_box.bounds]
+        assert Box(box.dims) == box and hash(Box(box.dims)) == hash(box)
+        assert box.is_empty == any(iv.is_empty for iv in ref)
+        assert str(box) == ("x".join(map(str, ref)) if ref else "()")
+        assert bits(eval(repr(box), {"Box": Box, "Interval": Interval, "inf": INF}).dims) == bits(ref)
+        point = [rng.choice((iv.lo, iv.hi, 0.0, -0.0, rng.uniform(-3.0, 3.0))) for iv in ref]
+        assert box.contains(point) == all(iv.contains(p) for iv, p in zip(ref, point))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            box.bounds = ()
+        prev_box, prev_ref = box, ref
+        flat = box.bounds
+        seen["signed zero"] += any(b == 0.0 and math.copysign(1.0, b) < 0 for b in flat)
+        seen["subnormal"] += any(0.0 < abs(b) < sys.float_info.min for b in flat)
+        seen["infinite"] += any(math.isinf(b) for iv in ref if not iv.is_empty for b in (iv.lo, iv.hi))
+        seen["empty"] += box.is_empty
+        seen["0-d"] += n == 0
+    assert min(seen.values()) >= 100, seen
+    for n in range(4):
+        empty, ref = Box.empty(n), (EMPTY,) * n
+        assert empty == Box(ref) and hash(empty) == hash(Box(ref)) and bits(empty) == bits(ref)
+        assert len(empty) == n and empty.is_empty == (n > 0)
+    assert (Box(()).dims, list(Box(())), len(Box(())), Box(()).bounds) == ((), [], 0, ())
+
+
 def test_box_bisect():
     b = Box.from_bounds([(0.0, 15.0)])
     lo_half, hi_half = b.bisect(0)
@@ -1357,13 +1430,13 @@ def _outcome(fn, *args):
 @settings(max_examples=400)
 @given(box_pairs())
 def test_box_code_matches_its_reference_bit_for_bit(pair):
-    from qine.interval import _bounds, _shape
+    from qine.interval import _shape
 
     a, b = pair
     for box in pair:
         assert box.width.hex() == _width_ref(box).hex()
         widest = _shape(len(box))[0]  # the solver loop's widest axis, on flat bounds
-        assert widest(_bounds(box))[0] == _widest_axis_ref(box)
+        assert widest(box.bounds)[0] == _widest_axis_ref(box)
         got, ref = _outcome(Box.dyadic_volume, box), _outcome(_dyadic_volume_ref, box)
         if isinstance(ref, str):
             assert got == ref
@@ -1390,8 +1463,9 @@ def _bisect_outcome(box: Box, axis: int, bisect) -> object:
         halves = bisect(box, axis)
     except ValueError as exc:
         return str(exc)
-    # the halves keep every other coordinate as the box's own object
-    assert all(h.dims[i] is iv for h in halves for i, iv in enumerate(box.dims) if i != axis % len(box))
+    # the halves keep every other coordinate's bounds bit for bit
+    keep = [i for i in range(len(box)) if i != axis % len(box)]
+    assert all(_box_bits(h)[i] == _box_bits(box)[i] for h in halves for i in keep)
     return [_box_bits(h) for h in halves]
 
 
@@ -1485,16 +1559,17 @@ def test_the_flat_bound_helpers_match_their_references_bit_for_bit():
     # the node loop measures, halves, cuts and boxes flat bounds with these
     # helpers, and the Box methods wrap them; each gives what the Box-level
     # references above give, bit for bit
-    from qine.interval import _bounds, _cut, _halves, _shape
+    from qine.interval import _box as box_of
+    from qine.interval import _cut, _halves, _shape
 
     def hexes(x):
         return [b.hex() for b in x]
 
     seen = {"inexact width": 0, "signed zero": 0, "too thin": 0, "cut": 0, "thin": 0, "split": 0}
     for case, box, inner in _flat_cases():
-        widest, volume, box_of, thin, split = _shape(len(box))
-        x, r = _bounds(box), _bounds(inner)
-        assert _box_bits(box_of(x)) == _box_bits(box) and hexes(_bounds(box_of(x))) == hexes(x), case
+        widest, volume, thin, split = _shape(len(box))
+        x, r = box.bounds, inner.bounds
+        assert _box_bits(box_of(x)) == _box_bits(box) and box_of(x).bounds is x, case
         (m, k), (rm, rk) = volume(x), _dyadic_volume_ref(box)
         assert Fraction(m, 1 << k) == Fraction(rm, 1 << rk), case
         axis, width = widest(x)  # +0.0 for a box of points, as Box.width gives it, where [0.0, -0.0] is -0.0 wide
@@ -1529,7 +1604,7 @@ def test_the_flat_bound_helpers_match_their_references_bit_for_bit():
         )
     assert min(seen.values()) >= 100, seen
     # the zero-dimensional helpers: the empty product, and no axis to split
-    widest, volume, box_of, thin, split = _shape(0)
+    widest, volume, thin, split = _shape(0)
     assert (widest(()), volume(()), box_of(()), thin(())) == ((0, 0.0), (1, 0), Box(()), False)
     with pytest.raises(IndexError):
         split((), 0)

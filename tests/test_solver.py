@@ -977,14 +977,15 @@ def test_solver_config_is_frozen():
 )
 def test_solve_constructs_no_checked_object_per_node(path, mode, coarse, fine, problems_dir, monkeypatch):
     # constraints, intervals and boxes built inside the loop skip their
-    # dataclass __init__ and __post_init__, and the root store is flat
+    # checking hooks (the dataclass __init__, Interval's __post_init__ and
+    # Box's own __init__ from Intervals), and the root store is flat
     # bounds, so a solve runs none of them, however many nodes it processes
     problem = parse_problem((problems_dir.parent / path).read_text())
     solve(problem, SolverConfig(epsilon=coarse, mode=mode))  # compiles the kernels
     counts: dict[str, int] = {}
     for cls, attr in (
         (Interval, "__post_init__"),
-        (Box, "__post_init__"),
+        (Box, "__init__"),
         (QuantifiedConstraint, "__init__"),
     ):
         def counted(self, *args, _orig=getattr(cls, attr), _key=f"{cls.__name__}.{attr}", **kwargs):
@@ -1005,8 +1006,9 @@ def test_a_solve_builds_a_box_only_for_each_box_of_its_paving(name, monkeypatch)
     # deterministic work counts of one bench solve: the node loop runs on
     # flat bounds and builds a Box only for each inner and boundary box it
     # emits, through interval._new, the one allocator of the unchecked
-    # builders; ring2d-ratio once built 20,573 Boxes for its 8,818, mixed3d
-    # 5,696 for its 2,142
+    # builders; a Box holds the loop's tuple, so no Interval is built at
+    # all; ring2d-ratio once built 20,573 Boxes for its 8,818, mixed3d
+    # 5,696 for its 2,142, and each Box had its Intervals
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
     try:
         from workloads import WORKLOADS
@@ -1026,7 +1028,7 @@ def test_a_solve_builds_a_box_only_for_each_box_of_its_paving(name, monkeypatch)
     monkeypatch.setattr(interval, "_new", counted)
     paving = solve(problem, SolverConfig(**w.flags))
     emitted = len(paving.inner) + len(paving.boundary)
-    assert built == {Box: emitted, Interval: emitted * len(problem.variable_box), QuantifiedConstraint: 0}
+    assert built == {Box: emitted, Interval: 0, QuantifiedConstraint: 0}
     assert emitted == {"ring2d-ratio": 8818, "mixed3d": 2142}[name], emitted
 
 
