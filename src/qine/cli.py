@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .interval import _NUMBER, Box, Interval
+from .interval import _BOUND, _NUMBER, Box, Interval
 from .expr import FUNCTIONS, Binary, Expression, ParseError, VarKind, VarRef, _literal, parse_expression
 from .solver import Paving, Problem, SolverConfig, _check_domain, classified_ratio, solve
 
@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 _NUMBER_RE = re.compile(rf"[+-]?{_NUMBER}\Z")
+_BOUND_RE = re.compile(rf"{_BOUND}\Z")
 _DECL_RE = re.compile(
     r"\s*(var|param)\s+([A-Za-z_][A-Za-z_0-9]*)\s+in\s+(\S.*?)\s*\Z", re.S
 )
@@ -222,8 +223,9 @@ def parse_report(text: str) -> tuple[dict[str, str], list[Box], list[Box]]:
     """Parse report text back into header fields and inner/boundary boxes.
 
     Every record must have one bound pair per name of the ``# vars:``
-    header, or, without one, as many as the first record; anything else
-    raises ValueError.
+    header, or, without one, as many as the first record, each bound in
+    the number grammar of ``Interval.parse``; anything else raises
+    ValueError.
     """
     meta: dict[str, str] = {}
     inner: list[Box] = []
@@ -237,11 +239,15 @@ def parse_report(text: str) -> tuple[dict[str, str], list[Box], list[Box]]:
             meta[key.strip()] = value.strip()
             continue
         fields = line.split()
-        label, bounds = fields[0], [float(v) for v in fields[1:]]
+        label, bounds = fields[0], fields[1:]
         width = width or (2 * len(meta["vars"].split()) if "vars" in meta else len(bounds))
-        if label not in ("inner", "boundary") or not bounds or len(bounds) % 2 or len(bounds) != width:
+        if (
+            label not in ("inner", "boundary") or not bounds or len(bounds) % 2 or len(bounds) != width
+            or not all(map(_BOUND_RE.match, bounds))
+        ):
             raise ValueError(f"malformed record: {line!r}")
-        box = Box.from_bounds(list(zip(bounds[0::2], bounds[1::2])))
+        x = list(map(float, bounds))
+        box = Box.from_bounds(list(zip(x[0::2], x[1::2])))
         (inner if label == "inner" else boundary).append(box)
     return meta, inner, boundary
 
@@ -254,8 +260,8 @@ def _check_axes(box: Box, var_i: int, var_j: int) -> None:
     n = len(box)
     if n < 2:
         raise ValueError("SVG projection needs at least two variables")
-    if var_i == var_j or not (0 <= var_i < n and 0 <= var_j < n):
-        raise ValueError(f"bad axes ({var_i}, {var_j}) for {n} variables")
+    if any(type(k) is not int for k in (var_i, var_j)) or var_i == var_j or not (0 <= var_i < n and 0 <= var_j < n):
+        raise ValueError(f"bad axes ({var_i!r}, {var_j!r}) for {n} variables")
     for k in (var_i, var_j):
         if not math.isfinite(box[k].width):
             raise ValueError(f"the span of axis {k} is past the largest double")
@@ -270,8 +276,9 @@ def emit_svg(
     gray, no background rect.  The viewBox is the initial domain of the
     chosen axes (the j axis is flipped so larger values point up); the
     height keeps the aspect ratio within 1..64,000 pixels.  Raises
-    ValueError for fewer than two variables, for equal or out-of-range
-    axes, and for an axis whose span is past the largest double.
+    ValueError for fewer than two variables, for an axis that is not an
+    int (a bool included), for equal or out-of-range axes, and for an
+    axis whose span is past the largest double.
     """
     init = paving.initial_box
     _check_axes(init, var_i, var_j)

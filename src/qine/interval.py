@@ -651,20 +651,6 @@ class Interval:
             return 0.0
         return self.hi - self.lo
 
-    @property
-    def midpoint(self) -> float:
-        return _midpoint(self.lo, self.hi)
-
-    def contains(self, v: float) -> bool:
-        return self.lo <= v <= self.hi
-
-    def subset_of(self, other: Interval) -> bool:
-        if self.is_empty:
-            return True
-        if other.is_empty:
-            return False
-        return other.lo <= self.lo and self.hi <= other.hi
-
     # -- set operations ------------------------------------------------------
 
     def intersect(self, other: Interval) -> Interval:
@@ -764,8 +750,8 @@ class Interval:
 def _midpoint(lo: float, hi: float) -> float:
     """The midpoint of [lo, hi], inside it; lo + 1 or hi - 1 past an infinite bound.
 
-    The one midpoint rule: ``Interval.midpoint``, ``_halves`` (and so
-    ``Box.bisect``) and the pruning kernels all call it.  A finite m = 0.5 * (lo + hi) with
+    The one midpoint rule: ``_halves`` (and so ``Box.bisect`` and the
+    node loop's split) and the pruning kernels call it.  A finite m = 0.5 * (lo + hi) with
     lo <= hi is returned at once: rounding is monotone, so m lies in
     [lo, hi] and the clamp at the end would leave it as it is.
     """
@@ -884,43 +870,7 @@ class Box:
         m, k = self.dyadic_volume()
         return Fraction(m, 1 << k)
 
-    def contains(self, point: Sequence[float]) -> bool:
-        if 2 * len(point) != len(x := self.bounds):
-            raise ValueError("dimension mismatch")
-        return all(lo <= p <= hi for lo, hi, p in zip(x[::2], x[1::2], point))
-
-    def contains_box(self, other: Box) -> bool:
-        self._check_dims(other)
-        return other.is_empty or _contains(self.bounds, other.bounds)
-
-    def _check_dims(self, other: Box) -> None:
-        if len(self.bounds) != len(other.bounds):
-            raise ValueError(f"dimension mismatch: {len(self)} vs {len(other)}")
-
-    # -- set operations ---------------------------------------------------------
-
-    def intersect(self, other: Box) -> Box:
-        """self ∩ other, coordinate by coordinate as ``Interval.intersect`` picks the bounds."""
-        self._check_dims(other)
-        x, y, out = self.bounds, other.bounds, []
-        for i in range(0, len(x), 2):
-            lo, hi = max(x[i], y[i]), min(x[i + 1], y[i + 1])
-            out += (lo, hi) if lo <= hi else (_INF, -_INF)
-        return _box(tuple(out))
-
-    def hull(self, other: Box) -> Box:
-        """Smallest box containing both; the empty box is the identity."""
-        self._check_dims(other)
-        if self.is_empty:
-            return other
-        if other.is_empty:
-            return self
-        return _box(tuple([(max if i & 1 else min)(a, b) for i, (a, b) in enumerate(zip(self.bounds, other.bounds))]))
-
-    def replace(self, axis: int, iv: Interval) -> Box:
-        x = list(self.bounds)
-        x[2 * axis], x[2 * axis + 1] = iv.lo, iv.hi
-        return _box(tuple(x))
+    # -- bisection ---------------------------------------------------------------
 
     def bisect(self, axis: int) -> tuple[Box, Box]:
         """Split at the midpoint of the given axis (``_halves``).
@@ -937,26 +887,6 @@ class Box:
         if halves is None:
             raise ValueError(f"axis {axis} too thin to bisect at {_midpoint(lo, hi)!r}")
         return _box(halves[0]), _box(halves[1])
-
-    def set_difference_closure(self, inner: Box) -> list[Box]:
-        """Decompose cl(self \\ inner) into at most 2n boxes, for any box inner.
-
-        The returned boxes have pairwise disjoint interiors and, together
-        with ``inner``, cover ``self``.  Closing the set difference sews
-        shut faces shared with ``inner``, which keeps every piece a plain
-        closed box.
-        """
-        self._check_dims(inner)
-        if self.is_empty:
-            return []
-        inner = self.intersect(inner)
-        if inner.is_empty:
-            return [self]
-        return self._cut(inner)
-
-    def _cut(self, inner: Box) -> list[Box]:
-        """cl(self \\ inner) for a non-empty inner inside self: the pieces of the flat ``_cut``."""
-        return [_box(piece) for piece in _cut(self.bounds, inner.bounds)]
 
     def __str__(self) -> str:
         return "x".join(map(str, self)) if self.bounds else "()"
@@ -1072,8 +1002,8 @@ def _cut(x: tuple[float, ...], r: tuple[float, ...]) -> list[tuple[float, ...]]:
     """cl(x \\ r) in at most 2n pieces, for a non-empty r inside x.
 
     Each bound of r must equal x's bound bit for bit or lie strictly
-    inside it, as ``Box.intersect`` and the identification kernels build
-    it.  A coordinate whose two bounds equal x's is not cut.
+    inside it, as the identification kernels build it.  A coordinate
+    whose two bounds equal x's is not cut.
     """
     pieces, cur = [], list(x)
     for i in range(0, len(x), 2):

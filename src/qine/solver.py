@@ -28,8 +28,7 @@ flat tuple (lo0, hi0, lo1, hi1, ...) and a store a list of copies
 take and return them, and report an empty box as None, so the loop
 tests no box for emptiness.  The loop measures, halves and cuts these
 tuples with ``interval``'s flat-bound helpers (``_shape``, compiled once
-per dimension count, ``_cut``, ``_contains``), which the Box methods
-wrap: a branching node takes its widest axis from ``_shape``'s
+per dimension count, ``_cut``, ``_contains``): a branching node takes its widest axis from ``_shape``'s
 ``widest`` and both halves, each with its widest width and its volume,
 from one call of its ``split``.  The loop builds a Box only for a box
 that leaves it (an inner piece, a boundary box or the queue's flush),

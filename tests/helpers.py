@@ -47,6 +47,11 @@ def contains_fraction(iv: Interval, value: Fraction) -> bool:
     return lo_ok and hi_ok
 
 
+def subset(a: Interval, b: Interval) -> bool:
+    """a ⊆ b; the empty interval is a subset of every interval."""
+    return a.is_empty or (not b.is_empty and b.lo <= a.lo and a.hi <= b.hi)
+
+
 def monotone_problem() -> Problem:
     """One variable, one parameter; the solution set is exactly [9, 15]."""
     syms = {"x": VarRef(VarKind.VARIABLE, 0), "y": VarRef(VarKind.PARAMETER, 0)}

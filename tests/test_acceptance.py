@@ -19,7 +19,7 @@ from helpers import monotone_problem, ulps_between
 from qine.cli import format_report, parse_problem
 from qine.contractor import hc4_revise
 from qine.expr import Binary, Const, Pow, Unary, VarKind, VarRef, derivative_interval
-from qine.interval import Box, Interval
+from qine.interval import Box, Interval, _midpoint
 from qine.solver import (
     Problem,
     QuantifiedConstraint,
@@ -233,7 +233,7 @@ def _random_problem(rng, n_vars, n_params, index):
             break
         else:
             constraints.append(
-                Binary("sub", VarRef(VarKind.VARIABLE, 0), Const(var_box[0].midpoint))
+                Binary("sub", VarRef(VarKind.VARIABLE, 0), Const(_midpoint(var_box[0].lo, var_box[0].hi)))
             )
     return Problem(
         tuple(f"x{i + 1}" for i in range(n_vars)),
@@ -247,7 +247,7 @@ def _random_problem(rng, n_vars, n_params, index):
 
 def _sample_box_points(box, rng, per_box):
     cols = [oracle.grid_columns(box, 2)]  # corners
-    cols.append(np.array([[iv.midpoint] for iv in box.dims]))
+    cols.append(np.array([[_midpoint(iv.lo, iv.hi)] for iv in box.dims]))
     if per_box:
         cols.append(
             np.stack(
@@ -348,7 +348,7 @@ def test_criterion_6_randomized_grid_oracles():
         for _ in range(3):
             sub = Box.from_bounds(
                 [
-                    (lo := float(rng.uniform(iv.lo, iv.midpoint)), float(rng.uniform(lo, iv.hi)))
+                    (lo := float(rng.uniform(iv.lo, _midpoint(iv.lo, iv.hi))), float(rng.uniform(lo, iv.hi)))
                     for iv in problem.variable_box.dims
                 ]
             )

@@ -319,9 +319,24 @@ def test_parse_report_rejects_malformed_records():
         "inner 0.0 1.0\nboundary 0.0 1.0 2.0 3.0\n",
         "# vars: x y\ninner 0.0 1.0\n",
         "# vars: x\nboundary 0.0 1.0 2.0 3.0\n",
+        # a bound outside the one number grammar, which float() would read
+        "inner 1_0 2_0\n",
+        "inner -Infinity 0.0\n",
+        "inner 0.0 INF\n",
+        "inner nan 1.0\n",
+        "inner 0x1p0 2.0\n",
+        "inner \uff11 2.0\n",
+        "inner 0.0 1.0e\n",
     ):
         with pytest.raises(ValueError, match="malformed record"):
             parse_report(text)
+    # every bound repr writes parses back bit for bit
+    edges = (-math.inf, -2.5, -0.0, 5e-324, 1e-05, 0.1, 1e300, math.inf)
+    records = list(zip(edges, edges[1:]))
+    text = "".join(f"inner {lo!r} {hi!r}\n" for lo, hi in records)
+    _, inner, _ = parse_report(text)
+    assert [[b.hex() for b in box.bounds] for box in inner] == [[lo.hex(), hi.hex()] for lo, hi in records]
+    assert parse_report("inner +1.5 +inf\n")[1] == [Box.from_bounds([(1.5, math.inf)])]
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +385,11 @@ def test_svg_rejects_bad_axes():
         emit_svg(p, 0, 0)
     with pytest.raises(ValueError):
         emit_svg(p, 0, 5)
+    # a bool is an int, and True drew variable 1 against variable 0; a
+    # float escaped as a TypeError from indexing the bounds
+    for axes in ((True, 0), (False, 1), (0.5, 1), (0, 1.0), ("0", 1)):
+        with pytest.raises(ValueError, match="bad axes"):
+            emit_svg(p, *axes)
     one_d = Paving([], [], SolveStats(), Box.from_bounds([(0.0, 1.0)]))
     with pytest.raises(ValueError):
         emit_svg(one_d)
@@ -557,7 +577,7 @@ def test_cli_solves_a_sum_deeper_than_the_recursion_limit(tmp_path, capsys):
     assert float(meta["ratio"]) == float(1 - boundary_v)
     # 1.5 x <= 1: inner boxes stay left of 2/3, a boundary box holds it
     assert inner and all(b[0].hi <= 2 / 3 for b in inner)
-    assert any(b[0].contains(2 / 3) for b in boundary)
+    assert any(b[0].lo <= 2 / 3 <= b[0].hi for b in boundary)
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ import pytest
 import oracle
 from qine import contractor, solver
 from qine.cli import parse_problem
-from qine.interval import Interval
+from qine.interval import _midpoint
 from qine.solver import SolverConfig, solve
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -86,7 +86,7 @@ def _at_midpoint(identification):
     def identify(store, x):
         points = []
         for f, ys in store:
-            mids = [Interval(lo, hi).midpoint for lo, hi in zip(ys[::2], ys[1::2])]
+            mids = [_midpoint(lo, hi) for lo, hi in zip(ys[::2], ys[1::2])]
             points.append((f, tuple(b for m in mids for b in (m, m))))
         _, remainder = identification(points, x)
         return list(store), remainder

@@ -15,7 +15,7 @@ import pytest
 from helpers import assert_interval, monotone_problem
 from qine.cli import parse_problem
 from qine.expr import Binary, Pow, VarKind, VarRef, _tape, derivative_interval, forward_sweep, parse_expression
-from qine.interval import EMPTY, Box, Interval
+from qine.interval import EMPTY, Box, Interval, _midpoint
 from qine.solver import (
     Paving,
     Problem,
@@ -34,7 +34,7 @@ from qine.solver import (
 )
 from test_contractor import _bits, _full_sweep, _random_dag, _random_interval, _random_tree
 from test_expr import SYMS, X, X2, Y, Y2
-from test_interval import MIDPOINT_EDGES, _midpoint_ref
+from test_interval import MIDPOINT_EDGES, _closure_ref, _hull_ref, _midpoint_ref
 
 
 def qc(text: str, bounds) -> QuantifiedConstraint:
@@ -225,7 +225,7 @@ def test_identification_infeasible_negation_drops_constraint():
 def _pruned_copy_by_copy(store, box):
     cur = box
     for c in store:
-        mid = Box(tuple(Interval.point(iv.midpoint) for iv in c.param_domain.dims))
+        mid = Box(tuple(Interval.point(_midpoint(iv.lo, iv.hi)) for iv in c.param_domain.dims))
         cur = _full_sweep(c.f, False, cur, mid)[0]
         if cur.is_empty:
             return cur
@@ -256,11 +256,11 @@ def _identified_copy_by_copy(store, box):
             xi, yi = _full_sweep(c.f, True, box, c.param_domain)
         if xi.is_empty:
             continue
-        remainder = xi if remainder is None else remainder.hull(xi)
+        remainder = xi if remainder is None else _hull_ref(remainder, xi)
         kept.append(QuantifiedConstraint(c.f, yi))
     if remainder is None:
         remainder = Box.empty(len(box))
-    return kept, remainder, box.set_difference_closure(remainder)
+    return kept, remainder, _closure_ref(box, remainder)
 
 
 # two variables x, x2 and two parameters y, y2; the last two read no parameter
@@ -357,10 +357,10 @@ def _pinned_copy_by_copy(store, box, seen):
                 seen["undefined"] += 1
                 continue
             if d.lo >= 0.0 and math.isfinite(iv.hi):
-                dom = dom.replace(j, Interval(iv.hi, iv.hi))
+                dom = Box(dom.dims[:j] + (Interval(iv.hi, iv.hi),) + dom.dims[j + 1:])
                 seen["up"] += 1
             elif d.hi <= 0.0 and math.isfinite(iv.lo):
-                dom = dom.replace(j, Interval(iv.lo, iv.lo))
+                dom = Box(dom.dims[:j] + (Interval(iv.lo, iv.lo),) + dom.dims[j + 1:])
                 seen["down"] += 1
             else:
                 seen["not sign-definite"] += 1
@@ -450,9 +450,9 @@ def test_a_constraint_split_into_two_runs_matches_copy_by_copy_bit_for_bit():
     assert min(seen.values()) >= 30 and min(pins.values()) >= 30, (seen, pins)
 
 
-def test_identification_cuts_the_pieces_set_difference_closure_cuts_bit_for_bit():
-    # identification cuts straight from the kernels' hull, without
-    # set_difference_closure's intersect; the hull lies inside the box, each
+def test_identification_cuts_the_pieces_the_closure_reference_cuts_bit_for_bit():
+    # identification cuts straight from the kernels' hull, without the
+    # reference's intersect; the hull lies inside the box, each
     # coordinate the box's own interval or one the kernel rebuilt.  Each
     # store's first copy runs alone too, since a copy that may be undefined
     # on the box is never dropped, and one copy is dropped more often
@@ -461,7 +461,7 @@ def test_identification_cuts_the_pieces_set_difference_closure_cuts_bit_for_bit(
     for case, store, box in seeded:
         _, remainder, pieces = solution_identification(store, box)
         assert [_bits(piece) for piece in pieces] == [
-            _bits(piece) for piece in box.set_difference_closure(remainder)
+            _bits(piece) for piece in _closure_ref(box, remainder)
         ], (case, store, box)
         key = "empty box" if box.is_empty else "whole" if remainder.is_empty else "uncut" if remainder is box else "cut"
         seen[key] += 1
@@ -1225,7 +1225,7 @@ def test_no_inner_box_holds_the_pole_of_a_quotient():
     # identification once proved 1/x < 0 on [-1, 0) and closed the piece to
     # [-1.0, 0.0], which holds x = 0
     paving = solve(parse_problem("var x in [-1,1]; constraint 1/x <= 0;"), SolverConfig(epsilon=0.1))
-    assert not any(box.contains((0.0,)) for box in paving.inner)
+    assert not any(box.bounds[0] <= 0.0 <= box.bounds[1] for box in paving.inner)
 
 
 @pytest.mark.parametrize(
