@@ -7,16 +7,16 @@ each node interval onto its operands.  There is no internal fixpoint
 iteration: callers that want more contraction call again.
 
 One generator, ``_compile_run``, compiles each expression into the
-functions that the solver's node loop calls, each a loop over a run of
-the expression's parameter copies in a solver store: "prune" revises
-f <= 0 at each copy's parameter midpoint, threading the variable bounds
-through the run, "revise" revises f against a half-line given as an
-argument over each copy's whole domain and hulls the regions,
-"identify" is "revise" that keeps whole a copy on which f may be
-undefined, and "pin" collapses each parameter coordinate on which f is
-proven monotone over the box to its worst endpoint.  They share the
-loads, the loop and the return, and their leaves read the same per-copy
-locals.  The body of the sweeps is the forward code of
+functions that the solver's node loop calls, each a loop over one
+constraint's parameter copies, the domains of its entry in a solver
+store: "prune" revises f <= 0 at each copy's parameter midpoint,
+threading the variable bounds from copy to copy, "revise" revises f
+against a half-line given as an argument over each copy's whole domain
+and hulls the regions, "identify" is "revise" that keeps whole a copy on
+which f may be undefined, and "pin" collapses each parameter coordinate
+on which f is proven monotone over the box to its worst endpoint.  They
+share the loads, the loop and the return, and their leaves read the
+same per-copy locals.  The body of the sweeps is the forward code of
 ``expr.forward_sweep``, then one block per visit of the backward sweep,
 in the order of a depth-first walk (left operand first, a node reached
 along several paths visited once per path); that of "pin" is one block
@@ -24,12 +24,11 @@ of tangent code per parameter.  The body has no loop and no dispatch on
 ops, and, like the tape, no depth limit.  A sweep's size is the number
 of visits, which is the tape's length when only leaves are shared, as
 in every parsed expression.  The kernels work on float bounds end to
-end: a box is a flat tuple (lo0, hi0, lo1, hi1, ...), a copy a pair
-(f, ys) with ys such a tuple, the arithmetic and the midpoints call
-interval.py's functions, and intersections, hulls and empty checks are
-float comparisons; a box or copy that was not cut is returned as it
-came.  ``hc4_revise`` is the "revise" function on a store of one copy,
-between Boxes.
+end: a box and a copy are each a flat tuple (lo0, hi0, lo1, hi1, ...),
+the arithmetic and the midpoints call interval.py's functions, and
+intersections, hulls and empty checks are float comparisons; a box or
+copy that was not cut is returned as it came.  ``hc4_revise`` is the
+"revise" function on a list of one copy, between Boxes.
 
 A visit skips its projection when the narrowing left the node's forward
 value as it was and the projection could not cut it (see ``hc4_revise``).
@@ -155,7 +154,7 @@ def backward_project(
     return project(node_interval, *child_intervals, n=exponent)
 
 
-def _rebuilt(whole: str, flat: str, read: Sequence[int], new: str, old: str | None, build: str = "{}") -> str:
+def _rebuilt(whole: str, flat: str, read: Sequence[int], new: str, old: str | None) -> str:
     """Source of ``whole``, or of it rebuilt when a read coordinate moved.
 
     ``whole`` has the flat bounds ``flat``, (lo0, hi0, lo1, hi1, ...).
@@ -163,8 +162,7 @@ def _rebuilt(whole: str, flat: str, read: Sequence[int], new: str, old: str | No
     came in with {old}{j}l, {old}{j}h, or with its bounds in ``flat`` when
     old is None.  A cut moves a bound strictly inward and a meet keeps its
     own bound on a tie, so equal bounds mean the same bits.  A rebuilt
-    tuple takes every other bound from ``flat``, and ``build`` makes the
-    object from it.
+    tuple takes every other bound from ``flat``.
     """
     if not read:
         return whole
@@ -174,7 +172,7 @@ def _rebuilt(whole: str, flat: str, read: Sequence[int], new: str, old: str | No
         for j, (lo, hi) in ((j, bounds[j] if old is None else (f"{old}{j}l", f"{old}{j}h")) for j in read)
     )
     items = ", ".join(f"{new}{j}l, {new}{j}h" if j in read else ", ".join(pair) for j, pair in bounds.items())
-    return f"({whole} if {same} else {build.format(f'({items}) + {flat}[{2 * len(bounds)}:]')})"
+    return f"({whole} if {same} else ({items}) + {flat}[{2 * len(bounds)}:])"
 
 
 def _undefined(steps: Sequence[_Step]) -> str | None:
@@ -300,40 +298,38 @@ def _pins(steps: Sequence[_Step], forward: Sequence[str], yr: Sequence[int], und
 
 
 def _compile_run(steps: Sequence[_Step], purpose: str) -> Callable:
-    """One tape's kernel over a run of its copies, for purpose "prune", "revise", "identify" or "pin".
+    """One tape's kernel over a list of its copies, for purpose "prune", "revise", "identify" or "pin".
 
     Boxes are flat tuples of float bounds (lo0, hi0, lo1, hi1, ...), and
-    a store is a sequence of copies (f, ys), ys the copy's parameter
-    domain as such a tuple.  A run is the stretch of ``store`` from index
-    k on whose copies share the tape's expression f; each kernel returns
-    the index after it.
+    ``domains`` is a list of copies of the tape's expression f, each
+    copy its parameter domain as such a tuple: the domains of f's entry
+    in a solver store.
 
-    ``prune(x, store, k)`` revises f <= 0 for each copy in turn at its
+    ``prune(x, domains)`` revises f <= 0 for each copy in turn at its
     parameter midpoint (``interval._midpoint``), each on the variable
-    bounds the previous copy left, and returns (k, x'), x' None as soon
-    as one copy empties the box.
+    bounds the previous copy left, and returns x', or None as soon as
+    one copy empties the box.
 
-    ``revise(x, store, k, fl, fh, r)`` revises f against the half-line
+    ``revise(x, domains, fl, fh, r)`` revises f against the half-line
     (fl, fh), (-inf, 0.0) for f <= 0 or (0.0, inf) for f >= 0, for each
     copy over its whole parameter domain, each from the bounds of x.  It
-    returns (k, r', kept): r' is the hull of the hull r (None for no
-    region yet) and each non-empty region in store order, r itself when
-    every copy came out empty, and kept the copies with a non-empty
-    region, each with its contracted parameter domain.  "identify" is
-    "revise" except that a copy on which f may be undefined
-    (``_undefined``) keeps its whole domain and the whole box as its
-    region; a tape with no div, sqrt or log compiles no such kernel of
-    its own (``_kernel``).
+    returns (r', kept): r' is the hull of the hull r (None for no region
+    yet) and each non-empty region in list order, r itself when every
+    copy came out empty, and kept the copies with a non-empty region,
+    each contracted.  "identify" is "revise" except that a copy on which
+    f may be undefined (``_undefined``) keeps its whole domain and the
+    whole box as its region; a tape with no div, sqrt or log compiles no
+    such kernel of its own (``_kernel``).
 
-    ``pin(x, store, k)`` returns (k, copies): each copy of the run with
-    every parameter coordinate j that the tape reads and that is not a
-    point collapsed to its upper endpoint when the partial derivative of
-    f in y_j over x and the domain is non-negative, to its lower one when
-    it is non-positive, and left whole when the enclosure is empty or
-    unbounded, the endpoint is infinite or f may be undefined (``_pins``).
-    The coordinates go in index order, each seeing the pins before it.
+    ``pin(x, domains)`` returns the copies, each with every parameter
+    coordinate j that the tape reads and that is not a point collapsed to
+    its upper endpoint when the partial derivative of f in y_j over x and
+    the copy is non-negative, to its lower one when it is non-positive,
+    and left whole when the enclosure is empty or unbounded, the endpoint
+    is infinite or f may be undefined (``_pins``).  The coordinates go in
+    index order, each seeing the pins before it.
 
-    The kernels share the input loads, the loop over the run and the
+    The kernels share the input loads, the loop over the copies and the
     return; the body after the copy's inputs is ``_sweep``'s or
     ``_pins``'s.  Every value is a pair of float locals, named by a prefix
     and l or h.  Each leaf reads the copy's x{j} or y{j}: x{j} holds the
@@ -350,15 +346,14 @@ def _compile_run(steps: Sequence[_Step], purpose: str) -> Callable:
     names = "".join(f", y{j}l, y{j}h" for j in yr)
     undefined = _undefined(steps)
     x_in = [f"x{j}l, x{j}h = p{j}l, p{j}h" for j in xr]
-    head = [*(f"p{j}l, p{j}h = x[{2 * j}], x[{2 * j + 1}]" for j in xr), "f, end = store[k][0], len(store)"]
-    params, start = "x, store, k", [f"y{j}l, y{j}h = ys[{2 * j}], ys[{2 * j + 1}]" for j in yr]
-    keep = [f"kept.append((c, ys{names}))" if yr else "kept.append(c)"]
-    copies = _rebuilt("c", "ys", yr, "y", None, "(c[0], {})")
-    copies = f"[{copies} for c, ys{names} in kept]" if yr else "kept"
+    head = [f"p{j}l, p{j}h = x[{2 * j}], x[{2 * j + 1}]" for j in xr]
+    params, start = "x, domains", [f"y{j}l, y{j}h = ys[{2 * j}], ys[{2 * j + 1}]" for j in yr]
+    keep = [f"kept.append((ys{names}))" if yr else "kept.append(ys)"]
+    copies = f"[{_rebuilt('ys', 'ys', yr, 'y', None)} for ys{names} in kept]" if yr else "kept"
     if purpose == "prune":  # x{j} threads the bounds from copy to copy, and no copy is kept
         head += [*x_in, "fl, fh = -_INF, 0.0"]
         start, keep = [f"y{j}l = y{j}h = _midpoint(ys[{2 * j}], ys[{2 * j + 1}])" for j in yr], []
-        body = _sweep(steps, forward, "return k, None", keep)
+        body = _sweep(steps, forward, "return None", keep)
         result = _rebuilt("x", "x", xr, "x", "p")
     elif purpose in ("revise", "identify"):
         if xr:
@@ -377,18 +372,17 @@ def _compile_run(steps: Sequence[_Step], purpose: str) -> Callable:
     else:
         head += [*x_in, "kept = []"]
         body, result = _pins(steps, forward, yr, undefined), copies
-    copy = [*(["ys = c[1]"] if yr else []), *start, *body, *keep]
-    loop = ["while k < end and (c := store[k])[0] is f:", " k += 1", *(" " + line for line in copy)]
-    return _compile(purpose, params, [*head, *loop, f"return k, {result}"], namespace)
+    loop = ["for ys in domains:", *(" " + line for line in [*start, *body, *keep])]
+    return _compile(purpose, params, [*head, *loop, f"return {result}"], namespace)
 
 
 def _kernel(f: Expression, purpose: str) -> Callable:
-    """f's run kernel for purpose "prune", "revise", "identify" or "pin", compiled on first use.
+    """f's kernel for purpose "prune", "revise", "identify" or "pin", compiled on first use.
 
     A tape on which f is defined wherever its operands are identifies with
     its "revise" kernel.
     """
-    steps, kernels = _TAPES.get(id(f)) or _tape(f)  # the memo read inline: a call per run saved
+    steps, kernels = _TAPES.get(id(f)) or _tape(f)  # the memo read inline: a call saved per lookup
     kernel = kernels.get(purpose)
     if kernel is None:
         if purpose == "identify" and _undefined(steps) is None:
@@ -427,15 +421,14 @@ def hc4_revise(qc: QuantifiedConstraint, x: Box, *, geq: bool = False) -> tuple[
     the node's slot is assigned before it, as a full sweep would.
 
     This is the "revise" kernel of the expression's tape (see
-    ``_compile_run``) on the one-copy store of qc in flat bounds, with the
+    ``_compile_run``) on the one copy of qc in flat bounds, with the
     half-line (-inf, 0.0) or, when geq, (0.0, inf); the result is boxed
     keeping every interval whose bounds were not cut.  It takes no part
     of identification's rule for partial functions: it contracts to the
     points that satisfy the inequality.
     """
     fl, fh = (0.0, math.inf) if geq else (-math.inf, 0.0)
-    store = ((qc.f, qc.param_domain.bounds),)
-    _, region, kept = _kernel(qc.f, "revise")(x.bounds, store, 0, fl, fh, None)
+    region, kept = _kernel(qc.f, "revise")(x.bounds, (qc.param_domain.bounds,), fl, fh, None)
     if region is None:
         return Box.empty(len(x)), Box.empty(len(qc.param_domain))
-    return _rebox(x, region), _rebox(qc.param_domain, kept[0][1])
+    return _rebox(x, region), _rebox(qc.param_domain, kept[0])

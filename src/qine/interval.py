@@ -26,9 +26,9 @@ square root are compiled from source that holds it, so that on operands
 inside (2**-450, 2**450) in magnitude they make no Python call, a tie of
 the rounded product that checks a quotient or a square root included;
 nor do sums that do not overflow, nor exp and log of finite bounds.  A
-tie outside that range takes its error's sign from ``_prod_err_sign``,
-on integer ratios.  Products with an infinite or out-of-range nonzero
-operand, overflowing sums, integer powers and the steps of the
+tie outside that range takes its error's sign from the two directed
+products, which are tight.  Products with an infinite or out-of-range
+nonzero operand, overflowing sums, integer powers and the steps of the
 integer-root walk take slower exact fallbacks (``_mul_edge``,
 ``_add_edge``, ``_pow_bound``), each one call of ``_round`` on integer
 ratios.
@@ -81,7 +81,9 @@ _nextafter = math.nextafter  # the one ulp-step, called directly so no bound nes
 # tested inline: no double lies strictly between x*y and its rounding
 # p = fl(x*y) (an infinity past the largest double), so x*y is on p's
 # side of v != p.  Only the tie p == v needs the exact sign of x*y - p:
-# TwoProduct inline while x and y are in its range, else _prod_err_sign.
+# TwoProduct inline while x and y are in its range, else the directed
+# products, (_mul_bound(x, y, True) > p) - (_mul_bound(x, y, False) < p):
+# they are tight, so each moves off p only when x*y lies on its side of p.
 
 _EFT_LO = 2.0**-450
 _EFT_HI = 2.0**450
@@ -151,20 +153,6 @@ def _mul_edge(a: float, b: float, up: bool) -> float:
     return _round(am * bm, ad * bd, up)
 
 
-def _prod_err_sign(a: float, b: float, p: float) -> int:
-    """Sign of a*b - p for finite a, b and p = fl(a*b), on integer ratios.
-
-    The ties of _div_bound and _root call it only where an
-    operand lies outside (_EFT_LO, _EFT_HI), so TwoProduct cannot serve.
-    """
-    am, ad = a.as_integer_ratio()
-    bm, bd = b.as_integer_ratio()
-    pm, pd = p.as_integer_ratio()
-    lhs = am * bm * pd
-    rhs = pm * ad * bd
-    return (lhs > rhs) - (lhs < rhs)
-
-
 _mul_bound, _div_bound = _flat(
     f'''
 def _mul_bound(a: float, b: float, up: bool) -> float:
@@ -198,7 +186,7 @@ def _div_bound(a: float, b: float, up: bool) -> float:
     elif _EFT_LO < abs(q) < _EFT_HI and _EFT_LO < abs(b) < _EFT_HI:
         {_two_prod("q", "b")}
     else:
-        e = _prod_err_sign(q, b, p)
+        e = (_mul_bound(q, b, True) > p) - (_mul_bound(q, b, False) < p)
     if b < 0.0:
         e = -e
     if up:
@@ -461,7 +449,7 @@ def _root(lo: float, hi: float, n: int) -> tuple[float, float]:
             elif _EFT_LO < r < _EFT_HI:
                 {_two_prod("r", "r")}
             else:
-                e = _prod_err_sign(r, r, p)
+                e = (_mul_bound(r, r, True) > p) - (_mul_bound(r, r, False) < p)
             lo = _nextafter(r, -_INF) if e > 0.0 else r
         if hi <= 0.0:
             hi = 0.0
@@ -473,7 +461,7 @@ def _root(lo: float, hi: float, n: int) -> tuple[float, float]:
             elif _EFT_LO < r < _EFT_HI:
                 {_two_prod("r", "r")}
             else:
-                e = _prod_err_sign(r, r, p)
+                e = (_mul_bound(r, r, True) > p) - (_mul_bound(r, r, False) < p)
             hi = _nextafter(r, _INF) if e < 0.0 else r
         return lo, hi
     if n == 1:

@@ -14,23 +14,21 @@ widest variable coordinate.  A point is a solution only where every
 constraint is defined for every parameter value: a copy on which its
 constraint may be undefined (a divisor that holds 0, the square root of
 a negative or the logarithm of a non-positive number) proves no part of
-the box inner and pins nothing.  A store keeps the copies of one
-constraint next to each other: the root store is in constraint order,
-parameter bisection splits a copy in place and pinning and
-identification keep the order.  Pinning, pruning and identification
-therefore handle each such run of copies in one call of a compiled
-kernel, the "pin", "prune" or "identify" kernel of
-``contractor._compile_run``.
+the box inner and pins nothing.
 
 The loop runs on float bounds end to end.  Inside ``solve`` a box is a
-flat tuple (lo0, hi0, lo1, hi1, ...) and a store a list of copies
-(f, ys), ys the copy's parameter domain as such a tuple; the kernels
-take and return them, and report an empty box as None, so the loop
-tests no box for emptiness.  The loop measures, halves and cuts these
-tuples with ``interval``'s flat-bound helpers (``_shape``, compiled once
-per dimension count, ``_cut``, ``_contains``): a branching node takes its widest axis from ``_shape``'s
-``widest`` and both halves, each with its widest width and its volume,
-from one call of its ``split``.  The loop builds a Box only for a box
+flat tuple (lo0, hi0, lo1, hi1, ...) and a store a list of entries
+(f, domains), one per constraint that is still undecided, in constraint
+order; domains lists f's copies, each its parameter domain as such a
+tuple.  Pinning, pruning and identification hand each entry's domains
+to one call of f's compiled "pin", "prune" or "identify" kernel
+(``contractor._compile_run``), which takes and returns the bounds and
+reports an empty box as None, so the loop tests no box for emptiness.
+The loop measures, halves and cuts these tuples with ``interval``'s
+flat-bound helpers (``_shape``, compiled once per dimension count,
+``_cut``, ``_contains``): a branching node takes its widest axis from
+``_shape``'s ``widest`` and both halves, each with its widest width and
+its volume, from one call of its ``split``.  The loop builds a Box only for a box
 that leaves it (an inner piece, a boundary box or the queue's flush),
 and that Box holds the loop's tuple itself, so no solve builds an
 Interval.  The public phase functions (``global_pruning`` and the rest)
@@ -240,61 +238,52 @@ def _ratio_met(unclassified: int, initial: int, stop_ratio: float) -> bool:
 
 # ---------------------------------------------------------------------------
 # The loop's level: a box is a flat tuple of float bounds (lo0, hi0, lo1,
-# hi1, ...), and a store a list of copies (f, ys), ys the copy's parameter
-# domain as such a tuple.  The phase functions below it are thin wrappers
-# that take and give Boxes and QuantifiedConstraints.
+# hi1, ...), and a store a list of entries (f, domains), domains the list of
+# f's copies, each its parameter domain as such a tuple.  The phase
+# functions below it are thin wrappers that take and give Boxes and
+# QuantifiedConstraints.
 
 
-# The run kernels below are read straight from the tape memo's kernel
+# The kernels below are read straight from the tape memo's kernel
 # table, and ``_kernel`` is called only on a miss, to compile one; an
 # expression with no tape yet reads this empty table.
 _UNTAPED = ((), {})
 
 
 def _pin(store: Sequence[tuple], x: tuple[float, ...]) -> list[tuple]:
-    """The store with 2B+ pins over x: one "pin" kernel call per run of one constraint's copies.
+    """The store with 2B+ pins over x: one "pin" kernel call per entry.
 
-    A copy with no parameter coordinates comes back as it is, without one.
+    An entry whose copies have no parameter coordinates comes back as it is, without one.
     """
-    out: list[tuple] = []
-    k, end = 0, len(store)
-    while k < end:
-        c = store[k]
-        if c[1]:
-            f = c[0]
-            k, part = (_TAPES.get(id(f), _UNTAPED)[1].get("pin") or _kernel(f, "pin"))(x, store, k)
-            out += part
-        else:  # no parameter coordinate to pin
-            out.append(c)
-            k += 1
-    return out
+    return [
+        (f, (_TAPES.get(id(f), _UNTAPED)[1].get("pin") or _kernel(f, "pin"))(x, ds)) if ds[0] else (f, ds)
+        for f, ds in store
+    ]
 
 
 def _prune(store: Sequence[tuple], x: tuple[float, ...]) -> tuple[float, ...] | None:
-    """x pruned by each copy at its parameter midpoint, one "prune" kernel call per run; None when emptied."""
-    k, end = 0, len(store)
-    while k < end:
-        f = store[k][0]
-        k, x = (_TAPES.get(id(f), _UNTAPED)[1].get("prune") or _kernel(f, "prune"))(x, store, k)
+    """x pruned by each copy at its parameter midpoint, one "prune" kernel call per entry; None when emptied."""
+    for f, ds in store:
+        x = (_TAPES.get(id(f), _UNTAPED)[1].get("prune") or _kernel(f, "prune"))(x, ds)
         if x is None:
             return None
     return x
 
 
 def _identify(store: Sequence[tuple], x: tuple[float, ...]) -> tuple[list[tuple], tuple[float, ...] | None]:
-    """The copies kept by identification over x, and the hull of their regions (None for none).
+    """The entries kept by identification over x, and the hull of their regions (None for none).
 
-    One "identify" kernel call per run contracts x against the negation
+    One "identify" kernel call per entry contracts x against the negation
     f >= 0 of each copy; the points of x outside the hull satisfy every
-    copy for every parameter value in its domain.
+    copy for every parameter value in its domain.  An entry none of whose
+    copies is kept is dropped.
     """
     kept: list[tuple] = []
-    r, k, end = None, 0, len(store)
-    while k < end:
-        f = store[k][0]
-        kernel = _TAPES.get(id(f), _UNTAPED)[1].get("identify") or _kernel(f, "identify")
-        k, r, part = kernel(x, store, k, 0.0, math.inf, r)
-        kept += part
+    r = None
+    for f, ds in store:
+        r, part = (_TAPES.get(id(f), _UNTAPED)[1].get("identify") or _kernel(f, "identify"))(x, ds, 0.0, math.inf, r)
+        if part:
+            kept.append((f, part))
     return kept, r
 
 
@@ -302,29 +291,44 @@ def _bisect_params(store: Sequence[tuple], epsilon: float) -> list[tuple]:
     """Each copy halved along its widest parameter coordinate when that is wider than epsilon and not too thin."""
     out: list[tuple] = []
     n = -1
-    for c in store:
-        ys = c[1]
-        if len(ys) != n:  # once per call on every store solve builds, whose copies share one parameter box
-            n = len(ys)
-            widest = _shape(n // 2)[0]
-        a, w = widest(ys)
-        if w > epsilon and (halves := _halves(ys, 2 * a)) is not None:
-            out += ((c[0], halves[0]), (c[0], halves[1]))
-        else:
-            out.append(c)
+    for f, ds in store:
+        part: list[tuple[float, ...]] = []
+        for ys in ds:
+            if len(ys) != n:  # once per call on every store solve builds, whose copies share one parameter box
+                n = len(ys)
+                widest = _shape(n // 2)[0]
+            a, w = widest(ys)
+            if w > epsilon and (halves := _halves(ys, 2 * a)) is not None:
+                part += halves
+            else:
+                part.append(ys)
+        out.append((f, part))
     return out
 
 
 def _flat_store(store: Sequence[QuantifiedConstraint]) -> list[tuple]:
-    return [(qc.f, qc.param_domain.bounds) for qc in store]
+    """store as the loop's entries, one per stretch of adjacent copies of one f."""
+    flat: list[tuple] = []
+    for qc in store:
+        if flat and flat[-1][0] is qc.f:
+            flat[-1][1].append(qc.param_domain.bounds)
+        else:
+            flat.append((qc.f, [qc.param_domain.bounds]))
+    return flat
 
 
-def _boxed_store(
-    flat: Sequence[tuple], store: Sequence[QuantifiedConstraint], out: Sequence[tuple]
-) -> list[QuantifiedConstraint]:
-    """The copies out as QuantifiedConstraints; a copy of flat, store's flat form, is its own qc."""
-    own = {id(c): qc for c, qc in zip(flat, store)}
-    return [own.get(id(c)) or _qc(c[0], _box(c[1])) for c in out]
+def _boxed_store(store: Sequence[QuantifiedConstraint], out: Sequence[tuple]) -> list[QuantifiedConstraint]:
+    """The copies of the entries out as QuantifiedConstraints, in order.
+
+    A copy that comes back as the bounds object of a qc of store is that
+    qc.  Every step treats copies of one f that share a bounds object
+    alike, so those that come back unmoved come back in store order, and
+    each takes the next such qc.
+    """
+    own: dict[tuple[int, int], list[QuantifiedConstraint]] = {}
+    for qc in reversed(store):
+        own.setdefault((id(qc.f), id(qc.param_domain.bounds)), []).append(qc)
+    return [(own.get((id(f), id(ys))) or [_qc(f, _box(ys))]).pop() for f, ds in out for ys in ds]
 
 
 def parameter_instantiation(
@@ -337,18 +341,17 @@ def parameter_instantiation(
     endpoint for non-positive).  Derivative enclosures that are empty or
     not finite leave the coordinate unchanged, and so does a copy on
     which f may be undefined.  Pinning goes coordinate by coordinate,
-    each step seeing the domains already pinned.  Each run of one
-    constraint's copies is pinned by one call of its "pin" kernel
-    (``contractor._compile_run``); a copy with no parameter coordinates
-    comes back as it is, without one.
+    each step seeing the domains already pinned.  Each stretch of
+    adjacent copies of one constraint is pinned by one call of its "pin"
+    kernel (``contractor._compile_run``); a copy with no parameter
+    coordinates comes back as it is, without one.
 
     Only the coordinates that f reads are pinned; the others are left as
     they are, since f does not depend on them and ``solve``'s root store
     already collapses them at the upper endpoint.  Pins over an empty box
     are unspecified; ``solve`` never asks for them.
     """
-    flat = _flat_store(store)
-    return _boxed_store(flat, store, _pin(flat, box.bounds))
+    return _boxed_store(store, _pin(_flat_store(store), box.bounds))
 
 
 def local_pruning(qc: QuantifiedConstraint, box: Box) -> Box:
@@ -364,10 +367,9 @@ def local_pruning(qc: QuantifiedConstraint, box: Box) -> Box:
 def global_pruning(store: Sequence[QuantifiedConstraint], box: Box) -> Box:
     """Sequential local pruning over the whole store; empty means rejected.
 
-    The copies of one constraint stand next to each other in every store
-    ``solve`` builds, and each such run is pruned by one kernel call.  The
-    result is the empty box as soon as one copy empties it; a box that
-    comes in empty comes out empty.
+    Each stretch of adjacent copies of one constraint is pruned by one
+    kernel call, in store order.  The result is the empty box as soon as
+    one copy empties it; a box that comes in empty comes out empty.
     """
     x = _prune(_flat_store(store), box.bounds)
     return Box.empty(len(box)) if x is None else _rebox(box, x)
@@ -391,9 +393,9 @@ def solution_identification(
     """
     if box.is_empty:
         return [], Box.empty(len(box)), []
-    flat, x = _flat_store(store), box.bounds
-    kept, r = _identify(flat, x)
-    kept = _boxed_store(flat, store, kept)
+    x = box.bounds
+    kept, r = _identify(_flat_store(store), x)
+    kept = _boxed_store(store, kept)
     if r is None:
         return kept, Box.empty(len(box)), [box]
     return kept, _rebox(box, r), [] if r is x else [_box(piece) for piece in _cut(x, r)]
@@ -408,8 +410,7 @@ def parameter_domain_bisection(
     most epsilon wide or too thin to halve, stays whole; otherwise it is
     replaced by two copies, lower half first.
     """
-    flat = _flat_store(store)
-    return _boxed_store(flat, store, _bisect_params(flat, epsilon))
+    return _boxed_store(store, _bisect_params(_flat_store(store), epsilon))
 
 
 def branch(box: Box) -> tuple[Box, Box]:
@@ -462,7 +463,7 @@ def solve(
     for f in problem.constraints:
         read = {2 * a for op, a, _ in _tape(f)[0] if op == "param"}
         ys = [b for j in range(0, len(params), 2) for b in (params[j] if j in read else params[j + 1], params[j + 1])]
-        root_store.append((f, tuple(ys)))
+        root_store.append((f, [tuple(ys)]))
 
     # The ledger: initial, inner, boundary and queued volume as integers
     # over one denominator 2**K.  Every box volume is m / 2**k
@@ -536,7 +537,7 @@ def solve(
                 # point as it is, and so the store of every node below: the
                 # identification keeps a point or drops its copy, and
                 # parameter bisection never splits a point
-                settled = all(ys[::2] == ys[1::2] for _, ys in store)
+                settled = all(ys[::2] == ys[1::2] for _, ds in store for ys in ds)
             x = prune(store, x)
             if x is not None:
                 kept, r = identify(store, x)

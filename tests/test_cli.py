@@ -170,9 +170,14 @@ def test_format_report_round_trips():
 
 def test_report_floats_survive_round_trip_exactly():
     problem, cfg, paving = solved_ex1(epsilon=0.01, mode="2b")
-    _, inner, boundary = parse_report(format_report(problem, cfg, paving))
+    text = format_report(problem, cfg, paving)
+    _, inner, boundary = parse_report(text)
     assert [b.dims for b in inner] == [b.dims for b in paving.inner]
     assert [b.dims for b in boundary] == [b.dims for b in paving.boundary]
+    # a blank or all-space line between records is skipped, not a malformed record
+    lines = text.splitlines(True)
+    spaced = "".join(line + ("\n" if k % 2 else " \t\n") for k, line in enumerate(lines))
+    assert parse_report(spaced)[1:] == (inner, boundary)
 
 
 def test_report_elapsed_has_its_own_line():

@@ -404,7 +404,7 @@ def test_kernels_narrow_one_domain_for_an_input_read_through_two_leaves():
         assert _bits(got) == _bits(want), (case, e, x, y)
         # pruning revises f <= 0 with the parameter domain collapsed at its
         # midpoint; the kernels take and give flat bounds (lo0, hi0, ...)
-        _, pruned = _kernel(e, "prune")(x.bounds, ((e, y.bounds),), 0)
+        pruned = _kernel(e, "prune")(x.bounds, [y.bounds])
         want = _full_sweep(e, False, x, Box((Interval.point(_midpoint(y[0].lo, y[0].hi)),)))[0]
         assert (want.is_empty if pruned is None else [b.hex() for b in pruned] == [b.hex() for b in want.bounds]), (
             case, e, x, y
@@ -715,7 +715,7 @@ def test_kernels_build_intervals_only_in_their_returns(problems_dir, monkeypatch
             revise(f, x, y, geq)
         for j in range(params):
             derivative_interval(f, VarRef(VarKind.PARAMETER, j), x, y)
-        _kernel(f, "pin")(x.bounds, ((f, y.bounds),), 0)
+        _kernel(f, "pin")(x.bounds, [y.bounds])
     # one forward, one revise and one pin kernel per constraint, one tangent
     # kernel per constraint that reads a parameter
     assert len(sources) == 3 * len(constraints) + 4

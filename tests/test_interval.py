@@ -21,7 +21,6 @@ from qine.interval import (
     _add,
     _div_bound,
     _mul_bound,
-    _prod_err_sign,
     _root,
     _root_walk,
 )
@@ -836,16 +835,17 @@ def test_round_keeps_the_sign_of_a_negative_ratio_that_underflows():
 
 
 def check_tie(x: float, y: float) -> None:
-    """_prod_err_sign on the tie of the product comparison, p = fl(x*y).
+    """The sign of x*y - p from the directed products, p = fl(x*y).
 
-    ``_div_bound`` and ``_root`` compare fl(x*y) with a
-    double v inline and call _prod_err_sign only when they are equal;
-    ``check_div`` and the square-root bit-for-bit tests cover the other
-    side.
+    ``_div_bound`` and ``_root`` compare fl(x*y) with a double v inline
+    and, on a tie outside TwoProduct's range, take the error's sign as
+    this expression does; ``check_div`` and the square-root bit-for-bit
+    tests cover the other side.
     """
     p = x * y
     exact = Fraction(x) * Fraction(y) - Fraction(p)
-    assert _prod_err_sign(x, y, p) == (exact > 0) - (exact < 0), (x, y)
+    got = (_mul_bound(x, y, True) > p) - (_mul_bound(x, y, False) < p)
+    assert got == (exact > 0) - (exact < 0), (x, y)
 
 
 @given(kernel_floats(), kernel_floats())
@@ -1214,8 +1214,8 @@ def python_calls(fn, *args) -> list[str]:
     ],
 )
 def test_the_common_path_of_a_bound_makes_no_python_call(name, args):
-    # quotients and square roots whose rounded product check ties call
-    # _prod_err_sign; these operands do not tie
+    # quotients and square roots whose rounded product check ties outside
+    # TwoProduct's range call _mul_bound; these operands do not tie
     assert (1.0 / 49.0) * 49.0 != 1.0
     assert all(math.sqrt(v) * math.sqrt(v) != v for v in (2.0, 3.0))
     assert python_calls(getattr(interval, name), *args) == [name]

@@ -19,6 +19,7 @@ import pytest
 import oracle
 from qine import contractor, solver
 from qine.cli import parse_problem
+from qine.expr import Expression
 from qine.interval import _midpoint
 from qine.solver import SolverConfig, solve
 
@@ -49,7 +50,21 @@ def _flagged(name: str, mode: str, eps: float) -> dict[str, int]:
 
 # The mutants break the flat level that solve's node loop calls: a box is a
 # flat tuple of bounds (lo0, hi0, lo1, hi1, ...) and a store a list of
-# copies (f, ys), ys the parameter domain as such a tuple.
+# entries (f, domains), domains the list of f's copies, each its parameter
+# domain as such a tuple.  A mutant that reads the store checks that
+# layout first, so that a change of layout fails it loudly instead of
+# turning it into some other mutant.
+
+
+def _entries(store):
+    """store, after asserting that it is a list of (f, domains) entries of flat bounds."""
+    assert isinstance(store, list), store
+    for entry in store:
+        f, ds = entry
+        assert isinstance(f, Expression) and isinstance(ds, list) and ds, entry
+        for ys in ds:
+            assert isinstance(ys, tuple) and len(ys) % 2 == 0 and all(type(b) is float for b in ys), entry
+    return store
 
 
 def _bad_cut(x, r):
@@ -85,9 +100,9 @@ def _at_midpoint(identification):
     # and keeps every copy
     def identify(store, x):
         points = []
-        for f, ys in store:
-            mids = [_midpoint(lo, hi) for lo, hi in zip(ys[::2], ys[1::2])]
-            points.append((f, tuple(b for m in mids for b in (m, m))))
+        for f, ds in _entries(store):
+            mids = [[_midpoint(lo, hi) for lo, hi in zip(ys[::2], ys[1::2])] for ys in ds]
+            points.append((f, [tuple(b for m in ms for b in (m, m)) for ms in mids]))
         _, remainder = identification(points, x)
         return list(store), remainder
 
@@ -98,12 +113,15 @@ def _wrong_endpoint(instantiation):
     # pinning that collapses each proven-monotone coordinate to the other endpoint
     def pin(store, x):
         out = []
-        for (_, old), (f, new) in zip(store, instantiation(store, x)):
-            ys = list(new)
-            for i in range(0, len(ys), 2):
-                if new[i] == new[i + 1] and old[i] != old[i + 1]:
-                    ys[i] = ys[i + 1] = old[i] if new[i] == old[i + 1] else old[i + 1]
-            out.append((f, tuple(ys)))
+        for (_, olds), (f, news) in zip(_entries(store), _entries(instantiation(store, x))):
+            part = []
+            for old, new in zip(olds, news, strict=True):
+                ys = list(new)
+                for i in range(0, len(ys), 2):
+                    if new[i] == new[i + 1] and old[i] != old[i + 1]:
+                        ys[i] = ys[i + 1] = old[i] if new[i] == old[i + 1] else old[i + 1]
+                part.append(tuple(ys))
+            out.append((f, part))
         return out
 
     return pin

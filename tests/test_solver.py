@@ -217,9 +217,10 @@ def test_identification_infeasible_negation_drops_constraint():
 
 
 # ---------------------------------------------------------------------------
-# pruning and identification revise each run of one constraint's copies in
-# one kernel call; they must give, bit for bit, what revising the copies one
-# by one with the full sweep gives, in store order
+# pruning and identification revise each run of adjacent copies of one
+# constraint, one store entry, in one kernel call; they must give, bit for
+# bit, what revising the copies one by one with the full sweep gives, in
+# store order
 
 
 def _pruned_copy_by_copy(store, box):
@@ -535,6 +536,21 @@ def test_bisection_picks_widest_axis_only():
 def test_bisection_respects_epsilon():
     assert parameter_domain_bisection([MONO], epsilon=2.0) == [MONO]
     assert parameter_domain_bisection([qc("x", None)], epsilon=1e-3) == [qc("x", None)]
+
+
+def test_the_phases_return_each_unmoved_copy_that_shares_a_box_as_itself():
+    # three copies of f share one Box, with a copy of g between the second
+    # and the third: each copy that comes back unmoved is its own
+    # QuantifiedConstraint, not another copy that holds the same Box
+    f, g = parse_expression("y^2 - y - x", SYMS), parse_expression("x - 5", SYMS)
+    dom, box = Box.from_bounds([(0.0, 1.0)]), Box.from_bounds([(0.0, 1.0)])
+    store = [QuantifiedConstraint(h, dom) for h in (f, f, g, f)]
+    # df/dy = 2y - 1 changes sign and g reads no parameter: nothing is pinned
+    assert [c is s for c, s in zip(parameter_instantiation(store, box), store, strict=True)] == [True] * 4
+    # f >= 0 cuts nothing of the box or the domain, and x - 5 >= 0 holds nowhere on it
+    kept, _, _ = solution_identification(store, box)
+    assert [c is s for c, s in zip(kept, store[:2] + store[3:], strict=True)] == [True] * 3
+    assert [c is s for c, s in zip(parameter_domain_bisection(store, 2.0), store, strict=True)] == [True] * 4
 
 
 def test_branch_bisects_widest_axis_lowest_index_on_ties():
@@ -888,6 +904,9 @@ def test_problem_validation():
             Box(()),
             (f,),
         )
+    # two parameter names for a one-parameter box
+    with pytest.raises(ValueError, match="parameter names and box dimensions differ"):
+        Problem(("x",), Box.from_bounds([(0.0, 1.0)]), ("y", "y2"), Box.from_bounds([(0.0, 1.0)]), (f,))
 
 
 @pytest.mark.parametrize(
@@ -935,7 +954,9 @@ def test_problem_rejects_a_name_with_a_line_break(name):
 def test_a_constraint_copy_starts_collapsed_on_the_parameters_it_does_not_read(mode, monkeypatch):
     # f does not depend on a parameter it never reads, so its copy is
     # collapsed there from the root store on, at the upper endpoint that
-    # 2B+ pinning picks, and parameter bisection never splits it
+    # 2B+ pinning picks, and parameter bisection never splits it; every
+    # store holds at most one entry (f, domains) per constraint, in
+    # constraint order
     from qine import solver
 
     problem = parse_problem(
@@ -948,10 +969,12 @@ def test_a_constraint_copy_starts_collapsed_on_the_parameters_it_does_not_read(m
     solve(problem, SolverConfig(epsilon=0.05, mode=mode))
     assert len(stores) > 1
     for store in stores:
-        for f, ys in store:
+        order = [problem.constraints.index(f) for f, _ in store]
+        assert order == sorted(set(order)), order
+        for f, ds in store:
             unread = 1 if f is problem.constraints[0] else 0
             hi = problem.parameter_box.dims[unread].hi
-            assert ys[2 * unread:2 * unread + 2] == (hi, hi)
+            assert ds and all(ys[2 * unread:2 * unread + 2] == (hi, hi) for ys in ds)
 
 
 def test_solver_config_is_frozen():
@@ -1136,18 +1159,19 @@ def test_a_solve_looks_each_kernel_up_in_the_memo_after_its_compile(name, monkey
     assert max(calls.values()) == 1, calls
 
 
-def test_a_2b_plus_solve_pins_each_run_in_one_kernel_call(monkeypatch):
+def test_a_2b_plus_solve_pins_each_entry_in_one_kernel_call(monkeypatch):
     # deterministic work counts of one cold mixed3d solve at eps 0.15 in 2b+:
     # pinning calls no derivative_interval and compiles no tangent kernel,
-    # but one pin kernel per constraint, called once per run of one
-    # constraint's copies at every node that pins; of the 1,835 nodes, only
-    # the 155 whose store has a parameter coordinate that is not a point pin
+    # but one pin kernel per constraint, called once per store entry, that
+    # is once per constraint still undecided, at every node that pins; of
+    # the 1,835 nodes, only the 155 whose store has a parameter coordinate
+    # that is not a point pin
     from qine import contractor, expr, solver
 
     path = Path(__file__).resolve().parents[1] / "bench" / "problems" / "mixed3d.qcsp"
     calls = {"pin": 0, "derivative_interval": 0}
     compiled: list[str] = []
-    runs: list[int] = []
+    entries: list[int] = []
     compile_kernel, derivative, instantiate = expr._compile, expr.derivative_interval, solver._pin
 
     def spy(name, params, lines, namespace):
@@ -1167,7 +1191,8 @@ def test_a_2b_plus_solve_pins_each_run_in_one_kernel_call(monkeypatch):
         return derivative(*args)
 
     def pin(store, x):
-        runs.append(sum(k == 0 or store[k][0] is not store[k - 1][0] for k in range(len(store))))
+        assert len({id(f) for f, _ in store}) == len(store)  # one entry per constraint
+        entries.append(len(store))
         return instantiate(store, x)
 
     monkeypatch.setattr(expr, "_compile", spy)
@@ -1176,9 +1201,9 @@ def test_a_2b_plus_solve_pins_each_run_in_one_kernel_call(monkeypatch):
     monkeypatch.setattr(solver, "derivative_interval", derivative_interval)
     monkeypatch.setattr(solver, "_pin", pin)
     solve(parse_problem(path.read_text()), SolverConfig(epsilon=0.15, mode="2b+"))
-    assert calls == {"pin": sum(runs), "derivative_interval": 0}
+    assert calls == {"pin": sum(entries), "derivative_interval": 0}
     assert "tangent" not in compiled and compiled.count("pin") == 3
-    assert (len(runs), sum(runs)) == (155, 313)
+    assert (len(entries), sum(entries)) == (155, 313)
 
 
 def test_the_memo_evaluates_few_of_the_kernels_costly_bound_calls(monkeypatch):
