@@ -16,11 +16,15 @@ and hulls the regions, "identify" is "revise" that keeps whole a copy on
 which f may be undefined, and "pin" collapses each parameter coordinate
 on which f is proven monotone over the box to its worst endpoint.  They
 share the loads, the loop and the return, and their leaves read the
-same per-copy locals.  The body of the sweeps is the forward code of
-``expr.forward_sweep``, then one block per visit of the backward sweep,
-in the order of a depth-first walk (left operand first, a node reached
-along several paths visited once per path); that of "pin" is one block
-of tangent code per parameter.  The body has no loop and no dispatch on
+same per-copy locals.  "revise", "identify" and "pin" start each copy
+from x's bounds, so a forward step whose subtree reads no parameter has
+one value for all copies: its line runs once per call, before the loop.
+"prune" threads x from copy to copy, so only its constant steps run
+before the loop.  The body of the sweeps is the rest of the forward
+code of ``expr.forward_sweep``, then one block per visit of the
+backward sweep, in the order of a depth-first walk (left operand first,
+a node reached along several paths visited once per path); that of
+"pin" is one block of tangent code per parameter.  The body has no loop and no dispatch on
 ops, and, like the tape, no depth limit.  A sweep's size is the number
 of visits, which is the tape's length when only leaves are shared, as
 in every parsed expression.  The kernels work on float bounds end to
@@ -140,11 +144,11 @@ def backward_project(
     """
     if op == "pow":
         _exponent(exponent, 0)
+    elif op not in _PROJECT or op.startswith("pow"):  # a pow's rule names are no ops
+        raise ValueError(f"unknown operation {op!r}")
     key = _rule(op, exponent)
     project = _PROJECTORS.get(key)
     if project is None:
-        if key not in _PROJECT:
-            raise ValueError(f"unknown operation {op!r}")
         k = len(_PROJECT[key])
         operands, targets = ("l", "r")[:k], ("o0", "o1")[:k]
         lines = [f"{v}l, {v}h = {v}.lo, {v}.hi" for v in ("c", *operands)]
@@ -265,36 +269,48 @@ def _sweep(
     return body
 
 
-def _pins(steps: Sequence[_Step], forward: Sequence[str], yr: Sequence[int], undefined: str | None) -> list[str]:
-    """The 2B+ pin blocks of one copy, one per parameter coordinate j in yr.
+def _above(steps: Sequence[_Step], seed: Callable[[str, object], bool]) -> set[int]:
+    """The steps whose subtree holds a step (op, a, _) for which seed(op, a) holds."""
+    found: set[int] = set()
+    for i, (op, a, b) in enumerate(steps):
+        if seed(op, a) or op not in _LEAVES and (a in found or op in _BINARY and b in found):
+            found.add(i)
+    return found
 
-    Coordinate j's block runs, when y{j} is not a point, the tangent code
-    of ``expr._tangent_code`` seeded on y_j over the steps active for it,
+
+def _pins(
+    steps: Sequence[_Step], forward: Sequence[str], yr: Sequence[int], undefined: str | None, varying: set[int]
+) -> tuple[list[str], list[str]]:
+    """The forward lines the 2B+ pin blocks read that run once per call, and one copy's blocks.
+
+    There is one block per parameter coordinate j in yr.  Coordinate j's
+    block runs, when y{j} is not a point, the tangent code of
+    ``expr._tangent_code`` seeded on y_j over the steps active for it,
     those whose subtree reads y_j or holds a div, sqrt or log, behind the
     forward lines that code reads, and collapses y{j} to its worst
     endpoint when the root's tangent has a sign and the test ``undefined``
     does not hold.  Partial steps are always active, so the block already
-    computes the forward values that test reads.
+    computes the forward values that test reads.  Of those forward lines
+    a block holds only the ``varying`` ones, the steps whose subtree
+    reads a parameter; the others are the same for every copy and every
+    block, and are returned to run once before the loop.
     """
-    d, body = f"d{len(steps) - 1}", []  # the root's tangent
+    d, once, body = f"d{len(steps) - 1}", set(), []  # the root's tangent
     for j in yr:
-        active: set[int] = set()
-        for i, (op, a, b) in enumerate(steps):
-            if (op, a) == ("param", j) or op in _PARTIAL or op not in _LEAVES and (
-                a in active or op in _BINARY and b in active
-            ):
-                active.add(i)
+        active = _above(steps, lambda op, a: (op, a) == ("param", j) or op in _PARTIAL)
         tangent, reads = _tangent_code(steps, {"param": "1.0, 1.0"}, active)
         for i in reversed(range(len(steps))):  # and the forward lines those lines read
             op, a, b = steps[i]
             if i in reads and op not in _LEAVES:
                 reads.update((a, b) if op in _BINARY else (a,))
+        once |= reads - varying
         defined = f" and not ({undefined})" if undefined else ""
-        block = [*(forward[i] for i in sorted(reads)), *tangent, f"if -_INF < {d}l <= {d}h < _INF{defined}:"]
+        block = [*(forward[i] for i in sorted(reads & varying)), *tangent]
+        block.append(f"if -_INF < {d}l <= {d}h < _INF{defined}:")
         block.append(f" if {d}l >= 0.0 and -_INF < y{j}h < _INF: y{j}l = y{j}h")
         block.append(f" elif {d}h <= 0.0 and -_INF < y{j}l < _INF: y{j}h = y{j}l")
         body += [f"if y{j}l != y{j}h:", *(" " + line for line in block)]
-    return body
+    return [forward[i] for i in sorted(once)], body
 
 
 def _compile_run(steps: Sequence[_Step], purpose: str) -> Callable:
@@ -331,12 +347,18 @@ def _compile_run(steps: Sequence[_Step], purpose: str) -> Callable:
 
     The kernels share the input loads, the loop over the copies and the
     return; the body after the copy's inputs is ``_sweep``'s or
-    ``_pins``'s.  Every value is a pair of float locals, named by a prefix
-    and l or h.  Each leaf reads the copy's x{j} or y{j}: x{j} holds the
-    bounds threaded from copy to copy when pruning and x's own otherwise,
-    y{j} the midpoint when pruning, the domain when revising and the
-    domain as pinned so far when pinning.  p{j} holds x's bounds, h{j}
-    the hull.  A box or copy none of whose read bounds moved is returned
+    ``_pins``'s.  The loads run once per call, and so do the forward
+    lines of the steps whose value cannot change from copy to copy: in
+    "revise", "identify" and "pin", which start each copy from x's own
+    bounds, every step whose subtree reads no parameter (in "pin" only
+    those its blocks read); in "prune", which threads x{j} from copy to
+    copy, only the steps that read no input at all, the constants.  The
+    rest of the forward code runs in the loop, once per copy.  Every
+    value is a pair of float locals, named by a prefix and l or h.  Each
+    leaf reads the copy's x{j} or y{j}: x{j} holds the bounds threaded
+    from copy to copy when pruning and x's own otherwise, y{j} the
+    midpoint when pruning, the domain when revising and the domain as
+    pinned so far when pinning.  p{j} holds x's bounds, h{j} the hull.  A box or copy none of whose read bounds moved is returned
     as it came, and a rebuilt one takes x's own bounds, or the copy's,
     wherever the tape does not read them (``_rebuilt``).
     """
@@ -345,21 +367,28 @@ def _compile_run(steps: Sequence[_Step], purpose: str) -> Callable:
     xr, yr = (sorted({a for op, a, _ in steps if op == leaf}) for leaf in ("var", "param"))
     names = "".join(f", y{j}l, y{j}h" for j in yr)
     undefined = _undefined(steps)
+    # the forward steps whose value may differ from copy to copy: those
+    # that read a parameter, and when pruning, which threads x, a variable
+    moving = ("var", "param") if purpose == "prune" else ("param",)
+    varying = _above(steps, lambda op, a: op in moving)
+    each = [line for i, line in enumerate(forward) if i in varying]
+    once = [line for i, line in enumerate(forward) if i not in varying]
     x_in = [f"x{j}l, x{j}h = p{j}l, p{j}h" for j in xr]
-    head = [f"p{j}l, p{j}h = x[{2 * j}], x[{2 * j + 1}]" for j in xr]
+    head = [f"p{j}l, p{j}h = x[{2 * j}], x[{2 * j + 1}]" for j in xr] + x_in
     params, start = "x, domains", [f"y{j}l, y{j}h = ys[{2 * j}], ys[{2 * j + 1}]" for j in yr]
     keep = [f"kept.append((ys{names}))" if yr else "kept.append(ys)"]
     copies = f"[{_rebuilt('ys', 'ys', yr, 'y', None)} for ys{names} in kept]" if yr else "kept"
     if purpose == "prune":  # x{j} threads the bounds from copy to copy, and no copy is kept
-        head += [*x_in, "fl, fh = -_INF, 0.0"]
+        head.append("fl, fh = -_INF, 0.0")
         start, keep = [f"y{j}l = y{j}h = _midpoint(ys[{2 * j}], ys[{2 * j + 1}])" for j in yr], []
-        body = _sweep(steps, forward, "return None", keep)
+        body = _sweep(steps, each, "return None", keep)
         result = _rebuilt("x", "x", xr, "x", "p")
     elif purpose in ("revise", "identify"):
         if xr:
             hull = ", ".join(f"h{j}l, h{j}h" for j in xr)
             head.append(f"{hull} = " + ", ".join(["_INF, -_INF"] * len(xr)))
             head.append(f"if r is not None: {hull} = " + ", ".join(f"r[{2 * j}], r[{2 * j + 1}]" for j in xr))
+        # each copy's sweep narrows x{j}, so each starts again from x's bounds
         params, start = params + ", fl, fh, r", [*x_in, *start]
         # hull the region as Interval.hull does, min and max picking the
         # accumulated bound on ties, and keep the copy
@@ -367,13 +396,14 @@ def _compile_run(steps: Sequence[_Step], purpose: str) -> Callable:
         keep = [*hulls, *keep]
         head.append("kept = []")
         # no point of the box violates a copy that is dropped
-        body = _sweep(steps, forward, "continue", keep, undefined if purpose == "identify" else None)
+        body = _sweep(steps, each, "continue", keep, undefined if purpose == "identify" else None)
         result = _rebuilt("x", "x", xr, "h", "p") + f" if kept else r, {copies}"
     else:
-        head += [*x_in, "kept = []"]
-        body, result = _pins(steps, forward, yr, undefined), copies
+        head.append("kept = []")
+        once, body = _pins(steps, forward, yr, undefined, varying)  # only the lines the blocks read
+        result = copies
     loop = ["for ys in domains:", *(" " + line for line in [*start, *body, *keep])]
-    return _compile(purpose, params, [*head, *loop, f"return {result}"], namespace)
+    return _compile(purpose, params, [*head, *once, *loop, f"return {result}"], namespace)
 
 
 def _kernel(f: Expression, purpose: str) -> Callable:

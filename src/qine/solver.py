@@ -9,12 +9,15 @@ A node is (box, store).  Processing a node optionally pins parameters
 proven monotone (2B+ mode, until every parameter coordinate of the store
 is a point), prunes the box with each constraint instantiated at its
 parameter midpoint, identifies an inner region by contracting the
-negated constraints, then bisects parameter domains and branches on the
-widest variable coordinate.  A point is a solution only where every
-constraint is defined for every parameter value: a copy on which its
-constraint may be undefined (a divisor that holds 0, the square root of
-a negative or the logarithm of a non-positive number) proves no part of
-the box inner and pins nothing.
+negated constraints, then branches on the widest variable coordinate
+and, when a child is wider than epsilon, bisects the parameter domains.
+A child at most epsilon wide goes to the boundary list when popped, or
+is flushed, and its store is never read, so no node bisects for it.  A
+point is a solution only where every constraint is defined for every
+parameter value: a copy on which its constraint may be undefined (a
+divisor that holds 0, the square root of a negative or the logarithm of
+a non-positive number) proves no part of the box inner and pins
+nothing.
 
 The loop runs on float bounds end to end.  Inside ``solve`` a box is a
 flat tuple (lo0, hi0, lo1, hi1, ...) and a store a list of entries
@@ -438,10 +441,13 @@ def solve(
     The loop runs on flat bounds (see ``interval._shape``) and calls the
     phases' flat level, ``_pin``, ``_prune``, ``_identify``, ``_cut``,
     ``_contains`` and ``_bisect_params``, looked up in this module when
-    the solve starts, the last only when the problem has parameters.  A
-    node branches with ``widest`` and one ``split`` call, which measures
-    both halves, and pushes the two heap entries itself.  A Box is built
-    only for a box that leaves the loop, inner or boundary.
+    the solve starts.  A node branches with ``widest`` and one ``split``
+    call, which measures both halves, and pushes the two heap entries
+    itself.  It bisects the parameter domains of its store only when the
+    problem has parameters and one of the halves is wider than epsilon:
+    the store of a remainder or a half at most epsilon wide is never
+    read.  A Box is built only for a box that leaves the loop, inner or
+    boundary.
     """
     cfg = config if config is not None else SolverConfig()
     stats = SolveStats()
@@ -555,8 +561,6 @@ def solve(
                 if r is not None and not (
                     pieces and thin(r) and any(contains(piece, r) for piece in pieces)
                 ):
-                    if param_bisect:
-                        kept = bisect_params(kept, eps)
                     a, w = widest(r)
                     if w <= eps:
                         push(r, w, kept, settled)
@@ -570,6 +574,11 @@ def solve(
                         # both halves, measured by the split: queued as two
                         # pushes would queue them, lower half first
                         wl, left, ml, kl, wr, right, mr, kr = halves
+                        # a child at most eps wide goes to the boundary
+                        # when popped, or is flushed, and its store is never
+                        # read: bisect the parameters only for a wider one
+                        if param_bisect and (wl > eps or wr > eps):
+                            kept = bisect_params(kept, eps)
                         if kl > K or kr > K:
                             deepen(kl if kl > kr else kr)
                         heappush(heap, (-wl, seq, left, kept, ml, kl, settled))

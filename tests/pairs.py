@@ -2,7 +2,7 @@
 
 Run as ``python tests/pairs.py PARENT_DIR [--workload W] [--pairs N]
 [--samples K]``.  Each pair runs ``bench/child.py sample W`` K times
-(default 1) in PARENT_DIR and K times in this checkout, each in a fresh
+(default 5) in PARENT_DIR and K times in this checkout, each in a fresh
 single-threaded process that imports qine from its own ``src``, and
 takes each side's median of every number those K samples report; the
 parent goes first on even pairs and second on odd ones.  For each workload and each end-to-end metric a sample
@@ -33,7 +33,7 @@ from workloads import WORKLOADS  # noqa: E402
 SINGLE_THREAD = {k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
-def sample(root: Path, workload: str, samples: int = 1) -> tuple[dict, str]:
+def sample(root: Path, workload: str, samples: int) -> tuple[dict, str]:
     """``samples`` fresh ``bench/child.py sample`` runs of the checkout at root, as one.
 
     Returns the median of each number they report, and their reports'
@@ -67,7 +67,7 @@ def main(argv: list[str]) -> int:
     ap.add_argument("parent", type=Path, help="a checkout of the parent commit")
     ap.add_argument("--workload", default="all", choices=[*WORKLOADS, "all"])
     ap.add_argument("--pairs", type=int, default=21)
-    ap.add_argument("--samples", type=int, default=1, help="fresh-process samples per side of a pair, medianed")
+    ap.add_argument("--samples", type=int, default=5, help="fresh-process samples per side of a pair, medianed")
     args = ap.parse_args(argv)
     if args.pairs < 1 or args.samples < 1:
         ap.error("--pairs and --samples must be at least 1")

@@ -760,7 +760,7 @@ def test_the_package_exports_each_name_once_and_resolves_it():
     assert [name for name in qine.__all__ if not hasattr(qine, name)] == []
 
 
-def test_a_closed_stdout_pipe_is_a_clean_error(problems_dir):
+def test_a_closed_stdout_pipe_is_a_clean_error(problems_dir, tmp_path, monkeypatch):
     # the read end is closed before the child writes its report, so the
     # write fails with EPIPE; no traceback follows, at the write or at exit
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
@@ -772,6 +772,32 @@ def test_a_closed_stdout_pipe_is_a_clean_error(problems_dir):
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 1
     assert b"Traceback" not in err
+
+    # the same write in this process, on a stdout whose reader has left:
+    # run returns 1, and the stdout descriptor now writes to the null device
+    class Closed:
+        def __init__(self, fd: int) -> None:
+            self.fd = fd
+
+        def write(self, text: str) -> int:
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self) -> None:
+            pass
+
+        def fileno(self) -> int:
+            return self.fd
+
+    sink = tmp_path / "stdout"
+    fd = os.open(sink, os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", Closed(fd))
+        assert cli.run(["solve", str(problems_dir / "ex1.qcsp")]) == 1
+        monkeypatch.undo()
+        os.write(fd, b"lost")
+    finally:
+        os.close(fd)
+    assert sink.read_bytes() == b""
 
 
 def _cap_memory() -> None:

@@ -99,6 +99,14 @@ def test_project_power_refuses_an_exponent_out_of_range(exponent):
         backward_project("pow", Interval(4.0, 9.0), (Interval(-5.0, 5.0),), exponent=exponent)
 
 
+@pytest.mark.parametrize("op", ["tan", "const", "pow0", "pow1", "pow_odd", "pow_even"])
+def test_project_refuses_an_unknown_operation(op):
+    # the rule names of pow are keys of the projection table, but no ops:
+    # pow_even once ended in a TypeError and pow1 projected as the identity
+    with pytest.raises(ValueError, match=f"unknown operation {op!r}"):
+        backward_project(op, Interval(1.0, 4.0), (Interval(-5.0, 5.0),))
+
+
 @pytest.mark.parametrize("exponent", [True, False])
 def test_project_power_refuses_a_bool_exponent(exponent):
     with pytest.raises(ValueError, match=f"exponent {exponent} is not an integer"):
@@ -724,6 +732,44 @@ def test_kernels_build_intervals_only_in_their_returns(problems_dir, monkeypatch
             body = line.split("return", 1)[0]
             assert not any(call in body for call in _INTERVAL_CALLS), line
         assert lines[-1].startswith("return ")
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_parameter_free_forward_steps_run_once_per_kernel_call(k, monkeypatch):
+    # sin(x) reads no parameter, so "revise", "identify" and "pin" evaluate
+    # it once before their loop over the copies, whatever their number;
+    # "prune" threads x from copy to copy and evaluates it once per copy.
+    # Each kernel still returns on k copies what it returns on each alone
+    from qine import contractor, interval
+
+    calls: list[str] = []
+
+    def sin(lo, hi):
+        calls.append("_sin")
+        return interval._sin(lo, hi)
+
+    monkeypatch.setitem(contractor._NAMESPACE, "_sin", sin)
+    f = parsed("sin(x) * y + sqrt(x)")  # a fresh expression compiles fresh kernels
+    x, domains = (0.5, 1.0), [(-2.0 - j, -1.0 + j / 8) for j in range(k)]
+    kernels = {
+        "prune": lambda ds: contractor._kernel(f, "prune")(x, ds),
+        "revise": lambda ds: contractor._kernel(f, "revise")(x, ds, -math.inf, 0.0, None),
+        "identify": lambda ds: contractor._kernel(f, "identify")(x, ds, 0.0, math.inf, None),
+        "pin": lambda ds: contractor._kernel(f, "pin")(x, ds),
+    }
+    assert contractor._kernel(f, "identify") is not contractor._kernel(f, "revise")
+    for purpose, kernel in kernels.items():
+        calls.clear()
+        got = kernel(domains)
+        assert len(calls) == (k if purpose == "prune" else 1), purpose
+        if purpose in ("revise", "identify"):
+            alone = [kernel([ys]) for ys in domains]
+            hull = [min(r[0] for r, _ in alone), max(r[1] for r, _ in alone)]
+            assert got == (tuple(hull), [ys for _, kept in alone for ys in kept]), purpose
+        elif purpose == "pin":
+            assert got == [ys for d in domains for ys in kernel([d])]
+        else:
+            assert got is not None
 
 
 def test_revise_returns_a_box_the_tape_never_reads_as_it_came():

@@ -686,6 +686,14 @@ def test_an_empty_forward_value_empties_a_zero_tangent():
     assert parameter_instantiation([QuantifiedConstraint(f, y)], x)[0].param_domain == y
 
 
+@pytest.mark.parametrize("node", [Binary("add", X, 1.0), Unary("tan", X), Binary("pow", X, X), "x"])
+def test_a_tape_refuses_a_node_that_is_no_expression(node):
+    # a bare number, an op the evaluators do not know, or a string
+    x = Box.from_bounds([(0.0, 1.0)])
+    with pytest.raises(TypeError, match="not an expression node"):
+        eval_interval(node, x, Box(()))
+
+
 def test_an_exponent_above_the_cap_is_rejected():
     # interval._root_start overflows past 1025, and the integer powers that
     # interval._pow_bound rounds grow with the exponent

@@ -1101,39 +1101,42 @@ def _bench_solve_args(name: str) -> tuple[Problem, SolverConfig]:
     return parse_problem(w.problem.read_text(), name=w.problem_name), SolverConfig(**w.flags)
 
 
-@pytest.mark.parametrize("name, calls", [("ring2d-ratio", 0), ("lens-2b", 1615)])
-def test_a_solve_bisects_parameters_once_per_branching_node_and_only_with_parameters(name, calls, monkeypatch):
+@pytest.mark.parametrize("name, calls", [("ring2d-ratio", 0), ("lens-2b", 807)])
+def test_a_solve_bisects_once_per_split_with_a_child_wider_than_eps(name, calls, monkeypatch):
     # deterministic work counts of one bench solve: ring2d-ratio has no
     # parameters, so it runs no parameter pass at all; lens-2b runs one per
-    # node that branches, that is, per identification that leaves a
-    # remainder not inside one of its inner pieces
-    from qine import solver
+    # node that splits its remainder into two halves, one of them wider than
+    # eps, and none where both halves are at most eps wide, since such a
+    # half goes to the boundary when popped and its store is never read
+    from qine import interval, solver
 
     problem, cfg = _bench_solve_args(name)
-    counts = dict.fromkeys(("bisect_params", "remainders", "contained"), 0)
-    bisect_params, identify, contains = solver._bisect_params, solver._identify, solver._contains
+    counts = dict.fromkeys(("bisect_params", "splits", "wide"), 0)
+    bisect_params = solver._bisect_params
 
     def counted_bisect_params(store, epsilon):
         counts["bisect_params"] += 1
         return bisect_params(store, epsilon)
 
-    def counted_identify(store, x):
-        kept, r = identify(store, x)
-        counts["remainders"] += r is not None
-        return kept, r
+    def counted_shape(n):
+        widest, volume, thin, split = interval._shape(n)
 
-    def counted_contains(p, r):
-        inside = contains(p, r)  # the loop stops at the first piece holding r
-        counts["contained"] += inside
-        return inside
+        def counted_split(x, a):
+            halves = split(x, a)
+            if halves is not None:
+                counts["splits"] += 1
+                counts["wide"] += halves[0] > cfg.epsilon or halves[4] > cfg.epsilon
+            return halves
+
+        return widest, volume, thin, counted_split
 
     monkeypatch.setattr(solver, "_bisect_params", counted_bisect_params)
-    monkeypatch.setattr(solver, "_identify", counted_identify)
-    monkeypatch.setattr(solver, "_contains", counted_contains)
+    monkeypatch.setattr(solver, "_shape", counted_shape)
     solve(problem, cfg)
-    branching = counts["remainders"] - counts["contained"]
-    assert counts["bisect_params"] == (branching if problem.parameter_names else 0) == calls, counts
-    assert branching > 1000
+    assert counts["bisect_params"] == (counts["wide"] if problem.parameter_names else 0) == calls, counts
+    assert counts["wide"] > 500, counts
+    if problem.parameter_names:  # and lens-2b splits many a remainder into two halves at most eps wide
+        assert counts["splits"] > counts["wide"], counts
 
 
 @pytest.mark.parametrize("name", ["ring2d-ratio", "lens-2b", "mixed3d"])
@@ -1210,7 +1213,7 @@ def test_the_memo_evaluates_few_of_the_kernels_costly_bound_calls(monkeypatch):
     # deterministic work counts of one mixed3d solve at eps 0.15 in 2b+ from
     # empty tables: the kernels make the same calls to the seven memoized
     # bound functions with the memo as without it, and get the same paving,
-    # while sin and the products are evaluated on about 2% and 21% of theirs
+    # while sin and the products are evaluated on about 3% and 21% of theirs
     from qine import contractor, expr, interval
 
     path = Path(__file__).resolve().parents[1] / "bench" / "problems" / "mixed3d.qcsp"
@@ -1236,7 +1239,7 @@ def test_the_memo_evaluates_few_of_the_kernels_costly_bound_calls(monkeypatch):
 
     calls, evaluated, bits = run(memoize=True)
     assert run(memoize=False) == (calls, calls, bits)
-    assert (calls["_sin"], calls["_mul"]) == (5008, 8492)
+    assert (calls["_sin"], calls["_mul"]) == (3346, 8492)
     assert (evaluated["_sin"], evaluated["_mul"]) == (86, 1761)
 
 
